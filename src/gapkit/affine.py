@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import Mat2, Region, Vec2, diag_flow, rotation
 from .errors import ResourceLimitError
-from .lattice import lagrange_reduce
+from .lattice import coefficient_scan
 from .pointcloud import GapSequence, PointSystem
-from .stats import EmpiricalDist, rng
+from .stats import EmpiricalDist, circular_gaps, rng
 
 __all__ = [
     "AffineLattice", "WedgeStats", "points_in_ball", "wedge_count",
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 ORIGIN_TOL = 1e-12
-DEFAULT_CELL_BUDGET = 80_000_000
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,60 +72,15 @@ class AffineLattice(PointSystem):
     def act(self, g: Mat2) -> "AffineLattice":
         return AffineLattice(g @ self.basis, g @ self.shift)
 
-    # -- enumeration -------------------------------------------------------
-
-    def _box_points(self, xlo: float, xhi: float, ylo: float, yhi: float) -> np.ndarray:
-        """All points in the closed box, as an (n, 2) float array, origin excluded.
-
-        Per-row coefficient intervals over a reduced basis, so thin slanted
-        boxes (the renormalized triangles) cost output size, not bounding
-        box area.
-        """
-        red, _ = lagrange_reduce(self.basis.to_float())
-        a, b, c, d = (float(e) for e in red.entries())
-        sx, sy = float(self.shift.x), float(self.shift.y)
-        if abs(b) < abs(a):
-            a, b, c, d = b, a, d, c
-        det = a * d - b * c
-        corners = np.array([(x - sx, y - sy)
-                            for x in (xlo, xhi) for y in (ylo, yhi)])
-        ivals = (d * corners[:, 0] - b * corners[:, 1]) / det
-        ilo, ihi = math.floor(ivals.min()) - 1, math.ceil(ivals.max()) + 1
-        i = np.arange(ilo, ihi + 1, dtype=np.int64)
-
-        jlo = np.full(i.shape, -np.inf)
-        jhi = np.full(i.shape, np.inf)
-        for (alin, blin, lo, hi) in ((a, b, xlo - sx, xhi - sx),
-                                     (c, d, ylo - sy, yhi - sy)):
-            if blin == 0.0:
-                ok = (alin * i >= lo - 1e-9) & (alin * i <= hi + 1e-9)
-                jlo = np.where(ok, jlo, np.inf)
-                continue
-            e1, e2 = (lo - alin * i) / blin, (hi - alin * i) / blin
-            jlo = np.maximum(jlo, np.minimum(e1, e2))
-            jhi = np.minimum(jhi, np.maximum(e1, e2))
-        j0 = np.where(np.isfinite(jlo), np.floor(jlo) - 1, 0).astype(np.int64)
-        j1 = np.where(np.isfinite(jhi) & np.isfinite(jlo), np.ceil(jhi) + 1, -1).astype(np.int64)
-        lens = np.maximum(j1 - j0 + 1, 0)
-        total = int(lens.sum())
-        if total > DEFAULT_CELL_BUDGET:
-            raise ResourceLimitError(f"{total} cells exceed the enumeration budget")
-        reps = np.repeat(i, lens)
-        starts = np.repeat(np.cumsum(lens) - lens, lens)
-        js = np.repeat(j0, lens) + (np.arange(total) - starts)
-        x = a * reps + b * js + sx
-        y = c * reps + d * js + sy
-        keep = (x >= xlo) & (x <= xhi) & (y >= ylo) & (y <= yhi) \
-            & (x * x + y * y > ORIGIN_TOL ** 2)
-        return np.column_stack([x[keep], y[keep]])
-
     def ball_points(self, radius: float) -> np.ndarray:
         """Points in the closed centered ball, as an (n, 2) float array."""
         if not radius > 0:
             raise ValueError("radius must be positive")
-        pts = self._box_points(-radius, radius, -radius, radius)
-        keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius * radius
-        return pts[keep]
+        _, _, x, y = coefficient_scan(self.basis, -radius, radius, -radius, radius,
+                                      shift=self.shift)
+        rsq = x * x + y * y
+        keep = (rsq <= radius * radius) & (rsq > ORIGIN_TOL ** 2)
+        return np.column_stack([x[keep], y[keep]])
 
     def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
         radius = region.bounding_radius()
@@ -202,8 +156,8 @@ def renormalized_triangle_count(lattice: AffineLattice, theta: float,
         raise ValueError("sigma and radius must be positive")
     g = diag_flow(-2.0 * math.log(radius)) @ rotation(-theta)
     moved = lattice.act(g)
-    pts = moved._box_points(0.0, 1.0, -sigma, sigma)
-    keep = np.abs(pts[:, 1]) <= sigma * pts[:, 0]
+    _, _, x, y = coefficient_scan(moved.basis, 0.0, 1.0, -sigma, sigma, shift=moved.shift)
+    keep = (np.abs(y) <= sigma * x) & (x * x + y * y > ORIGIN_TOL ** 2)
     return int(np.count_nonzero(keep))
 
 
@@ -237,18 +191,6 @@ def sqrt_mod1_gaps(n: int) -> GapSequence:
 
 
 def angle_gap_distribution(lattice: AffineLattice, radius: float) -> EmpiricalDist:
-    """Circular normalized gaps between the angles of ball points.
-
-    Distinct angles are kept (ties collapse at 1e-12); gaps are scaled by
-    count/(2 pi) including the wraparound gap, so the mean is exactly 1.
-    """
-    angles = _sorted_angles(lattice, radius)
-    if len(angles) == 0:
-        raise ValueError("no points in the ball; no angle gaps to form")
-    keep = np.concatenate([[True], np.diff(angles) > 1e-12])
-    angles = angles[keep]
-    n = len(angles)
-    if n < 2:
-        raise ValueError("need at least two distinct angles")
-    gaps = np.diff(np.concatenate([angles, [angles[0] + TWO_PI]]))
-    return EmpiricalDist(np.sort(gaps * (n / TWO_PI)))
+    """Circular normalized gaps between the distinct angles of ball points
+    (see stats.circular_gaps)."""
+    return circular_gaps(_sorted_angles(lattice, radius))

@@ -15,9 +15,8 @@ from fractions import Fraction
 from .errors import VerticalVectorError
 
 __all__ = [
-    "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Wedge",
-    "Triangle", "Ball", "MappedRegion", "shear", "diag_flow", "rotation",
-    "slope", "is_exact",
+    "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Ball",
+    "MappedRegion", "shear", "diag_flow", "rotation", "slope", "is_exact",
 ]
 
 
@@ -413,58 +412,6 @@ class Ball(Region):
 
     def contains(self, v: Vec2) -> bool:
         return float(v.norm_sq()) <= float(self.radius) ** 2
-
-    def bounding_radius(self):
-        return float(self.radius)
-
-
-@dataclass(frozen=True)
-class Triangle(Region):
-    """Closed triangle with vertices (0,0), (1,sigma), (1,-sigma)."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("half-height must be positive")
-
-    def contains(self, v: Vec2) -> bool:
-        x, y = float(v.x), float(v.y)
-        return 0.0 <= x <= 1.0 and abs(y) <= float(self.sigma) * x
-
-    def bounding_radius(self):
-        return math.hypot(1.0, float(self.sigma))
-
-
-@dataclass(frozen=True)
-class Wedge(Region):
-    """Thinning circular sector: |v| <= radius, angle within sigma/radius^2 of theta.
-
-    The angular half-width shrinks like radius^-2 so the expected number of
-    unimodular-lattice points in the wedge stays of order one as the radius
-    grows.
-    """
-
-    theta: float
-    sigma: float
-    radius: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and self.radius > 0):
-            raise ValueError("sigma and radius must be positive")
-
-    @property
-    def half_width(self) -> float:
-        return float(self.sigma) / float(self.radius) ** 2
-
-    def contains(self, v: Vec2) -> bool:
-        x, y = float(v.x), float(v.y)
-        if x * x + y * y > float(self.radius) ** 2 or (x == 0.0 and y == 0.0):
-            return False
-        delta = (math.atan2(y, x) - float(self.theta)) % (2.0 * math.pi)
-        if delta > math.pi:
-            delta -= 2.0 * math.pi
-        return abs(delta) <= self.half_width
 
     def bounding_radius(self):
         return float(self.radius)

@@ -1,11 +1,15 @@
 """Unimodular lattices as point systems: enumeration, transversal coordinates,
 and the two slope-gap pipelines (direct enumeration and return-map fast path).
 
-Enumeration works in integer coefficients of a Lagrange-reduced basis, one
-coefficient iterated over an interval solved from the other, so long thin
-regions (strips, renormalized triangles) cost points-found rather than
-bounding-box area.  A point is primitive exactly when its coefficient pair
-is coprime, which is basis-independent.
+One kernel, coefficient_scan, enumerates this module's lattices and the
+affine lattices: it scans integer coefficients of a Lagrange-reduced basis in
+numpy, one coefficient per row with the other solved from the box, so long
+thin regions (strips, renormalized triangles) cost points found rather than
+bounding-box area.  Its float coordinates only steer: for exact bases every
+candidate within a float margin of the box is rebuilt from its coefficients
+in exact arithmetic and its membership decided exactly.  A point is
+primitive exactly when its coefficient pair is coprime, which is
+basis-independent.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -25,20 +29,20 @@ import numpy as np
 from . import bcz
 from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, is_exact,
                    rotation, shear, diag_flow)
-from .errors import (ExceptionalLatticeError, ExhaustionError,
-                     ResourceLimitError)
-from .pointcloud import GapSequence, PointSystem
+from .errors import ExceptionalLatticeError, ResourceLimitError
+from .pointcloud import GapSequence, PointSystem, strip_points
 from .stats import rng
 
 __all__ = [
     "UnimodularLattice", "ZSQUARED", "strip_vectors", "to_transversal",
     "slope_gaps_fast", "has_vertical_vector", "poisson_baseline",
-    "seeded_lattice", "lagrange_reduce",
+    "seeded_lattice", "lagrange_reduce", "coefficient_scan",
 ]
 
 DET_TOL = 1e-12
-DEFAULT_POINT_BUDGET = 20_000_000
-DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
+# rows and cells one coefficient scan may visit; a cell costs about 65 bytes
+# of temporary arrays, so a scan at the cap peaks near 1.3 GB
+DEFAULT_CELL_BUDGET = 20_000_000
 
 
 def _round_half(x):
@@ -77,6 +81,54 @@ def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
     else:
         raise ResourceLimitError("basis reduction did not converge")
     return Mat2(v1[0], v2[0], v1[1], v2[1]), u
+
+
+def coefficient_scan(basis: Mat2, xlo, xhi, ylo, yhi, shift=(0.0, 0.0),
+                     margin: float = 0.0, budget: int = DEFAULT_CELL_BUDGET):
+    """Points basis (m, k) + shift whose float coordinates lie in a box.
+
+    Scans one coefficient i of the float Lagrange-reduced basis row by row,
+    with the other coefficient j solved from both box constraints (one cell
+    of slack on either side), so long thin boxes cost their point count
+    rather than their bounding area.  Returns the coefficients m, k in
+    ``basis`` as int64 arrays and the coordinates x, y as float arrays of
+    every point in the box widened by ``margin``.  Exact callers rebuild
+    the points from m, k and decide membership exactly.  More than
+    ``budget`` rows or cells raises ResourceLimitError.
+    """
+    red, u = lagrange_reduce(basis.to_float())
+    a, b, c, d = red.entries()
+    if abs(b) < abs(a):  # iterate the coefficient of the column with smaller |x|
+        a, b, c, d = b, a, d, c
+        u = (u[1], u[0], u[3], u[2])
+    sx, sy = map(float, shift)
+    xlo, xhi, ylo, yhi = float(xlo), float(xhi), float(ylo), float(yhi)
+    det = a * d - b * c
+    ivals = [(d * (x - sx) - b * (y - sy)) / det for x in (xlo, xhi) for y in (ylo, yhi)]
+    ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
+    if ihi - ilo > budget:
+        raise ResourceLimitError(
+            f"coefficient range {ihi - ilo} exceeds the enumeration budget {budget}")
+    i = np.arange(ilo, ihi + 1, dtype=np.int64)
+    # b != 0 (it is the larger |x| of a basis), so the x-constraint bounds j
+    e1, e2 = (xlo - sx - a * i) / b, (xhi - sx - a * i) / b
+    jlo, jhi = np.minimum(e1, e2), np.maximum(e1, e2)
+    if d != 0.0:
+        e1, e2 = (ylo - sy - c * i) / d, (yhi - sy - c * i) / d
+        jlo, jhi = np.maximum(jlo, np.minimum(e1, e2)), np.minimum(jhi, np.maximum(e1, e2))
+    j0 = np.floor(jlo).astype(np.int64) - 1
+    lens = np.maximum(np.ceil(jhi).astype(np.int64) + 2 - j0, 0)
+    total = int(lens.sum())
+    if total > budget:
+        raise ResourceLimitError(f"{total} cells exceed the enumeration budget {budget}")
+    rows = np.repeat(i, lens)
+    js = np.repeat(j0 - (np.cumsum(lens) - lens), lens) + np.arange(total)
+    x = a * rows + b * js + sx
+    y = c * rows + d * js + sy
+    keep = (x >= xlo - margin) & (x <= xhi + margin) \
+        & (y >= ylo - margin) & (y <= yhi + margin)
+    rows, js = rows[keep], js[keep]
+    return u[0] * rows + u[1] * js, u[2] * rows + u[3] * js, x[keep], y[keep]
 
 
 @dataclass(frozen=True)
@@ -119,149 +171,62 @@ class UnimodularLattice(PointSystem):
 
     # -- enumeration ------------------------------------------------------
 
-    def _box_scan(self, xlo, xhi, ylo, yhi, open_xlo: bool,
-                  budget: int) -> list[tuple[Vec2, tuple[int, int]]]:
-        """Primitive points with xlo (<|<=) x <= xhi, ylo <= y <= yhi.
-
-        Iterates one reduced-basis coefficient, solving the other from the
-        x-constraint, and verifies every candidate in basis arithmetic (so
-        the float interval endpoints only steer the search, never decide
-        membership for exact bases).
-        """
-        red, u = lagrange_reduce(self.basis)
-        a, b, c, d = red.a, red.b, red.c, red.d
-        # iterate the coefficient multiplying the column with the smaller |x| entry
-        if abs(float(b)) >= abs(float(a)):
-            ax, bx, ay, by = a, b, c, d
-            back = lambda i, j: (u[0] * i + u[1] * j, u[2] * i + u[3] * j)
-        else:
-            ax, bx, ay, by = b, a, d, c
-            back = lambda i, j: (u[1] * i + u[0] * j, u[3] * i + u[2] * j)
-
-        det = ax * by - bx * ay  # +-1
-        fxlo, fxhi, fylo, fyhi = map(float, (xlo, xhi, ylo, yhi))
-        fax, fbx, fay, fby = map(float, (ax, bx, ay, by))
-        fdet = float(det)
-        corners = [(x, y) for x in (fxlo, fxhi) for y in (fylo, fyhi)]
-        ivals = [(fby * x - fbx * y) / fdet for x, y in corners]
-        ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
-        if ihi - ilo > budget:
-            raise ResourceLimitError(
-                f"coefficient range {ihi - ilo} exceeds the enumeration budget")
-
-        exact = self.is_exact()
-        # float prescreen margin: well clear of double rounding, far below
-        # any gap the exact check would have to arbitrate
-        margin = 1e-6 * max(1.0, abs(fxhi), abs(fyhi), abs(fxlo), abs(fylo))
-
-        def verdict(x, y):
-            return (x > xlo if open_xlo else x >= xlo) and x <= xhi \
-                and ylo <= y <= yhi
-
-        out = []
-        scanned = 0
-        for i in range(ilo, ihi + 1):
-            # x-constraint solves j; y-constraint intersects (float steering)
-            if fbx != 0.0:
-                j1, j2 = (fxlo - fax * i) / fbx, (fxhi - fax * i) / fbx
-                jlo, jhi = min(j1, j2), max(j1, j2)
-            else:
-                jlo, jhi = -math.inf, math.inf
-            if fby != 0.0:
-                j1, j2 = (fylo - fay * i) / fby, (fyhi - fay * i) / fby
-                jlo, jhi = max(jlo, min(j1, j2)), min(jhi, max(j1, j2))
-            if not (math.isfinite(jlo) and math.isfinite(jhi)):
-                if fbx == 0.0 and fby == 0.0:
-                    continue  # degenerate column; determinant forbids this
-            j_start, j_end = math.floor(jlo) - 1, math.ceil(jhi) + 1
-            scanned += max(0, j_end - j_start + 1)
-            if scanned > budget:
-                raise ResourceLimitError("enumeration budget exceeded")
-            for j in range(j_start, j_end + 1):
-                xf = fax * i + fbx * j
-                yf = fay * i + fby * j
-                if not (fxlo - margin <= xf <= fxhi + margin
-                        and fylo - margin <= yf <= fyhi + margin):
-                    continue
-                if exact:
-                    x = ax * i + bx * j
-                    y = ay * i + by * j
-                else:
-                    x, y = xf, yf
-                if verdict(x, y):
-                    m, k = back(i, j)
-                    if math.gcd(m, k) == 1:
-                        out.append((Vec2(x, y), (m, k)))
-        return out
-
     def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
-        budget = limit if limit is not None else DEFAULT_POINT_BUDGET
+        """Primitive points in the region; ``limit`` caps the cells scanned.
+
+        Exact bases emit exact vectors and decide strip and ball membership
+        exactly; the float scan only steers.
+        """
         if isinstance(region, VerticalStrip):
             if math.isinf(region.height):
                 raise ValueError("cannot enumerate an unbounded strip; cap the height")
-            pts = self._box_scan(0, region.eta, 0, region.height,
-                                 open_xlo=True, budget=budget)
-            return [v for v, _ in pts]
-        radius = region.bounding_radius()
-        if radius is None:
-            raise ValueError(f"region {region!r} is unbounded")
-        pts = self._box_scan(-radius, radius, -radius, radius,
-                             open_xlo=False, budget=budget)
-        if isinstance(region, Ball) and self.is_exact():
-            rsq = Fraction(region.radius) ** 2  # exact boundary decision
-            return [v for v, _ in pts if v.norm_sq() <= rsq]
-        return [v for v, _ in pts if region.contains(v)]
+            box = (0, region.eta, 0, region.height)
+            inside = lambda v: 0 < v.x <= region.eta and 0 <= v.y <= region.height
+        else:
+            radius = region.bounding_radius()
+            if radius is None:
+                raise ValueError(f"region {region!r} is unbounded")
+            box = (-radius, radius, -radius, radius)
+            inside = region.contains
+            if isinstance(region, Ball) and self.is_exact():
+                rsq = Fraction(region.radius) ** 2  # exact boundary decision
+                inside = lambda v: v.norm_sq() <= rsq
+        # float prescreen margin: well clear of double rounding, far below
+        # any gap the exact test would have to arbitrate
+        margin = 1e-6 * max(1.0, *(abs(float(t)) for t in box))
+        m, k, x, y = coefficient_scan(
+            self.basis, *box, margin=margin,
+            budget=DEFAULT_CELL_BUDGET if limit is None else limit)
+        primitive = np.gcd(m, k) == 1
+        if self.is_exact():
+            g = self.basis
+            pts = (Vec2(g.a * i + g.b * j, g.c * i + g.d * j) for i, j
+                   in zip(m[primitive].tolist(), k[primitive].tolist()))
+        else:
+            pts = map(Vec2, x[primitive].tolist(), y[primitive].tolist())
+        return [v for v in pts if inside(v)]
 
 
 ZSQUARED = UnimodularLattice(Mat2(1, 0, 0, 1), tag="Z^2")
 
 
-def _strip_scan_sorted(lat: UnimodularLattice, eta, n: int,
-                       height_budget: float = DEFAULT_HEIGHT_BUDGET):
-    """First n strip vectors ordered by slope, with coefficients.
+def _lattice_strip_points(lat: UnimodularLattice, eta, n: int) -> list:
+    """First n (slope, vector) pairs of the strip, from the growing-height loop.
 
-    Returns a list of (slope, vec, (m, k)); raises ExhaustionError /
-    ExceptionalLatticeError when the strip stays empty up the budget.
+    A vertical lattice whose strip is empty at the loop's first height is
+    rejected up front instead of doubling the height up to the budget.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    height = float(eta) * max(4.0, 4.0 * n)
-    while True:
-        try:
-            found = lat._box_scan(0, eta, 0, height, open_xlo=True,
-                                  budget=DEFAULT_POINT_BUDGET)
-        except ResourceLimitError:
-            if has_vertical_vector(lat, 1000):
-                raise ExceptionalLatticeError(
-                    "lattice has a vertical vector and an empty strip; "
-                    "the shear flow never reaches the transversal") from None
-            raise
-        cut = height / float(eta)
-        rows = []
-        for v, mk in found:
-            s = Fraction(v.y, v.x) if isinstance(v.x, int) and isinstance(v.y, int) \
-                else v.y / v.x
-            if float(s) <= cut and float(s) >= 0:
-                rows.append((s, v, mk))
-        rows.sort(key=lambda r: r[0])
-        if len(rows) >= n:
-            return rows[:n]
-        if not rows and has_vertical_vector(lat, 1000):
-            # a vertical lattice projects to a discrete set of x-values, so a
-            # strip that is empty at one height stays empty at every height
-            raise ExceptionalLatticeError(
-                "lattice has a vertical vector and an empty strip; "
-                "the shear flow never reaches the transversal")
-        if height >= height_budget:
-            raise ExhaustionError(
-                f"only {len(rows)} strip vectors below height {height}",
-                partial=rows)
-        height *= 2.0
+    if has_vertical_vector(lat, 1000) and not lat.enumerate_points(
+            VerticalStrip(eta, float(eta) * max(4.0, 4.0 * n))):
+        raise ExceptionalLatticeError(
+            "lattice has a vertical vector and an empty strip; "
+            "the shear flow never reaches the transversal")
+    return strip_points(lat, eta, n)
 
 
 def strip_vectors(lat: UnimodularLattice, eta, n: int) -> list[Vec2]:
     """The n strip vectors of smallest nonnegative slope, in slope order."""
-    return [v for _, v, _ in _strip_scan_sorted(lat, eta, n)]
+    return [v for _, v in _lattice_strip_points(lat, eta, n)]
 
 
 def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint, object]:
@@ -274,9 +239,10 @@ def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint,
     """
     if isinstance(eta, float) and lat.is_exact():
         eta = Fraction(eta)
-    rows = _strip_scan_sorted(lat, eta, 1)
-    s1, v1, (m0, k0) = rows[0]
+    [(s1, v1)] = _lattice_strip_points(lat, eta, 1)
     a = v1.x
+    coeff = lat.basis.inverse() @ v1  # integral; exactly so for exact bases
+    m0, k0 = round(coeff.x), round(coeff.y)
     # companion coefficients with m0*k1 - m1*k0 = +1 (orientation matters:
     # the companion's sheared height must be +1/a, not -1/a)
     g, u_, v_ = _xgcd(m0, k0)

@@ -22,19 +22,18 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Mat2, Region, Vec2, VerticalStrip, is_exact, shear
+from .core import Ball, Mat2, Region, Vec2, VerticalStrip, is_exact, shear, slope
 from .errors import ExhaustionError, UnsupportedQueryError
 
 __all__ = [
-    "PointSystem", "SlopeSequence", "GapSequence", "slopes_in_strip", "gaps",
+    "PointSystem", "SlopeSequence", "GapSequence", "strip_points",
+    "slopes_in_strip", "gaps",
     "is_horizontally_short", "is_vertically_short", "is_exceptional",
     "hitting_times",
 ]
 
 # |y| below this counts as horizontal for float systems (exact systems use 0)
 AXIS_TOL = 1e-9
-
-DEFAULT_POINT_BUDGET = 5_000_000
 
 # strip heights grow geometrically up to height_budget before giving up
 DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
@@ -98,54 +97,52 @@ class GapSequence:
         return np.array([float(g) for g in self.gaps])
 
 
-def _collapse(slopes: list) -> list:
-    """Sort and drop duplicate slope values (exact equality, or 1e-12 relative)."""
-    if not slopes:
-        return []
-    slopes = sorted(slopes)
-    out = [slopes[0]]
-    for s in slopes[1:]:
-        prev = out[-1]
+def _collapse(rows: list) -> list:
+    """Sort (slope, point) pairs by slope, keeping the first pair of each slope
+    value (exact equality, or 1e-12 relative)."""
+    rows = sorted(rows, key=lambda r: r[0])
+    out = rows[:1]
+    for row in rows[1:]:
+        s, prev = row[0], out[-1][0]
         if is_exact(s) and is_exact(prev):
             if s == prev:
                 continue
         elif float(s) - float(prev) <= 1e-12 * max(1.0, abs(float(prev))):
             continue
-        out.append(s)
+        out.append(row)
     return out
+
+
+def strip_points(system: PointSystem, eta, n: int,
+                 height_budget: float = DEFAULT_HEIGHT_BUDGET) -> list:
+    """The n strip points of smallest nonnegative slope, as sorted (slope, point)
+    pairs with ties collapsed.
+
+    Enumerates the strip under growing height caps H; every slope <= H/eta is
+    then definitely present, so the first n of those are final.  Runs out of
+    budget -> ExhaustionError carrying the partial SlopeSequence.
+    """
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    height = float(eta) * max(4.0, 4.0 * n)
+    while True:
+        cut = height / float(eta)
+        pairs = ((slope(v), v) for v in system.enumerate_points(VerticalStrip(eta, height)))
+        rows = _collapse([r for r in pairs if float(r[0]) <= cut])
+        if len(rows) >= n:
+            return rows[:n]
+        if height >= height_budget:
+            raise ExhaustionError(
+                f"found {len(rows)} of {n} slopes below height {height}",
+                partial=SlopeSequence(eta, tuple(s for s, _ in rows)))
+        height *= 2.0
 
 
 def slopes_in_strip(system: PointSystem, eta, n: int,
                     height_budget: float = DEFAULT_HEIGHT_BUDGET) -> SlopeSequence:
-    """The n smallest nonnegative slopes of strip vectors, sorted, ties collapsed.
-
-    Enumerates the strip under growing height caps H; every slope <= H/eta is
-    then definitely present, so the first n of those are final.  Runs out of
-    budget -> ExhaustionError carrying the partial sequence.
-    """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    if n == 0:
-        return SlopeSequence(eta, ())
-    from .core import slope as slope_of
-
-    height = float(eta) * max(4.0, 4.0 * n)
-    while True:
-        pts = system.enumerate_points(VerticalStrip(eta, height))
-        complete = []
-        cut = height / float(eta)
-        for v in pts:
-            s = slope_of(v)
-            if float(s) <= cut:
-                complete.append(s)
-        complete = _collapse(complete)
-        if len(complete) >= n:
-            return SlopeSequence(eta, tuple(complete[:n]))
-        if height >= height_budget:
-            raise ExhaustionError(
-                f"found {len(complete)} of {n} slopes below height {height}",
-                partial=SlopeSequence(eta, tuple(complete)))
-        height *= 2.0
+    """The n smallest nonnegative slopes of strip vectors, sorted, ties collapsed
+    (see strip_points)."""
+    return SlopeSequence(eta, tuple(s for s, _ in strip_points(system, eta, n, height_budget)))
 
 
 def gaps(seq: SlopeSequence) -> GapSequence:
@@ -157,7 +154,6 @@ def gaps(seq: SlopeSequence) -> GapSequence:
 
 def _has_axis_vector(system: PointSystem, eta, horizontal: bool, tol: float) -> bool:
     """Bounded search for a horizontal (or vertical) vector of length <= eta."""
-    from .core import Ball
     pts = system.enumerate_points(Ball(float(eta) * (1.0 + 1e-12)))
     for v in pts:
         small, span = (v.y, v.x) if horizontal else (v.x, v.y)

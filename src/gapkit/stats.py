@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "EmpiricalDist", "ecdf", "ks_distance", "ks_two_sample", "discrepancy",
-    "histogram", "rng", "split_rng", "RNG_ALGORITHM",
+    "EmpiricalDist", "ecdf", "circular_gaps", "ks_distance", "ks_two_sample",
+    "discrepancy", "histogram", "rng", "split_rng", "RNG_ALGORITHM",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -54,9 +54,24 @@ def _eval_cdf(cdf, xs: np.ndarray) -> np.ndarray:
         vals = np.asarray(cdf(xs), dtype=float)
         if vals.shape == xs.shape:
             return vals
-    except Exception:
+    except TypeError:  # a scalar-only cdf, e.g. one that calls float() on t
         pass
     return np.array([float(cdf(x)) for x in xs])
+
+
+def circular_gaps(angles) -> EmpiricalDist:
+    """Normalized gaps between the distinct angles on the circle.
+
+    Angles closer than 1e-12 collapse to one; the gaps, the wraparound gap
+    included, are scaled by count/(2 pi), so their mean is exactly 1.
+    """
+    angles = np.sort(np.asarray(angles, dtype=float))
+    angles = angles[np.diff(angles, prepend=-np.inf) > 1e-12]
+    n = len(angles)
+    if n < 2:
+        raise ValueError("need at least two distinct angles")
+    gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
+    return EmpiricalDist(np.sort(gaps * (n / (2.0 * np.pi))))
 
 
 def ks_distance(dist: EmpiricalDist, cdf) -> float:

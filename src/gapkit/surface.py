@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .core import GoldenNum, Mat2, PHI, Region, Vec2, is_exact
+from .core import GoldenNum, Mat2, PHI, Region, Vec2, is_exact, slope
 from .errors import ResourceLimitError
-from .pointcloud import GapSequence, PointSystem
-from .stats import EmpiricalDist
+from .pointcloud import GapSequence, PointSystem, _collapse
+from .stats import EmpiricalDist, circular_gaps
 
 __all__ = [
     "TranslationSurface", "SaddleConnection", "golden_l", "l_shape",
@@ -450,12 +448,12 @@ class _Developer:
 
 
 def saddle_connections(surface: TranslationSurface, radius,
-                       state_budget: int = DEFAULT_STATE_BUDGET) -> list[SaddleConnection]:
+                       state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[SaddleConnection, ...]:
     """All saddle connections of holonomy length <= radius, sorted.
 
     Exact surfaces produce exact holonomies and a run-to-run identical list;
     float surfaces carry the documented 1e-9 incidence tolerance.  Results
-    are cached per surface instance (treat the returned list as read-only).
+    are cached per surface instance, hence immutable.
     """
     if not float(radius) > 0:
         raise ValueError("radius must be positive")
@@ -465,22 +463,8 @@ def saddle_connections(surface: TranslationSurface, radius,
         dev = _Developer(surface, radius, state_budget)
         conns = dev.run()
         conns.sort(key=lambda c: (float(c.length_sq), c.angle, c.path))
-        cache[key] = conns
+        cache[key] = tuple(conns)
     return cache[key]
-
-
-def _direction_values(conns, first_quadrant: bool):
-    out = []
-    for c in conns:
-        x, y = c.holonomy.x, c.holonomy.y
-        if first_quadrant:
-            if not (x > 0 and y >= 0):
-                continue
-            out.append(y / x if not (isinstance(y, int) and isinstance(x, int))
-                       else Fraction(y, x))
-        else:
-            out.append(c.angle)
-    return out
 
 
 def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:
@@ -489,22 +473,14 @@ def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:
     Parallel connections share a slope value and collapse to one entry, so
     every gap is strictly positive.
     """
-    from .pointcloud import _collapse
-    conns = saddle_connections(surface, radius)
-    slopes = _collapse(_direction_values(conns, first_quadrant=True))
-    if len(slopes) < 2:
+    hols = [c.holonomy for c in saddle_connections(surface, radius)]
+    rows = _collapse([(slope(v), v) for v in hols if v.x > 0 and v.y >= 0])
+    if len(rows) < 2:
         raise ValueError("need at least two slopes to form gaps")
-    return GapSequence(tuple(b - a for a, b in zip(slopes, slopes[1:])))
+    return GapSequence(tuple(b - a for (a, _), (b, _) in zip(rows, rows[1:])))
 
 
 def sc_angle_gaps(surface: TranslationSurface, radius) -> EmpiricalDist:
-    """Circular normalized gaps of the distinct saddle-connection directions."""
-    conns = saddle_connections(surface, radius)
-    angles = np.sort(np.unique(np.array(_direction_values(conns, first_quadrant=False))))
-    d = np.diff(angles)
-    angles = angles[np.concatenate([[True], d > 1e-12])]
-    n = len(angles)
-    if n < 2:
-        raise ValueError("need at least two directions")
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * math.pi]]))
-    return EmpiricalDist(np.sort(gaps * (n / (2.0 * math.pi))))
+    """Circular normalized gaps of the distinct saddle-connection directions
+    (see stats.circular_gaps)."""
+    return circular_gaps([c.angle for c in saddle_connections(surface, radius)])

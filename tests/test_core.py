@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapkit.core import (Ball, GoldenNum, MappedRegion, Mat2, PHI, Triangle,
-                         Vec2, VerticalStrip, Wedge, diag_flow, is_exact,
-                         rotation, shear, slope)
+from gapkit.core import (Ball, GoldenNum, MappedRegion, Mat2, PHI, Vec2,
+                         VerticalStrip, diag_flow, is_exact, rotation, shear,
+                         slope)
 from gapkit.errors import VerticalVectorError
 
 
@@ -168,24 +168,6 @@ class TestRegions:
         assert ball.contains(Vec2(2.0, 0.0))
         assert not ball.contains(Vec2(2.0, 0.1))
 
-    def test_triangle(self):
-        tri = Triangle(1.0)
-        assert tri.contains(Vec2(1.0, 1.0)) and tri.contains(Vec2(1.0, -1.0))
-        assert tri.contains(Vec2(0.0, 0.0))
-        assert not tri.contains(Vec2(0.5, 0.6))
-        assert tri.bounding_radius() == pytest.approx(math.sqrt(2))
-
-    def test_wedge(self):
-        w = Wedge(theta=0.0, sigma=1.0, radius=10.0)
-        assert w.half_width == pytest.approx(0.01)
-        assert w.contains(Vec2(5.0, 0.0))
-        assert not w.contains(Vec2(5.0, 0.1))       # angle 0.02 > 0.01
-        assert not w.contains(Vec2(11.0, 0.0))
-
-    def test_wedge_wraparound(self):
-        w = Wedge(theta=0.0, sigma=4.0, radius=2.0)  # half-width 1 radian
-        assert w.contains(Vec2(1.0, -0.5))
-
     def test_mapped_region(self):
         g = shear(1.0)
         mapped = Ball(1.0).transform(g)
@@ -199,10 +181,6 @@ class TestRegions:
             VerticalStrip(0.0)
         with pytest.raises(ValueError):
             Ball(-1.0)
-        with pytest.raises(ValueError):
-            Triangle(0.0)
-        with pytest.raises(ValueError):
-            Wedge(0.0, 0.0, 1.0)
 
 
 class TestMat2:

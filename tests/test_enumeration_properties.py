@@ -1,0 +1,92 @@
+"""Property tests: the coefficient-scan kernel against a brute-force scan of
+the whole integer coefficient box, on random exact rational lattices."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from gapkit.affine import AffineLattice
+from gapkit.core import Ball, Mat2, Vec2, VerticalStrip, shear
+from gapkit.lattice import UnimodularLattice
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def rational_lattices(draw):
+    """shear(p/q) diag(r, 1/r) U Z^2 with U in SL(2, Z): exact, unimodular."""
+    p, q = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+    r = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    t, s = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+    basis = shear(Fraction(p, q)) @ Mat2(r, 0, 0, 1 / r) \
+        @ Mat2(1, t, 0, 1) @ Mat2(1, 0, s, 1)
+    return UnimodularLattice(basis)
+
+
+def coefficient_box(basis, xlo, xhi, ylo, yhi):
+    """Integer ranges holding the coefficients of every point of the box."""
+    inv = basis.inverse()
+    corners = [inv @ Vec2(x, y) for x in (xlo, xhi) for y in (ylo, yhi)]
+    ms, ks = [c.x for c in corners], [c.y for c in corners]
+    return (range(math.floor(min(ms)), math.ceil(max(ms)) + 1),
+            range(math.floor(min(ks)), math.ceil(max(ks)) + 1))
+
+
+def brute_force(lat, inside, box):
+    """Exact primitive points accepted by ``inside``, every cell of the box tried."""
+    g = lat.basis
+    mrange, krange = coefficient_box(g, *box)
+    out = set()
+    for m in mrange:
+        for k in krange:
+            if math.gcd(m, k) == 1:
+                v = Vec2(g.a * m + g.b * k, g.c * m + g.d * k)
+                if inside(v):
+                    out.add((v.x, v.y))
+    return out
+
+
+radii = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=8)
+
+
+@SETTINGS
+@given(rational_lattices(), radii)
+def test_ball_matches_brute_force(lat, radius):
+    got = {(v.x, v.y) for v in lat.enumerate_points(Ball(radius))}
+    want = brute_force(lat, lambda v: v.norm_sq() <= radius ** 2,
+                       (-radius, radius, -radius, radius))
+    assert got == want
+
+
+@SETTINGS
+@given(rational_lattices(),
+       st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=8),
+       st.fractions(min_value=0, max_value=4, max_denominator=8))
+def test_strip_matches_brute_force(lat, eta, height):
+    got = {(v.x, v.y) for v in lat.enumerate_points(VerticalStrip(eta, height))}
+    want = brute_force(lat, lambda v: 0 < v.x <= eta and 0 <= v.y <= height,
+                       (0, eta, 0, height))
+    assert got == want
+
+
+@SETTINGS
+@given(rational_lattices(), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.5, 3.0))
+def test_affine_ball_matches_brute_force(lat, u, v, radius):
+    basis = lat.basis.to_float()
+    shift = basis @ Vec2(u, v)
+    got = AffineLattice(basis, shift).ball_points(radius)
+    mrange, krange = coefficient_box(basis, -radius, radius, -radius, radius)
+    m, k = (a.ravel() for a in np.meshgrid(mrange, krange))
+    want = np.column_stack([basis.a * (m + u) + basis.b * (k + v),
+                            basis.c * (m + u) + basis.d * (k + v)])
+    want = want[np.sum(want ** 2, axis=1) > 1e-24]
+    # both sides round differently, so leave out points on the circle
+    clear = lambda pts: pts[np.abs(np.sum(pts ** 2, axis=1) - radius ** 2) > 1e-9]
+    got, want = clear(got), clear(want[np.sum(want ** 2, axis=1) <= radius ** 2 + 1e-9])
+    assert len(got) == len(want)
+    if len(got):
+        dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+        assert np.all(dist.min(axis=1) < 1e-9)

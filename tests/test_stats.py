@@ -42,6 +42,16 @@ class TestKs:
         val = stats.ks_distance(d, lambda t: float(np.clip(t, 0, 1)))
         assert val == pytest.approx(0.25)
 
+    def test_vectorized_cdf_error_propagates(self):
+        # works pointwise, fails on arrays: the failure must not be hidden
+        def cdf(t):
+            if np.ndim(t):
+                raise ValueError("broken vectorized branch")
+            return min(max(t, 0.0), 1.0)
+
+        with pytest.raises(ValueError):
+            stats.ks_distance(stats.ecdf([0.25, 0.75]), cdf)
+
     def test_two_sample_vs_scipy(self):
         from scipy import stats as sps
         gen = stats.rng(5)

@@ -90,6 +90,13 @@ class TestGoldenEnumeration:
         assert counts[0] > 0  # the short sides have length phi - 1 ~ 0.618
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
+    def test_cached_result_cannot_be_emptied(self):
+        surf = golden_l()
+        conns = saddle_connections(surf, 3.0)
+        with pytest.raises(AttributeError):
+            conns.clear()
+        assert len(saddle_connections(surf, 3.0)) == len(conns) == 72
+
     def test_quadratic_growth(self, golden_surface):
         n5 = len(saddle_connections(golden_surface, 5.0))
         n10 = len(saddle_connections(golden_surface, 10.0))
