@@ -9,14 +9,28 @@ a + b > eta.  The first-return map of the shear flow to this set is
 with return time ("roof") 1/(a b), independent of eta.  Exact rational
 coordinates stay exact under the map, which is what makes the periodic
 Farey orbits checkable to the last digit.
+
+Exact orbits run on Python ints.  With a, b and eta put over the common
+denominator D of the three (a = A/D, b = B/D, eta = E/D), one step is
+
+    (A, B) -> (B, ((E + A) // B) * B - A),
+
+the roof is D^2/(A B), and the domain 0 < A, B <= E < A + B is checked in
+ints at every step.  Period detection compares int pairs.  The orbit keeps
+only the numerator sequence X (point i is (X[i], X[i+1]) / D); Fraction
+roofs are built once at the end, and the validated TransversalPoints only
+when ``BczOrbit.points`` is first read.  bcz_step stays the single-step
+Fraction map and the independent oracle of this engine.  Float orbits step
+through bcz_step, whose clamps shave drift past the domain boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,11 +76,19 @@ class TransversalPoint:
 
 @dataclass(frozen=True)
 class BczOrbit:
-    """A finite orbit segment with its roof values; period set when detected."""
+    """A finite orbit segment with its roof values; period set when detected.
 
-    points: tuple
+    ``points`` is made by ``build_points`` on first access, so exact orbits
+    hold only their int numerators until a caller asks for the points.
+    """
+
     returns: tuple
-    period: Optional[int] = None
+    period: Optional[int]
+    build_points: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def points(self) -> tuple:
+        return self.build_points()
 
 
 def roof(p: TransversalPoint):
@@ -99,14 +121,16 @@ def orbit(p: TransversalPoint, n: int, detect_period: bool = False) -> BczOrbit:
 
     With detect_period the walk stops as soon as the start point recurs
     (orbits of an invertible map cannot be pre-periodic, so comparing with
-    the start alone is enough).  Exact points compare exactly, floats within
-    FLOAT_STEP_TOL.
+    the start alone is enough).  Exact (rational) points run on int
+    numerators and compare exactly; floats step through bcz_step and
+    compare within FLOAT_STEP_TOL.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
     if n > ORBIT_STEP_BUDGET:
         raise ResourceLimitError(f"orbit of {n} steps exceeds the step budget")
-    exact = p.is_exact()
+    if p.is_exact():
+        return _exact_orbit(p, n, detect_period)
     points = [p]
     returns = []
     period = None
@@ -114,17 +138,39 @@ def orbit(p: TransversalPoint, n: int, detect_period: bool = False) -> BczOrbit:
     for i in range(n):
         returns.append(roof(cur))
         cur = bcz_step(cur)
-        if detect_period:
-            if exact:
-                back = cur.a == p.a and cur.b == p.b
-            else:
-                back = (abs(cur.a - p.a) <= FLOAT_STEP_TOL
-                        and abs(cur.b - p.b) <= FLOAT_STEP_TOL)
-            if back:
-                period = i + 1
-                break
+        if detect_period and (abs(cur.a - p.a) <= FLOAT_STEP_TOL
+                              and abs(cur.b - p.b) <= FLOAT_STEP_TOL):
+            period = i + 1
+            break
         points.append(cur)
-    return BczOrbit(tuple(points), tuple(returns), period)
+    return BczOrbit(tuple(returns), period, partial(tuple, points))
+
+
+def _exact_orbit(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
+    """The exact orbit on int numerators over the common denominator D."""
+    a, b, eta = Fraction(p.a), Fraction(p.b), Fraction(p.eta)
+    d = math.lcm(a.denominator, b.denominator, eta.denominator)
+    a0, b0, e = (x.numerator * (d // x.denominator) for x in (a, b, eta))
+    xs = [a0, b0]
+    period = None
+    x, y = a0, b0
+    for i in range(n):
+        x, y = y, (e + x) // y * y - x
+        if not (0 < x <= e and 0 < y <= e < x + y):
+            raise ValueError(f"({x}/{d}, {y}/{d}) left the eta={p.eta} domain")
+        if detect_period and x == a0 and y == b0:
+            period = i + 1
+            break
+        xs.append(y)
+    dd = d * d
+    returns = tuple(Fraction(dd, xs[i] * xs[i + 1]) for i in range(period or n))
+    return BczOrbit(returns, period, partial(_exact_points, xs, d, p.eta))
+
+
+def _exact_points(xs: list, d: int, eta) -> tuple:
+    """The validated points (xs[i], xs[i+1]) / d of an exact orbit."""
+    coords = [Fraction(x, d) for x in xs]
+    return tuple(TransversalPoint(a, b, eta) for a, b in zip(coords, coords[1:]))
 
 
 def farey_orbit_start(q: int) -> TransversalPoint:

@@ -213,11 +213,22 @@ ZSQUARED = UnimodularLattice(Mat2(1, 0, 0, 1), tag="Z^2")
 def _lattice_strip_points(lat: UnimodularLattice, eta, n: int) -> list:
     """First n (slope, vector) pairs of the strip, from the growing-height loop.
 
-    A vertical lattice whose strip is empty at the loop's first height is
-    rejected up front instead of doubling the height up to the budget.
+    A vertical lattice whose strip is empty is rejected up front instead of
+    doubling the height up to the budget.  An exact basis always has a
+    primitive vertical vector (0, h); every x-coordinate is then a multiple
+    of 1/h and the line x = 1/h holds primitive points, so the strip is
+    empty exactly when h * eta < 1.  Float bases keep the bounded test:
+    a vertical vector found within coefficient 1000 and a strip empty at
+    the loop's first height.
     """
-    if has_vertical_vector(lat, 1000) and not lat.enumerate_points(
-            VerticalStrip(eta, float(eta) * max(4.0, 4.0 * n))):
+    if lat.is_exact():
+        m, k = _vertical_coefficients(lat)
+        g = lat.basis
+        empty = abs(g.c * m + g.d * k) * Fraction(eta) < 1
+    else:
+        empty = has_vertical_vector(lat, 1000) and not lat.enumerate_points(
+            VerticalStrip(eta, float(eta) * max(4.0, 4.0 * n)))
+    if empty:
         raise ExceptionalLatticeError(
             "lattice has a vertical vector and an empty strip; "
             "the shear flow never reaches the transversal")
@@ -303,13 +314,10 @@ def has_vertical_vector(lat: UnimodularLattice, bound: int = 1000) -> bool:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    a, b = lat.basis.a, lat.basis.b  # x-components of the two generators
     if lat.is_exact():
-        if a == 0 or b == 0:
-            return True
-        r = Fraction(-b) / Fraction(a)  # m/k for a m + b k = 0
-        return abs(r.numerator) <= bound and r.denominator <= bound
-    fa, fb = float(a), float(b)
+        m, k = _vertical_coefficients(lat)
+        return abs(m) <= bound and k <= bound
+    fa, fb = float(lat.basis.a), float(lat.basis.b)
     if abs(fa) <= 1e-12 or abs(fb) <= 1e-12:
         return True
     ms = np.arange(1, bound + 1)
@@ -319,6 +327,16 @@ def has_vertical_vector(lat: UnimodularLattice, bound: int = 1000) -> bool:
         if np.any((np.abs(fa * ms + fb * ks) <= 1e-12) & (np.abs(ks) <= bound)):
             return True
     return False
+
+
+def _vertical_coefficients(lat: UnimodularLattice) -> tuple[int, int]:
+    """Coprime (m, k), k >= 0, with a m + b k = 0 for the basis x-components
+    a, b: the coefficients of the primitive vertical vector of an exact basis."""
+    a, b = lat.basis.a, lat.basis.b
+    if a == 0:
+        return 1, 0
+    r = Fraction(-b) / Fraction(a)  # m/k
+    return r.numerator, r.denominator
 
 
 def poisson_baseline(n: int, seed: int) -> GapSequence:

@@ -3,9 +3,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from gapkit import affine, lattice, surface
 from gapkit.core import Mat2, Vec2
+
+# shared by the property-test files; no deadline, because on a loaded machine
+# one slow example would otherwise fail a correct test
+settings.register_profile("gapkit", max_examples=25, deadline=None)
 
 
 @pytest.fixture(scope="session")

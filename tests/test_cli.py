@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from gapkit import cli
+from gapkit import bcz, cli
 
 
 def run_cli(args, **kwargs):
@@ -38,6 +39,20 @@ class TestBczOrbit:
                        "--steps", "10", "--exact"])
         assert res.returncode == 0
         assert "# period: 6" in res.stdout
+
+    def test_exact_rows_are_bcz_step_iterates(self):
+        res = run_cli(["bcz-orbit", "--a", "2/7", "--b", "3/5", "--eta", "7/10",
+                       "--steps", "40", "--exact"])
+        assert res.returncode == 0
+        _, rows = data_rows(res.stdout)
+        start = bcz.TransversalPoint(Fraction(2, 7), Fraction(3, 5), Fraction(7, 10))
+        want, cur = [], start
+        for i in range(40):
+            want.append([cli._fmt(v) for v in (i, cur.a, cur.b, bcz.roof(cur))])
+            cur = bcz.bcz_step(cur)
+            if (cur.a, cur.b) == (start.a, start.b):
+                break
+        assert rows == want
 
     def test_invalid_point_is_usage_error(self):
         res = run_cli(["bcz-orbit", "--a", "1/4", "--b", "1/4", "--steps", "5"])

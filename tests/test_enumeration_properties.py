@@ -11,7 +11,7 @@ from gapkit.affine import AffineLattice
 from gapkit.core import Ball, Mat2, Vec2, VerticalStrip, shear
 from gapkit.lattice import UnimodularLattice
 
-SETTINGS = settings(max_examples=25, deadline=None)
+SETTINGS = settings.get_profile("gapkit")
 
 
 @st.composite

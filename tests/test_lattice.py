@@ -86,6 +86,19 @@ class TestTransversal:
         with pytest.raises(ExceptionalLatticeError):
             to_transversal(lat, Fraction(1, 2))
 
+    def test_vertical_lattice_with_distant_strip_points(self):
+        # the strip holds (1/10, 5), (1/10, 15), ... : vertical vector (0, 10)
+        lat = UnimodularLattice(Mat2(Fraction(1, 10), 0, 5, 10))
+        point, first = to_transversal(lat, Fraction(1, 10))
+        assert point.a == Fraction(1, 10)
+        assert first == 50
+
+    def test_vertical_lattice_with_short_vertical_vector_raises(self):
+        from gapkit.errors import ExceptionalLatticeError
+        lat = UnimodularLattice(Mat2(Fraction(1, 5), 0, 0, 5))
+        with pytest.raises(ExceptionalLatticeError):
+            to_transversal(lat, Fraction(1, 10))
+
     def test_orbit_roofs_equal_enumerated_gaps(self, seeded_lattices):
         lat = seeded_lattices[2]
         direct = gaps(slopes_in_strip(lat.to_float(), 1, 1001)).floats()
