@@ -17,6 +17,7 @@ from .errors import VerticalVectorError
 __all__ = [
     "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Ball",
     "MappedRegion", "shear", "diag_flow", "rotation", "slope", "is_exact",
+    "zphi_sign",
 ]
 
 
@@ -29,6 +30,27 @@ def _as_coeff(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"GoldenNum coefficients must be int or Fraction, got {type(x).__name__}")
+
+
+def zphi_sign(a, b) -> int:
+    """Exact sign of the real number a + b*phi (a, b int or Fraction): -1, 0 or +1.
+
+    The one sign rule of Q(sqrt 5), shared by GoldenNum and the integer
+    surface development.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    # 2(a + b phi) = s + b sqrt 5
+    s = 2 * a + b
+    if s >= 0 and b >= 0:
+        return 1
+    if s <= 0 and b <= 0:
+        return -1
+    # opposite signs: compare s^2 with 5 b^2
+    lhs, rhs = s * s, 5 * b * b
+    if s > 0:  # b < 0
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
 
 
 class GoldenNum:
@@ -130,20 +152,7 @@ class GoldenNum:
 
     def sign(self):
         """Exact sign of a + b*phi as a real number: -1, 0, or +1."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        # 2x = (2a + b) + b sqrt 5
-        s, t = 2 * a + b, b
-        if s >= 0 and t >= 0:
-            return 1
-        if s <= 0 and t <= 0:
-            return -1
-        # opposite signs: compare s^2 with 5 t^2
-        lhs, rhs = s * s, 5 * t * t
-        if s > 0:  # t < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return zphi_sign(self.a, self.b)
 
     def _cmp(self, other):
         o = self._coerce(other)

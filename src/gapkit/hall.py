@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "FAREY_SCALE", "region_area", "region_area_quadrature", "hall_cdf",
@@ -76,6 +75,8 @@ def region_area_quadrature(a: float, b: float) -> float:
     every branch switch of the section bounds; shares no code with the
     closed form.
     """
+    from scipy import integrate  # imported here: no CLI command needs it
+
     if not (0 <= a < b):
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
     clo = 1.0 / b if not math.isinf(b) else 0.0   # lower hyperbola u v = clo

@@ -9,22 +9,30 @@ splits the cone at every vertex that the rays hit first, emits those vertices
 as holonomy vectors, and continues each sub-cone across the glued edge it
 exits through.
 
-All decisions reduce to sign tests of cross/dot products of coordinates, so
-surfaces built on exact scalars (the golden L lives in Z[phi]) develop with
-no rounding at all; float surfaces use a 1e-9 zero tolerance with the usual
-caveat that near-degenerate configurations may misclassify a boundary.
+All decisions reduce to sign tests of cross/dot products of coordinates.
+The search is written once against a few coordinate primitives chosen per
+surface.  Exact surfaces (int, Fraction and GoldenNum coordinates, all in
+Q(sqrt 5)) develop on Python ints: every vertex coordinate is put over one
+common denominator D and stored as an int pair (a, b) meaning
+(a + b phi)/D, so a placed point is a 4-tuple of ints, and each predicate is
+an integer polynomial whose sign is decided exactly by ``core.zphi_sign``
+(rational surfaces have b = 0; the golden L has D = 1).  GoldenNum, Fraction
+and int values are built only for the emitted holonomies.  Float surfaces
+keep float coordinates and a 1e-9 zero tolerance, with the usual caveat that
+near-degenerate configurations may misclassify a boundary.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import GoldenNum, Mat2, PHI, Region, Vec2, is_exact, slope
+from .core import GoldenNum, Mat2, PHI, Region, Vec2, is_exact, slope, zphi_sign
 from .errors import ResourceLimitError
 from .pointcloud import GapSequence, PointSystem, _collapse
 from .stats import EmpiricalDist, circular_gaps
@@ -37,14 +45,6 @@ __all__ = [
 FLOAT_EPS = 1e-9
 
 DEFAULT_STATE_BUDGET = 2_000_000
-
-
-def _sgn(x, eps: float):
-    if isinstance(x, GoldenNum):
-        return x.sign()
-    if isinstance(x, float):
-        return 0 if abs(x) <= eps else (1 if x > 0.0 else -1)
-    return (x > 0) - (x < 0)
 
 
 def _cross(u, v):
@@ -61,10 +61,6 @@ def _sub(u, v):
 
 def _add(u, v):
     return (u[0] + v[0], u[1] + v[1])
-
-
-def _rot90(u):
-    return (-u[1], u[0])
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,6 @@ class TranslationSurface(PointSystem):
                               if i < partner[i])
         self.partner = tuple(partner)
         self._exact = all(is_exact(v.x) and is_exact(v.y) for v in self.vertices)
-        self._eps = 0.0 if self._exact else FLOAT_EPS
         area2 = sum(float(_cross(self._coords(i), self._coords(i + 1)))
                     for i in range(n))
         if area2 <= 0:
@@ -122,8 +117,13 @@ class TranslationSurface(PointSystem):
             if j == i:
                 raise ValueError("an edge cannot be glued to itself")
             ei, ej = self._edge_vec(i), self._edge_vec(j)
-            mismatch = _add((float(ei[0]), float(ei[1])), (float(ej[0]), float(ej[1])))
-            if math.hypot(*mismatch) > 1e-9:
+            if self._exact:
+                matched = ei[0] + ej[0] == 0 and ei[1] + ej[1] == 0
+            else:
+                mismatch = _add((float(ei[0]), float(ei[1])),
+                                (float(ej[0]), float(ej[1])))
+                matched = math.hypot(*mismatch) <= 1e-9
+            if not matched:
                 raise ValueError(
                     f"edges {i} and {j} are not parallel equal-length opposites")
 
@@ -237,18 +237,177 @@ def golden_l() -> TranslationSurface:
 # development search
 # ---------------------------------------------------------------------------
 
+class _FloatOps:
+    """Float coordinates: a vector is (x, y), a scalar is a float, and a
+    scalar within FLOAT_EPS of zero has sign 0."""
+
+    def __init__(self, surface: TranslationSurface, radius):
+        self.base = [(float(v.x), float(v.y)) for v in surface.vertices]
+        self.rsq = float(radius) ** 2 + FLOAT_EPS
+
+    cross = staticmethod(_cross)
+    dot = staticmethod(_dot)
+    add = staticmethod(_add)
+    sub = staticmethod(_sub)
+    mul = staticmethod(operator.mul)
+    diff = staticmethod(operator.sub)
+
+    @staticmethod
+    def neg(u):
+        return (-u[0], -u[1])
+
+    @staticmethod
+    def rot90(u):
+        return (-u[1], u[0])
+
+    @staticmethod
+    def sign(x):
+        return 0 if abs(x) <= FLOAT_EPS else (1 if x > 0.0 else -1)
+
+    @staticmethod
+    def orient(u, v):
+        """sign(cross(u, v))."""
+        return _FloatOps.sign(u[0] * v[1] - u[1] * v[0])
+
+    @staticmethod
+    def at_origin(p):
+        return abs(p[0]) <= FLOAT_EPS and abs(p[1]) <= FLOAT_EPS
+
+    def in_ball(self, p):
+        return p[0] * p[0] + p[1] * p[1] <= self.rsq
+
+    @staticmethod
+    def to_float(p):
+        return p
+
+    @staticmethod
+    def holonomy(p):
+        return Vec2(p[0], p[1])
+
+
+def _zphi_coeffs(x):
+    """Rational (a, b) with x = a + b*phi."""
+    return (x.a, x.b) if isinstance(x, GoldenNum) else (x, 0)
+
+
+def _zphi_value(a, b, d):
+    """The scalar (a + b*phi)/d as an int, a Fraction or a GoldenNum."""
+    if b == 0:
+        return a // d if a % d == 0 else Fraction(a, d)
+    return GoldenNum(Fraction(a, d), Fraction(b, d))
+
+
+def _zcross(u, v):
+    a, b, c, d = u
+    e, f, g, h = v
+    # (a + b phi)(g + h phi) - (c + d phi)(e + f phi), with phi^2 = phi + 1
+    return (a * g + b * h - c * e - d * f,
+            a * h + b * g + b * h - c * f - d * e - d * f)
+
+
+def _zdot(u, v):
+    a, b, c, d = u
+    e, f, g, h = v
+    return (a * e + b * f + c * g + d * h,
+            a * f + b * e + b * f + c * h + d * g + d * h)
+
+
+class _ZphiOps:
+    """Exact coordinates as Python ints over Z[phi].
+
+    Every vertex coordinate is put over one common denominator D, so the
+    vector (a, b, c, d) is the point ((a + b phi)/D, (c + d phi)/D), and a
+    translation is an integer combination of vertex differences.  A scalar
+    (a, b) is a + b phi over a power of D; every predicate compares terms
+    of one degree, so D never needs dividing out, and each sign is the exact
+    integer test ``core.zphi_sign``.  Values become int / Fraction /
+    GoldenNum only when a holonomy is emitted.
+    """
+
+    def __init__(self, surface: TranslationSurface, radius):
+        coords = [_zphi_coeffs(x) for v in surface.vertices for x in (v.x, v.y)]
+        self.d = d = math.lcm(*(Fraction(c).denominator
+                                for pair in coords for c in pair))
+        flat = [int(c * d) for pair in coords for c in pair]
+        self.base = [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
+        rsq = Fraction(float(radius)) ** 2
+        self.rsq_num, self.rsq_den = rsq.numerator * d * d, rsq.denominator
+
+    cross = staticmethod(_zcross)
+    dot = staticmethod(_zdot)
+
+    @staticmethod
+    def add(u, v):
+        return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
+
+    @staticmethod
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
+
+    @staticmethod
+    def mul(s, t):
+        return (s[0] * t[0] + s[1] * t[1], s[0] * t[1] + s[1] * t[0] + s[1] * t[1])
+
+    @staticmethod
+    def diff(s, t):
+        return (s[0] - t[0], s[1] - t[1])
+
+    @staticmethod
+    def neg(u):
+        return (-u[0], -u[1], -u[2], -u[3])
+
+    @staticmethod
+    def rot90(u):
+        return (-u[2], -u[3], u[0], u[1])
+
+    @staticmethod
+    def sign(s):
+        return zphi_sign(*s)
+
+    @staticmethod
+    def orient(u, v):
+        return zphi_sign(*_zcross(u, v))
+
+    @staticmethod
+    def at_origin(p):
+        return not any(p)
+
+    def in_ball(self, p):
+        a, b, c, d = p
+        # |p|^2 D^2 = (a^2 + b^2 + c^2 + d^2) + (2ab + b^2 + 2cd + d^2) phi
+        return zphi_sign(self.rsq_den * (a * a + b * b + c * c + d * d) - self.rsq_num,
+                         self.rsq_den * (2 * a * b + b * b + 2 * c * d + d * d)) <= 0
+
+    def to_float(self, p):
+        # the rounding of float(GoldenNum(Fraction(a, D), Fraction(b, D)))
+        d = self.d
+        return (p[0] / d + p[1] / d * (1.0 + math.sqrt(5.0)) / 2.0,
+                p[2] / d + p[3] / d * (1.0 + math.sqrt(5.0)) / 2.0)
+
+    def holonomy(self, p):
+        d = self.d
+        return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
+
+
 class _Developer:
-    """Breadth-first cone development of a surface from its singularity."""
+    """Breadth-first cone development of a surface from its singularity.
+
+    The search is written once against the coordinate primitives of
+    ``_ZphiOps`` (exact surfaces) or ``_FloatOps`` (float surfaces), bound
+    once here.
+    """
 
     def __init__(self, surface: TranslationSurface, radius, state_budget: int):
         self.surf = surface
-        self.eps = surface._eps
         self.n = len(surface.vertices)
-        self.base = [surface._coords(i) for i in range(self.n)]
-        if surface._exact:
-            self.rsq = Fraction(float(radius)) ** 2
-        else:
-            self.rsq = float(radius) ** 2 + FLOAT_EPS
+        ops = (_ZphiOps if surface._exact else _FloatOps)(surface, radius)
+        self.base = ops.base
+        self.cross, self.dot, self.sign = ops.cross, ops.dot, ops.sign
+        self.orient = ops.orient
+        self.mul, self.diff = ops.mul, ops.diff
+        self.add, self.sub, self.neg, self.rot90 = ops.add, ops.sub, ops.neg, ops.rot90
+        self.at_origin, self.in_ball = ops.at_origin, ops.in_ball
+        self.to_float, self.holonomy = ops.to_float, ops.holonomy
         self.radius = float(radius)
         self.budget = state_budget
         self.found: list[SaddleConnection] = []
@@ -258,84 +417,81 @@ class _Developer:
     def _beyond(self, entry, p):
         """p strictly past the entry edge line (or nonzero when at the corner)."""
         if entry is None:
-            return _sgn(p[0], self.eps) != 0 or _sgn(p[1], self.eps) != 0
+            return not self.at_origin(p)
         e1, e2, side_origin = entry
-        side = _sgn(_cross(_sub(e2, e1), _sub(p, e1)), self.eps)
+        side = self.orient(self.sub(e2, e1), self.sub(p, e1))
         return side == -side_origin
 
-    def _crossing_blocks(self, entry, p, q1, q2):
-        """Does segment (q1, q2) cross the open ray piece between entry and p?"""
-        s1 = _sgn(_cross(p, q1), self.eps)
-        s2 = _sgn(_cross(p, q2), self.eps)
-        if s1 == 0 and s2 == 0:
-            # edge collinear with the ray: a nearer on-ray endpoint blocks
-            psq = _dot(p, p)
-            for q in (q1, q2):
-                t = _dot(p, q)
-                if _sgn(t, self.eps) > 0 and _sgn(psq - t, self.eps) > 0 \
-                        and self._beyond(entry, q):
-                    return True
-            return False
-        if s1 * s2 > 0:
-            return False
-        num = _cross(q1, q2)            # t = num / den along the ray
-        den = _cross(p, _sub(q2, q1))
-        sden = _sgn(den, self.eps)
-        if sden == 0:
-            return False
-        if _sgn(num, self.eps) * sden <= 0:          # t <= 0
-            return False
-        if _sgn(num - den, self.eps) * sden >= 0:    # t >= 1
-            return False
-        if entry is None:
-            return True
-        e1, e2, side_origin = entry
-        ee = _sub(e2, e1)
-        # side of the crossing point (num/den) p relative to the entry line
-        val = num * _cross(ee, p) - den * _cross(ee, e1)
-        return _sgn(val, self.eps) * sden == -side_origin
+    def _ray_hit(self, entry, ray, q1, q2):
+        """Where the ray from the origin meets the segment (q1, q2), whose ends
+        the caller has seen on opposite sides of it (or one on it).
+
+        Returns (num, den, sign of den) with the meeting point at
+        ray * num/den, num/den > 0, past the entry line; else None.
+        """
+        cross, sign = self.cross, self.sign
+        num = cross(q1, q2)
+        den = cross(ray, self.sub(q2, q1))
+        sden = sign(den)
+        if sden == 0 or sign(num) * sden <= 0:
+            return None
+        if entry is not None:
+            e1, e2, side_origin = entry
+            ee = self.sub(e2, e1)
+            # side of the meeting point relative to the entry line
+            val = self.diff(self.mul(num, cross(ee, ray)), self.mul(den, cross(ee, e1)))
+            if sign(val) * sden != -side_origin:
+                return None
+        return num, den, sden
+
+    def _blocked(self, entry, p, placed):
+        """Does an edge cross the open ray piece between entry and p?"""
+        sign = self.sign
+        sides = [self.orient(p, q) for q in placed]
+        for k in range(self.n):
+            s1, s2 = sides[k], sides[k - self.n + 1]
+            q1, q2 = placed[k], placed[k - self.n + 1]
+            if s1 == 0 and s2 == 0:
+                # edge collinear with the ray: a nearer on-ray endpoint blocks
+                psq = self.dot(p, p)
+                for q in (q1, q2):
+                    t = self.dot(p, q)
+                    if sign(t) > 0 and sign(self.diff(psq, t)) > 0 \
+                            and self._beyond(entry, q):
+                        return True
+            elif s1 * s2 <= 0:
+                hit = self._ray_hit(entry, p, q1, q2)
+                if hit is not None and sign(self.diff(hit[0], hit[1])) * hit[2] < 0:
+                    return True  # met before p: 0 < num/den < 1
+        return False
 
     def _first_hit_edge(self, entry, ray, placed):
         """Index of the edge a ray (with no vertex on it) exits through."""
+        sign, diff, mul = self.sign, self.diff, self.mul
+        sides = [self.orient(ray, q) for q in placed]
         best = None
-        best_num = best_den = None
         for k in range(self.n):
-            q1, q2 = placed[k], placed[(k + 1) % self.n]
-            s1 = _sgn(_cross(ray, q1), self.eps)
-            s2 = _sgn(_cross(ray, q2), self.eps)
+            s1, s2 = sides[k], sides[k - self.n + 1]
             if s1 == 0 and s2 == 0 or s1 * s2 > 0:
                 continue
-            num = _cross(q1, q2)
-            den = _cross(ray, _sub(q2, q1))
-            sden = _sgn(den, self.eps)
-            if sden == 0 or _sgn(num, self.eps) * sden <= 0:
+            hit = self._ray_hit(entry, ray, placed[k], placed[k - self.n + 1])
+            if hit is None:
                 continue
-            if entry is not None:
-                e1, e2, side_origin = entry
-                ee = _sub(e2, e1)
-                val = num * _cross(ee, ray) - den * _cross(ee, e1)
-                if _sgn(val, self.eps) * sden != -side_origin:
-                    continue
-            if best is None:
-                best, best_num, best_den = k, num, den
-            else:
-                # num/den < best_num/best_den, sign-safely
-                cmp = _sgn(num * best_den - best_num * den, self.eps) \
-                    * sden * _sgn(best_den, self.eps)
-                if cmp < 0:
-                    best, best_num, best_den = k, num, den
+            # num/den < best_num/best_den, sign-safely
+            if best is None or sign(diff(mul(hit[0], best[1]), mul(best[0], hit[1]))) \
+                    * hit[2] * best[2] < 0:
+                best, best_k = hit, k
         if best is None:
             raise RuntimeError("development ray found no exit edge")
-        return best
+        return best_k
 
     def _window_min_radius(self, entry, d_left, d_right) -> float:
         """Lower bound for |x| over the entry window between the two rays."""
-        e1 = (float(entry[0][0]), float(entry[0][1]))
-        e2 = (float(entry[1][0]), float(entry[1][1]))
+        e1, e2 = self.to_float(entry[0]), self.to_float(entry[1])
+        fl, fr = self.to_float(d_left), self.to_float(d_right)
         ee = _sub(e2, e1)
         candidates = []
-        for d in (d_left, d_right):
-            fd = (float(d[0]), float(d[1]))
+        for fd in (fl, fr):
             den = _cross(fd, ee)
             if abs(den) > 1e-300:
                 t = _cross(e1, ee) / den
@@ -345,8 +501,6 @@ class _Developer:
             u = -_dot(e1, ee) / esq
             if 0.0 <= u <= 1.0:
                 foot = _add(e1, (u * ee[0], u * ee[1]))
-                fl = (float(d_left[0]), float(d_left[1]))
-                fr = (float(d_right[0]), float(d_right[1]))
                 if _cross(fl, foot) >= 0 and _cross(foot, fr) >= 0:
                     candidates.append(math.hypot(*foot))
         return min(candidates) if candidates else math.inf
@@ -368,16 +522,16 @@ class _Developer:
 
     def _initial_states(self):
         for c in range(self.n):
-            t = (-self.base[c][0], -self.base[c][1])
-            d_out = _sub(self.base[(c + 1) % self.n], self.base[c])
-            d_in = _sub(self.base[(c - 1) % self.n], self.base[c])
+            t = self.neg(self.base[c])
+            d_out = self.sub(self.base[(c + 1) % self.n], self.base[c])
+            d_in = self.sub(self.base[(c - 1) % self.n], self.base[c])
             # carve the corner wedge into sub-pi pieces with quarter-turn inserts
             bounds = [d_out]
             cur = d_out
             for _ in range(4):
-                if _sgn(_cross(cur, d_in), self.eps) > 0:
+                if self.orient(cur, d_in) > 0:
                     break
-                cur = _rot90(cur)
+                cur = self.rot90(cur)
                 bounds.append(cur)
             bounds.append(d_in)
             # wedges are half-open [out-edge ray, in-edge ray): the gluing
@@ -389,32 +543,30 @@ class _Developer:
 
     def _process(self, state):
         t, entry, d_l, d_r, incl_l, incl_r, path = state
-        placed = [_add(b, t) for b in self.base]
+        orient, sign, add = self.orient, self.sign, self.add
+        placed = [add(b, t) for b in self.base]
 
         # candidate vertices: in cone, past the entry, first hit along their ray
         splits = []          # strictly interior terminated directions
         kill_l = kill_r = False
         for vi in range(self.n):
             p = placed[vi]
-            if _sgn(p[0], self.eps) == 0 and _sgn(p[1], self.eps) == 0:
+            if self.at_origin(p):
                 continue
-            c_l = _sgn(_cross(d_l, p), self.eps)
-            c_r = _sgn(_cross(p, d_r), self.eps)
+            c_l = orient(d_l, p)
+            c_r = orient(p, d_r)
             interior = c_l > 0 and c_r > 0
-            on_l = c_l == 0 and _sgn(_dot(d_l, p), self.eps) > 0
-            on_r = c_r == 0 and _sgn(_dot(d_r, p), self.eps) > 0
+            on_l = c_l == 0 and sign(self.dot(d_l, p)) > 0
+            on_r = c_r == 0 and sign(self.dot(d_r, p)) > 0
             if not (interior or (on_l and incl_l) or (on_r and incl_r)):
                 continue
             if not self._beyond(entry, p):
                 continue
-            blocked = any(
-                self._crossing_blocks(entry, p, placed[k], placed[(k + 1) % self.n])
-                for k in range(self.n))
-            if blocked:
+            if self._blocked(entry, p, placed):
                 continue
             # p is the first singularity on its ray: emit and terminate the ray
-            if p[0] * p[0] + p[1] * p[1] <= self.rsq:
-                self.found.append(SaddleConnection(Vec2(p[0], p[1]), path))
+            if self.in_ball(p):
+                self.found.append(SaddleConnection(self.holonomy(p), path))
             if interior:
                 splits.append(p)
             elif on_l:
@@ -422,27 +574,26 @@ class _Developer:
             else:
                 kill_r = True
 
-        splits.sort(key=functools.cmp_to_key(
-            lambda u, v: -_sgn(_cross(u, v), self.eps)))
+        splits.sort(key=functools.cmp_to_key(lambda u, v: -orient(u, v)))
         bounds = [(d_l, incl_l and not kill_l)] + [(p, False) for p in splits] \
             + [(d_r, incl_r and not kill_r)]
 
         out = []
         for (da, ia), (db, ib) in zip(bounds, bounds[1:]):
-            if _sgn(_cross(da, db), self.eps) <= 0:
+            if orient(da, db) <= 0:
                 continue  # degenerate sliver
-            mid = _add(da, db)
+            mid = add(da, db)
             if entry is not None and \
                     self._window_min_radius(entry, da, db) > self.radius * (1 + 1e-9) + 1e-9:
                 continue
             k = self._first_hit_edge(entry, mid, placed)
             e1, e2 = placed[k], placed[(k + 1) % self.n]
-            side_origin = _sgn(_cross(_sub(e2, e1), (-e1[0], -e1[1])), self.eps)
+            side_origin = orient(self.sub(e2, e1), self.neg(e1))
             if side_origin == 0:
                 continue  # window collinear with the origin subtends no angle
             j = self.surf.partner[k]
-            shift = _sub(self.base[k], self.base[(j + 1) % self.n])
-            t_new = _add(t, shift)
+            shift = self.sub(self.base[k], self.base[(j + 1) % self.n])
+            t_new = add(t, shift)
             out.append((t_new, (e1, e2, side_origin), da, db, ia, ib, path + (k,)))
         return out
 

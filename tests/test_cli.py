@@ -167,3 +167,12 @@ class TestContract:
         assert cli.main(["farey-gaps", "--q", "1"]) == 0
         out = capsys.readouterr().out
         assert "1/1" in out
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import gapkit.cli, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -42,6 +43,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TranslationSurface([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
                                [(0, 3), (1, 2), (4, 5)])
+
+    def test_exact_edges_must_match_exactly(self):
+        eps = Fraction(1, 10 ** 12)
+        verts = [(0, 0), (1, 0), (1 + eps, 1), (0, 1)]
+        with pytest.raises(ValueError):
+            TranslationSurface(verts, [(0, 2), (1, 3)])
+        # float surfaces keep the 1e-9 tolerance
+        TranslationSurface([(float(x), float(y)) for x, y in verts], [(0, 2), (1, 3)])
 
     def test_clockwise_polygon_rejected(self):
         with pytest.raises(ValueError):
@@ -116,6 +125,24 @@ class TestGoldenEnumeration:
         a = holonomy_set(saddle_connections(golden_surface, 10.0))
         b = holonomy_set(saddle_connections(reindexed, 10.0))
         assert a == b
+
+
+class TestPinnedGoldenOutput:
+    """The exact golden-L output, pinned by digest: holonomy strings, paths,
+    order and the exact slope gaps must never change."""
+
+    def test_connections_digest(self):
+        lines = [f"{c.holonomy.x}|{c.holonomy.y}|{c.path}"
+                 for c in saddle_connections(golden_l(), 10.0)]
+        assert len(lines) == 768
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "1853030a73aec3077f4400f7709abb634754f68c7e8419f80028546a1e4ed276"
+
+    def test_slope_gaps_digest(self):
+        gaps = sc_slope_gaps(golden_l(), 6.0).gaps
+        assert len(gaps) == 39
+        assert hashlib.sha256(str(gaps).encode()).hexdigest() == \
+            "e2e8d62fd09868f921489dd24840084e43a692ffdc60e758dc68ca60e97181e5"
 
 
 class TestEquivariance:

@@ -1,0 +1,96 @@
+"""Property tests: the shared Z[phi] sign rule against high-precision
+arithmetic, and the integer surface development against the float one and
+against exact linear maps."""
+
+from fractions import Fraction
+
+import mpmath
+from hypothesis import example, given, settings, strategies as st
+
+from gapkit.core import GoldenNum, Mat2, shear, zphi_sign
+from gapkit.surface import golden_l, l_shape, saddle_connections
+
+SETTINGS = settings.get_profile("gapkit")
+
+BIG = 2 ** 60
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def reference_sign(a, b):
+    with mpmath.workdps(60):
+        return int(mpmath.sign(mpmath.mpf(a) + mpmath.mpf(b) * mpmath.phi))
+
+
+@SETTINGS
+@given(st.integers(-BIG, BIG), st.integers(-BIG, BIG))
+@example(0, 0)
+@example(BIG, -BIG)
+def test_zphi_sign_random_pairs(a, b):
+    assert zphi_sign(a, b) == reference_sign(a, b) == GoldenNum(a, b).sign()
+
+
+@SETTINGS
+@given(st.integers(1, 86), st.integers(-1, 1), st.integers(-1, 1), st.booleans())
+def test_zphi_sign_near_zero_fibonacci_pairs(n, da, db, negate):
+    # F(n+1) - F(n) phi = (1 - phi)^n: nonzero, of size phi^-n, alternating sign
+    a, b = fibonacci(n + 1) + da, -fibonacci(n) + db
+    if negate:
+        a, b = -a, -b
+    assert zphi_sign(a, b) == reference_sign(a, b)
+
+
+sides = st.fractions(min_value=Fraction(1), max_value=Fraction(3),
+                     max_denominator=12).filter(lambda x: x > 1)
+
+
+def rounded(conns):
+    return {(round(float(c.holonomy.x), 9), round(float(c.holonomy.y), 9))
+            for c in conns}
+
+
+@SETTINGS
+@given(sides, sides, st.integers(4, 16))
+def test_rational_l_shape_exact_matches_float(alpha, beta, quarter_radius):
+    radius = quarter_radius / 4
+    surf = l_shape(alpha, beta)
+    exact = saddle_connections(surf, radius)
+    approx = saddle_connections(surf.to_float(), radius)
+    assert rounded(exact) == rounded(approx)
+    assert len(exact) == len(approx)
+
+
+GOLDEN = golden_l()
+SOURCE_RADIUS = 5.0  # covers radius 2 after any map below (|g^-1| <= 2.45)
+
+
+def exact_equivariance(g, r=Fraction(2)):
+    """Connections of g.S inside radius r are g applied to those of S."""
+    pushed = {(w.x, w.y) for w in (g @ c.holonomy
+                                   for c in saddle_connections(GOLDEN, SOURCE_RADIUS))
+              if w.norm_sq() <= r * r}
+    direct = {(c.holonomy.x, c.holonomy.y)
+              for c in saddle_connections(GOLDEN.act(g), float(r))
+              if c.holonomy.norm_sq() <= r * r}
+    assert pushed == direct
+    return direct
+
+
+@SETTINGS
+@given(st.integers(-2, 2))
+def test_exact_shear_equivariance(k):
+    exact_equivariance(shear(k))
+
+
+@SETTINGS
+@given(st.fractions(min_value=Fraction(1, 2), max_value=Fraction(2),
+                    max_denominator=7).filter(lambda x: x != 1))
+def test_exact_diagonal_equivariance(s):
+    hols = exact_equivariance(Mat2(s, 0, 0, 1 / s))
+    # a common denominator D > 1: rational parts come out as Fractions
+    assert any(isinstance(x, Fraction) for hol in hols for x in hol)
