@@ -187,7 +187,7 @@ def sqrt_mod1_gaps(n: int) -> GapSequence:
         raise ValueError("need n >= 2")
     vals = np.sqrt(np.arange(1, n + 1, dtype=float))
     vals = np.sort(vals - np.floor(vals))
-    return GapSequence(tuple(len(vals) * np.diff(vals)))
+    return GapSequence(len(vals) * np.diff(vals))
 
 
 def angle_gap_distribution(lattice: AffineLattice, radius: float) -> EmpiricalDist:

@@ -12,7 +12,7 @@ resource-budget failures.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import os
 import sys
@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, affine, bcz, farey, hall, lattice, stats, surface
-from .core import GoldenNum, Mat2, Vec2
+from .core import Mat2, Vec2
 from .errors import ExhaustionError, GapkitError, ResourceLimitError
 
 EXIT_OK = 0
@@ -29,40 +29,36 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, GoldenNum):
-        return str(value)
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
+def _cells(column):
+    """The text cells of one column: a numpy array prints repr of each value,
+    any other sequence p/q for a Fraction and str for the rest (int,
+    GoldenNum, Python float)."""
+    if isinstance(column, np.ndarray):
+        return map(repr, column.tolist())
+    return (f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)
+            for v in column)
 
 
-def _write_output(meta: dict, columns: list[str], rows, fmt: str, path):
-    buf = io.StringIO()
+def _write_output(meta: dict, columns: dict, fmt: str, path):
+    """Write the metadata block and the named columns (all of one length),
+    as CSV lines produced one row at a time or as one JSON document."""
+    rows = zip(*map(_cells, columns.values()))
     if fmt == "csv":
-        for key in sorted(meta):
-            buf.write(f"# {key}: {meta[key]}\n")
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        head = [f"# {key}: {meta[key]}\n" for key in sorted(meta)]
+        head.append(",".join(columns) + "\n")
+        lines = itertools.chain(head, (",".join(row) + "\n" for row in rows))
     else:
         payload = {
             "meta": {k: str(v) for k, v in sorted(meta.items())},
-            "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
+            "columns": list(columns),
+            "rows": list(rows),
         }
-        buf.write(json.dumps(payload, indent=2, sort_keys=True))
-        buf.write("\n")
-    text = buf.getvalue()
+        lines = [json.dumps(payload, indent=2, sort_keys=True), "\n"]
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _meta(args, **extra) -> dict:
@@ -90,8 +86,8 @@ def _parse_scalar(text: str):
 def _cmd_farey_gaps(args):
     gaps = farey.farey_gaps(args.q)
     meta = _meta(args, q=args.q, count=len(gaps))
-    _write_output(meta, ["index", "normalized_gap"],
-                  ((i, g) for i, g in enumerate(gaps)), args.format, args.output)
+    _write_output(meta, {"index": range(len(gaps)), "normalized_gap": gaps},
+                  args.format, args.output)
     return EXIT_OK
 
 
@@ -106,8 +102,10 @@ def _cmd_bcz_orbit(args):
     orb = bcz.orbit(point, args.steps, detect_period=True)
     meta = _meta(args, a=args.a, b=args.b, eta=args.eta, steps=args.steps,
                  exact=args.exact, period=orb.period if orb.period else "none")
-    rows = [(i, p.a, p.b, r) for i, (p, r) in enumerate(zip(orb.points, orb.returns))]
-    _write_output(meta, ["step", "a", "b", "roof"], rows, args.format, args.output)
+    points = orb.points[:len(orb.returns)]
+    _write_output(meta, {"step": range(len(points)), "a": [p.a for p in points],
+                         "b": [p.b for p in points], "roof": orb.returns},
+                  args.format, args.output)
     return EXIT_OK
 
 
@@ -118,8 +116,7 @@ def _cmd_hall(args):
     pdf = hall.hall_pdf(ts, args.scaling)
     meta = _meta(args, scaling=args.scaling, grid=args.grid,
                  kink_low=repr(lo), kink_high=repr(hi))
-    rows = zip(ts, cdf, pdf)
-    _write_output(meta, ["t", "cdf", "pdf"], rows, args.format, args.output)
+    _write_output(meta, {"t": ts, "cdf": cdf, "pdf": pdf}, args.format, args.output)
     return EXIT_OK
 
 
@@ -128,13 +125,12 @@ def _cmd_lattice_gaps(args):
     if args.oracle:
         from .pointcloud import gaps as gaps_of, slopes_in_strip
         seq = slopes_in_strip(lat.to_float(), args.eta, args.count + 1)
-        values = gaps_of(seq).gaps
+        values = gaps_of(seq).floats()
     else:
         values = lattice.slope_gaps_fast(lat, args.eta, args.count).gaps
     meta = _meta(args, eta=args.eta, count=args.count, oracle=args.oracle,
                  lattice=lat.tag)
-    _write_output(meta, ["index", "gap"],
-                  ((i, float(g)) for i, g in enumerate(values)),
+    _write_output(meta, {"index": range(len(values)), "gap": values},
                   args.format, args.output)
     return EXIT_OK
 
@@ -144,8 +140,7 @@ def _cmd_affine_angles(args):
     lat = affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
     dist = affine.angle_gap_distribution(lat, args.radius)
     meta = _meta(args, shift=args.shift, radius=args.radius, count=dist.count)
-    _write_output(meta, ["index", "normalized_gap"],
-                  ((i, v) for i, v in enumerate(dist.samples)),
+    _write_output(meta, {"index": range(dist.count), "normalized_gap": dist.samples},
                   args.format, args.output)
     return EXIT_OK
 
@@ -156,17 +151,16 @@ def _cmd_wedge_p(args):
     ws = affine.empirical_p(lat, args.sigma, args.radius, args.samples, args.seed)
     meta = _meta(args, sigma=args.sigma, radius=args.radius,
                  samples=args.samples, shift=args.shift)
-    rows = [(i, c, c / ws.sample_count) for i, c in enumerate(ws.counts)]
-    _write_output(meta, ["points_in_wedge", "directions", "fraction"],
-                  rows, args.format, args.output)
+    _write_output(meta, {"points_in_wedge": range(len(ws.counts)),
+                         "directions": ws.counts, "fraction": ws.fractions()},
+                  args.format, args.output)
     return EXIT_OK
 
 
 def _cmd_sqrtn(args):
     seq = affine.sqrt_mod1_gaps(args.n)
     meta = _meta(args, n=args.n, count=len(seq))
-    _write_output(meta, ["index", "normalized_gap"],
-                  ((i, float(g)) for i, g in enumerate(seq.gaps)),
+    _write_output(meta, {"index": range(len(seq)), "normalized_gap": seq.gaps},
                   args.format, args.output)
     return EXIT_OK
 
@@ -180,19 +174,19 @@ def _cmd_surface_sc(args):
         surf = surface.l_shape(a, b)
     conns = surface.saddle_connections(surf, args.radius)
     meta = _meta(args, shape=args.shape, radius=args.radius, count=len(conns))
-    rows = [(c.holonomy.x, c.holonomy.y,
-             float(c.holonomy.x), float(c.holonomy.y), len(c.path))
-            for c in conns]
-    _write_output(meta, ["x", "y", "x_float", "y_float", "crossings"],
-                  rows, args.format, args.output)
+    xs = [c.holonomy.x for c in conns]
+    ys = [c.holonomy.y for c in conns]
+    _write_output(meta, {"x": xs, "y": ys, "x_float": np.asarray(xs, dtype=float),
+                         "y_float": np.asarray(ys, dtype=float),
+                         "crossings": [len(c.path) for c in conns]},
+                  args.format, args.output)
     return EXIT_OK
 
 
 def _cmd_baseline_poisson(args):
     seq = lattice.poisson_baseline(args.n, args.seed)
     meta = _meta(args, n=args.n, count=len(seq))
-    _write_output(meta, ["index", "normalized_gap"],
-                  ((i, float(g)) for i, g in enumerate(seq.gaps)),
+    _write_output(meta, {"index": range(len(seq)), "normalized_gap": seq.gaps},
                   args.format, args.output)
     return EXIT_OK
 
@@ -213,15 +207,8 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _scalar_to_float(text: str) -> float:
+    """A 'p/q' or decimal cell as a float."""
     text = text.strip()
-    if text.endswith("*phi"):
-        coeffs = text[:-len("*phi")]
-        split = max(coeffs.rfind("+"), coeffs.rfind("-", 1))
-        if split <= 0:
-            a, b = "0", coeffs
-        else:
-            a, b = coeffs[:split], coeffs[split:]
-        return float(GoldenNum(Fraction(a), Fraction(b)))
     if "/" in text:
         return float(Fraction(text))
     return float(text)
@@ -243,7 +230,7 @@ def _cmd_compare(args):
     else:
         raise ValueError("compare needs --right FILE or --cdf NAME")
     meta = _meta(args, left=args.left, reference=reference, n_left=left.count)
-    _write_output(meta, ["ks_distance"], [(ks,)], args.format, args.output)
+    _write_output(meta, {"ks_distance": [ks]}, args.format, args.output)
     return EXIT_OK
 
 

@@ -302,7 +302,7 @@ def slope_gaps_fast(lat: UnimodularLattice, eta, n: int,
             raise ValueError("exact orbit needs an exact lattice basis")
         orb = bcz.orbit(point, n)
         return GapSequence(orb.returns)
-    return GapSequence(tuple(bcz.roof_sequence(point.to_float(), n)))
+    return GapSequence(bcz.roof_sequence(point.to_float(), n))
 
 
 def has_vertical_vector(lat: UnimodularLattice, bound: int = 1000) -> bool:
@@ -345,7 +345,7 @@ def poisson_baseline(n: int, seed: int) -> GapSequence:
         raise ValueError("need at least two samples")
     gen = rng(seed)
     x = np.sort(gen.uniform(0.0, 1.0, n))
-    return GapSequence(tuple(n * np.diff(x)))
+    return GapSequence(n * np.diff(x))
 
 
 def seeded_lattice(seed: int) -> UnimodularLattice:

@@ -81,20 +81,20 @@ class SlopeSequence:
         return len(self.slopes)
 
     def floats(self) -> np.ndarray:
-        return np.array([float(s) for s in self.slopes])
+        return np.asarray(self.slopes, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapSequence:
     """Consecutive differences of a slope (or similar) sequence; all positive."""
 
-    gaps: tuple
+    gaps: tuple | np.ndarray  # a float64 array from float producers
 
     def __len__(self):
         return len(self.gaps)
 
     def floats(self) -> np.ndarray:
-        return np.array([float(g) for g in self.gaps])
+        return np.asarray(self.gaps, dtype=float)
 
 
 def _collapse(rows: list) -> list:

@@ -604,17 +604,23 @@ def saddle_connections(surface: TranslationSurface, radius,
 
     Exact surfaces produce exact holonomies and a run-to-run identical list;
     float surfaces carry the documented 1e-9 incidence tolerance.  Results
-    are cached per surface instance, hence immutable.
+    are cached per surface instance, hence immutable; a radius below a cached
+    one (same budget) filters that tuple with the search's own radius test.
     """
     if not float(radius) > 0:
         raise ValueError("radius must be positive")
     cache = surface.__dict__.setdefault("_connection_cache", {})
     key = (float(radius), state_budget)
-    if key not in cache:
-        dev = _Developer(surface, radius, state_budget)
-        conns = dev.run()
+    if key in cache:
+        return cache[key]
+    larger = [r for r, b in cache if b == state_budget and r > key[0]]
+    if larger:
+        rsq = Fraction(key[0]) ** 2 if surface._exact else key[0] ** 2 + FLOAT_EPS
+        conns = [c for c in cache[min(larger), state_budget] if c.length_sq <= rsq]
+    else:
+        conns = _Developer(surface, radius, state_budget).run()
         conns.sort(key=lambda c: (float(c.length_sq), c.angle, c.path))
-        cache[key] = tuple(conns)
+    cache[key] = tuple(conns)
     return cache[key]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -48,7 +49,8 @@ class TestBczOrbit:
         start = bcz.TransversalPoint(Fraction(2, 7), Fraction(3, 5), Fraction(7, 10))
         want, cur = [], start
         for i in range(40):
-            want.append([cli._fmt(v) for v in (i, cur.a, cur.b, bcz.roof(cur))])
+            want.append([str(i)] + [f"{x.numerator}/{x.denominator}"
+                                    for x in (cur.a, cur.b, bcz.roof(cur))])
             cur = bcz.bcz_step(cur)
             if (cur.a, cur.b) == (start.a, start.b):
                 break
@@ -127,6 +129,24 @@ class TestCompare:
         res = run_cli(["compare", "--left", str(a)])
         assert res.returncode == 2
 
+    def test_json_input_gives_the_csv_distance(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        distances = []
+        for fmt in ("csv", "json"):
+            assert cli.main(["sqrtn", "--n", "2000", "--format", fmt,
+                             "--output", "gaps." + fmt]) == 0
+            assert cli.main(["compare", "--left", "gaps." + fmt, "--cdf", "poisson"]) == 0
+            _, rows = data_rows(capsys.readouterr().out)
+            distances.append(rows[0][0])
+        assert distances[0] == distances[1]
+        assert 0.0 < float(distances[0]) < 1.0
+
+    def test_golden_cells_are_rejected(self, tmp_path, capsys):
+        path = tmp_path / "golden.csv"
+        path.write_text("index,gap\n0,1+2*phi\n1,3/2\n")
+        assert cli.main(["compare", "--left", str(path), "--cdf", "poisson"]) == 2
+        assert "1+2*phi" in capsys.readouterr().err
+
 
 class TestContract:
     def test_unknown_flag_exits_2(self):
@@ -167,6 +187,74 @@ class TestContract:
         assert cli.main(["farey-gaps", "--q", "1"]) == 0
         out = capsys.readouterr().out
         assert "1/1" in out
+
+
+# SHA-256 of the --format csv and --format json output of one small run of
+# every subcommand, in-process through cli.main.  compare reads gaps.csv and
+# gaps.json, the two formats of "lattice-gaps --seed 3 --count 200".
+PINNED_OUTPUT = {
+    "farey-gaps --q 12":
+        ("effe38d28832c785f4942948011fd3736019a7276aceb93936688767d636e500",
+         "596379e0e0c8e48b8c6012fc61a5f124d55b36b16f7d800de5682891c01a2eb9"),
+    "bcz-orbit --a 1/4 --b 1 --eta 1 --steps 10 --exact":
+        ("d48cbf5896d272c8418dc4d6c25bfbbbcb58a6b5daba6e32f264a8cc3c4d58e2",
+         "2d67f92061b7210725ce06f09b89e592fb2357d56fca56efc79bcf62b750d3d4"),
+    "bcz-orbit --a 2/7 --b 3/5 --eta 7/10 --steps 40 --exact":
+        ("2c027e6dae9eafed6b9ce1949fecee3c47022d9150e56f2df38d8750b3367be5",
+         "65fb9840df6bb24c721f10209cac3ac09e2251d59f532898efc903253fefcf50"),
+    "bcz-orbit --a 0.3 --b 0.9 --steps 50":
+        ("650aa8a96edccc237eaaf43d59b291724b8ef38bf35481379eabb8286081ef44",
+         "ad841bb14e4ec649df0c3d3684542a66a7018c3423af3cd800cc98201db454ef"),
+    "hall --grid 64":
+        ("4268b3956ed13c1d8ba52c7dda21c97bfc7699160775ff237f6866ed536361c9",
+         "bbc3dd5aced1db862cfa18336a1a4517037a3d2eb736a64c3e18d9d886fce406"),
+    "hall --scaling unnormalized --grid 64":
+        ("8752dc2e8936f7839d5cff63bdf39a7e1a8f87e2eb5924fc667b3c10e4d02280",
+         "729271472609e006fdda1b8069988c0fa9eb1415aaa301f720ad2230348ee64b"),
+    "lattice-gaps --seed 3 --count 200":
+        ("1c1ea31de4435ec8943a665be6ae167cebd50c9ce6899dba8aaa39e0d9cc5cea",
+         "c20f703d74cf9d2f32b71328ce85e78c89aa4632369782bf9ee145f5ffa950b4"),
+    "lattice-gaps --seed 5 --count 50 --oracle":
+        ("8920cc6cc4601ff5d0351a3da5fbe738809dc69b0205f5fb54709a58e74d60eb",
+         "10e54e5bfa97fba70459f69bac4a5c7459486ae590d017c63023c6656d39aa53"),
+    "affine-angles --shift 0.41,0.73 --radius 20":
+        ("2a4510a226a502af7dc97cbd2132fdcc76c52ddb3082cf5146031ca3cabda31e",
+         "77e33fce8c7b8174ba5e90ca5622b05cf8a768a106359d43e074ff3f2dd1500a"),
+    "wedge-p --sigma 1.0 --radius 20 --samples 300 --seed 7":
+        ("e6ca8a49e0cc023488deac8c79586e1c24cad5888f20b11fdfeccea3b641ff01",
+         "9a1ac9d08c42bf77b0b42bc541b6d5d59725ae87b3200faf72b3c27d66971dbe"),
+    "sqrtn --n 500":
+        ("25871511bcb9cfaf426e275c93144938b3a8090f4d78342749f844a10dc90a86",
+         "6092232a06c4766e4ec3f8120e6ce177c15fa8adad64971a3572e4d91b2b958a"),
+    "surface-sc --shape golden --radius 3.0":
+        ("049f0a71c85159ec1c3e0e841aeca657bd20b15ba03acfdcef1f4c1ce70b4993",
+         "db0cf6dee966fe3114157d30156ced475db6d65b9b4eeb7a1da3a7fc46490fa5"),
+    "surface-sc --shape l:1.7,1.9 --radius 3.0":
+        ("1fe07c9f7f7d214ab5fc0c3c85cbe30a9e54f380d9b6372fed4a5d88fb96f433",
+         "0a827cdcaaf4d7819b4fd023209a4983fdd72487a00093b1de5142c8ce75070e"),
+    "baseline-poisson --n 300 --seed 11":
+        ("78fc3f6fa67c7cbdb57d125f874d1b808db23c52cf0fe7fa15af38fd37afbb42",
+         "5f00541a280fcb96df02e4fccb339c491a66dee89de92f1209f4c1bf6a1c2914"),
+    "compare --left gaps.csv --cdf hall-unnormalized":
+        ("1536acbc25890dec493bd55501aa80dbe7f33ee37dec4b94be40e4865e917ae5",
+         "d20c9bf0bf1c5e5d480f0577c081dbc7770a81e3d911fbec16105517143c9918"),
+    "compare --left gaps.csv --right gaps.json":
+        ("a77b3e785117c65ad36a3c4230fe033c28503dc6f2b14efadf84b7c8b640229b",
+         "9f8c362467bed01a53374ffcffd5b6b19c6f95e6134056e098b398aa2bd4ea03"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(PINNED_OUTPUT))
+def test_pinned_output_bytes(command, fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if command.startswith("compare"):
+        for ext in ("csv", "json"):
+            assert cli.main(["lattice-gaps", "--seed", "3", "--count", "200",
+                             "--format", ext, "--output", "gaps." + ext]) == 0
+    assert cli.main([*command.split(), "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_OUTPUT[command][fmt == "json"]
 
 
 def test_import_leaves_scipy_integrate_unloaded():

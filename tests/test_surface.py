@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapkit import surface
 from gapkit.core import PHI, shear
 from gapkit.errors import ResourceLimitError
 from gapkit.surface import (TranslationSurface, golden_l, l_shape,
@@ -125,6 +126,27 @@ class TestGoldenEnumeration:
         a = holonomy_set(saddle_connections(golden_surface, 10.0))
         b = holonomy_set(saddle_connections(reindexed, 10.0))
         assert a == b
+
+
+class TestRadiusCache:
+    @pytest.mark.parametrize("make, cached, smaller", [
+        (golden_l, 15.0, 7.5),
+        (lambda: l_shape(1.3, 2.1), 12.0, 10.0),
+    ])
+    def test_smaller_radius_filters_the_cached_tuple(self, monkeypatch, make,
+                                                     cached, smaller):
+        fresh = saddle_connections(make(), smaller)
+        surf = make()
+        saddle_connections(surf, cached)
+
+        def no_development(self):
+            raise AssertionError("developed again below a cached radius")
+
+        monkeypatch.setattr(surface._Developer, "run", no_development)
+        served = saddle_connections(surf, smaller)
+        assert served == fresh
+        assert [(str(c.holonomy), c.path) for c in served] == \
+            [(str(c.holonomy), c.path) for c in fresh]
 
 
 class TestPinnedGoldenOutput:
