@@ -46,8 +46,6 @@ class AffineLattice(PointSystem):
     basis: Mat2
     shift: Vec2 = field(default=Vec2(0.0, 0.0))
 
-    centrally_symmetric = False
-
     def __post_init__(self):
         det = float(self.basis.det())
         if abs(det - 1.0) > 1e-12:

@@ -10,18 +10,22 @@ with return time ("roof") 1/(a b), independent of eta.  Exact rational
 coordinates stay exact under the map, which is what makes the periodic
 Farey orbits checkable to the last digit.
 
-Exact orbits run on Python ints.  With a, b and eta put over the common
-denominator D of the three (a = A/D, b = B/D, eta = E/D), one step is
+Both kinds of orbit walk one coordinate sequence, point i being
+(x[i], x[i+1]) and
 
-    (A, B) -> (B, ((E + A) // B) * B - A),
+    x[i+2] = floor((eta + x[i]) / x[i+1]) * x[i+1] - x[i],
 
-the roof is D^2/(A B), and the domain 0 < A, B <= E < A + B is checked in
-ints at every step.  Period detection compares int pairs.  The orbit keeps
-only the numerator sequence X (point i is (X[i], X[i+1]) / D); Fraction
-roofs are built once at the end, and the validated TransversalPoints only
-when ``BczOrbit.points`` is first read.  bcz_step stays the single-step
-Fraction map and the independent oracle of this engine.  Float orbits step
-through bcz_step, whose clamps shave drift past the domain boundary.
+with roof 1/(x[i] x[i+1]).  Exact orbits run it on Python ints: with a, b and
+eta put over the common denominator D of the three (a = A/D, b = B/D,
+eta = E/D), the sequence holds the numerators, the roof is D^2/(A B), and
+the domain 0 < A, B <= E < A + B is checked in ints at every step; period
+detection compares int pairs.  Float orbits, and roof_sequence, run it in
+one float loop that clamps drift past the domain boundary, checks
+x[i] + x[i+1] > eta - FLOAT_STEP_TOL and compares within FLOAT_STEP_TOL;
+their roofs come out as one float64 array.  Exact roofs become Fractions
+once at the end, and the validated TransversalPoints of either kind are
+built only when ``BczOrbit.points`` is first read.  bcz_step and roof stay
+the single-step map and the independent oracle of both loops.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -74,21 +78,28 @@ class TransversalPoint:
         return TransversalPoint(float(self.a), float(self.b), float(self.eta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BczOrbit:
     """A finite orbit segment with its roof values; period set when detected.
 
-    ``points`` is made by ``build_points`` on first access, so exact orbits
-    hold only their int numerators until a caller asks for the points.
+    ``coords`` is the coordinate sequence: int numerators over ``denom`` for
+    exact orbits (``returns`` a tuple of Fractions), floats with ``denom``
+    None otherwise (``returns`` a float64 array).  ``points`` is built from
+    it on first access.
     """
 
-    returns: tuple
+    returns: object
     period: Optional[int]
-    build_points: Callable[[], tuple] = field(repr=False, compare=False)
+    coords: list = field(repr=False)
+    denom: Optional[int] = field(repr=False)
+    eta: object = field(repr=False)
 
     @cached_property
     def points(self) -> tuple:
-        return self.build_points()
+        xs = self.coords
+        if self.denom is not None:
+            xs = [Fraction(x, self.denom) for x in xs]
+        return tuple(TransversalPoint(a, b, self.eta) for a, b in zip(xs, xs[1:]))
 
 
 def roof(p: TransversalPoint):
@@ -122,8 +133,8 @@ def orbit(p: TransversalPoint, n: int, detect_period: bool = False) -> BczOrbit:
     With detect_period the walk stops as soon as the start point recurs
     (orbits of an invertible map cannot be pre-periodic, so comparing with
     the start alone is enough).  Exact (rational) points run on int
-    numerators and compare exactly; floats step through bcz_step and
-    compare within FLOAT_STEP_TOL.
+    numerators and compare exactly; any other point is walked as
+    p.to_float() by the float loop and compares within FLOAT_STEP_TOL.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
@@ -131,19 +142,7 @@ def orbit(p: TransversalPoint, n: int, detect_period: bool = False) -> BczOrbit:
         raise ResourceLimitError(f"orbit of {n} steps exceeds the step budget")
     if p.is_exact():
         return _exact_orbit(p, n, detect_period)
-    points = [p]
-    returns = []
-    period = None
-    cur = p
-    for i in range(n):
-        returns.append(roof(cur))
-        cur = bcz_step(cur)
-        if detect_period and (abs(cur.a - p.a) <= FLOAT_STEP_TOL
-                              and abs(cur.b - p.b) <= FLOAT_STEP_TOL):
-            period = i + 1
-            break
-        points.append(cur)
-    return BczOrbit(tuple(returns), period, partial(tuple, points))
+    return _float_walk(p, n, detect_period)
 
 
 def _exact_orbit(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
@@ -164,13 +163,35 @@ def _exact_orbit(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
         xs.append(y)
     dd = d * d
     returns = tuple(Fraction(dd, xs[i] * xs[i + 1]) for i in range(period or n))
-    return BczOrbit(returns, period, partial(_exact_points, xs, d, p.eta))
+    return BczOrbit(returns, period, xs, d, p.eta)
 
 
-def _exact_points(xs: list, d: int, eta) -> tuple:
-    """The validated points (xs[i], xs[i+1]) / d of an exact orbit."""
-    coords = [Fraction(x, d) for x in xs]
-    return tuple(TransversalPoint(a, b, eta) for a, b in zip(coords, coords[1:]))
+def _float_walk(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
+    """The float orbit of p, its roofs one float64 array.
+
+    A step that lands past the boundary (new coordinate <= 0 or > eta) is
+    clamped back into the domain; a point with x[i] + x[i+1] <= eta -
+    FLOAT_STEP_TOL raises ValueError.
+    """
+    a, b, eta = float(p.a), float(p.b), float(p.eta)
+    low, edge = FLOAT_STEP_TOL * eta, eta - FLOAT_STEP_TOL
+    xs = [a, b]
+    append, floor = xs.append, math.floor
+    period = None
+    x, y = a, b
+    for i in range(n):
+        x, y = y, floor((eta + x) / y) * y - x
+        if y <= 0.0 or y > eta:  # float excursion past the boundary
+            y = min(max(y, low), eta)
+        if not x + y > edge:
+            raise ValueError(f"({x}, {y}) left the eta={eta} domain")
+        if detect_period and abs(x - a) <= FLOAT_STEP_TOL and abs(y - b) <= FLOAT_STEP_TOL:
+            period = i + 1
+            break
+        append(y)
+    coords = np.array(xs)
+    returns = (1.0 / (coords[:-1] * coords[1:]))[:period or n]
+    return BczOrbit(returns, period, xs, None, eta)
 
 
 def farey_orbit_start(q: int) -> TransversalPoint:
@@ -221,17 +242,10 @@ def roof_values(samples: np.ndarray) -> np.ndarray:
 def roof_sequence(p: TransversalPoint, n: int) -> np.ndarray:
     """First n roof values along the orbit of p, as a float array.
 
-    Float fast path for bulk statistics; for exact agreement checks walk
-    orbit() on an exact point instead.
+    Float fast path for bulk statistics (the float loop of orbit() without
+    its points); for exact agreement checks walk orbit() on an exact point
+    instead.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    a, b, eta = float(p.a), float(p.b), float(p.eta)
-    out = np.empty(n)
-    floor = math.floor
-    for i in range(n):
-        out[i] = 1.0 / (a * b)
-        a, b = b, floor((eta + a) / b) * b - a
-        if b <= 0.0 or b > eta:  # float excursion past the boundary
-            b = min(max(b, FLOAT_STEP_TOL * eta), eta)
-    return out
+    return _float_walk(p, n, False).returns

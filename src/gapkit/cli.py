@@ -5,8 +5,8 @@ seed), then data rows.  Exact rationals serialize as "p/q" strings and
 golden numbers as "a+b*phi", so reruns are byte-identical for a fixed
 configuration; nothing time- or host-dependent is ever written.
 
-Exit codes: 0 success, 2 argument/validation problems, 3 exhaustion or
-resource-budget failures.
+Exit codes: 0 success, 2 argument/validation problems and unreadable or
+unwritable files, 3 exhaustion or resource-budget failures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -76,8 +75,10 @@ def _parse_scalar(text: str):
     """Exact scalar from 'p/q' or a decimal literal (decimals stay exact)."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(text)
 
 
@@ -166,12 +167,13 @@ def _cmd_sqrtn(args):
 
 
 def _cmd_surface_sc(args):
+    kind, _, dims = args.shape.partition(":")
     if args.shape == "golden":
         surf = surface.golden_l()
+    elif kind == "l" and dims.count(",") == 1:
+        surf = surface.l_shape(*(float(part) for part in dims.split(",")))
     else:
-        dims = args.shape.split(":", 1)[1]
-        a, b = (float(part) for part in dims.split(","))
-        surf = surface.l_shape(a, b)
+        raise ValueError(f"--shape must be golden or l:alpha,beta, got {args.shape!r}")
     conns = surface.saddle_connections(surf, args.radius)
     meta = _meta(args, shape=args.shape, radius=args.radius, count=len(conns))
     xs = [c.holonomy.x for c in conns]
@@ -245,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("GAPKIT_THREADS", "1")),
+        p.add_argument("--workers", type=int, default=1,
                        help="reserved; results never depend on it")
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
     except (ExhaustionError, ResourceLimitError) as exc:
         print(f"gapkit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, GapkitError) as exc:
+    except (ValueError, GapkitError, OSError) as exc:
         print(f"gapkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

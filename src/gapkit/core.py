@@ -311,9 +311,6 @@ class Mat2:
         return Mat2(_div(self.d, det), _div(-self.b, det),
                     _div(-self.c, det), _div(self.a, det))
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def to_float(self) -> "Mat2":
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
 

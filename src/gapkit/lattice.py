@@ -45,16 +45,10 @@ DET_TOL = 1e-12
 DEFAULT_CELL_BUDGET = 20_000_000
 
 
-def _round_half(x):
-    """Round to nearest integer, exact for Fractions."""
-    if isinstance(x, float):
-        return int(round(x))
-    return math.floor(x + Fraction(1, 2))
-
-
 def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
-    """Gauss/Lagrange reduction of a rank-2 basis.
+    """Gauss/Lagrange reduction of a rank-2 float basis.
 
+    Float-only: its one caller, coefficient_scan, reduces basis.to_float().
     Returns (reduced, u) with reduced = basis @ u and u unimodular integer
     entries (row-major).  The reduced columns are the two successive minima
     up to sign, so coefficient boxes computed from it stay small.
@@ -71,9 +65,7 @@ def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
             v1, v2 = v2, v1
             u = (u[1], u[0], u[3], u[2])
         denom = nsq(v1)
-        mu = _round_half((v1[0] * v2[0] + v1[1] * v2[1]) / denom
-                         if isinstance(denom, float)
-                         else Fraction(v1[0] * v2[0] + v1[1] * v2[1], 1) / denom)
+        mu = round((v1[0] * v2[0] + v1[1] * v2[1]) / denom)
         if mu == 0:
             break
         v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
@@ -140,8 +132,6 @@ class UnimodularLattice(PointSystem):
 
     basis: Mat2
     tag: str = field(default="", compare=False)
-
-    centrally_symmetric = True
 
     def __post_init__(self):
         det = self.basis.det()

@@ -47,9 +47,6 @@ class PointSystem:
     exactly g applied to the enumeration of x over K.
     """
 
-    #: whether v in the set implies -v in the set
-    centrally_symmetric: bool = False
-
     def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
         """All points of the set inside a bounded region (order unspecified)."""
         raise NotImplementedError

@@ -81,8 +81,7 @@ class SaddleConnection:
 
     @property
     def slope(self):
-        from .core import slope as _slope
-        return _slope(self.holonomy)
+        return slope(self.holonomy)
 
     @property
     def angle(self) -> float:
@@ -92,8 +91,6 @@ class SaddleConnection:
 class TranslationSurface(PointSystem):
     """Polygon with translation gluings; the attached point set is the set of
     saddle-connection holonomies."""
-
-    centrally_symmetric = True
 
     def __init__(self, vertices, pairings):
         self.vertices = tuple(Vec2(v[0], v[1]) if not isinstance(v, Vec2) else v
@@ -148,10 +145,6 @@ class TranslationSurface(PointSystem):
         (convert with to_float() first to use a float map)."""
         moved = [g @ v for v in self.vertices]
         return TranslationSurface(moved, self.pairings)
-
-    @property
-    def minkowski_constant(self):
-        return None
 
     # -- singularity data ----------------------------------------------------
 

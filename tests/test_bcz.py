@@ -90,7 +90,22 @@ class TestOrbit:
         p = bcz.TransversalPoint(0.37, 0.81, 1.0)
         fast = bcz.roof_sequence(p, 200)
         slow = bcz.orbit(p, 200).returns
-        assert np.allclose(fast, slow, atol=1e-9)
+        assert np.array_equal(fast, slow)
+
+    def test_float_step_past_eta_is_clamped(self):
+        # 4.4/2.2 floors to 2, and 2 * 2.2 - 1.4 rounds to 3.0000000000000004
+        orb = bcz.orbit(bcz.TransversalPoint(1.4, 2.2, 3.0), 1)
+        assert orb.points[1].b == 3.0
+        assert orb.points[1] == bcz.bcz_step(orb.points[0])
+
+    def test_float_drift_out_of_the_domain_raises(self):
+        # (eta + a)/b is 3 but rounds to 2.9999999999999996, so the step
+        # lands on a + b = eta, and at eta = 1e5 eta - FLOAT_STEP_TOL == eta
+        p = bcz.TransversalPoint(1e5 * 5 / 7, 1e5 * 4 / 7, 1e5)
+        for walk in (bcz.bcz_step, lambda q: bcz.orbit(q, 1),
+                     lambda q: bcz.roof_sequence(q, 1)):
+            with pytest.raises(ValueError):
+                walk(p)
 
 
 class TestRescale:

@@ -1,9 +1,11 @@
-"""Property tests: the int-numerator exact orbit against repeated bcz_step,
-and the Farey orbits against the Farey sequence."""
+"""Property tests: the int-numerator exact orbit and the float loop against
+repeated bcz_step, and the Farey orbits against the Farey sequence."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gapkit import bcz, farey
 
@@ -26,23 +28,73 @@ def exact_domain_points(draw):
     return bcz.TransversalPoint(eta * Fraction(i, grid), eta * Fraction(j, grid), eta)
 
 
+@st.composite
+def float_domain_points(draw):
+    """Float domain points: grid points eta*i/k, whose float orbits can recur
+    exactly (dyadic k and eta), step past eta and need the clamp (eta = 0.7,
+    3) or drift out of the domain (eta = 1e5), or arbitrary floats at eta = 1."""
+    if draw(st.booleans()):
+        eta = draw(st.sampled_from([1.0, 0.7, 3.0, 1e5]))
+        k = draw(st.integers(1, 40))
+        i = draw(st.integers(1, k))
+        j = draw(st.integers(k - i + 1, k))
+        return bcz.TransversalPoint(eta * i / k, eta * j / k, eta)
+    a = draw(st.floats(1e-3, 1.0))
+    b = draw(st.floats(1.0 - a, 1.0).filter(lambda b: a + b > 1.0))
+    return bcz.TransversalPoint(a, b, 1.0)
+
+
 def stepped(p, n, detect_period):
-    """orbit() written out with bcz_step: points, returns and period."""
+    """orbit() written out with bcz_step and roof: points, returns and period.
+
+    Non-exact points are walked as p.to_float(), and recur within
+    FLOAT_STEP_TOL.
+    """
+    if not p.is_exact():
+        p = p.to_float()
+    tol = 0 if p.is_exact() else bcz.FLOAT_STEP_TOL
     points, returns, cur = [p], [], p
     for i in range(n):
         returns.append(bcz.roof(cur))
         cur = bcz.bcz_step(cur)
-        if detect_period and (cur.a, cur.b) == (p.a, p.b):
-            return tuple(points), tuple(returns), i + 1
+        if detect_period and abs(cur.a - p.a) <= tol and abs(cur.b - p.b) <= tol:
+            return tuple(points), returns, i + 1
         points.append(cur)
-    return tuple(points), tuple(returns), None
+    return tuple(points), returns, None
+
+
+def check_against_oracle(p, n, detect_period):
+    try:
+        want = stepped(p, n, detect_period)
+    except ValueError:  # the oracle left the domain: so must the orbit
+        with pytest.raises(ValueError):
+            bcz.orbit(p, n, detect_period=detect_period)
+        return
+    orb = bcz.orbit(p, n, detect_period=detect_period)
+    assert (orb.points, list(orb.returns), orb.period) == want
 
 
 @SETTINGS
 @given(exact_domain_points(), st.integers(0, 200), st.booleans())
 def test_exact_orbit_matches_bcz_step(p, n, detect_period):
-    orb = bcz.orbit(p, n, detect_period=detect_period)
-    assert (orb.points, orb.returns, orb.period) == stepped(p, n, detect_period)
+    check_against_oracle(p, n, detect_period)
+
+
+@SETTINGS
+@given(float_domain_points(), st.integers(0, 200), st.booleans())
+@example(bcz.TransversalPoint(0.25, 1.0, 1.0), 10, True)  # recurs after 6 steps
+@example(bcz.TransversalPoint(1.4, 2.2, 3.0), 5, False)  # clamped on the first step
+@example(bcz.TransversalPoint(1e5 * 5 / 7, 1e5 * 4 / 7, 1e5), 5, False)  # leaves the domain
+def test_float_orbit_matches_bcz_step(p, n, detect_period):
+    check_against_oracle(p, n, detect_period)
+    if not detect_period:
+        try:
+            want = bcz.orbit(p, n).returns
+        except ValueError:
+            with pytest.raises(ValueError):
+                bcz.roof_sequence(p, n)
+            return
+        assert np.array_equal(bcz.roof_sequence(p, n), want)
 
 
 @SETTINGS

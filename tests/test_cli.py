@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -178,10 +179,22 @@ class TestContract:
         w4 = run_cli([*args, "--workers", "4"])
         assert w1.stdout == w4.stdout
 
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("GAPKIT_THREADS", "3")
-        args = cli.build_parser().parse_args(["farey-gaps", "--q", "5"])
-        assert args.workers == 3
+    @pytest.mark.parametrize("args", [
+        ["bcz-orbit", "--a", "1/0", "--b", "1", "--steps", "3"],
+        ["surface-sc", "--shape", "foo", "--radius", "3"],
+        ["compare", "--left", "{tmp}/missing.csv", "--cdf", "hall"],
+        ["hall", "--grid", "4", "--output", "{tmp}/no/such/dir/x.csv"],
+    ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output"])
+    def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
+        res = run_cli([arg.format(tmp=tmp_path) for arg in args])
+        assert res.returncode == 2
+        assert res.stderr.startswith("gapkit:")
+        assert "Traceback" not in res.stderr
+
+    def test_environment_does_not_set_workers(self):
+        env = {**os.environ, "GAPKIT_THREADS": "x"}
+        res = run_cli(["hall", "--grid", "4"], env=env)
+        assert res.returncode == 0, res.stderr
 
     def test_main_callable_directly(self, capsys):
         assert cli.main(["farey-gaps", "--q", "1"]) == 0
