@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import is_exact
+from .core import common_denominator, is_exact
 from .errors import ResourceLimitError
 from .stats import rng
 
@@ -147,9 +147,7 @@ def orbit(p: TransversalPoint, n: int, detect_period: bool = False) -> BczOrbit:
 
 def _exact_orbit(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
     """The exact orbit on int numerators over the common denominator D."""
-    a, b, eta = Fraction(p.a), Fraction(p.b), Fraction(p.eta)
-    d = math.lcm(a.denominator, b.denominator, eta.denominator)
-    a0, b0, e = (x.numerator * (d // x.denominator) for x in (a, b, eta))
+    (a0, b0, e), d = common_denominator((p.a, p.b, p.eta))
     xs = [a0, b0]
     period = None
     x, y = a0, b0

@@ -17,7 +17,7 @@ from .errors import VerticalVectorError
 __all__ = [
     "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Ball",
     "MappedRegion", "shear", "diag_flow", "rotation", "slope", "is_exact",
-    "zphi_sign",
+    "zphi_sign", "common_denominator",
 ]
 
 
@@ -51,6 +51,18 @@ def zphi_sign(a, b) -> int:
     if s > 0:  # b < 0
         return (lhs > rhs) - (lhs < rhs)
     return (rhs > lhs) - (rhs < lhs)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Exact rationals as int numerators over their least common denominator.
+
+    Returns (nums, d) with values[i] == nums[i] / d.  The one way exact
+    kernels (BCZ orbits, the Z[phi] surface development, lattice
+    enumeration) put their inputs on ints.
+    """
+    fracs = [Fraction(v) for v in values]
+    d = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
 class GoldenNum:

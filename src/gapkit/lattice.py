@@ -5,11 +5,13 @@ One kernel, coefficient_scan, enumerates this module's lattices and the
 affine lattices: it scans integer coefficients of a Lagrange-reduced basis in
 numpy, one coefficient per row with the other solved from the box, so long
 thin regions (strips, renormalized triangles) cost points found rather than
-bounding-box area.  Its float coordinates only steer: for exact bases every
-candidate within a float margin of the box is rebuilt from its coefficients
-in exact arithmetic and its membership decided exactly.  A point is
-primitive exactly when its coefficient pair is coprime, which is
-basis-independent.
+bounding-box area.  Its float coordinates only steer: an exact basis is put
+over the common denominator D of its entries, every candidate within a
+float margin of the box becomes an int numerator pair (X, Y) over D, and
+strip and ball membership are decided in ints (UnimodularLattice.exact_rows).
+Fraction slopes and exact points are built only for the rows a caller
+receives.  A point is primitive exactly when its coefficient pair is
+coprime, which is basis-independent.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -20,17 +22,18 @@ tolerances far below float drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from . import bcz
-from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, is_exact,
-                   rotation, shear, diag_flow)
+from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, common_denominator,
+                   is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
-from .pointcloud import GapSequence, PointSystem, strip_points
+from .pointcloud import ExactRows, GapSequence, PointSystem, strip_points
 from .stats import rng
 
 __all__ = [
@@ -161,26 +164,18 @@ class UnimodularLattice(PointSystem):
 
     # -- enumeration ------------------------------------------------------
 
-    def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
-        """Primitive points in the region; ``limit`` caps the cells scanned.
-
-        Exact bases emit exact vectors and decide strip and ball membership
-        exactly; the float scan only steers.
-        """
+    def _scan(self, region: Region, limit: Optional[int]):
+        """Primitive coefficients (m, k) and float coordinates (x, y) of the
+        points near the region's box; the float scan only steers."""
         if isinstance(region, VerticalStrip):
             if math.isinf(region.height):
                 raise ValueError("cannot enumerate an unbounded strip; cap the height")
             box = (0, region.eta, 0, region.height)
-            inside = lambda v: 0 < v.x <= region.eta and 0 <= v.y <= region.height
         else:
             radius = region.bounding_radius()
             if radius is None:
                 raise ValueError(f"region {region!r} is unbounded")
             box = (-radius, radius, -radius, radius)
-            inside = region.contains
-            if isinstance(region, Ball) and self.is_exact():
-                rsq = Fraction(region.radius) ** 2  # exact boundary decision
-                inside = lambda v: v.norm_sq() <= rsq
         # float prescreen margin: well clear of double rounding, far below
         # any gap the exact test would have to arbitrate
         margin = 1e-6 * max(1.0, *(abs(float(t)) for t in box))
@@ -188,13 +183,59 @@ class UnimodularLattice(PointSystem):
             self.basis, *box, margin=margin,
             budget=DEFAULT_CELL_BUDGET if limit is None else limit)
         primitive = np.gcd(m, k) == 1
-        if self.is_exact():
-            g = self.basis
-            pts = (Vec2(g.a * i + g.b * j, g.c * i + g.d * j) for i, j
-                   in zip(m[primitive].tolist(), k[primitive].tolist()))
+        return m[primitive], k[primitive], x[primitive], y[primitive]
+
+    def exact_rows(self, region: Region, limit: Optional[int] = None) -> Optional[ExactRows]:
+        """Exact bases: the primitive points in the region as int numerators
+        over the common denominator D of the basis entries.
+
+        With the basis (A, B, C, D') over D, the point of coefficients
+        (m, k) is (A m + B k, C m + D' k) / D.  Strip membership
+        0 < X <= eta D, 0 <= Y <= H D and ball membership X^2 + Y^2 <= R^2 D^2
+        are decided in ints against the exact eta, H and R; other regions
+        test their ``contains`` on the built point.  None for float bases.
+        """
+        if not self.is_exact():
+            return None
+        m, k, _, _ = self._scan(region, limit)
+        (a, b, c, e), d = common_denominator(self.basis.entries())
+        m, k = m.tolist(), k.tolist()
+        xs = [a * i + b * j for i, j in zip(m, k)]
+        ys = [c * i + e * j for i, j in zip(m, k)]
+        g = self.basis
+        rows = ExactRows(xs, ys, d, type(g.a) is int and type(g.b) is int,
+                         type(g.c) is int and type(g.d) is int)
+        if isinstance(region, VerticalStrip):
+            xmax, ymax = _floor_times(region.eta, d), _floor_times(region.height, d)
+            keep = [0 < x <= xmax and 0 <= y <= ymax for x, y in zip(xs, ys)]
+        elif isinstance(region, Ball):
+            r = Fraction(region.radius)
+            bound = (r.numerator * d) ** 2 // r.denominator ** 2
+            keep = [x * x + y * y <= bound for x, y in zip(xs, ys)]
         else:
-            pts = map(Vec2, x[primitive].tolist(), y[primitive].tolist())
-        return [v for v in pts if inside(v)]
+            keep = list(map(region.contains, rows.points()))
+        return replace(rows, xs=list(compress(xs, keep)), ys=list(compress(ys, keep)))
+
+    def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
+        """Primitive points in the region; ``limit`` caps the cells scanned.
+
+        Exact bases decide strip and ball membership on int numerators
+        (see exact_rows) and build exact vectors only for the points found.
+        """
+        rows = self.exact_rows(region, limit)
+        if rows is not None:
+            return rows.points()
+        _, _, x, y = self._scan(region, limit)
+        inside = region.contains
+        if isinstance(region, VerticalStrip):
+            inside = lambda v: 0 < v.x <= region.eta and 0 <= v.y <= region.height
+        return [v for v in map(Vec2, x.tolist(), y.tolist()) if inside(v)]
+
+
+def _floor_times(value, d: int) -> int:
+    """floor(value * d) for an exact or float value, exactly."""
+    f = Fraction(value)
+    return f.numerator * d // f.denominator
 
 
 ZSQUARED = UnimodularLattice(Mat2(1, 0, 0, 1), tag="Z^2")

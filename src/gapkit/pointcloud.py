@@ -13,11 +13,23 @@ so the sorted strip slopes coincide with the times at which the shear flow
 hits the "horizontally short" transversal.  slopes_in_strip and
 hitting_times compute the two sides of that equality through different code
 paths, and their agreement is the load-bearing invariant of this module.
+
+Exact systems may hand the strip loop their points as ExactRows: int
+numerator pairs (X, Y) over one common denominator, membership already
+decided in ints.  The loop then orders rows by the float Y / X, which Python
+computes correctly rounded, so it is monotone in the exact slope and equal
+to float(slope); only rows with equal float keys are ordered by the exact
+cross-multiplication Y1 X2 vs Y2 X1.  Fraction slopes and points are built
+only for the rows returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
+from operator import itemgetter, truediv
 from typing import Optional
 
 import numpy as np
@@ -26,7 +38,7 @@ from .core import Ball, Mat2, Region, Vec2, VerticalStrip, is_exact, shear, slop
 from .errors import ExhaustionError, UnsupportedQueryError
 
 __all__ = [
-    "PointSystem", "SlopeSequence", "GapSequence", "strip_points",
+    "PointSystem", "ExactRows", "SlopeSequence", "GapSequence", "strip_points",
     "slopes_in_strip", "gaps",
     "is_horizontally_short", "is_vertically_short", "is_exceptional",
     "hitting_times",
@@ -51,6 +63,11 @@ class PointSystem:
         """All points of the set inside a bounded region (order unspecified)."""
         raise NotImplementedError
 
+    def exact_rows(self, region: Region, limit: Optional[int] = None) -> Optional["ExactRows"]:
+        """The points in the region as int numerators, when the system has
+        an exact int form for that region; None otherwise."""
+        return None
+
     def act(self, g: Mat2) -> "PointSystem":
         """The system attached to the transformed state g.x."""
         raise NotImplementedError
@@ -60,6 +77,30 @@ class PointSystem:
         """c with: every centered convex symmetric set of area >= c meets the
         point set; None when no constant is declared."""
         return None
+
+
+@dataclass(frozen=True)
+class ExactRows:
+    """Points (X/d, Y/d) of an exact system, as int numerator lists xs, ys.
+
+    ``int_x`` (``int_y``) says that the system's own x (y) coordinates are
+    ints rather than Fractions, so ``point`` returns the same scalar types
+    as the system's exact arithmetic would.
+    """
+
+    xs: list
+    ys: list
+    d: int
+    int_x: bool = False
+    int_y: bool = False
+
+    def point(self, x: int, y: int) -> Vec2:
+        d = self.d
+        return Vec2(x // d if self.int_x else Fraction(x, d),
+                    y // d if self.int_y else Fraction(y, d))
+
+    def points(self) -> list[Vec2]:
+        return list(map(self.point, self.xs, self.ys))
 
 
 @dataclass(frozen=True)
@@ -110,6 +151,70 @@ def _collapse(rows: list) -> list:
     return out
 
 
+def _cmp_slope(r, t) -> int:
+    """Exact order of the slopes of int rows (x, y), x > 0."""
+    a, b = r[1] * t[0], t[1] * r[0]
+    return (a > b) - (a < b)
+
+
+def _exact_run(run: list) -> list:
+    """Rows of one float key, sorted by exact slope, the first row of each
+    slope value kept (sorted is stable, as in _collapse)."""
+    if len(run) > 1:
+        run = sorted(run, key=cmp_to_key(_cmp_slope))
+        run = [r for j, r in enumerate(run) if j == 0 or _cmp_slope(run[j - 1], r)]
+    return run
+
+
+def _slope_order(rows: ExactRows, cut: float) -> list:
+    """The (x, y) rows with float slope <= cut, in exact slope order with
+    equal slopes collapsed to their first row."""
+    xs, ys = rows.xs, rows.ys
+    keys = np.fromiter(map(truediv, ys, xs), dtype=float, count=len(xs))
+    idx = np.flatnonzero(keys <= cut)
+    idx = idx[np.argsort(keys[idx], kind="stable")]
+    out = [(xs[i], ys[i]) for i in idx.tolist()]
+    ordered = keys[idx]
+    if np.any(ordered[1:] == ordered[:-1]):
+        runs = groupby(zip(ordered.tolist(), out), key=itemgetter(0))
+        out = [r for _, run in runs for r in _exact_run([r for _, r in run])]
+    return out
+
+
+def _strip_rows(system: PointSystem, eta, n: int, height_budget: float):
+    """The growing-height strip loop behind strip_points.
+
+    Returns (rows, exact): the first n rows in slope order, as (slope, point)
+    pairs when ``exact`` is None, else as (x, y) int rows of the ExactRows
+    ``exact``.
+    """
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    height = float(eta) * max(4.0, 4.0 * n)
+    while True:
+        cut = height / float(eta)
+        strip = VerticalStrip(eta, height)
+        exact = system.exact_rows(strip)
+        if exact is None:
+            pairs = ((slope(v), v) for v in system.enumerate_points(strip))
+            rows = _collapse([r for r in pairs if float(r[0]) <= cut])
+        else:
+            rows = _slope_order(exact, cut)
+        if len(rows) >= n:
+            return rows[:n], exact
+        if height >= height_budget:
+            raise ExhaustionError(
+                f"found {len(rows)} of {n} slopes below height {height}",
+                partial=SlopeSequence(eta, _slopes(rows, exact)))
+        height *= 2.0
+
+
+def _slopes(rows: list, exact: Optional[ExactRows]) -> tuple:
+    if exact is None:
+        return tuple(s for s, _ in rows)
+    return tuple(Fraction(y, x) for x, y in rows)
+
+
 def strip_points(system: PointSystem, eta, n: int,
                  height_budget: float = DEFAULT_HEIGHT_BUDGET) -> list:
     """The n strip points of smallest nonnegative slope, as sorted (slope, point)
@@ -119,27 +224,17 @@ def strip_points(system: PointSystem, eta, n: int,
     then definitely present, so the first n of those are final.  Runs out of
     budget -> ExhaustionError carrying the partial SlopeSequence.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    height = float(eta) * max(4.0, 4.0 * n)
-    while True:
-        cut = height / float(eta)
-        pairs = ((slope(v), v) for v in system.enumerate_points(VerticalStrip(eta, height)))
-        rows = _collapse([r for r in pairs if float(r[0]) <= cut])
-        if len(rows) >= n:
-            return rows[:n]
-        if height >= height_budget:
-            raise ExhaustionError(
-                f"found {len(rows)} of {n} slopes below height {height}",
-                partial=SlopeSequence(eta, tuple(s for s, _ in rows)))
-        height *= 2.0
+    rows, exact = _strip_rows(system, eta, n, height_budget)
+    if exact is None:
+        return rows
+    return [(Fraction(y, x), exact.point(x, y)) for x, y in rows]
 
 
 def slopes_in_strip(system: PointSystem, eta, n: int,
                     height_budget: float = DEFAULT_HEIGHT_BUDGET) -> SlopeSequence:
     """The n smallest nonnegative slopes of strip vectors, sorted, ties collapsed
     (see strip_points)."""
-    return SlopeSequence(eta, tuple(s for s, _ in strip_points(system, eta, n, height_budget)))
+    return SlopeSequence(eta, _slopes(*_strip_rows(system, eta, n, height_budget)))
 
 
 def gaps(seq: SlopeSequence) -> GapSequence:

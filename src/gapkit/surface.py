@@ -24,15 +24,17 @@ near-degenerate configurations may misclassify a boundary.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import GoldenNum, Mat2, PHI, Region, Vec2, is_exact, slope, zphi_sign
+from .core import (GoldenNum, Mat2, PHI, Region, Vec2, common_denominator, is_exact,
+                   slope, zphi_sign)
 from .errors import ResourceLimitError
 from .pointcloud import GapSequence, PointSystem, _collapse
 from .stats import EmpiricalDist, circular_gaps
@@ -318,10 +320,9 @@ class _ZphiOps:
     """
 
     def __init__(self, surface: TranslationSurface, radius):
-        coords = [_zphi_coeffs(x) for v in surface.vertices for x in (v.x, v.y)]
-        self.d = d = math.lcm(*(Fraction(c).denominator
-                                for pair in coords for c in pair))
-        flat = [int(c * d) for pair in coords for c in pair]
+        flat, d = common_denominator(
+            c for v in surface.vertices for x in (v.x, v.y) for c in _zphi_coeffs(x))
+        self.d = d
         self.base = [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
         rsq = Fraction(float(radius)) ** 2
         self.rsq_num, self.rsq_den = rsq.numerator * d * d, rsq.denominator
@@ -591,6 +592,57 @@ class _Developer:
         return out
 
 
+class _Sorted(NamedTuple):
+    """Connections in (float(length_sq), angle, path) order, with a bound
+    ``err`` on |float(length_sq) - length_sq| over the tuple."""
+
+    conns: tuple
+    err: float
+
+
+def _key_error(length_sq) -> float:
+    """A bound on |float(length_sq) - length_sq| beyond 2^-53 relative.
+
+    Float lengths are their own key, and int and Fraction lengths convert
+    correctly rounded (within 2^-53 relative, which _within's slack covers).
+    float(a + b phi) rounds a, b, phi, one product and one sum, each within
+    2^-53 relative, which 2^-50 (|a| + 2|b|) bounds generously.
+    """
+    if isinstance(length_sq, GoldenNum):
+        return 2.0 ** -50 * (abs(float(length_sq.a)) + 2.0 * abs(float(length_sq.b)))
+    return 0.0
+
+
+def _sort_connections(conns: list) -> _Sorted:
+    err = 0.0
+
+    def key(c):  # list.sort calls it once per connection
+        nonlocal err
+        length_sq = c.length_sq
+        err = max(err, _key_error(length_sq))
+        return float(length_sq), c.angle, c.path
+
+    conns.sort(key=key)
+    return _Sorted(tuple(conns), err)
+
+
+def _within(cached: _Sorted, rsq) -> _Sorted:
+    """The cached connections with length_sq <= rsq, in cached order.
+
+    The float keys are sorted, so bisection finds the connections whose key
+    is more than the error bound away from the cut; only those between get
+    the exact test.  The relative slack 2^-50 cut covers correctly rounded
+    keys near the cut and the rounding of the cut itself.
+    """
+    cut = float(rsq)
+    tol = cached.err + 2.0 ** -50 * cut
+    conns, key = cached.conns, lambda c: float(c.length_sq)
+    lo = bisect.bisect_left(conns, cut - tol, key=key)
+    hi = bisect.bisect_right(conns, cut + tol, lo, key=key)
+    near = tuple(c for c in conns[lo:hi] if c.length_sq <= rsq)
+    return _Sorted(conns[:lo] + near, cached.err)
+
+
 def saddle_connections(surface: TranslationSurface, radius,
                        state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[SaddleConnection, ...]:
     """All saddle connections of holonomy length <= radius, sorted.
@@ -598,23 +650,21 @@ def saddle_connections(surface: TranslationSurface, radius,
     Exact surfaces produce exact holonomies and a run-to-run identical list;
     float surfaces carry the documented 1e-9 incidence tolerance.  Results
     are cached per surface instance, hence immutable; a radius below a cached
-    one (same budget) filters that tuple with the search's own radius test.
+    one (same budget) filters that tuple with the search's own radius test,
+    applied exactly only near the cut (see _within).
     """
     if not float(radius) > 0:
         raise ValueError("radius must be positive")
     cache = surface.__dict__.setdefault("_connection_cache", {})
     key = (float(radius), state_budget)
-    if key in cache:
-        return cache[key]
-    larger = [r for r, b in cache if b == state_budget and r > key[0]]
-    if larger:
-        rsq = Fraction(key[0]) ** 2 if surface._exact else key[0] ** 2 + FLOAT_EPS
-        conns = [c for c in cache[min(larger), state_budget] if c.length_sq <= rsq]
-    else:
-        conns = _Developer(surface, radius, state_budget).run()
-        conns.sort(key=lambda c: (float(c.length_sq), c.angle, c.path))
-    cache[key] = tuple(conns)
-    return cache[key]
+    if key not in cache:
+        larger = [r for r, b in cache if b == state_budget and r > key[0]]
+        if larger:
+            rsq = Fraction(key[0]) ** 2 if surface._exact else key[0] ** 2 + FLOAT_EPS
+            cache[key] = _within(cache[min(larger), state_budget], rsq)
+        else:
+            cache[key] = _sort_connections(_Developer(surface, radius, state_budget).run())
+    return cache[key].conns
 
 
 def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:

@@ -1,15 +1,18 @@
 """Property tests: the coefficient-scan kernel against a brute-force scan of
-the whole integer coefficient box, on random exact rational lattices."""
+the whole integer coefficient box, on random exact rational lattices, and the
+exact int-numerator strip order against a brute-force Fraction sort."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, Mat2, Vec2, VerticalStrip, shear
 from gapkit.lattice import UnimodularLattice
+from gapkit.pointcloud import (ExactRows, PointSystem, is_horizontally_short,
+                               slopes_in_strip, strip_points)
 
 SETTINGS = settings.get_profile("gapkit")
 
@@ -90,3 +93,89 @@ def test_affine_ball_matches_brute_force(lat, u, v, radius):
     if len(got):
         dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
         assert np.all(dist.min(axis=1) < 1e-9)
+
+
+def x_step(lat):
+    """The positive generator of the x-projection of a rational lattice; the
+    strip of width eta holds primitive points exactly when it is <= eta."""
+    a, b = Fraction(lat.basis.a), Fraction(lat.basis.b)
+    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
+def slope_sort(points):
+    """(slope, point) pairs sorted by exact Fraction slope, keeping the first
+    point of each slope value."""
+    out = []
+    for s, v in sorted(((Fraction(v.y) / Fraction(v.x), v) for v in points),
+                       key=lambda r: r[0]):
+        if not out or s != out[-1][0]:
+            out.append((s, v))
+    return out
+
+
+@SETTINGS
+@given(rational_lattices(),
+       st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=8),
+       st.integers(1, 40))
+def test_exact_strip_slopes_match_fraction_sort(lat, eta, n):
+    assume(x_step(lat) <= eta)
+    got = strip_points(lat, eta, n)
+    # every slope <= the n-th lies below height slope * eta
+    height = got[-1][0] * eta
+    g = lat.basis
+    mrange, krange = coefficient_box(g, 0, eta, 0, height)
+    pts = [Vec2(g.a * m + g.b * k, g.c * m + g.d * k)
+           for m in mrange for k in krange if math.gcd(m, k) == 1]
+    want = slope_sort(v for v in pts if 0 < v.x <= eta and 0 <= v.y <= height)[:n]
+    assert got == want
+    # same scalar types as the basis arithmetic gives
+    assert [(type(s), type(v.x), type(v.y)) for s, v in got] == \
+        [(type(s), type(v.x), type(v.y)) for s, v in want]
+    assert slopes_in_strip(lat, eta, n).slopes == tuple(s for s, _ in want)
+
+
+@SETTINGS
+@given(rational_lattices(),
+       st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=8))
+def test_exact_ball_horizontally_short_matches_fraction_test(lat, eta):
+    # is_horizontally_short enumerates the ball of radius eta (1 + 1e-12)
+    radius = float(eta) * (1.0 + 1e-12)
+    got = lat.enumerate_points(Ball(radius))
+    want = brute_force(lat, lambda v: v.norm_sq() <= Fraction(radius) ** 2,
+                       (-radius, radius, -radius, radius))
+    assert {(v.x, v.y) for v in got} == want
+    short = any(y == 0 and 0 < abs(x) <= eta for x, y in want)
+    assert is_horizontally_short(lat, eta) == short
+
+
+class RowsSystem(PointSystem):
+    """A finite exact point set given as int rows over a denominator."""
+
+    def __init__(self, rows, d):
+        self.rows, self.d = rows, d
+
+    def exact_rows(self, region, limit=None):
+        eta, height = Fraction(region.eta), Fraction(region.height)
+        inside = [(x, y) for x, y in self.rows
+                  if 0 < Fraction(x, self.d) <= eta and 0 <= Fraction(y, self.d) <= height]
+        return ExactRows([x for x, _ in inside], [y for _, y in inside], self.d)
+
+
+BIG = 2 ** 60
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40),
+                          st.integers(0, 20), st.integers(1, 3)),
+                min_size=2, max_size=40))
+def test_float_key_ties_ordered_exactly(draws):
+    # row q (BIG + j, k (BIG + j) + t): slope k + t / (BIG + j); for k >= 1
+    # these collide in float, and q > 1 repeats an exact slope at another point
+    rows = [(q * (BIG + j), q * (k * (BIG + j) + t)) for k, j, t, q in draws]
+    slopes = [Fraction(y, x) for x, y in rows]
+    assume(any(s != t and float(s) == float(t) for s in slopes for t in slopes))
+    system = RowsSystem(rows, BIG)
+    want = slope_sort(Vec2(Fraction(x, BIG), Fraction(y, BIG)) for x, y in rows)
+    for n in (1, len(want) // 2, len(want)):
+        assert strip_points(system, 4, n) == want[:n]

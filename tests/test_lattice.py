@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from gapkit.core import Ball, Mat2, shear
 from gapkit.lattice import (UnimodularLattice, ZSQUARED, has_vertical_vector,
                             poisson_baseline, seeded_lattice, slope_gaps_fast,
                             strip_vectors, to_transversal)
-from gapkit.pointcloud import gaps, slopes_in_strip
+from gapkit.errors import ExhaustionError
+from gapkit.pointcloud import gaps, slopes_in_strip, strip_points
 
 
 class TestConstruction:
@@ -104,6 +106,95 @@ class TestTransversal:
         direct = gaps(slopes_in_strip(lat.to_float(), 1, 1001)).floats()
         fast = slope_gaps_fast(lat, 1, 1000).floats()
         assert np.allclose(fast, direct, atol=1e-9)
+
+
+def _digest(items):
+    return hashlib.sha256("\n".join(map(str, items)).encode()).hexdigest()
+
+
+class TestPinnedExactEnumeration:
+    """Exact strip output pinned by digest: values, order and scalar types
+    (int vs Fraction) must never change."""
+
+    SLOPES = {
+        0: "218cb7c663ed4f78b1e23a65e67b4faf5054c5ee532012d43526d478d9a5ebaf",
+        5: "89d23ca1385802b598045c495d7e337874c8e18028494ed4164476a279b859f5",
+        17: "7242b92323d1cf6bb4bf41cab89d19d06cdf6c6fea9edc042ca4bff4c7777b0a",
+    }
+    VECTORS = {
+        0: "794dcd0ff7efe2dcda643ca618feec81c0efbbec95b9cb2c469f98cff14d85a7",
+        5: "d122289521416f2acc00d8718435bc583731da9bd94c86b17f8d7c9d448bee0c",
+        17: "6a57e932682404c2b7674fbd3683959a41c2513fdb663c56000c132aaf2cb0f9",
+    }
+    TRANSVERSAL = {
+        5: ("702886030052785256997513798531230744831786108683/"
+            "730750818665451472305501160732110985741966770176",
+            "607291909940720559194690182955291307693623101195/"
+            "730750818665451472305501160732110985741966770176",
+            "797858528418857706856548208909954389618662488533/"
+            "702886030052785256997513798531230744831786108683"),
+        17: ("301960979465776929431008740641711449805607853097/"
+             "730750818665451372156049386030224418485882060800",
+             "721104115266035890749715918109060256349135344763/"
+             "730750818665451372156049386030224418485882060800",
+             "1812244049560952751923541415736014681505445609167/"
+             "603921958931553858862017481283422899611215706194"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SLOPES))
+    def test_slopes_digest(self, seed):
+        slopes = slopes_in_strip(seeded_lattice(seed), 1, 2001).slopes
+        assert len(slopes) == 2001
+        assert all(type(s) is Fraction for s in slopes)
+        assert _digest(slopes) == self.SLOPES[seed]
+
+    @pytest.mark.parametrize("seed", sorted(VECTORS))
+    def test_strip_vectors_digest(self, seed):
+        vecs = strip_vectors(seeded_lattice(seed), 1, 50)
+        assert all(type(v.x) is Fraction and type(v.y) is Fraction for v in vecs)
+        assert _digest(f"{v.x}|{v.y}" for v in vecs) == self.VECTORS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(TRANSVERSAL))
+    def test_transversal(self, seed):
+        point, first = to_transversal(seeded_lattice(seed), 1)
+        assert (str(point.a), str(point.b), str(first)) == self.TRANSVERSAL[seed]
+        assert point.eta == 1
+        assert type(point.a) is Fraction and type(point.b) is Fraction
+
+    @pytest.mark.parametrize("lat, eta, want", [
+        # (slope, x, y) as strings and as scalar types
+        (ZSQUARED, 4, [("0", "1", "0"), ("1/4", "4", "1"), ("1/3", "3", "1"),
+                       ("1/2", "2", "1"), ("2/3", "3", "2"), ("3/4", "4", "3")]),
+        (UnimodularLattice(Mat2(Fraction(1, 10), 0, 5, 10)), Fraction(1, 10),
+         [("50", "1/10", "5"), ("150", "1/10", "15"), ("250", "1/10", "25"),
+          ("350", "1/10", "35"), ("450", "1/10", "45"), ("550", "1/10", "55")]),
+        (UnimodularLattice(Mat2(1, Fraction(355, 113), 0, 1)), 1,
+         [("0", "1", "0"), ("113/16", "16/113", "1"), ("1582/111", "111/113", "14"),
+          ("1469/95", "95/113", "13"), ("1356/79", "79/113", "12"),
+          ("1243/63", "63/113", "11")]),
+    ])
+    def test_scalar_types(self, lat, eta, want):
+        # a coordinate is an int exactly when its basis row has int entries;
+        # slopes are always Fractions
+        rows = strip_points(lat, eta, 6)
+        assert [(str(s), str(v.x), str(v.y)) for s, v in rows] == want
+        int_x = all(type(e) is int for e in (lat.basis.a, lat.basis.b))
+        int_y = all(type(e) is int for e in (lat.basis.c, lat.basis.d))
+        for s, v in rows:
+            assert type(s) is Fraction
+            assert type(v.x) is (int if int_x else Fraction)
+            assert type(v.y) is (int if int_y else Fraction)
+
+    def test_exhaustion_partial(self):
+        # strip points (1/10, 5 + 10 k): 128 of them lie below the last height
+        lat = UnimodularLattice(Mat2(Fraction(1, 10), 0, 5, 10))
+        with pytest.raises(ExhaustionError) as err:
+            slopes_in_strip(lat, Fraction(1, 10), 200, height_budget=1024.0)
+        assert str(err.value) == "found 128 of 200 slopes below height 1280.0"
+        partial = err.value.partial
+        assert partial.eta == Fraction(1, 10)
+        assert partial.slopes == tuple(Fraction(50 + 100 * k) for k in range(128))
+        assert all(type(s) is Fraction for s in partial.slopes)
 
 
 class TestFastGaps:

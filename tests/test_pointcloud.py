@@ -45,7 +45,8 @@ class TestSlopesInStrip:
         lat = UnimodularLattice(Mat2(0, -1, 1, Fraction(1, 2)))
         with pytest.raises(ExhaustionError) as err:
             slopes_in_strip(lat, Fraction(1, 2), 5, height_budget=1024.0)
-        assert len(err.value.partial) == 0
+        assert str(err.value) == "found 0 of 5 slopes below height 1280.0"
+        assert err.value.partial == pointcloud.SlopeSequence(Fraction(1, 2), ())
 
     def test_unbounded_strip_enumeration_rejected(self):
         from gapkit.core import VerticalStrip

@@ -132,6 +132,10 @@ class TestRadiusCache:
     @pytest.mark.parametrize("make, cached, smaller", [
         (golden_l, 15.0, 7.5),
         (lambda: l_shape(1.3, 2.1), 12.0, 10.0),
+        # radii on the cut: connections of length exactly 1 and 15/4
+        (golden_l, 15.0, 1.0),
+        (lambda: l_shape(Fraction(3, 2), Fraction(5, 4)), 6.0, 3.75),
+        (lambda: l_shape(1.5, 1.25), 6.0, 3.75),
     ])
     def test_smaller_radius_filters_the_cached_tuple(self, monkeypatch, make,
                                                      cached, smaller):
@@ -147,6 +151,8 @@ class TestRadiusCache:
         assert served == fresh
         assert [(str(c.holonomy), c.path) for c in served] == \
             [(str(c.holonomy), c.path) for c in fresh]
+        if surf._exact and smaller in (1.0, 3.75):
+            assert any(c.length_sq == Fraction(smaller) ** 2 for c in served)
 
 
 class TestPinnedGoldenOutput:
