@@ -13,6 +13,12 @@ Fraction slopes and exact points are built only for the rows a caller
 receives.  A point is primitive exactly when its coefficient pair is
 coprime, which is basis-independent.
 
+The kernel also scans a stack of bases over one box in the same few numpy
+calls, returning the owner of each point; UnimodularLattice.enumerate_each
+uses it to enumerate many float lattices at once (the hitting-time
+candidates of pointcloud.hitting_times).  Per-system enumerate_points stays
+the definition: the stack, split by owner, equals it value for value.
+
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
 is what lets the fast path be compared against the enumeration oracle at
@@ -56,29 +62,30 @@ def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
     entries (row-major).  The reduced columns are the two successive minima
     up to sign, so coefficient boxes computed from it stay small.
     """
-    v1 = (basis.a, basis.c)
-    v2 = (basis.b, basis.d)
+    x1, y1, x2, y2 = basis.a, basis.c, basis.b, basis.d
     u = (1, 0, 0, 1)  # columns track coefficient combinations
-
-    def nsq(v):
-        return v[0] * v[0] + v[1] * v[1]
-
     for _ in range(256):
-        if nsq(v1) > nsq(v2):
-            v1, v2 = v2, v1
+        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        if n1 > n2:
+            x1, y1, x2, y2, n1 = x2, y2, x1, y1, n2
             u = (u[1], u[0], u[3], u[2])
-        denom = nsq(v1)
-        mu = round((v1[0] * v2[0] + v1[1] * v2[1]) / denom)
+        mu = round((x1 * x2 + y1 * y2) / n1)
         if mu == 0:
             break
-        v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
+        x2, y2 = x2 - mu * x1, y2 - mu * y1
         u = (u[0], u[1] - mu * u[0], u[2], u[3] - mu * u[2])
     else:
         raise ResourceLimitError("basis reduction did not converge")
-    return Mat2(v1[0], v2[0], v1[1], v2[1]), u
+    return Mat2(x1, x2, y1, y2), u
 
 
-def coefficient_scan(basis: Mat2, xlo, xhi, ylo, yhi, shift=(0.0, 0.0),
+def _ragged(starts, lens, total: int):
+    """Concatenated ranges [starts[r], starts[r] + lens[r]) as one int64
+    array; ``total`` is lens.sum()."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
+
+
+def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None,
                      margin: float = 0.0, budget: int = DEFAULT_CELL_BUDGET):
     """Points basis (m, k) + shift whose float coordinates lie in a box.
 
@@ -88,42 +95,93 @@ def coefficient_scan(basis: Mat2, xlo, xhi, ylo, yhi, shift=(0.0, 0.0),
     rather than their bounding area.  Returns the coefficients m, k in
     ``basis`` as int64 arrays and the coordinates x, y as float arrays of
     every point in the box widened by ``margin``.  Exact callers rebuild
-    the points from m, k and decide membership exactly.  More than
-    ``budget`` rows or cells raises ResourceLimitError.
+    the points from m, k and decide membership exactly.
+
+    ``basis`` may also be a sequence of bases, scanned over the same box as
+    one stack (``shift``, if given, then holds one pair per basis): each
+    basis is reduced as alone, their row ranges are laid out end to end,
+    and every row and cell carries its basis's coefficients, so a stack
+    costs a few numpy calls however many bases it holds.  A stack returns a
+    fifth array, ``owner``, the index of each point's basis; the points of
+    basis t are the slice owner == t, equal value for value and in order to
+    the scan of basis t alone.  A single basis keeps scalar coefficients
+    and returns no owner.  More than ``budget`` rows or cells (over the
+    whole stack) raises ResourceLimitError.
     """
-    red, u = lagrange_reduce(basis.to_float())
-    a, b, c, d = red.entries()
-    if abs(b) < abs(a):  # iterate the coefficient of the column with smaller |x|
-        a, b, c, d = b, a, d, c
-        u = (u[1], u[0], u[3], u[2])
-    sx, sy = map(float, shift)
+    stacked = not isinstance(basis, Mat2)
+    bases = list(basis) if stacked else [basis]
+    if shift is None:
+        shifts = [(0.0, 0.0)] * len(bases)
+    else:
+        shifts = list(shift) if stacked else [shift]
     xlo, xhi, ylo, yhi = float(xlo), float(xhi), float(ylo), float(yhi)
-    det = a * d - b * c
-    ivals = [(d * (x - sx) - b * (y - sy)) / det for x in (xlo, xhi) for y in (ylo, yhi)]
-    ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
-    if ihi - ilo > budget:
-        raise ResourceLimitError(
-            f"coefficient range {ihi - ilo} exceeds the enumeration budget {budget}")
-    i = np.arange(ilo, ihi + 1, dtype=np.int64)
-    # b != 0 (it is the larger |x| of a basis), so the x-constraint bounds j
-    e1, e2 = (xlo - sx - a * i) / b, (xhi - sx - a * i) / b
-    jlo, jhi = np.minimum(e1, e2), np.maximum(e1, e2)
-    if d != 0.0:
-        e1, e2 = (ylo - sy - c * i) / d, (yhi - sy - c * i) / d
-        jlo, jhi = np.maximum(jlo, np.minimum(e1, e2)), np.minimum(jhi, np.maximum(e1, e2))
-    j0 = np.floor(jlo).astype(np.int64) - 1
-    lens = np.maximum(np.ceil(jhi).astype(np.int64) + 2 - j0, 0)
-    total = int(lens.sum())
-    if total > budget:
-        raise ResourceLimitError(f"{total} cells exceed the enumeration budget {budget}")
+    coefs, us, los, his, span = [], [], [], [], 0
+    for g, (sx, sy) in zip(bases, shifts):
+        red, u = lagrange_reduce(g.to_float())
+        a, b, c, d = red.entries()
+        if abs(b) < abs(a):  # iterate the coefficient of the column with smaller |x|
+            a, b, c, d = b, a, d, c
+            u = (u[1], u[0], u[3], u[2])
+        sx, sy = float(sx), float(sy)
+        det = a * d - b * c
+        ivals = [(d * (x - sx) - b * (y - sy)) / det for x in (xlo, xhi) for y in (ylo, yhi)]
+        ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
+        span += ihi - ilo
+        if span > budget:
+            raise ResourceLimitError(
+                f"coefficient range {span} exceeds the enumeration budget {budget}")
+        coefs.append((a, b, c, d, sx, sy))
+        us.append(u)
+        los.append(ilo)
+        his.append(ihi)
+    if stacked:
+        coefs = np.array(coefs, dtype=float).reshape(-1, 6)
+        us = np.array(us, dtype=np.int64).reshape(-1, 4)
+        los = np.array(los, dtype=np.int64)
+        nrows = np.array(his, dtype=np.int64) - los + 1
+        owner = np.repeat(np.arange(len(bases)), nrows)
+        i = _ragged(los, nrows, int(nrows.sum()))
+        a, b, c, d, sx, sy = coefs[owner].T
+    else:
+        (a, b, c, d, sx, sy), u = coefs[0], us[0]
+        i = np.arange(los[0], his[0] + 1, dtype=np.int64)
+    # b != 0 (it is the larger |x| of a basis), so the x-constraint bounds j;
+    # a zero or tiny d puts nan or huge y-bounds on j, handled below
+    with np.errstate(all="ignore"):
+        e1, e2 = (xlo - sx - a * i) / b, (xhi - sx - a * i) / b
+        jlo, jhi = np.minimum(e1, e2), np.maximum(e1, e2)
+        if stacked or d != 0.0:  # a horizontal b column (d == 0) leaves j free in y
+            e1, e2 = (ylo - sy - c * i) / d, (yhi - sy - c * i) / d
+            ylo_j = np.maximum(jlo, np.minimum(e1, e2))
+            yhi_j = np.minimum(jhi, np.maximum(e1, e2))
+            if stacked:  # per-row select: the rows with d == 0 keep their x-bounds
+                live = d != 0.0
+                ylo_j, yhi_j = np.where(live, ylo_j, jlo), np.where(live, yhi_j, jhi)
+            jlo, jhi = ylo_j, yhi_j
+        # cells are counted in floats, since a row's bounds may lie beyond
+        # int64; such a row is over the budget or empty, and the start of an
+        # empty row (wrapped in the cast) is never used
+        j0 = np.floor(jlo) - 1
+        lens = np.maximum(np.ceil(jhi) + 2 - j0, 0.0)
+        total = lens.sum()
+        if total > budget:
+            raise ResourceLimitError(f"{total:.0f} cells exceed the enumeration budget {budget}")
+        total, lens, j0 = int(total), lens.astype(np.int64), j0.astype(np.int64)
     rows = np.repeat(i, lens)
-    js = np.repeat(j0 - (np.cumsum(lens) - lens), lens) + np.arange(total)
+    js = _ragged(j0, lens, total)
+    if stacked:
+        owner = np.repeat(owner, lens)
+        a, b, c, d, sx, sy = coefs[owner].T
     x = a * rows + b * js + sx
     y = c * rows + d * js + sy
     keep = (x >= xlo - margin) & (x <= xhi + margin) \
         & (y >= ylo - margin) & (y <= yhi + margin)
     rows, js = rows[keep], js[keep]
-    return u[0] * rows + u[1] * js, u[2] * rows + u[3] * js, x[keep], y[keep]
+    if stacked:
+        owner = owner[keep]
+        u = us[owner].T
+    out = (u[0] * rows + u[1] * js, u[2] * rows + u[3] * js, x[keep], y[keep])
+    return out + (owner,) if stacked else out
 
 
 @dataclass(frozen=True)
@@ -164,27 +222,6 @@ class UnimodularLattice(PointSystem):
 
     # -- enumeration ------------------------------------------------------
 
-    def _scan(self, region: Region, limit: Optional[int]):
-        """Primitive coefficients (m, k) and float coordinates (x, y) of the
-        points near the region's box; the float scan only steers."""
-        if isinstance(region, VerticalStrip):
-            if math.isinf(region.height):
-                raise ValueError("cannot enumerate an unbounded strip; cap the height")
-            box = (0, region.eta, 0, region.height)
-        else:
-            radius = region.bounding_radius()
-            if radius is None:
-                raise ValueError(f"region {region!r} is unbounded")
-            box = (-radius, radius, -radius, radius)
-        # float prescreen margin: well clear of double rounding, far below
-        # any gap the exact test would have to arbitrate
-        margin = 1e-6 * max(1.0, *(abs(float(t)) for t in box))
-        m, k, x, y = coefficient_scan(
-            self.basis, *box, margin=margin,
-            budget=DEFAULT_CELL_BUDGET if limit is None else limit)
-        primitive = np.gcd(m, k) == 1
-        return m[primitive], k[primitive], x[primitive], y[primitive]
-
     def exact_rows(self, region: Region, limit: Optional[int] = None) -> Optional[ExactRows]:
         """Exact bases: the primitive points in the region as int numerators
         over the common denominator D of the basis entries.
@@ -197,7 +234,7 @@ class UnimodularLattice(PointSystem):
         """
         if not self.is_exact():
             return None
-        m, k, _, _ = self._scan(region, limit)
+        m, k, _, _ = _primitive_scan(self.basis, region, limit)
         (a, b, c, e), d = common_denominator(self.basis.entries())
         m, k = m.tolist(), k.tolist()
         xs = [a * i + b * j for i, j in zip(m, k)]
@@ -225,11 +262,68 @@ class UnimodularLattice(PointSystem):
         rows = self.exact_rows(region, limit)
         if rows is not None:
             return rows.points()
-        _, _, x, y = self._scan(region, limit)
-        inside = region.contains
-        if isinstance(region, VerticalStrip):
-            inside = lambda v: 0 < v.x <= region.eta and 0 <= v.y <= region.height
-        return [v for v in map(Vec2, x.tolist(), y.tolist()) if inside(v)]
+        _, _, x, y = _primitive_scan(self.basis, region, limit)
+        return list(filter(_float_test(region), map(Vec2, x.tolist(), y.tolist())))
+
+    @classmethod
+    def enumerate_each(cls, systems, region: Region,
+                       limit: Optional[int] = None) -> list[list[Vec2]]:
+        """enumerate_points(region) of every system, float bases in one
+        stacked coefficient_scan.
+
+        The stack applies the same primitivity filter and membership test as
+        enumerate_points and is split by owner, so each list equals that
+        system's enumerate_points in values and order; ``limit`` caps the
+        cells of the whole stack.  Exact bases (and systems that are not
+        lattices) keep their own enumerate_points.
+        """
+        out = [None] * len(systems)
+        stack = [t for t, s in enumerate(systems)
+                 if isinstance(s, UnimodularLattice) and not s.is_exact()]
+        if stack:
+            _, _, x, y, owner = _primitive_scan([systems[t].basis for t in stack],
+                                                region, limit)
+            inside = _float_test(region)
+            for t in stack:
+                out[t] = []
+            for v, t in zip(map(Vec2, x.tolist(), y.tolist()), owner.tolist()):
+                if inside(v):
+                    out[stack[t]].append(v)
+        for t, s in enumerate(systems):
+            if out[t] is None:
+                out[t] = s.enumerate_points(region, limit)
+        return out
+
+
+def _primitive_scan(basis, region: Region, limit: Optional[int]):
+    """coefficient_scan of a basis (or a stack of bases) over the region's
+    box, non-primitive points dropped: coefficients (m, k) and float
+    coordinates (x, y) of the points near the box; the float scan only
+    steers."""
+    if isinstance(region, VerticalStrip):
+        if math.isinf(region.height):
+            raise ValueError("cannot enumerate an unbounded strip; cap the height")
+        box = (0, region.eta, 0, region.height)
+    else:
+        radius = region.bounding_radius()
+        if radius is None:
+            raise ValueError(f"region {region!r} is unbounded")
+        box = (-radius, radius, -radius, radius)
+    # float prescreen margin: well clear of double rounding, far below
+    # any gap the exact test would have to arbitrate
+    margin = 1e-6 * max(1.0, *(abs(float(t)) for t in box))
+    scan = coefficient_scan(basis, *box, margin=margin,
+                            budget=DEFAULT_CELL_BUDGET if limit is None else limit)
+    primitive = np.gcd(scan[0], scan[1]) == 1
+    return tuple(col[primitive] for col in scan)
+
+
+def _float_test(region: Region):
+    """The membership test of float lattice points: the strip's own
+    inequalities, or the region's contains."""
+    if isinstance(region, VerticalStrip):
+        return lambda v: 0 < v.x <= region.eta and 0 <= v.y <= region.height
+    return region.contains
 
 
 def _floor_times(value, d: int) -> int:

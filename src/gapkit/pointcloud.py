@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter, truediv
 from typing import Optional
 
@@ -62,6 +62,16 @@ class PointSystem:
     def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
         """All points of the set inside a bounded region (order unspecified)."""
         raise NotImplementedError
+
+    @classmethod
+    def enumerate_each(cls, systems, region: Region,
+                       limit: Optional[int] = None) -> list[list[Vec2]]:
+        """enumerate_points(region, limit) of each of ``systems``, in order.
+
+        Per-system enumeration is the definition; a class may override this
+        to enumerate many of its systems at once, returning equal lists.
+        """
+        return [s.enumerate_points(region, limit) for s in systems]
 
     def exact_rows(self, region: Region, limit: Optional[int] = None) -> Optional["ExactRows"]:
         """The points in the region as int numerators, when the system has
@@ -244,19 +254,27 @@ def gaps(seq: SlopeSequence) -> GapSequence:
     return GapSequence(tuple(t - s for s, t in zip(seq.slopes, seq.slopes[1:])))
 
 
-def _has_axis_vector(system: PointSystem, eta, horizontal: bool, tol: float) -> bool:
-    """Bounded search for a horizontal (or vertical) vector of length <= eta."""
-    pts = system.enumerate_points(Ball(float(eta) * (1.0 + 1e-12)))
-    for v in pts:
-        small, span = (v.y, v.x) if horizontal else (v.x, v.y)
-        if is_exact(small):
-            if small != 0:
-                continue
-        elif abs(float(small)) > tol:
-            continue
-        if span != 0 and abs(float(span)) <= float(eta) * (1 + 1e-12):
-            return True
-    return False
+def _has_axis_vector(systems: list, eta, horizontal: bool, tols: list) -> list[bool]:
+    """Bounded search for a horizontal (or vertical) vector of length <= eta,
+    one answer per system (``tols[t]`` is the float zero test of system t);
+    the systems are enumerated together through the first one's
+    enumerate_each."""
+    if not systems:
+        return []
+    radius = float(eta) * (1 + 1e-12)
+    found = type(systems[0]).enumerate_each(systems, Ball(radius))
+    return [any(_on_axis(v, horizontal, tol, radius) for v in pts)
+            for pts, tol in zip(found, tols)]
+
+
+def _on_axis(v: Vec2, horizontal: bool, tol: float, radius: float) -> bool:
+    small, span = (v.y, v.x) if horizontal else (v.x, v.y)
+    if is_exact(small):
+        if small != 0:
+            return False
+    elif abs(float(small)) > tol:
+        return False
+    return span != 0 and abs(float(span)) <= radius
 
 
 def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
@@ -268,14 +286,14 @@ def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bo
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    return _has_axis_vector(system, eta, horizontal=True, tol=tol)
+    return _has_axis_vector([system], eta, True, [tol])[0]
 
 
 def is_vertically_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
     """True when the set holds a vertical vector of length at most eta."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    return _has_axis_vector(system, eta, horizontal=False, tol=tol)
+    return _has_axis_vector([system], eta, False, [tol])[0]
 
 
 def is_exceptional(system: PointSystem, eta) -> bool:
@@ -297,13 +315,12 @@ def hitting_times(system: PointSystem, eta, n: int) -> list:
     Candidates come from the strip slopes; each one is then verified through
     the independent route: apply the shear to the system and test shortness
     by enumeration.  Candidates failing verification are dropped, so any
-    disagreement with slopes_in_strip is observable.
+    disagreement with slopes_in_strip is observable.  All candidates are
+    enumerated in one call, PointSystem.enumerate_each, which scans float
+    lattices as one stack; per-system enumeration remains the definition,
+    so the result is the candidates for which is_horizontally_short holds.
     """
-    seq = slopes_in_strip(system, eta, n)
-    out = []
-    for s in seq.slopes:
-        sheared = system.act(shear(s))
-        tol = AXIS_TOL * max(1.0, abs(float(s)))
-        if is_horizontally_short(sheared, eta, tol=tol):
-            out.append(s)
-    return out
+    slopes = slopes_in_strip(system, eta, n).slopes
+    sheared = [system.act(shear(s)) for s in slopes]
+    tols = [AXIS_TOL * max(1.0, abs(float(s))) for s in slopes]
+    return list(compress(slopes, _has_axis_vector(sheared, eta, True, tols)))

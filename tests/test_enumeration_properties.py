@@ -1,16 +1,18 @@
 """Property tests: the coefficient-scan kernel against a brute-force scan of
-the whole integer coefficient box, on random exact rational lattices, and the
-exact int-numerator strip order against a brute-force Fraction sort."""
+the whole integer coefficient box, on random exact rational lattices; the
+exact int-numerator strip order against a brute-force Fraction sort; and a
+stacked scan of many float bases against one scan per basis."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, Mat2, Vec2, VerticalStrip, shear
-from gapkit.lattice import UnimodularLattice
+from gapkit.lattice import UnimodularLattice, coefficient_scan
 from gapkit.pointcloud import (ExactRows, PointSystem, is_horizontally_short,
                                slopes_in_strip, strip_points)
 
@@ -179,3 +181,47 @@ def test_float_key_ties_ordered_exactly(draws):
     want = slope_sort(Vec2(Fraction(x, BIG), Fraction(y, BIG)) for x, y in rows)
     for n in (1, len(want) // 2, len(want)):
         assert strip_points(system, 4, n) == want[:n]
+
+
+@st.composite
+def float_bases(draw):
+    """shear(s) diag(r, 1/r) U with U in SL(2, Z), in floats."""
+    s, r = draw(st.floats(-4.0, 4.0)), draw(st.floats(0.3, 3.0))
+    t, u = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return shear(s) @ Mat2(r, 0.0, 0.0, 1.0 / r) @ Mat2(1, t, 0, 1) @ Mat2(1, 0, u, 1)
+
+
+boxes = st.one_of(
+    st.floats(0.5, 3.0).map(lambda r: (-r, r, -r, r)),
+    st.tuples(st.floats(0.25, 2.0), st.floats(0.0, 6.0)).map(
+        lambda eh: (0.0, eh[0], 0.0, eh[1])))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@SETTINGS
+@given(st.lists(float_bases(), min_size=1, max_size=6), boxes, st.booleans(),
+       st.floats(0.0, 1.0, exclude_max=True))
+# a nearly horizontal column puts a row's y-bound for j near 1e300
+@example([Mat2(1.0, 0.0, -1e-300, 1.0), Mat2(1.0, 0.0, 0.0, 1.0)],
+         (-1.0, 1.0, -1.0, 1.0), False, 0.0)
+def test_stacked_scan_matches_scan_per_basis(bases, box, shifted, u):
+    shifts = [g @ Vec2(u, 1.0 - u) for g in bases] if shifted else None
+    m, k, x, y, owner = coefficient_scan(bases, *box, shift=shifts, margin=1e-6)
+    assert np.all(np.diff(owner) >= 0)
+    for t, g in enumerate(bases):
+        one = coefficient_scan(g, *box, shift=shifts[t] if shifted else None, margin=1e-6)
+        for got, want in zip((m, k, x, y), one):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got[owner == t], want)
+
+
+@SETTINGS
+@given(st.lists(float_bases(), min_size=1, max_size=6), rational_lattices(),
+       st.floats(0.5, 3.0), st.floats(0.25, 2.0), st.floats(0.0, 6.0))
+def test_enumerate_each_matches_enumerate_points(bases, exact, radius, eta, height):
+    # float bases go through one stack, the exact lattice through exact_rows
+    systems = [UnimodularLattice(g) for g in bases]
+    systems.insert(len(systems) // 2, exact)
+    for region in (Ball(radius), VerticalStrip(eta, height)):
+        assert UnimodularLattice.enumerate_each(systems, region) == \
+            [s.enumerate_points(region) for s in systems]

@@ -297,3 +297,9 @@ class TestEnumerationBudget:
         from gapkit.errors import ResourceLimitError
         with pytest.raises(ResourceLimitError):
             ZSQUARED.enumerate_points(Ball(4000.0), limit=10)
+        # a stack is held to the budget as a whole: each of these scans
+        # 81 cells, under the limit alone, the three together over it
+        flat = ZSQUARED.to_float()
+        assert flat.enumerate_points(Ball(3.0), limit=100)
+        with pytest.raises(ResourceLimitError):
+            UnimodularLattice.enumerate_each([flat] * 3, Ball(3.0), limit=100)

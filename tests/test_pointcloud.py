@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from gapkit import lattice, pointcloud, surface
 from gapkit.core import Ball, Mat2, diag_flow, rotation, shear
 from gapkit.errors import UnsupportedQueryError
 from gapkit.lattice import UnimodularLattice, ZSQUARED
-from gapkit.pointcloud import (SlopeSequence, gaps,
+from gapkit.pointcloud import (PointSystem, SlopeSequence, gaps,
                                hitting_times, is_exceptional,
                                is_horizontally_short, is_vertically_short,
                                slopes_in_strip)
@@ -110,6 +111,9 @@ class TestHittingTimes:
 
     def test_empty(self):
         assert hitting_times(ZSQUARED, 1, 0) == []
+        # no candidate: nothing to stack
+        assert hitting_times(ZSQUARED.to_float(), 1, 0) == []
+        assert UnimodularLattice.enumerate_each([], Ball(1.0)) == []
 
     def test_matches_slopes_random_lattices(self, seeded_lattices):
         for lat in seeded_lattices[:5]:
@@ -118,6 +122,65 @@ class TestHittingTimes:
             times = hitting_times(flat, 1, 60)
             assert len(times) == 60
             assert np.allclose(times, slopes, atol=1e-9)
+
+    def test_matches_per_candidate_verification(self, seeded_lattices):
+        # the reference: verify each candidate on its own
+        for lat in seeded_lattices:
+            flat = lat.to_float()
+            slopes = slopes_in_strip(flat, 1, 80).slopes
+            want = [s for s in slopes
+                    if is_horizontally_short(flat.act(shear(s)), 1,
+                                             pointcloud.AXIS_TOL * max(1.0, abs(s)))]
+            assert hitting_times(flat, 1, 80) == want
+
+    @pytest.mark.parametrize("route", ["stacked", "per-system"])
+    def test_drops_a_failed_candidate(self, route, seeded_lattices, monkeypatch):
+        flat = seeded_lattices[4].to_float()
+        slopes = slopes_in_strip(flat, 1, 30).slopes
+        bad = slopes[17]
+        system = PerturbedLattice(flat.basis, bad=bad)
+        if route == "per-system":
+            system = PerSystem(system)
+        scans = []
+
+        def spy(basis, *args, **kwargs):
+            scans.append(basis)
+            return scan(basis, *args, **kwargs)
+
+        scan = lattice.coefficient_scan
+        monkeypatch.setattr(lattice, "coefficient_scan", spy)
+        assert hitting_times(system, 1, 30) == [s for s in slopes if s != bad]
+        stacks = [b for b in scans if isinstance(b, list)]
+        if route == "stacked":
+            assert [len(b) for b in stacks] == [30]
+        else:
+            assert stacks == []
+
+
+@dataclass(frozen=True)
+class PerturbedLattice(UnimodularLattice):
+    """A float lattice whose shear by ``bad`` lands 1e-3 off that slope, so
+    the strip vector of slope ``bad`` is not horizontal after it."""
+
+    bad: float = 0.0
+
+    def act(self, g):
+        if g == shear(self.bad):
+            g = shear(self.bad + 1e-3)
+        return UnimodularLattice(g @ self.basis)
+
+
+class PerSystem(PointSystem):
+    """A lattice behind the default, per-system enumerate_each."""
+
+    def __init__(self, lat):
+        self.lat = lat
+
+    def enumerate_points(self, region, limit=None):
+        return self.lat.enumerate_points(region, limit)
+
+    def act(self, g):
+        return PerSystem(self.lat.act(g))
 
 
 class TestEquivariance:
