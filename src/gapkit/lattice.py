@@ -268,30 +268,24 @@ class UnimodularLattice(PointSystem):
     @classmethod
     def enumerate_each(cls, systems, region: Region,
                        limit: Optional[int] = None) -> list[list[Vec2]]:
-        """enumerate_points(region) of every system, float bases in one
-        stacked coefficient_scan.
+        """enumerate_points(region) of every system; a list of float
+        lattices is enumerated by one stacked coefficient_scan.
 
         The stack applies the same primitivity filter and membership test as
         enumerate_points and is split by owner, so each list equals that
         system's enumerate_points in values and order; ``limit`` caps the
-        cells of the whole stack.  Exact bases (and systems that are not
-        lattices) keep their own enumerate_points.
+        cells of the whole stack.  Any other list (one holding an exact
+        basis, or a system that is not a lattice) is enumerated one by one.
         """
-        out = [None] * len(systems)
-        stack = [t for t, s in enumerate(systems)
-                 if isinstance(s, UnimodularLattice) and not s.is_exact()]
-        if stack:
-            _, _, x, y, owner = _primitive_scan([systems[t].basis for t in stack],
-                                                region, limit)
-            inside = _float_test(region)
-            for t in stack:
-                out[t] = []
-            for v, t in zip(map(Vec2, x.tolist(), y.tolist()), owner.tolist()):
-                if inside(v):
-                    out[stack[t]].append(v)
-        for t, s in enumerate(systems):
-            if out[t] is None:
-                out[t] = s.enumerate_points(region, limit)
+        if not systems or not all(isinstance(s, UnimodularLattice) and not s.is_exact()
+                                  for s in systems):
+            return super().enumerate_each(systems, region, limit)
+        _, _, x, y, owner = _primitive_scan([s.basis for s in systems], region, limit)
+        inside = _float_test(region)
+        out = [[] for _ in systems]
+        for v, t in zip(map(Vec2, x.tolist(), y.tolist()), owner.tolist()):
+            if inside(v):
+                out[t].append(v)
         return out
 
 

@@ -25,6 +25,7 @@ only for the rows returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -46,6 +47,11 @@ __all__ = [
 
 # |y| below this counts as horizontal for float systems (exact systems use 0)
 AXIS_TOL = 1e-9
+
+# cells of one enumerate_each call in _has_axis_vector, about 17 MB of scan
+# temporaries: an eta-ball scan of a unit-scale lattice visits about
+# (2 eta + 5)^2 cells, so a call takes 2**18 // that many systems
+AXIS_CHUNK_CELLS = 2 ** 18
 
 # strip heights grow geometrically up to height_budget before giving up
 DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
@@ -257,12 +263,13 @@ def gaps(seq: SlopeSequence) -> GapSequence:
 def _has_axis_vector(systems: list, eta, horizontal: bool, tols: list) -> list[bool]:
     """Bounded search for a horizontal (or vertical) vector of length <= eta,
     one answer per system (``tols[t]`` is the float zero test of system t);
-    the systems are enumerated together through the first one's
-    enumerate_each."""
-    if not systems:
-        return []
+    the systems are enumerated in chunks through the first one's
+    enumerate_each, so the memory of a call does not grow with their number."""
     radius = float(eta) * (1 + 1e-12)
-    found = type(systems[0]).enumerate_each(systems, Ball(radius))
+    chunk = max(1, AXIS_CHUNK_CELLS // math.ceil(2 * radius + 5) ** 2)
+    found = []
+    for lo in range(0, len(systems), chunk):
+        found += type(systems[0]).enumerate_each(systems[lo:lo + chunk], Ball(radius))
     return [any(_on_axis(v, horizontal, tol, radius) for v in pts)
             for pts, tol in zip(found, tols)]
 
@@ -315,10 +322,11 @@ def hitting_times(system: PointSystem, eta, n: int) -> list:
     Candidates come from the strip slopes; each one is then verified through
     the independent route: apply the shear to the system and test shortness
     by enumeration.  Candidates failing verification are dropped, so any
-    disagreement with slopes_in_strip is observable.  All candidates are
-    enumerated in one call, PointSystem.enumerate_each, which scans float
-    lattices as one stack; per-system enumeration remains the definition,
-    so the result is the candidates for which is_horizontally_short holds.
+    disagreement with slopes_in_strip is observable.  The candidates are
+    enumerated in chunks of about AXIS_CHUNK_CELLS scan cells through
+    PointSystem.enumerate_each, which scans float lattices as one stack;
+    per-system enumeration remains the definition, so the result is the
+    candidates for which is_horizontally_short holds.
     """
     slopes = slopes_in_strip(system, eta, n).slopes
     sheared = [system.act(shear(s)) for s in slopes]

@@ -133,6 +133,22 @@ class TestHittingTimes:
                                              pointcloud.AXIS_TOL * max(1.0, abs(s)))]
             assert hitting_times(flat, 1, 80) == want
 
+    def test_verification_is_chunked(self, monkeypatch):
+        # 100 candidates stacked at once would scan 6,400 cells; chunks of
+        # 7 systems stay under a budget of 2,000 that the whole stack exceeds
+        scans = []
+
+        def spy(basis, *args, **kwargs):
+            scans.append(basis)
+            return scan(basis, *args, **kwargs)
+
+        scan = lattice.coefficient_scan
+        monkeypatch.setattr(lattice, "coefficient_scan", spy)
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 2000)
+        monkeypatch.setattr(pointcloud, "AXIS_CHUNK_CELLS", 500)
+        assert hitting_times(ZSQUARED.to_float(), 1, 100) == list(range(100))
+        assert [len(b) for b in scans if isinstance(b, list)] == [7] * 14 + [2]
+
     @pytest.mark.parametrize("route", ["stacked", "per-system"])
     def test_drops_a_failed_candidate(self, route, seeded_lattices, monkeypatch):
         flat = seeded_lattices[4].to_float()
