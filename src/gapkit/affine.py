@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .core import Mat2, Region, Vec2, diag_flow, rotation
-from .errors import ResourceLimitError
 from .lattice import coefficient_scan
 from .pointcloud import GapSequence, PointSystem
 from .stats import EmpiricalDist, circular_gaps, rng
@@ -80,13 +79,11 @@ class AffineLattice(PointSystem):
         keep = (rsq <= radius * radius) & (rsq > ORIGIN_TOL ** 2)
         return np.column_stack([x[keep], y[keep]])
 
-    def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
+    def enumerate_points(self, region: Region) -> list[Vec2]:
         radius = region.bounding_radius()
         if radius is None:
             raise ValueError(f"region {region!r} is unbounded")
         pts = self.ball_points(radius)
-        if limit is not None and len(pts) > limit:
-            raise ResourceLimitError(f"{len(pts)} points exceed the limit {limit}")
         return [Vec2(x, y) for x, y in pts if region.contains(Vec2(x, y))]
 
 

@@ -197,22 +197,23 @@ def _read_column(path: str) -> np.ndarray:
     """Last column of a gapkit CSV (or a JSON rows payload), as floats."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    values = []
     if text.lstrip().startswith("{"):
-        for row in json.loads(text)["rows"]:
-            values.append(_scalar_to_float(row[-1]))
-        return np.array(values)
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    for ln in lines[1:]:
-        values.append(_scalar_to_float(ln.split(",")[-1]))
-    return np.array(values)
+        rows = json.loads(text).get("rows")
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and row and all(isinstance(c, str) for c in row)
+                for row in rows):
+            raise ValueError(f"{path}: JSON input needs a 'rows' list of text-cell lists")
+        cells = [row[-1] for row in rows]
+    else:
+        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+        cells = [ln.split(",")[-1] for ln in lines[1:]]
+    return np.array(list(map(_scalar_to_float, cells)))
 
 
 def _scalar_to_float(text: str) -> float:
-    """A 'p/q' or decimal cell as a float."""
-    text = text.strip()
+    """A 'p/q' or decimal cell as a float; a zero denominator is a ValueError."""
     if "/" in text:
-        return float(Fraction(text))
+        return float(_parse_scalar(text))
     return float(text)
 
 

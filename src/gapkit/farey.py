@@ -46,14 +46,15 @@ def farey_pairs(q: int) -> Iterator[tuple[int, int]]:
         p0, q0, p1, q1 = p1, q1, k * p1 - p0, k * q1 - q0
 
 
-def farey_sequence(q: int, term_budget: int = DEFAULT_TERM_BUDGET) -> FareyLevel:
-    """Materialize the level-q Farey sequence as exact Fractions."""
+def farey_sequence(q: int) -> FareyLevel:
+    """Materialize the level-q Farey sequence as exact Fractions; more than
+    DEFAULT_TERM_BUDGET terms (read at each call) raises ResourceLimitError."""
     out = []
     for p, d in farey_pairs(q):
         out.append(Fraction(p, d))
-        if len(out) > term_budget:
+        if len(out) > DEFAULT_TERM_BUDGET:
             raise ResourceLimitError(
-                f"Farey level {q} exceeds the {term_budget}-term budget")
+                f"Farey level {q} exceeds the {DEFAULT_TERM_BUDGET}-term budget")
     return FareyLevel(q, tuple(out))
 
 

@@ -85,8 +85,7 @@ def _ragged(starts, lens, total: int):
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
 
 
-def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None,
-                     margin: float = 0.0, budget: int = DEFAULT_CELL_BUDGET):
+def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0):
     """Points basis (m, k) + shift whose float coordinates lie in a box.
 
     Scans one coefficient i of the float Lagrange-reduced basis row by row,
@@ -105,8 +104,9 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None,
     fifth array, ``owner``, the index of each point's basis; the points of
     basis t are the slice owner == t, equal value for value and in order to
     the scan of basis t alone.  A single basis keeps scalar coefficients
-    and returns no owner.  More than ``budget`` rows or cells (over the
-    whole stack) raises ResourceLimitError.
+    and returns no owner.  More than DEFAULT_CELL_BUDGET rows or cells
+    (over the whole stack; the constant is read at each call) raises
+    ResourceLimitError.
     """
     stacked = not isinstance(basis, Mat2)
     bases = list(basis) if stacked else [basis]
@@ -127,9 +127,9 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None,
         ivals = [(d * (x - sx) - b * (y - sy)) / det for x in (xlo, xhi) for y in (ylo, yhi)]
         ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
         span += ihi - ilo
-        if span > budget:
-            raise ResourceLimitError(
-                f"coefficient range {span} exceeds the enumeration budget {budget}")
+        if span > DEFAULT_CELL_BUDGET:
+            raise ResourceLimitError(f"coefficient range {span} exceeds "
+                                     f"the enumeration budget {DEFAULT_CELL_BUDGET}")
         coefs.append((a, b, c, d, sx, sy))
         us.append(u)
         los.append(ilo)
@@ -164,8 +164,9 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None,
         j0 = np.floor(jlo) - 1
         lens = np.maximum(np.ceil(jhi) + 2 - j0, 0.0)
         total = lens.sum()
-        if total > budget:
-            raise ResourceLimitError(f"{total:.0f} cells exceed the enumeration budget {budget}")
+        if total > DEFAULT_CELL_BUDGET:
+            raise ResourceLimitError(
+                f"{total:.0f} cells exceed the enumeration budget {DEFAULT_CELL_BUDGET}")
         total, lens, j0 = int(total), lens.astype(np.int64), j0.astype(np.int64)
     rows = np.repeat(i, lens)
     js = _ragged(j0, lens, total)
@@ -222,7 +223,7 @@ class UnimodularLattice(PointSystem):
 
     # -- enumeration ------------------------------------------------------
 
-    def exact_rows(self, region: Region, limit: Optional[int] = None) -> Optional[ExactRows]:
+    def exact_rows(self, region: Region) -> Optional[ExactRows]:
         """Exact bases: the primitive points in the region as int numerators
         over the common denominator D of the basis entries.
 
@@ -234,7 +235,7 @@ class UnimodularLattice(PointSystem):
         """
         if not self.is_exact():
             return None
-        m, k, _, _ = _primitive_scan(self.basis, region, limit)
+        m, k, _, _ = _primitive_scan(self.basis, region)
         (a, b, c, e), d = common_denominator(self.basis.entries())
         m, k = m.tolist(), k.tolist()
         xs = [a * i + b * j for i, j in zip(m, k)]
@@ -253,34 +254,33 @@ class UnimodularLattice(PointSystem):
             keep = list(map(region.contains, rows.points()))
         return replace(rows, xs=list(compress(xs, keep)), ys=list(compress(ys, keep)))
 
-    def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
-        """Primitive points in the region; ``limit`` caps the cells scanned.
+    def enumerate_points(self, region: Region) -> list[Vec2]:
+        """Primitive points in the region.
 
         Exact bases decide strip and ball membership on int numerators
         (see exact_rows) and build exact vectors only for the points found.
         """
-        rows = self.exact_rows(region, limit)
+        rows = self.exact_rows(region)
         if rows is not None:
             return rows.points()
-        _, _, x, y = _primitive_scan(self.basis, region, limit)
+        _, _, x, y = _primitive_scan(self.basis, region)
         return list(filter(_float_test(region), map(Vec2, x.tolist(), y.tolist())))
 
     @classmethod
-    def enumerate_each(cls, systems, region: Region,
-                       limit: Optional[int] = None) -> list[list[Vec2]]:
+    def enumerate_each(cls, systems, region: Region) -> list[list[Vec2]]:
         """enumerate_points(region) of every system; a list of float
         lattices is enumerated by one stacked coefficient_scan.
 
         The stack applies the same primitivity filter and membership test as
         enumerate_points and is split by owner, so each list equals that
-        system's enumerate_points in values and order; ``limit`` caps the
-        cells of the whole stack.  Any other list (one holding an exact
+        system's enumerate_points in values and order; the cell budget
+        counts the whole stack.  Any other list (one holding an exact
         basis, or a system that is not a lattice) is enumerated one by one.
         """
         if not systems or not all(isinstance(s, UnimodularLattice) and not s.is_exact()
                                   for s in systems):
-            return super().enumerate_each(systems, region, limit)
-        _, _, x, y, owner = _primitive_scan([s.basis for s in systems], region, limit)
+            return super().enumerate_each(systems, region)
+        _, _, x, y, owner = _primitive_scan([s.basis for s in systems], region)
         inside = _float_test(region)
         out = [[] for _ in systems]
         for v, t in zip(map(Vec2, x.tolist(), y.tolist()), owner.tolist()):
@@ -289,7 +289,7 @@ class UnimodularLattice(PointSystem):
         return out
 
 
-def _primitive_scan(basis, region: Region, limit: Optional[int]):
+def _primitive_scan(basis, region: Region):
     """coefficient_scan of a basis (or a stack of bases) over the region's
     box, non-primitive points dropped: coefficients (m, k) and float
     coordinates (x, y) of the points near the box; the float scan only
@@ -306,8 +306,7 @@ def _primitive_scan(basis, region: Region, limit: Optional[int]):
     # float prescreen margin: well clear of double rounding, far below
     # any gap the exact test would have to arbitrate
     margin = 1e-6 * max(1.0, *(abs(float(t)) for t in box))
-    scan = coefficient_scan(basis, *box, margin=margin,
-                            budget=DEFAULT_CELL_BUDGET if limit is None else limit)
+    scan = coefficient_scan(basis, *box, margin=margin)
     primitive = np.gcd(scan[0], scan[1]) == 1
     return tuple(col[primitive] for col in scan)
 

@@ -53,7 +53,7 @@ AXIS_TOL = 1e-9
 # (2 eta + 5)^2 cells, so a call takes 2**18 // that many systems
 AXIS_CHUNK_CELLS = 2 ** 18
 
-# strip heights grow geometrically up to height_budget before giving up
+# strip heights grow geometrically up to this height before giving up
 DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
 
 
@@ -62,24 +62,26 @@ class PointSystem:
 
     Implementations must enumerate deterministically for a fixed state and
     region, and must satisfy equivariance: enumerating g.x over g.K returns
-    exactly g applied to the enumeration of x over K.
+    exactly g applied to the enumeration of x over K.  Each implementation
+    holds its search to its module's budget constant
+    (lattice.DEFAULT_CELL_BUDGET, surface.DEFAULT_STATE_BUDGET), read at
+    call time, and raises ResourceLimitError beyond it.
     """
 
-    def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
+    def enumerate_points(self, region: Region) -> list[Vec2]:
         """All points of the set inside a bounded region (order unspecified)."""
         raise NotImplementedError
 
     @classmethod
-    def enumerate_each(cls, systems, region: Region,
-                       limit: Optional[int] = None) -> list[list[Vec2]]:
-        """enumerate_points(region, limit) of each of ``systems``, in order.
+    def enumerate_each(cls, systems, region: Region) -> list[list[Vec2]]:
+        """enumerate_points(region) of each of ``systems``, in order.
 
         Per-system enumeration is the definition; a class may override this
         to enumerate many of its systems at once, returning equal lists.
         """
-        return [s.enumerate_points(region, limit) for s in systems]
+        return [s.enumerate_points(region) for s in systems]
 
-    def exact_rows(self, region: Region, limit: Optional[int] = None) -> Optional["ExactRows"]:
+    def exact_rows(self, region: Region) -> Optional["ExactRows"]:
         """The points in the region as int numerators, when the system has
         an exact int form for that region; None otherwise."""
         return None
@@ -197,7 +199,7 @@ def _slope_order(rows: ExactRows, cut: float) -> list:
     return out
 
 
-def _strip_rows(system: PointSystem, eta, n: int, height_budget: float):
+def _strip_rows(system: PointSystem, eta, n: int):
     """The growing-height strip loop behind strip_points.
 
     Returns (rows, exact): the first n rows in slope order, as (slope, point)
@@ -218,7 +220,7 @@ def _strip_rows(system: PointSystem, eta, n: int, height_budget: float):
             rows = _slope_order(exact, cut)
         if len(rows) >= n:
             return rows[:n], exact
-        if height >= height_budget:
+        if height >= DEFAULT_HEIGHT_BUDGET:
             raise ExhaustionError(
                 f"found {len(rows)} of {n} slopes below height {height}",
                 partial=SlopeSequence(eta, _slopes(rows, exact)))
@@ -231,26 +233,25 @@ def _slopes(rows: list, exact: Optional[ExactRows]) -> tuple:
     return tuple(Fraction(y, x) for x, y in rows)
 
 
-def strip_points(system: PointSystem, eta, n: int,
-                 height_budget: float = DEFAULT_HEIGHT_BUDGET) -> list:
+def strip_points(system: PointSystem, eta, n: int) -> list:
     """The n strip points of smallest nonnegative slope, as sorted (slope, point)
     pairs with ties collapsed.
 
     Enumerates the strip under growing height caps H; every slope <= H/eta is
-    then definitely present, so the first n of those are final.  Runs out of
-    budget -> ExhaustionError carrying the partial SlopeSequence.
+    then definitely present, so the first n of those are final.  H doubles
+    until it reaches DEFAULT_HEIGHT_BUDGET (read at each call); running out
+    raises ExhaustionError carrying the partial SlopeSequence.
     """
-    rows, exact = _strip_rows(system, eta, n, height_budget)
+    rows, exact = _strip_rows(system, eta, n)
     if exact is None:
         return rows
     return [(Fraction(y, x), exact.point(x, y)) for x, y in rows]
 
 
-def slopes_in_strip(system: PointSystem, eta, n: int,
-                    height_budget: float = DEFAULT_HEIGHT_BUDGET) -> SlopeSequence:
+def slopes_in_strip(system: PointSystem, eta, n: int) -> SlopeSequence:
     """The n smallest nonnegative slopes of strip vectors, sorted, ties collapsed
     (see strip_points)."""
-    return SlopeSequence(eta, _slopes(*_strip_rows(system, eta, n, height_budget)))
+    return SlopeSequence(eta, _slopes(*_strip_rows(system, eta, n)))
 
 
 def gaps(seq: SlopeSequence) -> GapSequence:

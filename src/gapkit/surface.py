@@ -24,14 +24,12 @@ near-degenerate configurations may misclassify a boundary.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .core import (GoldenNum, Mat2, PHI, Region, Vec2, common_denominator, is_exact,
                    slope, zphi_sign)
@@ -189,11 +187,11 @@ class TranslationSurface(PointSystem):
 
     # -- point-system surface ------------------------------------------------
 
-    def enumerate_points(self, region: Region, limit: Optional[int] = None) -> list[Vec2]:
+    def enumerate_points(self, region: Region) -> list[Vec2]:
         radius = region.bounding_radius()
         if radius is None:
             raise ValueError(f"region {region!r} is unbounded")
-        conns = saddle_connections(self, radius, state_budget=limit or DEFAULT_STATE_BUDGET)
+        conns = saddle_connections(self, radius)
         seen = set()
         out = []
         for c in conns:
@@ -391,7 +389,7 @@ class _Developer:
     once here.
     """
 
-    def __init__(self, surface: TranslationSurface, radius, state_budget: int):
+    def __init__(self, surface: TranslationSurface, radius):
         self.surf = surface
         self.n = len(surface.vertices)
         ops = (_ZphiOps if surface._exact else _FloatOps)(surface, radius)
@@ -403,7 +401,6 @@ class _Developer:
         self.at_origin, self.in_ball = ops.at_origin, ops.in_ball
         self.to_float, self.holonomy = ops.to_float, ops.holonomy
         self.radius = float(radius)
-        self.budget = state_budget
         self.found: list[SaddleConnection] = []
 
     # cone membership helpers ------------------------------------------------
@@ -507,9 +504,9 @@ class _Developer:
         while queue:
             state = queue.popleft()
             processed += 1
-            if processed > self.budget:
+            if processed > DEFAULT_STATE_BUDGET:
                 raise ResourceLimitError(
-                    f"development exceeded {self.budget} states",
+                    f"development exceeded {DEFAULT_STATE_BUDGET} states",
                     partial=self.found)
             queue.extend(self._process(state))
         return self.found
@@ -592,79 +589,33 @@ class _Developer:
         return out
 
 
-class _Sorted(NamedTuple):
-    """Connections in (float(length_sq), angle, path) order, with a bound
-    ``err`` on |float(length_sq) - length_sq| over the tuple."""
-
-    conns: tuple
-    err: float
-
-
-def _key_error(length_sq) -> float:
-    """A bound on |float(length_sq) - length_sq| beyond 2^-53 relative.
-
-    Float lengths are their own key, and int and Fraction lengths convert
-    correctly rounded (within 2^-53 relative, which _within's slack covers).
-    float(a + b phi) rounds a, b, phi, one product and one sum, each within
-    2^-53 relative, which 2^-50 (|a| + 2|b|) bounds generously.
-    """
-    if isinstance(length_sq, GoldenNum):
-        return 2.0 ** -50 * (abs(float(length_sq.a)) + 2.0 * abs(float(length_sq.b)))
-    return 0.0
-
-
-def _sort_connections(conns: list) -> _Sorted:
-    err = 0.0
-
-    def key(c):  # list.sort calls it once per connection
-        nonlocal err
-        length_sq = c.length_sq
-        err = max(err, _key_error(length_sq))
-        return float(length_sq), c.angle, c.path
-
-    conns.sort(key=key)
-    return _Sorted(tuple(conns), err)
-
-
-def _within(cached: _Sorted, rsq) -> _Sorted:
-    """The cached connections with length_sq <= rsq, in cached order.
-
-    The float keys are sorted, so bisection finds the connections whose key
-    is more than the error bound away from the cut; only those between get
-    the exact test.  The relative slack 2^-50 cut covers correctly rounded
-    keys near the cut and the rounding of the cut itself.
-    """
-    cut = float(rsq)
-    tol = cached.err + 2.0 ** -50 * cut
-    conns, key = cached.conns, lambda c: float(c.length_sq)
-    lo = bisect.bisect_left(conns, cut - tol, key=key)
-    hi = bisect.bisect_right(conns, cut + tol, lo, key=key)
-    near = tuple(c for c in conns[lo:hi] if c.length_sq <= rsq)
-    return _Sorted(conns[:lo] + near, cached.err)
-
-
-def saddle_connections(surface: TranslationSurface, radius,
-                       state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[SaddleConnection, ...]:
-    """All saddle connections of holonomy length <= radius, sorted.
+def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConnection, ...]:
+    """All saddle connections of holonomy length <= radius, sorted by
+    (float(length_sq), angle, path).
 
     Exact surfaces produce exact holonomies and a run-to-run identical list;
     float surfaces carry the documented 1e-9 incidence tolerance.  Results
-    are cached per surface instance, hence immutable; a radius below a cached
-    one (same budget) filters that tuple with the search's own radius test,
-    applied exactly only near the cut (see _within).
+    are cached per surface instance and float radius, hence immutable; a
+    radius below a cached one filters that tuple with the search's own
+    radius test, length_sq <= R^2 exactly (or <= R^2 + 1e-9 on float
+    surfaces), which keeps its order.  A development of more than
+    DEFAULT_STATE_BUDGET states (read at each call) raises
+    ResourceLimitError carrying the connections found so far.
     """
     if not float(radius) > 0:
         raise ValueError("radius must be positive")
     cache = surface.__dict__.setdefault("_connection_cache", {})
-    key = (float(radius), state_budget)
+    key = float(radius)
     if key not in cache:
-        larger = [r for r, b in cache if b == state_budget and r > key[0]]
+        larger = [r for r in cache if r > key]
         if larger:
-            rsq = Fraction(key[0]) ** 2 if surface._exact else key[0] ** 2 + FLOAT_EPS
-            cache[key] = _within(cache[min(larger), state_budget], rsq)
+            rsq = Fraction(key) ** 2 if surface._exact else key ** 2 + FLOAT_EPS
+            cache[key] = tuple(c for c in cache[min(larger)] if c.length_sq <= rsq)
         else:
-            cache[key] = _sort_connections(_Developer(surface, radius, state_budget).run())
-    return cache[key].conns
+            conns = _Developer(surface, radius).run()
+            conns.sort(key=lambda c: (float(c.length_sq), c.angle, c.path))
+            cache[key] = tuple(conns)
+    return cache[key]
 
 
 def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:

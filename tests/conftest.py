@@ -1,12 +1,20 @@
 """Shared fixtures; the expensive enumerations are session-scoped."""
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import gapkit
 from gapkit import affine, lattice, surface
 from gapkit.core import Mat2, Vec2
+
+# tests that run "python -m gapkit.cli" in a subprocess get the gapkit these
+# tests import: pyproject's pytest pythonpath reaches only this process
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(gapkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 # shared by the property-test files; no deadline, because on a loaded machine
 # one slow example would otherwise fail a correct test

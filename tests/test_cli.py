@@ -142,11 +142,27 @@ class TestCompare:
         assert distances[0] == distances[1]
         assert 0.0 < float(distances[0]) < 1.0
 
-    def test_golden_cells_are_rejected(self, tmp_path, capsys):
-        path = tmp_path / "golden.csv"
-        path.write_text("index,gap\n0,1+2*phi\n1,3/2\n")
+    @pytest.mark.parametrize("name, content, shown", [
+        pytest.param("golden.csv", "index,gap\n0,1+2*phi\n1,3/2\n", "1+2*phi",
+                     id="golden-cell"),
+        pytest.param("zero.csv", "index,gap\n0,3/2\n1,1/0\n", "'1/0'",
+                     id="csv-zero-denominator"),
+        pytest.param("zero.json", '{"columns": ["index", "gap"], "rows": [["0", "1/0"]]}',
+                     "'1/0'", id="json-zero-denominator"),
+        pytest.param("norows.json", '{"columns": ["index", "gap"]}', "'rows'",
+                     id="json-without-rows"),
+        pytest.param("scalars.json", '{"rows": [1, 2]}', "'rows'", id="json-scalar-rows"),
+        pytest.param("numbers.json", '{"rows": [[0, 1.5]]}', "'rows'",
+                     id="json-number-cells"),
+        pytest.param("empty.json", '{"rows": [[]]}', "'rows'", id="json-empty-row"),
+    ])
+    def test_golden_cells_are_rejected(self, tmp_path, capsys, name, content, shown):
+        path = tmp_path / name
+        path.write_text(content)
         assert cli.main(["compare", "--left", str(path), "--cdf", "poisson"]) == 2
-        assert "1+2*phi" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("gapkit: ")
+        assert shown in err
 
 
 class TestContract:

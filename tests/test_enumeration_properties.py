@@ -157,7 +157,7 @@ class RowsSystem(PointSystem):
     def __init__(self, rows, d):
         self.rows, self.d = rows, d
 
-    def exact_rows(self, region, limit=None):
+    def exact_rows(self, region):
         eta, height = Fraction(region.eta), Fraction(region.height)
         inside = [(x, y) for x, y in self.rows
                   if 0 < Fraction(x, self.d) <= eta and 0 <= Fraction(y, self.d) <= height]

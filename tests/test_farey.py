@@ -33,9 +33,10 @@ class TestSequence:
         assert all(f.denominator <= 17 for f in level.fractions)
         assert sorted(level.fractions) == list(level.fractions)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(farey, "DEFAULT_TERM_BUDGET", 10)
         with pytest.raises(ResourceLimitError):
-            farey.farey_sequence(100, term_budget=10)
+            farey.farey_sequence(100)
 
     def test_bad_level(self):
         with pytest.raises(ValueError):

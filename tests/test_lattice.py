@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapkit import bcz, farey, hall, lattice, stats
+from gapkit import bcz, farey, hall, lattice, pointcloud, stats
 from gapkit.core import Ball, Mat2, shear
 from gapkit.lattice import (UnimodularLattice, ZSQUARED, has_vertical_vector,
                             poisson_baseline, seeded_lattice, slope_gaps_fast,
@@ -185,11 +185,12 @@ class TestPinnedExactEnumeration:
             assert type(v.x) is (int if int_x else Fraction)
             assert type(v.y) is (int if int_y else Fraction)
 
-    def test_exhaustion_partial(self):
+    def test_exhaustion_partial(self, monkeypatch):
         # strip points (1/10, 5 + 10 k): 128 of them lie below the last height
         lat = UnimodularLattice(Mat2(Fraction(1, 10), 0, 5, 10))
+        monkeypatch.setattr(pointcloud, "DEFAULT_HEIGHT_BUDGET", 1024.0)
         with pytest.raises(ExhaustionError) as err:
-            slopes_in_strip(lat, Fraction(1, 10), 200, height_budget=1024.0)
+            slopes_in_strip(lat, Fraction(1, 10), 200)
         assert str(err.value) == "found 128 of 200 slopes below height 1280.0"
         partial = err.value.partial
         assert partial.eta == Fraction(1, 10)
@@ -293,13 +294,15 @@ class TestMinkowski:
 
 
 class TestEnumerationBudget:
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         from gapkit.errors import ResourceLimitError
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 10)
         with pytest.raises(ResourceLimitError):
-            ZSQUARED.enumerate_points(Ball(4000.0), limit=10)
+            ZSQUARED.enumerate_points(Ball(4000.0))
         # a stack is held to the budget as a whole: each of these scans
-        # 81 cells, under the limit alone, the three together over it
+        # 81 cells, under the budget alone, the three together over it
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 100)
         flat = ZSQUARED.to_float()
-        assert flat.enumerate_points(Ball(3.0), limit=100)
+        assert flat.enumerate_points(Ball(3.0))
         with pytest.raises(ResourceLimitError):
-            UnimodularLattice.enumerate_each([flat] * 3, Ball(3.0), limit=100)
+            UnimodularLattice.enumerate_each([flat] * 3, Ball(3.0))

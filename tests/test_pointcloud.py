@@ -39,13 +39,14 @@ class TestSlopesInStrip:
     def test_zero_count(self):
         assert len(slopes_in_strip(ZSQUARED, 1, 0)) == 0
 
-    def test_exhaustion_carries_partial(self):
+    def test_exhaustion_carries_partial(self, monkeypatch):
         # the x-projection of this vertical lattice is Z: nothing ever lands
         # in a strip of width 1/2, so the height doubling runs out
         from gapkit.errors import ExhaustionError
         lat = UnimodularLattice(Mat2(0, -1, 1, Fraction(1, 2)))
+        monkeypatch.setattr(pointcloud, "DEFAULT_HEIGHT_BUDGET", 1024.0)
         with pytest.raises(ExhaustionError) as err:
-            slopes_in_strip(lat, Fraction(1, 2), 5, height_budget=1024.0)
+            slopes_in_strip(lat, Fraction(1, 2), 5)
         assert str(err.value) == "found 0 of 5 slopes below height 1280.0"
         assert err.value.partial == pointcloud.SlopeSequence(Fraction(1, 2), ())
 
@@ -192,8 +193,8 @@ class PerSystem(PointSystem):
     def __init__(self, lat):
         self.lat = lat
 
-    def enumerate_points(self, region, limit=None):
-        return self.lat.enumerate_points(region, limit)
+    def enumerate_points(self, region):
+        return self.lat.enumerate_points(region)
 
     def act(self, g):
         return PerSystem(self.lat.act(g))

@@ -226,6 +226,7 @@ class TestGapPipelines:
 
 
 class TestBudget:
-    def test_state_budget_error(self):
+    def test_state_budget_error(self, monkeypatch):
+        monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", 50)
         with pytest.raises(ResourceLimitError):
-            saddle_connections(golden_l(), 10.0, state_budget=50)
+            saddle_connections(golden_l(), 10.0)

@@ -1,14 +1,16 @@
 """Property tests: the shared Z[phi] sign rule against high-precision
-arithmetic, and the integer surface development against the float one and
-against exact linear maps."""
+arithmetic, the integer surface development against the float one and
+against exact linear maps, and the radius cache against fresh
+developments."""
 
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 from hypothesis import example, given, settings, strategies as st
 
 from gapkit.core import GoldenNum, Mat2, shear, zphi_sign
-from gapkit.surface import golden_l, l_shape, saddle_connections
+from gapkit.surface import _Developer, golden_l, l_shape, saddle_connections
 
 SETTINGS = settings.get_profile("gapkit")
 
@@ -63,6 +65,34 @@ def test_rational_l_shape_exact_matches_float(alpha, beta, quarter_radius):
     approx = saddle_connections(surf.to_float(), radius)
     assert rounded(exact) == rounded(approx)
     assert len(exact) == len(approx)
+
+
+# two distinct radii in [1/2, 5], small first; the eighths put the cut on
+# connections of rational length
+radius_pairs = st.lists(st.one_of(st.integers(4, 40).map(lambda k: k / 8),
+                                  st.floats(0.5, 5.0)),
+                        min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@SETTINGS
+@given(sides, sides, radius_pairs)
+@example(Fraction(3, 2), Fraction(5, 4), [3.75, 5.0])  # a connection of length 15/4
+@example(Fraction(3, 2), Fraction(5, 4), [1.0, 4.5])
+def test_radius_cache_matches_a_fresh_development(alpha, beta, radii):
+    small, large = radii
+    for make in (lambda: l_shape(alpha, beta),
+                 lambda: l_shape(float(alpha), float(beta))):
+        fresh = saddle_connections(make(), small)
+        surf = make()
+        saddle_connections(surf, large)
+        with mock.patch.object(_Developer, "run",
+                               side_effect=AssertionError("developed below a cached radius")):
+            served = saddle_connections(surf, small)
+        assert served == fresh
+        assert [(str(c.holonomy), c.path) for c in served] == \
+            [(str(c.holonomy), c.path) for c in fresh]
+        keys = [(float(c.length_sq), c.angle, c.path) for c in served]
+        assert keys == sorted(keys)
 
 
 GOLDEN = golden_l()
