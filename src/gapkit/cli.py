@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,36 +29,47 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+_BLOCK_ROWS = 4096  # CSV rows joined into one string per write
+
+
 def _cells(column):
     """The text cells of one column: a numpy array prints repr of each value,
-    any other sequence p/q for a Fraction and str for the rest (int,
-    GoldenNum, Python float)."""
+    a range str of each index, and any other sequence p/q for a Fraction and
+    str for the rest (int, GoldenNum, Python float)."""
     if isinstance(column, np.ndarray):
         return map(repr, column.tolist())
+    if isinstance(column, range):
+        return map(str, column)
     return (f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)
             for v in column)
 
 
 def _write_output(meta: dict, columns: dict, fmt: str, path):
     """Write the metadata block and the named columns (all of one length),
-    as CSV lines produced one row at a time or as one JSON document."""
+    as CSV lines written a block of rows at a time or as one JSON document."""
     rows = zip(*map(_cells, columns.values()))
     if fmt == "csv":
         head = [f"# {key}: {meta[key]}\n" for key in sorted(meta)]
         head.append(",".join(columns) + "\n")
-        lines = itertools.chain(head, (",".join(row) + "\n" for row in rows))
+        lines = map(",".join, rows)
+
+        def blocks():
+            while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+                yield "\n".join(block) + "\n"
+
+        chunks = itertools.chain(head, blocks())
     else:
         payload = {
             "meta": {k: str(v) for k, v in sorted(meta.items())},
             "columns": list(columns),
             "rows": list(rows),
         }
-        lines = [json.dumps(payload, indent=2, sort_keys=True), "\n"]
+        chunks = [json.dumps(payload, indent=2, sort_keys=True), "\n"]
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+            fh.writelines(chunks)
     else:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunks)
 
 
 def _meta(args, **extra) -> dict:
@@ -211,10 +223,12 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _scalar_to_float(text: str) -> float:
-    """A 'p/q' or decimal cell as a float; a zero denominator is a ValueError."""
-    if "/" in text:
-        return float(_parse_scalar(text))
-    return float(text)
+    """A 'p/q' or decimal cell as a float; a zero denominator or a
+    non-finite value (nan, inf) is a ValueError."""
+    value = float(_parse_scalar(text)) if "/" in text else float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite cell {text!r}")
+    return value
 
 
 def _cmd_compare(args):

@@ -39,7 +39,7 @@ from . import bcz
 from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, common_denominator,
                    is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
-from .pointcloud import ExactRows, GapSequence, PointSystem, strip_points
+from .pointcloud import ExactRows, GapSequence, PointSystem, _ragged, strip_points
 from .stats import rng
 
 __all__ = [
@@ -77,12 +77,6 @@ def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
     else:
         raise ResourceLimitError("basis reduction did not converge")
     return Mat2(x1, x2, y1, y2), u
-
-
-def _ragged(starts, lens, total: int):
-    """Concatenated ranges [starts[r], starts[r] + lens[r]) as one int64
-    array; ``total`` is lens.sum()."""
-    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
 
 
 def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0):

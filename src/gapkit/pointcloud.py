@@ -153,6 +153,12 @@ class GapSequence:
         return np.asarray(self.gaps, dtype=float)
 
 
+def _ragged(starts, lens, total: int):
+    """Concatenated ranges [starts[r], starts[r] + lens[r]) as one int64
+    array; ``total`` is lens.sum()."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
+
+
 def _collapse(rows: list) -> list:
     """Sort (slope, point) pairs by slope, keeping the first pair of each slope
     value (exact equality, or 1e-12 relative)."""

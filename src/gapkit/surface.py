@@ -10,23 +10,28 @@ as holonomy vectors, and continues each sub-cone across the glued edge it
 exits through.
 
 All decisions reduce to sign tests of cross/dot products of coordinates.
-The search is written once against a few coordinate primitives chosen per
-surface.  Exact surfaces (int, Fraction and GoldenNum coordinates, all in
-Q(sqrt 5)) develop on Python ints: every vertex coordinate is put over one
-common denominator D and stored as an int pair (a, b) meaning
+Exact surfaces (int, Fraction and GoldenNum coordinates, all in Q(sqrt 5))
+develop one state at a time on Python ints: every vertex coordinate is put
+over one common denominator D and stored as an int pair (a, b) meaning
 (a + b phi)/D, so a placed point is a 4-tuple of ints, and each predicate is
 an integer polynomial whose sign is decided exactly by ``core.zphi_sign``
 (rational surfaces have b = 0; the golden L has D = 1).  GoldenNum, Fraction
-and int values are built only for the emitted holonomies.  Float surfaces
-keep float coordinates and a 1e-9 zero tolerance, with the usual caveat that
-near-degenerate configurations may misclassify a boundary.
+and int values are built only for the emitted holonomies.
+
+Float surfaces develop one breadth-first frontier wave at a time
+(``gapkit._waves``), every state of the wave held in numpy arrays, with a
+1e-9 zero tolerance and the usual caveat that near-degenerate
+configurations may misclassify a boundary.  Each array expression is the
+scalar search's float expression in the same order, and numpy float64
+arithmetic rounds as Python floats do, so the waves find the connections
+(holonomies, paths and discovery order) of a state-by-state search; only a
+state budget overrun differs, ending its partial result at a wave boundary.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,54 +235,6 @@ def golden_l() -> TranslationSurface:
 # development search
 # ---------------------------------------------------------------------------
 
-class _FloatOps:
-    """Float coordinates: a vector is (x, y), a scalar is a float, and a
-    scalar within FLOAT_EPS of zero has sign 0."""
-
-    def __init__(self, surface: TranslationSurface, radius):
-        self.base = [(float(v.x), float(v.y)) for v in surface.vertices]
-        self.rsq = float(radius) ** 2 + FLOAT_EPS
-
-    cross = staticmethod(_cross)
-    dot = staticmethod(_dot)
-    add = staticmethod(_add)
-    sub = staticmethod(_sub)
-    mul = staticmethod(operator.mul)
-    diff = staticmethod(operator.sub)
-
-    @staticmethod
-    def neg(u):
-        return (-u[0], -u[1])
-
-    @staticmethod
-    def rot90(u):
-        return (-u[1], u[0])
-
-    @staticmethod
-    def sign(x):
-        return 0 if abs(x) <= FLOAT_EPS else (1 if x > 0.0 else -1)
-
-    @staticmethod
-    def orient(u, v):
-        """sign(cross(u, v))."""
-        return _FloatOps.sign(u[0] * v[1] - u[1] * v[0])
-
-    @staticmethod
-    def at_origin(p):
-        return abs(p[0]) <= FLOAT_EPS and abs(p[1]) <= FLOAT_EPS
-
-    def in_ball(self, p):
-        return p[0] * p[0] + p[1] * p[1] <= self.rsq
-
-    @staticmethod
-    def to_float(p):
-        return p
-
-    @staticmethod
-    def holonomy(p):
-        return Vec2(p[0], p[1])
-
-
 def _zphi_coeffs(x):
     """Rational (a, b) with x = a + b*phi."""
     return (x.a, x.b) if isinstance(x, GoldenNum) else (x, 0)
@@ -384,24 +341,26 @@ class _ZphiOps:
 class _Developer:
     """Breadth-first cone development of a surface from its singularity.
 
-    The search is written once against the coordinate primitives of
-    ``_ZphiOps`` (exact surfaces) or ``_FloatOps`` (float surfaces), bound
-    once here.
+    Exact surfaces develop here one state at a time, on the Z[phi] int
+    primitives of ``_ZphiOps``, bound once here; ``run`` hands float
+    surfaces to ``_waves.FloatWaves``, which develops them one frontier wave
+    at a time.
     """
 
     def __init__(self, surface: TranslationSurface, radius):
         self.surf = surface
         self.n = len(surface.vertices)
-        ops = (_ZphiOps if surface._exact else _FloatOps)(surface, radius)
-        self.base = ops.base
-        self.cross, self.dot, self.sign = ops.cross, ops.dot, ops.sign
-        self.orient = ops.orient
-        self.mul, self.diff = ops.mul, ops.diff
-        self.add, self.sub, self.neg, self.rot90 = ops.add, ops.sub, ops.neg, ops.rot90
-        self.at_origin, self.in_ball = ops.at_origin, ops.in_ball
-        self.to_float, self.holonomy = ops.to_float, ops.holonomy
         self.radius = float(radius)
         self.found: list[SaddleConnection] = []
+        if surface._exact:
+            ops = _ZphiOps(surface, radius)
+            self.base = ops.base
+            self.cross, self.dot, self.sign = ops.cross, ops.dot, ops.sign
+            self.orient = ops.orient
+            self.mul, self.diff = ops.mul, ops.diff
+            self.add, self.sub, self.neg, self.rot90 = ops.add, ops.sub, ops.neg, ops.rot90
+            self.at_origin, self.in_ball = ops.at_origin, ops.in_ball
+            self.to_float, self.holonomy = ops.to_float, ops.holonomy
 
     # cone membership helpers ------------------------------------------------
 
@@ -499,6 +458,11 @@ class _Developer:
     # main loop ---------------------------------------------------------------
 
     def run(self) -> list[SaddleConnection]:
+        """The connections in order of discovery (states in BFS order, the
+        vertices of each state in index order)."""
+        if not self.surf._exact:
+            from ._waves import FloatWaves  # loaded only once a float surface develops
+            return FloatWaves(self.surf, self.radius).run()
         queue = deque(self._initial_states())
         processed = 0
         while queue:
@@ -593,14 +557,18 @@ def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConne
     """All saddle connections of holonomy length <= radius, sorted by
     (float(length_sq), angle, path).
 
-    Exact surfaces produce exact holonomies and a run-to-run identical list;
-    float surfaces carry the documented 1e-9 incidence tolerance.  Results
-    are cached per surface instance and float radius, hence immutable; a
-    radius below a cached one filters that tuple with the search's own
-    radius test, length_sq <= R^2 exactly (or <= R^2 + 1e-9 on float
-    surfaces), which keeps its order.  A development of more than
+    Exact surfaces produce exact holonomies and a run-to-run identical list
+    from a state-by-state search; float surfaces are developed in frontier
+    waves of numpy arrays and carry the documented 1e-9 incidence
+    tolerance.  Results are cached per surface instance and float radius,
+    hence immutable; a radius below a cached one filters that tuple with the
+    search's own radius test, length_sq <= R^2 exactly (or <= R^2 + 1e-9 on
+    float surfaces), which keeps its order.  A development of more than
     DEFAULT_STATE_BUDGET states (read at each call) raises
-    ResourceLimitError carrying the connections found so far.
+    ResourceLimitError carrying the connections found so far, in discovery
+    order: on exact surfaces those of the states before the budget ran out,
+    on float surfaces those of the waves completed before the wave that
+    would overrun it.
     """
     if not float(radius) > 0:
         raise ValueError("radius must be positive")

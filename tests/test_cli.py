@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,20 @@ class TestCompare:
         assert shown in err
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cells_are_rejected(self, tmp_path, capsys, cell, fmt):
+        path = tmp_path / ("gaps." + fmt)
+        if fmt == "csv":
+            path.write_text(f"index,gap\n0,0.5\n1,{cell}\n")
+        else:
+            path.write_text(json.dumps({"rows": [["0", "0.5"], ["1", cell]]}))
+        assert cli.main(["compare", "--left", str(path), "--cdf", "poisson"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"gapkit: non-finite cell {cell!r}\n"
+        assert captured.out == ""
+
+
 class TestContract:
     def test_unknown_flag_exits_2(self):
         res = run_cli(["farey-gaps", "--q", "4", "--bogus"])
@@ -293,3 +308,27 @@ def test_import_leaves_scipy_integrate_unloaded():
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_cli_bytes(tmp_path, capsys, monkeypatch):
+    """Every cli-float task of the benchmark, in-process, against the stdout
+    digests of perfbench/reference.json; compare reads the lattice-gaps file
+    of its own variant, as when the reference was made."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import CLI_GAPS_FILE, CLI_PIPELINES, CLI_VARIANTS, cli_argv
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["cli-float"]
+    monkeypatch.chdir(tmp_path)
+    wrong = []
+    for variant in range(CLI_VARIANTS):
+        for pipeline in CLI_PIPELINES:
+            assert cli.main(cli_argv(pipeline, variant)) == 0
+            out = capsys.readouterr().out.encode()
+            if pipeline == "lattice-gaps":
+                (tmp_path / CLI_GAPS_FILE).write_bytes(out)
+            key = f"{pipeline}:{variant}"
+            if hashlib.sha256(out).hexdigest() != reference[key]["stdout_sha256"]:
+                wrong.append(key)
+    assert wrong == []

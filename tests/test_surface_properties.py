@@ -3,13 +3,17 @@ arithmetic, the integer surface development against the float one and
 against exact linear maps, and the radius cache against fresh
 developments."""
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gapkit import surface
 from gapkit.core import GoldenNum, Mat2, shear, zphi_sign
+from gapkit.errors import ResourceLimitError
 from gapkit.surface import _Developer, golden_l, l_shape, saddle_connections
 
 SETTINGS = settings.get_profile("gapkit")
@@ -56,6 +60,11 @@ def rounded(conns):
             for c in conns}
 
 
+def rounded_paths(conns):
+    return Counter((round(float(c.holonomy.x), 9), round(float(c.holonomy.y), 9), c.path)
+                   for c in conns)
+
+
 @SETTINGS
 @given(sides, sides, st.integers(4, 16))
 def test_rational_l_shape_exact_matches_float(alpha, beta, quarter_radius):
@@ -65,6 +74,23 @@ def test_rational_l_shape_exact_matches_float(alpha, beta, quarter_radius):
     approx = saddle_connections(surf.to_float(), radius)
     assert rounded(exact) == rounded(approx)
     assert len(exact) == len(approx)
+    # the float waves cross the same edges as the exact scalar search
+    assert rounded_paths(exact) == rounded_paths(approx)
+
+
+@SETTINGS
+@given(sides, sides, st.integers(20, 400))
+def test_float_budget_partial_is_a_prefix_of_the_development(alpha, beta, budget):
+    surf = l_shape(float(alpha), float(beta))
+    full = _Developer(surf, 5.0).run()
+    with mock.patch.object(surface, "DEFAULT_STATE_BUDGET", budget), \
+            pytest.raises(ResourceLimitError, match=f"exceeded {budget} states") as exc:
+        _Developer(surf, 5.0).run()
+    partial = exc.value.partial
+    # the partial result ends at a wave boundary of the same discovery order;
+    # the first wave (13 corner wedges) fits every budget drawn and emits
+    assert partial and partial == full[:len(partial)]
+    assert not Counter(map(str, partial)) - Counter(map(str, full))
 
 
 # two distinct radii in [1/2, 5], small first; the eighths put the cut on
