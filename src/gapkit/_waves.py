@@ -3,8 +3,11 @@ wave at a time on numpy arrays.
 
 ``surface._Developer.run`` imports this module when it first develops a
 float surface, so a program that develops only exact surfaces never loads
-it.  The search is the one of ``surface._Developer`` (see the ``surface``
-module docstring); here every state of a wave is processed at once.
+it.  The search is the one of ``surface._Developer``, which develops exact
+surfaces on the module's Z[phi] int functions (see the ``surface`` module
+docstring); here every state of a wave is processed at once, with the float
+ball bound and window reach of ``surface._ball_rsq`` and
+``surface._window_reach``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from . import surface
 from .core import Vec2
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
-from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface
+from .surface import (FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq,
+                      _window_reach)
 
 
 def _sign(x):
@@ -73,8 +77,8 @@ class FloatWaves:
         # crossing edge k shifts the copy by base[k] - base[partner(k) + 1]
         glued = self.nxt[list(surf.partner)]
         self.sx, self.sy = self.bx - self.bx[glued], self.by - self.by[glued]
-        self.rsq = radius ** 2 + FLOAT_EPS
-        self.reach = radius * (1 + 1e-9) + 1e-9
+        self.rsq = _ball_rsq(radius)
+        self.reach = _window_reach(radius)
 
     def run(self) -> list[SaddleConnection]:
         """The connections in order of discovery, as ``_Developer.run``;

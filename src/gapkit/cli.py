@@ -94,6 +94,17 @@ def _parse_scalar(text: str):
     return Fraction(text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 # -- subcommand implementations ---------------------------------------------
 
 def _cmd_farey_gaps(args):
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice-gaps", help="slope gaps of a seeded lattice")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=_finite_float, default=1.0)
     p.add_argument("--oracle", action="store_true",
                    help="direct enumeration instead of the return-map fast path")
     common(p, seed=True)
@@ -297,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affine-angles", help="angle gaps of a shifted lattice")
     p.add_argument("--shift", required=True, help="x,y")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=_cmd_affine_angles)
 
     p = sub.add_parser("wedge-p", help="wedge occupancy fractions over directions")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--shift", default="0.2137,0.5813")
     common(p, seed=True)
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface-sc", help="saddle connections of an L-surface")
     p.add_argument("--shape", required=True, help="golden or l:alpha,beta")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=_cmd_surface_sc)
 

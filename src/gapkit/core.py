@@ -253,24 +253,6 @@ class Vec2:
     x: object
     y: object
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def __rmul__(self, s) -> "Vec2":
-        return Vec2(s * self.x, s * self.y)
-
-    def dot(self, other: "Vec2"):
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Vec2"):
-        return self.x * other.y - self.y * other.x
-
     def norm_sq(self):
         return self.x * self.x + self.y * self.y
 

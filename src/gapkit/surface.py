@@ -15,8 +15,11 @@ develop one state at a time on Python ints: every vertex coordinate is put
 over one common denominator D and stored as an int pair (a, b) meaning
 (a + b phi)/D, so a placed point is a 4-tuple of ints, and each predicate is
 an integer polynomial whose sign is decided exactly by ``core.zphi_sign``
-(rational surfaces have b = 0; the golden L has D = 1).  GoldenNum, Fraction
-and int values are built only for the emitted holonomies.
+(rational surfaces have b = 0; the golden L has D = 1).  These Z[phi]
+primitives are the module functions ``_zcross`` ... ``_zholonomy``; the
+ball test ``_zin_ball`` takes R^2 D^2 as an int fraction, so it needs no
+developer.  GoldenNum, Fraction and int values are built only for the
+emitted holonomies.
 
 Float surfaces develop one breadth-first frontier wave at a time
 (``gapkit._waves``), every state of the wave held in numpy arrays, with a
@@ -247,6 +250,11 @@ def _zphi_value(a, b, d):
     return GoldenNum(Fraction(a, d), Fraction(b, d))
 
 
+# Z[phi] int primitives (see the module docstring): a point (a, b, c, d) is
+# ((a + b phi)/D, (c + d phi)/D) and a scalar (a, b) is a + b phi over a power
+# of D.  Every predicate compares terms of one degree, so D never needs
+# dividing out.
+
 def _zcross(u, v):
     a, b, c, d = u
     e, f, g, h = v
@@ -262,89 +270,71 @@ def _zdot(u, v):
             a * f + b * e + b * f + c * h + d * g + d * h)
 
 
-class _ZphiOps:
-    """Exact coordinates as Python ints over Z[phi].
+def _zorient(u, v):
+    """Sign of cross(u, v): +1 when v lies counterclockwise of u."""
+    return zphi_sign(*_zcross(u, v))
 
-    Every vertex coordinate is put over one common denominator D, so the
-    vector (a, b, c, d) is the point ((a + b phi)/D, (c + d phi)/D), and a
-    translation is an integer combination of vertex differences.  A scalar
-    (a, b) is a + b phi over a power of D; every predicate compares terms
-    of one degree, so D never needs dividing out, and each sign is the exact
-    integer test ``core.zphi_sign``.  Values become int / Fraction /
-    GoldenNum only when a holonomy is emitted.
-    """
 
-    def __init__(self, surface: TranslationSurface, radius):
-        flat, d = common_denominator(
-            c for v in surface.vertices for x in (v.x, v.y) for c in _zphi_coeffs(x))
-        self.d = d
-        self.base = [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
-        rsq = Fraction(float(radius)) ** 2
-        self.rsq_num, self.rsq_den = rsq.numerator * d * d, rsq.denominator
+def _zadd(u, v):
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
 
-    cross = staticmethod(_zcross)
-    dot = staticmethod(_zdot)
 
-    @staticmethod
-    def add(u, v):
-        return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
+def _zsub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
 
-    @staticmethod
-    def sub(u, v):
-        return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
 
-    @staticmethod
-    def mul(s, t):
-        return (s[0] * t[0] + s[1] * t[1], s[0] * t[1] + s[1] * t[0] + s[1] * t[1])
+def _zneg(u):
+    return (-u[0], -u[1], -u[2], -u[3])
 
-    @staticmethod
-    def diff(s, t):
-        return (s[0] - t[0], s[1] - t[1])
 
-    @staticmethod
-    def neg(u):
-        return (-u[0], -u[1], -u[2], -u[3])
+def _zrot90(u):
+    return (-u[2], -u[3], u[0], u[1])
 
-    @staticmethod
-    def rot90(u):
-        return (-u[2], -u[3], u[0], u[1])
 
-    @staticmethod
-    def sign(s):
-        return zphi_sign(*s)
+def _zmul(s, t):
+    return (s[0] * t[0] + s[1] * t[1], s[0] * t[1] + s[1] * t[0] + s[1] * t[1])
 
-    @staticmethod
-    def orient(u, v):
-        return zphi_sign(*_zcross(u, v))
 
-    @staticmethod
-    def at_origin(p):
-        return not any(p)
+def _zdiff(s, t):
+    return (s[0] - t[0], s[1] - t[1])
 
-    def in_ball(self, p):
-        a, b, c, d = p
-        # |p|^2 D^2 = (a^2 + b^2 + c^2 + d^2) + (2ab + b^2 + 2cd + d^2) phi
-        return zphi_sign(self.rsq_den * (a * a + b * b + c * c + d * d) - self.rsq_num,
-                         self.rsq_den * (2 * a * b + b * b + 2 * c * d + d * d)) <= 0
 
-    def to_float(self, p):
-        # the rounding of float(GoldenNum(Fraction(a, D), Fraction(b, D)))
-        d = self.d
-        return (p[0] / d + p[1] / d * (1.0 + math.sqrt(5.0)) / 2.0,
-                p[2] / d + p[3] / d * (1.0 + math.sqrt(5.0)) / 2.0)
+def _zin_ball(p, rsq_num, rsq_den):
+    """|p|^2 <= R^2 exactly, for R^2 D^2 = rsq_num / rsq_den."""
+    a, b, c, d = p
+    # |p|^2 D^2 = (a^2 + b^2 + c^2 + d^2) + (2ab + b^2 + 2cd + d^2) phi
+    return zphi_sign(rsq_den * (a * a + b * b + c * c + d * d) - rsq_num,
+                     rsq_den * (2 * a * b + b * b + 2 * c * d + d * d)) <= 0
 
-    def holonomy(self, p):
-        d = self.d
-        return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
+
+def _zfloat(p, d):
+    """The float point of p: the rounding of float(GoldenNum(Fraction(a, D),
+    Fraction(b, D))) in each coordinate."""
+    return (p[0] / d + p[1] / d * (1.0 + math.sqrt(5.0)) / 2.0,
+            p[2] / d + p[3] / d * (1.0 + math.sqrt(5.0)) / 2.0)
+
+
+def _zholonomy(p, d):
+    return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
+
+
+def _ball_rsq(radius: float) -> float:
+    """Bound of the float ball test |x|^2 <= R^2 + FLOAT_EPS."""
+    return radius ** 2 + FLOAT_EPS
+
+
+def _window_reach(radius: float) -> float:
+    """Windows whose |x| lower bound exceeds this hold no connection in the ball."""
+    return radius * (1 + 1e-9) + 1e-9
 
 
 class _Developer:
     """Breadth-first cone development of a surface from its singularity.
 
-    Exact surfaces develop here one state at a time, on the Z[phi] int
-    primitives of ``_ZphiOps``, bound once here; ``run`` hands float
-    surfaces to ``_waves.FloatWaves``, which develops them one frontier wave
-    at a time.
+    Exact surfaces develop here one state at a time, calling the Z[phi] int
+    primitives above on the vertices over their common denominator D; ``run``
+    hands float surfaces to ``_waves.FloatWaves``, which develops them one
+    frontier wave at a time.
     """
 
     def __init__(self, surface: TranslationSurface, radius):
@@ -353,23 +343,21 @@ class _Developer:
         self.radius = float(radius)
         self.found: list[SaddleConnection] = []
         if surface._exact:
-            ops = _ZphiOps(surface, radius)
-            self.base = ops.base
-            self.cross, self.dot, self.sign = ops.cross, ops.dot, ops.sign
-            self.orient = ops.orient
-            self.mul, self.diff = ops.mul, ops.diff
-            self.add, self.sub, self.neg, self.rot90 = ops.add, ops.sub, ops.neg, ops.rot90
-            self.at_origin, self.in_ball = ops.at_origin, ops.in_ball
-            self.to_float, self.holonomy = ops.to_float, ops.holonomy
+            flat, self.d = common_denominator(
+                c for v in surface.vertices for x in (v.x, v.y) for c in _zphi_coeffs(x))
+            self.base = [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
+            rsq = Fraction(self.radius) ** 2
+            self.rsq_num, self.rsq_den = rsq.numerator * self.d * self.d, rsq.denominator
+            self.reach = _window_reach(self.radius)
 
     # cone membership helpers ------------------------------------------------
 
     def _beyond(self, entry, p):
         """p strictly past the entry edge line (or nonzero when at the corner)."""
         if entry is None:
-            return not self.at_origin(p)
+            return any(p)
         e1, e2, side_origin = entry
-        side = self.orient(self.sub(e2, e1), self.sub(p, e1))
+        side = _zorient(_zsub(e2, e1), _zsub(p, e1))
         return side == -side_origin
 
     def _ray_hit(self, entry, ray, q1, q2):
@@ -379,46 +367,43 @@ class _Developer:
         Returns (num, den, sign of den) with the meeting point at
         ray * num/den, num/den > 0, past the entry line; else None.
         """
-        cross, sign = self.cross, self.sign
-        num = cross(q1, q2)
-        den = cross(ray, self.sub(q2, q1))
-        sden = sign(den)
-        if sden == 0 or sign(num) * sden <= 0:
+        num = _zcross(q1, q2)
+        den = _zcross(ray, _zsub(q2, q1))
+        sden = zphi_sign(*den)
+        if sden == 0 or zphi_sign(*num) * sden <= 0:
             return None
         if entry is not None:
             e1, e2, side_origin = entry
-            ee = self.sub(e2, e1)
+            ee = _zsub(e2, e1)
             # side of the meeting point relative to the entry line
-            val = self.diff(self.mul(num, cross(ee, ray)), self.mul(den, cross(ee, e1)))
-            if sign(val) * sden != -side_origin:
+            val = _zdiff(_zmul(num, _zcross(ee, ray)), _zmul(den, _zcross(ee, e1)))
+            if zphi_sign(*val) * sden != -side_origin:
                 return None
         return num, den, sden
 
     def _blocked(self, entry, p, placed):
         """Does an edge cross the open ray piece between entry and p?"""
-        sign = self.sign
-        sides = [self.orient(p, q) for q in placed]
+        sides = [_zorient(p, q) for q in placed]
         for k in range(self.n):
             s1, s2 = sides[k], sides[k - self.n + 1]
             q1, q2 = placed[k], placed[k - self.n + 1]
             if s1 == 0 and s2 == 0:
                 # edge collinear with the ray: a nearer on-ray endpoint blocks
-                psq = self.dot(p, p)
+                psq = _zdot(p, p)
                 for q in (q1, q2):
-                    t = self.dot(p, q)
-                    if sign(t) > 0 and sign(self.diff(psq, t)) > 0 \
+                    t = _zdot(p, q)
+                    if zphi_sign(*t) > 0 and zphi_sign(*_zdiff(psq, t)) > 0 \
                             and self._beyond(entry, q):
                         return True
             elif s1 * s2 <= 0:
                 hit = self._ray_hit(entry, p, q1, q2)
-                if hit is not None and sign(self.diff(hit[0], hit[1])) * hit[2] < 0:
+                if hit is not None and zphi_sign(*_zdiff(hit[0], hit[1])) * hit[2] < 0:
                     return True  # met before p: 0 < num/den < 1
         return False
 
     def _first_hit_edge(self, entry, ray, placed):
         """Index of the edge a ray (with no vertex on it) exits through."""
-        sign, diff, mul = self.sign, self.diff, self.mul
-        sides = [self.orient(ray, q) for q in placed]
+        sides = [_zorient(ray, q) for q in placed]
         best = None
         for k in range(self.n):
             s1, s2 = sides[k], sides[k - self.n + 1]
@@ -428,7 +413,8 @@ class _Developer:
             if hit is None:
                 continue
             # num/den < best_num/best_den, sign-safely
-            if best is None or sign(diff(mul(hit[0], best[1]), mul(best[0], hit[1]))) \
+            if best is None or zphi_sign(*_zdiff(_zmul(hit[0], best[1]),
+                                                 _zmul(best[0], hit[1]))) \
                     * hit[2] * best[2] < 0:
                 best, best_k = hit, k
         if best is None:
@@ -437,8 +423,9 @@ class _Developer:
 
     def _window_min_radius(self, entry, d_left, d_right) -> float:
         """Lower bound for |x| over the entry window between the two rays."""
-        e1, e2 = self.to_float(entry[0]), self.to_float(entry[1])
-        fl, fr = self.to_float(d_left), self.to_float(d_right)
+        d = self.d
+        e1, e2 = _zfloat(entry[0], d), _zfloat(entry[1], d)
+        fl, fr = _zfloat(d_left, d), _zfloat(d_right, d)
         ee = _sub(e2, e1)
         candidates = []
         for fd in (fl, fr):
@@ -476,17 +463,18 @@ class _Developer:
         return self.found
 
     def _initial_states(self):
-        for c in range(self.n):
-            t = self.neg(self.base[c])
-            d_out = self.sub(self.base[(c + 1) % self.n], self.base[c])
-            d_in = self.sub(self.base[(c - 1) % self.n], self.base[c])
+        base, n = self.base, self.n
+        for c in range(n):
+            t = _zneg(base[c])
+            d_out = _zsub(base[(c + 1) % n], base[c])
+            d_in = _zsub(base[(c - 1) % n], base[c])
             # carve the corner wedge into sub-pi pieces with quarter-turn inserts
             bounds = [d_out]
             cur = d_out
             for _ in range(4):
-                if self.orient(cur, d_in) > 0:
+                if _zorient(cur, d_in) > 0:
                     break
-                cur = self.rot90(cur)
+                cur = _zrot90(cur)
                 bounds.append(cur)
             bounds.append(d_in)
             # wedges are half-open [out-edge ray, in-edge ray): the gluing
@@ -498,21 +486,20 @@ class _Developer:
 
     def _process(self, state):
         t, entry, d_l, d_r, incl_l, incl_r, path = state
-        orient, sign, add = self.orient, self.sign, self.add
-        placed = [add(b, t) for b in self.base]
+        placed = [_zadd(b, t) for b in self.base]
 
         # candidate vertices: in cone, past the entry, first hit along their ray
         splits = []          # strictly interior terminated directions
         kill_l = kill_r = False
         for vi in range(self.n):
             p = placed[vi]
-            if self.at_origin(p):
+            if not any(p):
                 continue
-            c_l = orient(d_l, p)
-            c_r = orient(p, d_r)
+            c_l = _zorient(d_l, p)
+            c_r = _zorient(p, d_r)
             interior = c_l > 0 and c_r > 0
-            on_l = c_l == 0 and sign(self.dot(d_l, p)) > 0
-            on_r = c_r == 0 and sign(self.dot(d_r, p)) > 0
+            on_l = c_l == 0 and zphi_sign(*_zdot(d_l, p)) > 0
+            on_r = c_r == 0 and zphi_sign(*_zdot(d_r, p)) > 0
             if not (interior or (on_l and incl_l) or (on_r and incl_r)):
                 continue
             if not self._beyond(entry, p):
@@ -520,8 +507,8 @@ class _Developer:
             if self._blocked(entry, p, placed):
                 continue
             # p is the first singularity on its ray: emit and terminate the ray
-            if self.in_ball(p):
-                self.found.append(SaddleConnection(self.holonomy(p), path))
+            if _zin_ball(p, self.rsq_num, self.rsq_den):
+                self.found.append(SaddleConnection(_zholonomy(p, self.d), path))
             if interior:
                 splits.append(p)
             elif on_l:
@@ -529,26 +516,25 @@ class _Developer:
             else:
                 kill_r = True
 
-        splits.sort(key=functools.cmp_to_key(lambda u, v: -orient(u, v)))
+        splits.sort(key=functools.cmp_to_key(lambda u, v: -_zorient(u, v)))
         bounds = [(d_l, incl_l and not kill_l)] + [(p, False) for p in splits] \
             + [(d_r, incl_r and not kill_r)]
 
         out = []
         for (da, ia), (db, ib) in zip(bounds, bounds[1:]):
-            if orient(da, db) <= 0:
+            if _zorient(da, db) <= 0:
                 continue  # degenerate sliver
-            mid = add(da, db)
-            if entry is not None and \
-                    self._window_min_radius(entry, da, db) > self.radius * (1 + 1e-9) + 1e-9:
+            mid = _zadd(da, db)
+            if entry is not None and self._window_min_radius(entry, da, db) > self.reach:
                 continue
             k = self._first_hit_edge(entry, mid, placed)
             e1, e2 = placed[k], placed[(k + 1) % self.n]
-            side_origin = orient(self.sub(e2, e1), self.neg(e1))
+            side_origin = _zorient(_zsub(e2, e1), _zneg(e1))
             if side_origin == 0:
                 continue  # window collinear with the origin subtends no angle
             j = self.surf.partner[k]
-            shift = self.sub(self.base[k], self.base[(j + 1) % self.n])
-            t_new = add(t, shift)
+            shift = _zsub(self.base[k], self.base[(j + 1) % self.n])
+            t_new = _zadd(t, shift)
             out.append((t_new, (e1, e2, side_origin), da, db, ia, ib, path + (k,)))
         return out
 
@@ -570,14 +556,14 @@ def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConne
     on float surfaces those of the waves completed before the wave that
     would overrun it.
     """
-    if not float(radius) > 0:
-        raise ValueError("radius must be positive")
-    cache = surface.__dict__.setdefault("_connection_cache", {})
     key = float(radius)
+    if not 0 < key < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    cache = surface.__dict__.setdefault("_connection_cache", {})
     if key not in cache:
         larger = [r for r in cache if r > key]
         if larger:
-            rsq = Fraction(key) ** 2 if surface._exact else key ** 2 + FLOAT_EPS
+            rsq = Fraction(key) ** 2 if surface._exact else _ball_rsq(key)
             cache[key] = tuple(c for c in cache[min(larger)] if c.length_sq <= rsq)
         else:
             conns = _Developer(surface, radius).run()

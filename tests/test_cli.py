@@ -222,6 +222,17 @@ class TestContract:
         assert res.stderr.startswith("gapkit:")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["surface-sc", "--shape", "golden", "--radius", "inf"],
+        ["lattice-gaps", "--seed", "1", "--count", "10", "--eta", "inf"],
+        ["wedge-p", "--sigma", "inf", "--radius", "10", "--samples", "10"],
+    ], ids=["surface-radius", "lattice-eta", "wedge-sigma"])
+    def test_non_finite_float_option_exits_2(self, args):
+        res = run_cli(args)
+        assert res.returncode == 2
+        assert "invalid finite float value: 'inf'" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_environment_does_not_set_workers(self):
         env = {**os.environ, "GAPKIT_THREADS": "x"}
         res = run_cli(["hall", "--grid", "4"], env=env)
@@ -302,12 +313,16 @@ def test_pinned_output_bytes(command, fmt, capsys, tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
+    """Neither the CLI import nor an exact surface development loads the
+    lazily imported modules: scipy.integrate, and the float development."""
     res = subprocess.run(
         [sys.executable, "-c",
-         "import gapkit.cli, sys; print('scipy.integrate' in sys.modules)"],
+         "import gapkit.cli, sys; print('scipy.integrate' in sys.modules); "
+         "from gapkit import surface; surface.saddle_connections(surface.golden_l(), 3.0); "
+         "print('gapkit._waves' in sys.modules)"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.split() == ["False", "False"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

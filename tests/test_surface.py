@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,7 +228,45 @@ class TestGapPipelines:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("make", [golden_l, lambda: l_shape(1.7, 1.9)],
+                             ids=["exact", "float"])
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, make, radius):
+        with pytest.raises(ValueError):
+            saddle_connections(make(), radius)
+
     def test_state_budget_error(self, monkeypatch):
         monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", 50)
         with pytest.raises(ResourceLimitError):
             saddle_connections(golden_l(), 10.0)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_golden_references(monkeypatch):
+    """Every golden-exact task of the benchmark, in-process, against
+    perfbench/reference.json: each radius develops a fresh exact golden L."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import GOLDEN_RADII, REFERENCE, GoldenExact
+    workload = GoldenExact(json.loads(REFERENCE.read_text()))
+    assert len(GOLDEN_RADII) == 49
+    failed = [r for r in GOLDEN_RADII if not workload.run({"surface": surface}, r)[0]]
+    assert failed == []
+
+
+def test_benchmark_tracer_sees_both_surface_kinds(monkeypatch):
+    """The benchmark's tracer wraps saddle_connections and tells the exact
+    golden L from a float L-shape through TranslationSurface.is_exact."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+    tracer = Tracer()
+    tracer.install()
+    try:
+        surface.saddle_connections(surface.golden_l(), 3.0)
+        surface.saddle_connections(surface.l_shape(1.7, 1.9), 3.0)
+    finally:
+        tracer.uninstall()
+    assert surface.saddle_connections is saddle_connections
+    variants = [span[3] for span in tracer.spans if span[2] == "surface.saddle_connections"]
+    assert variants == ["golden", "lshape"]
