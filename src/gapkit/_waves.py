@@ -3,11 +3,11 @@ wave at a time on numpy arrays.
 
 ``surface._Developer.run`` imports this module when it first develops a
 float surface, so a program that develops only exact surfaces never loads
-it.  The search is the one of ``surface._Developer``, which develops exact
-surfaces on the module's Z[phi] int functions (see the ``surface`` module
-docstring); here every state of a wave is processed at once, with the float
-ball bound and window reach of ``surface._ball_rsq`` and
-``surface._window_reach``.
+it.  The search, half-open cones included, is the one of
+``surface._Developer``, which develops exact surfaces on the module's
+Z[phi] int functions (see the ``surface`` module docstring); here every
+state of a wave is processed at once, with the float ball bound and window
+reach of ``surface._ball_rsq`` and ``surface._window_reach``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ class _Wave(NamedTuple):
     """One BFS frontier of float states, one array entry per state.
 
     (tx, ty) translates the placed polygon copy; (lx, ly) and (rx, ry) are
-    the cone's clockwise and counterclockwise rays, il and ir whether each
-    ray belongs to the cone.  ``entry`` is None in the first wave (states at
+    the cone's clockwise and counterclockwise rays, il whether the clockwise
+    ray belongs to the cone (the other never does: cones are half-open, as
+    in ``_Developer``).  ``entry`` is None in the first wave (states at
     the corner) and (e1x, e1y, e2x, e2y, side) after it: the ends of the
     edge the state entered through and the origin's side of that edge.
     ``parent`` (an index into the previous wave) and ``edge`` record the
@@ -48,7 +49,6 @@ class _Wave(NamedTuple):
     rx: np.ndarray
     ry: np.ndarray
     il: np.ndarray
-    ir: np.ndarray
     entry: Optional[tuple]
     parent: Optional[np.ndarray]
     edge: Optional[np.ndarray]
@@ -111,11 +111,10 @@ class FloatWaves:
         corner = np.repeat(np.arange(n), inserts + 1)
         w = _ragged(np.zeros(n, np.int64), inserts + 1, int(inserts.sum()) + n)
         last, after = w == inserts[corner], np.minimum(w + 1, 4)
-        size = len(w)
         return _Wave(-bx[corner], -by[corner], cx[corner, w], cy[corner, w],
                      np.where(last, ix[corner], cx[corner, after]),
                      np.where(last, iy[corner], cy[corner, after]),
-                     np.ones(size, bool), np.zeros(size, bool), None, None, None)
+                     np.ones(len(w), bool), None, None, None)
 
     def _ray_hits(self, entry, own, rx, ry, edges):
         """``_Developer._ray_hit`` of each ray (rx, ry), a column, against
@@ -152,9 +151,7 @@ class FloatWaves:
         c_l, c_r = lx * py - ly * px, px * ry - py * rx
         interior = (c_l > eps) & (c_r > eps)
         on_l = (np.abs(c_l) <= eps) & (lx * px + ly * py > eps)
-        on_r = (np.abs(c_r) <= eps) & (rx * px + ry * py > eps)
-        cand = ~origin & beyond & (interior | on_l & wave.il[:, None]
-                                   | on_r & wave.ir[:, None])
+        cand = ~origin & beyond & (interior | on_l & wave.il[:, None])
         cs, cv = np.nonzero(cand)
 
         # _blocked: an edge crosses the ray piece before the candidate
@@ -174,10 +171,8 @@ class FloatWaves:
 
         # first singularities terminate rays: interior ones split the cone
         inner = interior[cs, cv]
-        kill_l, kill_r = np.zeros(count, bool), np.zeros(count, bool)
-        edge_l = on_l[cs, cv]
-        kill_l[cs[~inner & edge_l]] = True
-        kill_r[cs[~inner & ~edge_l]] = True
+        kill_l = np.zeros(count, bool)
+        kill_l[cs[~inner]] = True
         ss, sx, sy = cs[inner], x[inner], y[inner]
         splits = np.bincount(ss, minlength=count)
         # a split's place in the orient order of its state's splits, ties
@@ -197,19 +192,19 @@ class FloatWaves:
         total = int(size.sum())
         bx, by, binc = np.empty(total), np.empty(total), np.zeros(total, bool)
         bx[start], by[start], binc[start] = wave.lx, wave.ly, wave.il & ~kill_l
-        bx[end], by[end], binc[end] = wave.rx, wave.ry, wave.ir & ~kill_r
+        bx[end], by[end] = wave.rx, wave.ry
         at = start[ss] + 1 + rank
         bx[at], by[at] = sx, sy
         a = _ragged(start, splits + 1, total - count)
         own = np.repeat(np.arange(count), splits + 1)
-        cone = (own, bx[a], by[a], binc[a], bx[a + 1], by[a + 1], binc[a + 1])
+        cone = (own, bx[a], by[a], binc[a], bx[a + 1], by[a + 1])
 
         # sub-cones: drop slivers, then windows beyond the radius
         keep = cone[1] * cone[5] - cone[2] * cone[4] > eps
-        own, lx, ly, il, rx, ry, ir = (c[keep] for c in cone)
+        own, lx, ly, il, rx, ry = (c[keep] for c in cone)
         if entry is not None:
             keep = ~(_window_min_radius(entry, own, lx, ly, rx, ry) > self.reach)
-            own, lx, ly, il, rx, ry, ir = (c[keep] for c in (own, lx, ly, il, rx, ry, ir))
+            own, lx, ly, il, rx, ry = (c[keep] for c in (own, lx, ly, il, rx, ry))
 
         # _first_hit_edge of the middle ray: nearest crossed edge, in edge order
         mx, my = (lx + rx)[:, None], (ly + ry)[:, None]
@@ -235,7 +230,7 @@ class FloatWaves:
         keep = side != 0  # a window collinear with the origin subtends no angle
         own, k = own[keep], best[keep]
         return _Wave(wave.tx[own] + self.sx[k], wave.ty[own] + self.sy[k],
-                     lx[keep], ly[keep], rx[keep], ry[keep], il[keep], ir[keep],
+                     lx[keep], ly[keep], rx[keep], ry[keep], il[keep],
                      (e1x[keep], e1y[keep], e2x[keep], e2y[keep], side[keep]), own, k)
 
 

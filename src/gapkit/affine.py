@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Mat2, Region, Vec2, diag_flow, rotation
+from .core import Mat2, Region, Vec2, _check_positive, diag_flow, rotation
 from .lattice import coefficient_scan
 from .pointcloud import GapSequence, PointSystem
 from .stats import EmpiricalDist, circular_gaps, rng
@@ -71,8 +71,7 @@ class AffineLattice(PointSystem):
 
     def ball_points(self, radius: float) -> np.ndarray:
         """Points in the closed centered ball, as an (n, 2) float array."""
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        _check_positive(radius, "radius")
         _, _, x, y = coefficient_scan(self.basis, -radius, radius, -radius, radius,
                                       shift=self.shift)
         rsq = x * x + y * y
@@ -132,8 +131,8 @@ def _window_counts(angles: np.ndarray, thetas: np.ndarray, half_width: float) ->
 
 def wedge_count(lattice: AffineLattice, theta: float, sigma: float, radius: float) -> int:
     """Number of lattice points in the thinning wedge around direction theta."""
-    if not (sigma > 0 and radius > 0):
-        raise ValueError("sigma and radius must be positive")
+    _check_positive(sigma, "sigma")
+    _check_positive(radius, "radius")
     angles = _sorted_angles(lattice, radius)
     counts = _window_counts(angles, np.array([float(theta)]), sigma / radius ** 2)
     return int(counts[0])
@@ -147,8 +146,8 @@ def renormalized_triangle_count(lattice: AffineLattice, theta: float,
     -2 log R diagonal flow), which carries the wedge around theta onto the
     triangle (0,0), (1, +-sigma) up to curvature of the arc.
     """
-    if not (sigma > 0 and radius > 0):
-        raise ValueError("sigma and radius must be positive")
+    _check_positive(sigma, "sigma")
+    _check_positive(radius, "radius")
     g = diag_flow(-2.0 * math.log(radius)) @ rotation(-theta)
     moved = lattice.act(g)
     _, _, x, y = coefficient_scan(moved.basis, 0.0, 1.0, -sigma, sigma, shift=moved.shift)
@@ -161,8 +160,8 @@ def empirical_p(lattice: AffineLattice, sigma: float, radius: float,
     """Fractions of uniformly random directions whose wedge holds i points."""
     if samples < 1:
         raise ValueError("need at least one direction sample")
-    if not (sigma > 0 and radius > 0):
-        raise ValueError("sigma and radius must be positive")
+    _check_positive(sigma, "sigma")
+    _check_positive(radius, "radius")
     gen = rng(seed)
     thetas = gen.uniform(0.0, TWO_PI, samples)
     angles = _sorted_angles(lattice, radius)

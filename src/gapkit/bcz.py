@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import common_denominator, is_exact
+from .core import _check_positive, common_denominator, is_exact
 from .errors import ResourceLimitError
 from .stats import rng
 
@@ -64,8 +64,7 @@ class TransversalPoint:
 
     def __post_init__(self):
         a, b, eta = self.a, self.b, self.eta
-        if not eta > 0:
-            raise ValueError("eta must be positive")
+        _check_positive(eta, "eta")
         tol = 0 if (is_exact(a) and is_exact(b) and is_exact(eta)) else FLOAT_STEP_TOL
         if not (a > 0 and b > 0 and a <= eta + tol and b <= eta + tol
                 and a + b > eta - tol):
@@ -201,8 +200,7 @@ def farey_orbit_start(q: int) -> TransversalPoint:
 
 def rescale(p: TransversalPoint, eta_new) -> TransversalPoint:
     """Move a point between transversal widths; the roof scales by (eta_old/eta_new)^2."""
-    if not eta_new > 0:
-        raise ValueError("eta must be positive")
+    _check_positive(eta_new, "eta")
     if p.is_exact() and is_exact(eta_new):
         ratio = Fraction(eta_new) / Fraction(p.eta)
     else:
@@ -219,6 +217,7 @@ def sample_invariant_measure(eta: float, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    _check_positive(eta, "eta")
     gen = rng(seed)
     out = np.empty((n, 2))
     filled = 0

@@ -106,42 +106,34 @@ def _finite_float(text: str) -> float:
 
 
 # -- subcommand implementations ---------------------------------------------
+#
+# Each handler returns (config, columns): the configuration echoed into the
+# metadata block and the named output columns.  main writes them.
 
 def _cmd_farey_gaps(args):
     gaps = farey.farey_gaps(args.q)
-    meta = _meta(args, q=args.q, count=len(gaps))
-    _write_output(meta, {"index": range(len(gaps)), "normalized_gap": gaps},
-                  args.format, args.output)
-    return EXIT_OK
+    return ({"q": args.q, "count": len(gaps)},
+            {"index": range(len(gaps)), "normalized_gap": gaps})
 
 
 def _cmd_bcz_orbit(args):
-    if args.exact:
-        point = bcz.TransversalPoint(_parse_scalar(args.a), _parse_scalar(args.b),
-                                     _parse_scalar(args.eta))
-    else:
-        point = bcz.TransversalPoint(float(_parse_scalar(args.a)),
-                                     float(_parse_scalar(args.b)),
-                                     float(_parse_scalar(args.eta)))
+    scalar = _parse_scalar if args.exact else lambda text: float(_parse_scalar(text))
+    point = bcz.TransversalPoint(*map(scalar, (args.a, args.b, args.eta)))
     orb = bcz.orbit(point, args.steps, detect_period=True)
-    meta = _meta(args, a=args.a, b=args.b, eta=args.eta, steps=args.steps,
-                 exact=args.exact, period=orb.period if orb.period else "none")
     points = orb.points[:len(orb.returns)]
-    _write_output(meta, {"step": range(len(points)), "a": [p.a for p in points],
-                         "b": [p.b for p in points], "roof": orb.returns},
-                  args.format, args.output)
-    return EXIT_OK
+    return ({"a": args.a, "b": args.b, "eta": args.eta, "steps": args.steps,
+             "exact": args.exact, "period": orb.period if orb.period else "none"},
+            {"step": range(len(points)), "a": [p.a for p in points],
+             "b": [p.b for p in points], "roof": orb.returns})
 
 
 def _cmd_hall(args):
     lo, hi = hall.kinks(args.scaling)
     ts = np.linspace(0.0, 4.0 * hi, args.grid)
-    cdf = hall.hall_cdf(ts, args.scaling)
-    pdf = hall.hall_pdf(ts, args.scaling)
-    meta = _meta(args, scaling=args.scaling, grid=args.grid,
-                 kink_low=repr(lo), kink_high=repr(hi))
-    _write_output(meta, {"t": ts, "cdf": cdf, "pdf": pdf}, args.format, args.output)
-    return EXIT_OK
+    return ({"scaling": args.scaling, "grid": args.grid,
+             "kink_low": repr(lo), "kink_high": repr(hi)},
+            {"t": ts, "cdf": hall.hall_cdf(ts, args.scaling),
+             "pdf": hall.hall_pdf(ts, args.scaling)})
 
 
 def _cmd_lattice_gaps(args):
@@ -152,41 +144,36 @@ def _cmd_lattice_gaps(args):
         values = gaps_of(seq).floats()
     else:
         values = lattice.slope_gaps_fast(lat, args.eta, args.count).gaps
-    meta = _meta(args, eta=args.eta, count=args.count, oracle=args.oracle,
-                 lattice=lat.tag)
-    _write_output(meta, {"index": range(len(values)), "gap": values},
-                  args.format, args.output)
-    return EXIT_OK
+    return ({"eta": args.eta, "count": args.count, "oracle": args.oracle,
+             "lattice": lat.tag},
+            {"index": range(len(values)), "gap": values})
+
+
+def _shifted_square_lattice(shift: str) -> affine.AffineLattice:
+    """Z^2 shifted by the --shift value 'x,y'."""
+    sx, sy = (float(_parse_scalar(part)) for part in shift.split(","))
+    return affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
 
 
 def _cmd_affine_angles(args):
-    sx, sy = (float(_parse_scalar(part)) for part in args.shift.split(","))
-    lat = affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
-    dist = affine.angle_gap_distribution(lat, args.radius)
-    meta = _meta(args, shift=args.shift, radius=args.radius, count=dist.count)
-    _write_output(meta, {"index": range(dist.count), "normalized_gap": dist.samples},
-                  args.format, args.output)
-    return EXIT_OK
+    dist = affine.angle_gap_distribution(_shifted_square_lattice(args.shift), args.radius)
+    return ({"shift": args.shift, "radius": args.radius, "count": dist.count},
+            {"index": range(dist.count), "normalized_gap": dist.samples})
 
 
 def _cmd_wedge_p(args):
-    sx, sy = (float(_parse_scalar(part)) for part in args.shift.split(","))
-    lat = affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
-    ws = affine.empirical_p(lat, args.sigma, args.radius, args.samples, args.seed)
-    meta = _meta(args, sigma=args.sigma, radius=args.radius,
-                 samples=args.samples, shift=args.shift)
-    _write_output(meta, {"points_in_wedge": range(len(ws.counts)),
-                         "directions": ws.counts, "fraction": ws.fractions()},
-                  args.format, args.output)
-    return EXIT_OK
+    ws = affine.empirical_p(_shifted_square_lattice(args.shift), args.sigma,
+                            args.radius, args.samples, args.seed)
+    return ({"sigma": args.sigma, "radius": args.radius, "samples": args.samples,
+             "shift": args.shift},
+            {"points_in_wedge": range(len(ws.counts)), "directions": ws.counts,
+             "fraction": ws.fractions()})
 
 
 def _cmd_sqrtn(args):
     seq = affine.sqrt_mod1_gaps(args.n)
-    meta = _meta(args, n=args.n, count=len(seq))
-    _write_output(meta, {"index": range(len(seq)), "normalized_gap": seq.gaps},
-                  args.format, args.output)
-    return EXIT_OK
+    return ({"n": args.n, "count": len(seq)},
+            {"index": range(len(seq)), "normalized_gap": seq.gaps})
 
 
 def _cmd_surface_sc(args):
@@ -198,22 +185,18 @@ def _cmd_surface_sc(args):
     else:
         raise ValueError(f"--shape must be golden or l:alpha,beta, got {args.shape!r}")
     conns = surface.saddle_connections(surf, args.radius)
-    meta = _meta(args, shape=args.shape, radius=args.radius, count=len(conns))
     xs = [c.holonomy.x for c in conns]
     ys = [c.holonomy.y for c in conns]
-    _write_output(meta, {"x": xs, "y": ys, "x_float": np.asarray(xs, dtype=float),
-                         "y_float": np.asarray(ys, dtype=float),
-                         "crossings": [len(c.path) for c in conns]},
-                  args.format, args.output)
-    return EXIT_OK
+    return ({"shape": args.shape, "radius": args.radius, "count": len(conns)},
+            {"x": xs, "y": ys, "x_float": np.asarray(xs, dtype=float),
+             "y_float": np.asarray(ys, dtype=float),
+             "crossings": [len(c.path) for c in conns]})
 
 
 def _cmd_baseline_poisson(args):
     seq = lattice.poisson_baseline(args.n, args.seed)
-    meta = _meta(args, n=args.n, count=len(seq))
-    _write_output(meta, {"index": range(len(seq)), "normalized_gap": seq.gaps},
-                  args.format, args.output)
-    return EXIT_OK
+    return ({"n": args.n, "count": len(seq)},
+            {"index": range(len(seq)), "normalized_gap": seq.gaps})
 
 
 def _read_column(path: str) -> np.ndarray:
@@ -257,9 +240,8 @@ def _cmd_compare(args):
         reference = args.right
     else:
         raise ValueError("compare needs --right FILE or --cdf NAME")
-    meta = _meta(args, left=args.left, reference=reference, n_left=left.count)
-    _write_output(meta, {"ks_distance": [ks]}, args.format, args.output)
-    return EXIT_OK
+    return ({"left": args.left, "reference": reference, "n_left": left.count},
+            {"ks_distance": [ks]})
 
 
 # -- parser -------------------------------------------------------------------
@@ -354,13 +336,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        config, columns = args.func(args)
+        _write_output(_meta(args, **config), columns, args.format, args.output)
     except (ExhaustionError, ResourceLimitError) as exc:
         print(f"gapkit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, GapkitError, OSError) as exc:
         print(f"gapkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -320,6 +320,12 @@ def _check_finite(value, name):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_positive(value, name):
+    """ValueError unless 0 < value, and finite when value is a float."""
+    if not value > 0 or isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def shear(s) -> Mat2:
     """Unipotent vertical shear: (x, y) -> (x, y - s x); subtracts s from every slope.
 
@@ -385,8 +391,7 @@ class VerticalStrip(Region):
     height: float = math.inf
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("strip width must be positive")
+        _check_positive(self.eta, "strip width")
         if not self.height >= 0:
             raise ValueError("strip height must be nonnegative")
 
@@ -407,8 +412,7 @@ class Ball(Region):
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        _check_positive(self.radius, "radius")
 
     def contains(self, v: Vec2) -> bool:
         return float(v.norm_sq()) <= float(self.radius) ** 2

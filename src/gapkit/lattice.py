@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from . import bcz
-from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, common_denominator,
-                   is_exact, rotation, shear, diag_flow)
+from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive,
+                   common_denominator, is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
 from .pointcloud import ExactRows, GapSequence, PointSystem, _ragged, strip_points
 from .stats import rng
@@ -358,13 +358,17 @@ def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint,
     Shearing by the smallest strip slope s1 makes the strip vector horizontal
     of length a; completing it to a positively-oriented basis gives a column
     (b', 1/a), and b is the representative of b' modulo a inside (eta-a, eta].
-    Exact bases give exact coordinates (a float eta is promoted exactly).
+    The basis must be exact (a float basis is a ValueError); the coordinates
+    are exact, and a float eta is promoted exactly.
     """
-    if isinstance(eta, float) and lat.is_exact():
+    if not lat.is_exact():
+        raise ValueError("the transversal needs an exact lattice basis")
+    _check_positive(eta, "eta")
+    if isinstance(eta, float):
         eta = Fraction(eta)
     [(s1, v1)] = _lattice_strip_points(lat, eta, 1)
     a = v1.x
-    coeff = lat.basis.inverse() @ v1  # integral; exactly so for exact bases
+    coeff = lat.basis.inverse() @ v1  # integral
     m0, k0 = round(coeff.x), round(coeff.y)
     # companion coefficients with m0*k1 - m1*k0 = +1 (orientation matters:
     # the companion's sheared height must be +1/a, not -1/a)
@@ -375,18 +379,8 @@ def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint,
     mb = lat.basis
     wx = mb.a * m1 + mb.b * k1
     wy = (mb.c - s1 * mb.a) * m1 + (mb.d - s1 * mb.b) * k1
-    if is_exact(wy):
-        assert wy * a == 1
-    elif abs(float(wy) * float(a) - 1.0) > 1e-9:
-        raise ArithmeticError("companion column lost unimodularity")
-    j = math.ceil((wx - eta) / a) if not isinstance(wx, float) \
-        else math.ceil((wx - float(eta)) / float(a))
-    b = wx - j * a
-    if not is_exact(b):  # guard float rounding at the interval ends
-        if b <= float(eta) - float(a):
-            b += float(a)
-        elif b > float(eta):
-            b -= float(a)
+    assert wy * a == 1
+    b = wx - math.ceil((wx - eta) / a) * a
     return bcz.TransversalPoint(a, b, eta), s1
 
 
@@ -405,15 +399,13 @@ def slope_gaps_fast(lat: UnimodularLattice, eta, n: int,
     """First n slope gaps as return times along the transversal orbit.
 
     No point enumeration happens after the first hit: gap i is the roof value
-    of the i-th return-map iterate.  With exact=True (needs an exact basis)
-    the whole orbit runs in rational arithmetic.
+    of the i-th return-map iterate.  The basis must be exact (see
+    to_transversal); with exact=True the whole orbit runs in rational
+    arithmetic.
     """
     point, _ = to_transversal(lat, eta)
     if exact:
-        if not point.is_exact():
-            raise ValueError("exact orbit needs an exact lattice basis")
-        orb = bcz.orbit(point, n)
-        return GapSequence(orb.returns)
+        return GapSequence(bcz.orbit(point, n).returns)
     return GapSequence(bcz.roof_sequence(point.to_float(), n))
 
 

@@ -35,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Ball, Mat2, Region, Vec2, VerticalStrip, is_exact, shear, slope
+from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive, is_exact,
+                   shear, slope)
 from .errors import ExhaustionError, UnsupportedQueryError
 
 __all__ = [
@@ -212,8 +213,7 @@ def _strip_rows(system: PointSystem, eta, n: int):
     pairs when ``exact`` is None, else as (x, y) int rows of the ExactRows
     ``exact``.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    _check_positive(eta, "eta")
     height = float(eta) * max(4.0, 4.0 * n)
     while True:
         cut = height / float(eta)
@@ -298,15 +298,13 @@ def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bo
     that sheared the system by s should scale it by |s|, which is how much
     the shear amplifies coordinate rounding.  Exact systems ignore it.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    _check_positive(eta, "eta")
     return _has_axis_vector([system], eta, True, [tol])[0]
 
 
 def is_vertically_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
     """True when the set holds a vertical vector of length at most eta."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    _check_positive(eta, "eta")
     return _has_axis_vector([system], eta, False, [tol])[0]
 
 

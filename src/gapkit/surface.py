@@ -39,8 +39,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (GoldenNum, Mat2, PHI, Region, Vec2, common_denominator, is_exact,
-                   slope, zphi_sign)
+from .core import (GoldenNum, Mat2, PHI, Region, Vec2, _check_positive,
+                   common_denominator, is_exact, slope, zphi_sign)
 from .errors import ResourceLimitError
 from .pointcloud import GapSequence, PointSystem, _collapse
 from .stats import EmpiricalDist, circular_gaps
@@ -334,7 +334,9 @@ class _Developer:
     Exact surfaces develop here one state at a time, calling the Z[phi] int
     primitives above on the vertices over their common denominator D; ``run``
     hands float surfaces to ``_waves.FloatWaves``, which develops them one
-    frontier wave at a time.
+    frontier wave at a time.  A state is (translation, entry edge, left ray,
+    right ray, whether the left ray is in the cone, path); cones are
+    half-open, so no right ray is ever in one.
     """
 
     def __init__(self, surface: TranslationSurface, radius):
@@ -482,15 +484,15 @@ class _Developer:
             # out-ray, so inclusive right ends would trace every edge-aligned
             # connection twice
             for idx in range(len(bounds) - 1):
-                yield (t, None, bounds[idx], bounds[idx + 1], True, False, ())
+                yield (t, None, bounds[idx], bounds[idx + 1], True, ())
 
     def _process(self, state):
-        t, entry, d_l, d_r, incl_l, incl_r, path = state
+        t, entry, d_l, d_r, incl_l, path = state
         placed = [_zadd(b, t) for b in self.base]
 
         # candidate vertices: in cone, past the entry, first hit along their ray
         splits = []          # strictly interior terminated directions
-        kill_l = kill_r = False
+        kill_l = False
         for vi in range(self.n):
             p = placed[vi]
             if not any(p):
@@ -499,8 +501,7 @@ class _Developer:
             c_r = _zorient(p, d_r)
             interior = c_l > 0 and c_r > 0
             on_l = c_l == 0 and zphi_sign(*_zdot(d_l, p)) > 0
-            on_r = c_r == 0 and zphi_sign(*_zdot(d_r, p)) > 0
-            if not (interior or (on_l and incl_l) or (on_r and incl_r)):
+            if not (interior or (on_l and incl_l)):
                 continue
             if not self._beyond(entry, p):
                 continue
@@ -511,17 +512,14 @@ class _Developer:
                 self.found.append(SaddleConnection(_zholonomy(p, self.d), path))
             if interior:
                 splits.append(p)
-            elif on_l:
-                kill_l = True
             else:
-                kill_r = True
+                kill_l = True
 
         splits.sort(key=functools.cmp_to_key(lambda u, v: -_zorient(u, v)))
-        bounds = [(d_l, incl_l and not kill_l)] + [(p, False) for p in splits] \
-            + [(d_r, incl_r and not kill_r)]
+        bounds = [d_l, *splits, d_r]
 
         out = []
-        for (da, ia), (db, ib) in zip(bounds, bounds[1:]):
+        for i, (da, db) in enumerate(zip(bounds, bounds[1:])):
             if _zorient(da, db) <= 0:
                 continue  # degenerate sliver
             mid = _zadd(da, db)
@@ -535,7 +533,8 @@ class _Developer:
             j = self.surf.partner[k]
             shift = _zsub(self.base[k], self.base[(j + 1) % self.n])
             t_new = _zadd(t, shift)
-            out.append((t_new, (e1, e2, side_origin), da, db, ia, ib, path + (k,)))
+            out.append((t_new, (e1, e2, side_origin), da, db,
+                        i == 0 and incl_l and not kill_l, path + (k,)))
         return out
 
 
@@ -557,8 +556,7 @@ def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConne
     would overrun it.
     """
     key = float(radius)
-    if not 0 < key < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    _check_positive(key, "radius")
     cache = surface.__dict__.setdefault("_connection_cache", {})
     if key not in cache:
         larger = [r for r in cache if r > key]

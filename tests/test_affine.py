@@ -95,6 +95,23 @@ class TestWedges:
         assert np.mean(np.abs(wedge - tri) <= 1) >= 0.95
 
 
+    @pytest.mark.parametrize("sigma, radius", [(math.inf, 10.0), (math.nan, 10.0),
+                                               (1.0, math.inf), (0.0, 10.0)])
+    def test_sizes_must_be_positive_and_finite(self, sigma, radius):
+        # sigma = inf used to count 0 points, or raise OverflowError
+        lat = unit_affine(0.2, 0.3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            wedge_count(lat, 0.0, sigma, radius)
+        with pytest.raises(ValueError, match="positive and finite"):
+            renormalized_triangle_count(lat, 0.0, sigma, radius)
+        with pytest.raises(ValueError, match="positive and finite"):
+            empirical_p(lat, sigma, radius, 10, seed=0)
+
+    def test_ball_radius_must_be_positive_and_finite(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            unit_affine(0.2, 0.3).ball_points(math.inf)
+
+
 class TestEmpiricalP:
     def test_tiny_sigma_gives_empty_wedges(self, generic_affine):
         ws = empirical_p(generic_affine, 1e-9, 50.0, 500, seed=3)

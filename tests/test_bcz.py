@@ -135,6 +135,11 @@ class TestRescale:
             assert (lhs.a, lhs.b) == (rhs.a, rhs.b)
             checked += 1
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, 0, -1.0])
+    def test_width_must_be_positive_and_finite(self, eta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bcz.rescale(bcz.TransversalPoint(1, 1, 1), eta)
+
     def test_roof_scaling_law(self):
         p = bcz.TransversalPoint(Fraction(3, 5), Fraction(4, 5), 1)
         q = bcz.rescale(p, 3)
@@ -146,6 +151,12 @@ class TestInvariantMeasure:
         samples = bcz.sample_invariant_measure(1.5, 10 ** 5, seed=3)
         a, b = samples[:, 0], samples[:, 1]
         assert np.all((a > 0) & (a <= 1.5) & (b > 0) & (b <= 1.5) & (a + b > 1.5))
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0])
+    def test_width_must_be_positive_and_finite(self, eta):
+        # inf raised OverflowError from the sampler before the check
+        with pytest.raises(ValueError, match="positive and finite"):
+            bcz.sample_invariant_measure(eta, 10, seed=0)
 
     def test_determinism(self):
         s1 = bcz.sample_invariant_measure(1.0, 1000, seed=11)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -242,6 +243,56 @@ class TestContract:
         assert cli.main(["farey-gaps", "--q", "1"]) == 0
         out = capsys.readouterr().out
         assert "1/1" in out
+
+
+# one small run of every subcommand; compare reads the lattice-gaps file
+WRITE_ONCE = {
+    "farey-gaps": "--q 12",
+    "bcz-orbit": "--a 1/4 --b 1 --eta 1 --steps 10 --exact",
+    "hall": "--grid 8",
+    "lattice-gaps": "--seed 3 --count 20 --output gaps.csv",
+    "affine-angles": "--shift 0.41,0.73 --radius 10",
+    "wedge-p": "--sigma 1.0 --radius 10 --samples 50 --seed 7",
+    "sqrtn": "--n 50",
+    "surface-sc": "--shape golden --radius 2.0",
+    "baseline-poisson": "--n 30 --seed 11",
+    "compare": "--left gaps.csv --cdf poisson",
+}
+
+
+def test_write_once_covers_every_subcommand():
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(WRITE_ONCE)
+
+
+def test_every_subcommand_writes_once_from_main(tmp_path, monkeypatch, capsys):
+    """Handlers return (config, columns) and write nothing; main writes them
+    with exactly one _write_output call, of equal-length columns."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    write = cli._write_output
+
+    def spy(meta, columns, fmt, path):
+        calls.append((meta, {name: len(col) for name, col in columns.items()}))
+        write(meta, columns, fmt, path)
+
+    monkeypatch.setattr(cli, "_write_output", spy)
+    for command, options in WRITE_ONCE.items():
+        argv = [command, *options.split()]
+        args = cli.build_parser().parse_args(argv)
+        calls.clear()
+        config, columns = args.func(args)
+        assert calls == []
+        assert cli.main(argv) == 0
+        [(meta, lengths)] = calls
+        assert meta == cli._meta(args, **config)
+        assert list(lengths) == list(columns)
+        assert len(set(lengths.values())) == 1
+    capsys.readouterr()
+    calls.clear()
+    assert cli.main(["surface-sc", "--shape", "foo", "--radius", "3"]) == 2
+    assert calls == []
 
 
 # SHA-256 of the --format csv and --format json output of one small run of

@@ -182,6 +182,16 @@ class TestRegions:
         with pytest.raises(ValueError):
             Ball(-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_sizes_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            VerticalStrip(value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Ball(value)
+
+    def test_strip_height_may_be_infinite(self):
+        assert VerticalStrip(1.0, math.inf).bounding_radius() is None
+
 
 class TestMat2:
     def test_inverse_exact(self):

@@ -1,10 +1,12 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
-from gapkit import farey, stats
+from gapkit import bcz, farey, stats
 from gapkit.errors import ResourceLimitError
 
 
@@ -90,3 +92,18 @@ class TestGaps:
     def test_equidistribution_discrepancy(self):
         vals = [p / q for p, q in farey.farey_pairs(1000)]
         assert stats.discrepancy(stats.ecdf(vals)) <= 0.01
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_farey_references(monkeypatch):
+    """Every farey-exact task of the benchmark, in-process, against
+    perfbench/reference.json: the exact BCZ orbit of each level Q."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import FAREY_LEVELS, REFERENCE, FareyExact
+    workload = FareyExact(json.loads(REFERENCE.read_text()))
+    assert len(FAREY_LEVELS) == 100
+    gk = {"bcz": bcz, "farey": farey}
+    failed = [q for q in FAREY_LEVELS if not workload.run(gk, q)[0]]
+    assert failed == []

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,23 @@ class TestTransversal:
         lat = UnimodularLattice(Mat2(Fraction(1, 5), 0, 0, 5))
         with pytest.raises(ExceptionalLatticeError):
             to_transversal(lat, Fraction(1, 10))
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, 0, -1.0])
+    def test_width_must_be_positive_and_finite(self, eta):
+        # inf raised OverflowError promoting eta to a Fraction
+        lat = seeded_lattice(1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            to_transversal(lat, eta)
+        with pytest.raises(ValueError, match="positive and finite"):
+            slope_gaps_fast(lat, eta, 10)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_float_basis_raises(self, exact):
+        lat = seeded_lattice(1).to_float()
+        with pytest.raises(ValueError, match="exact lattice basis"):
+            to_transversal(lat, 1)
+        with pytest.raises(ValueError, match="exact lattice basis"):
+            slope_gaps_fast(lat, 1, 10, exact=exact)
 
     def test_orbit_roofs_equal_enumerated_gaps(self, seeded_lattices):
         lat = seeded_lattices[2]
@@ -306,3 +325,20 @@ class TestEnumerationBudget:
         assert flat.enumerate_points(Ball(3.0))
         with pytest.raises(ResourceLimitError):
             UnimodularLattice.enumerate_each([flat] * 3, Ball(3.0))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_lattice_references(monkeypatch):
+    """Every 8th lattice-oracle task of the benchmark (32 of the 256 seeds),
+    in-process, against perfbench/reference.json: exact return-map gaps
+    against the strip oracle, and float hitting times."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import LATTICE_SEEDS, REFERENCE, LatticeOracle
+    workload = LatticeOracle(json.loads(REFERENCE.read_text()))
+    gk = {"lattice": lattice, "pointcloud": pointcloud}
+    items = workload.build(gk, LATTICE_SEEDS[::8])
+    assert len(items) == 32
+    failed = [item[0] for item in items if not workload.run(gk, item)[0]]
+    assert failed == []

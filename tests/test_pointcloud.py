@@ -95,6 +95,16 @@ class TestShortness:
         assert not is_vertically_short(lat, 1)
         assert is_vertically_short(lat, 2)
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0])
+    def test_width_must_be_positive_and_finite(self, eta):
+        # inf raised OverflowError on a float lattice before the check
+        flat = lattice.seeded_lattice(1).to_float()
+        for short in (is_horizontally_short, is_vertically_short):
+            with pytest.raises(ValueError, match="positive and finite"):
+                short(flat, eta)
+        with pytest.raises(ValueError, match="positive and finite"):
+            slopes_in_strip(flat, eta, 5)
+
     def test_exceptional_threshold(self):
         # Z^2 has vertical vector (0,1); the threshold is eta/16
         assert not is_exceptional(ZSQUARED, 1)
