@@ -1,27 +1,39 @@
-"""Development of float translation surfaces, one breadth-first frontier
-wave at a time on numpy arrays.
+"""Development of translation surfaces, one breadth-first frontier wave at a
+time on numpy arrays.
 
 ``surface._Developer.run`` imports this module when it first develops a
-float surface, so a program that develops only exact surfaces never loads
-it.  The search, half-open cones included, is the one of
-``surface._Developer``, which develops exact surfaces on the module's
-Z[phi] int functions (see the ``surface`` module docstring); here every
-state of a wave is processed at once, with the float ball bound and window
-reach of ``surface._ball_rsq`` and ``surface._window_reach``.
+surface, so ``import gapkit.surface`` (and the CLI) never pays for loading
+it.  ``Waves`` holds every state of a wave in arrays and runs each step of
+the search on all of them at once.  The steps are written once, for two
+arithmetics that differ only in the array type, the sign rule, the ball
+test and how holonomies are built:
+
+* ``_FloatOps``: float64 arrays, signs within FLOAT_EPS of zero are zero,
+  the ball |x|^2 <= R^2 + FLOAT_EPS, holonomies ``Vec2`` of floats;
+* ``_ExactOps``: every coordinate over the surface's common denominator D as
+  a Z[phi] pair of int arrays (``_Z``), exact signs from ``core.zphi_sign``,
+  the ball test ``surface._zin_ball`` on Python ints, holonomies from
+  ``surface._zholonomy``.  A wave runs on int64 only while ``_int64_safe``
+  proves from the size of its coordinates that no product or square can
+  overflow, and on Python ints (object arrays) past that bound.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import surface
-from .core import Vec2
+from .core import Vec2, common_denominator, zphi_sign
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
 from .surface import (FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq,
-                      _window_reach)
+                      _window_reach, _zholonomy, _zin_ball, _zphi_coeffs)
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def _sign(x):
@@ -29,145 +41,319 @@ def _sign(x):
     return (x > FLOAT_EPS).astype(np.int8) - (x < -FLOAT_EPS)
 
 
+class _Z:
+    """Elements a + b phi of Z[phi], elementwise over two int arrays of one
+    shape (int64 or object), multiplied with phi^2 = phi + 1."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        return _Z(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return _Z(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return _Z(-self.a, -self.b)
+
+    def __mul__(self, other):
+        bb = self.b * other.b
+        return _Z(self.a * other.a + bb, self.a * other.b + self.b * other.a + bb)
+
+    def __getitem__(self, key):
+        return _Z(self.a[key], self.b[key])
+
+    def __setitem__(self, key, value):
+        self.a[key], self.b[key] = value.a, value.b
+
+    def astype(self, dtype):
+        return _Z(self.a.astype(dtype, copy=False), self.b.astype(dtype, copy=False))
+
+    def size(self) -> float:
+        """An upper bound for max(|x|, |x'|) over the elements, x' the
+        conjugate a + b (1 - phi); float rounding is covered by the margin."""
+        if not len(self.a):
+            return 0.0
+        a, b = self.a.astype(float), self.b.astype(float)
+        top = max(np.abs(a + b * _PHI).max(), np.abs(a + b * (1.0 - _PHI)).max())
+        return top * (1.0 + 1e-9) + 1.0
+
+
+def _int64_safe(size: float, rational: bool) -> bool:
+    """Whether a wave whose coordinates (placed vertices, rays, entry edges)
+    have |x|, |x'| <= size runs on int64 without overflow.
+
+    Every value a step signs is a sum of products of at most four
+    coordinates, with |x|, |x'| <= 48 size^4 (the exit test of the middle
+    ray), and the partial sums of each Z[phi] product stay below
+    3 * 32 size^4.  On a rational surface (every b = 0) those are all; else
+    ``zphi_sign`` squares 2a + b = x + x' and sqrt(5) b = x - x', each of
+    size at most 96 size^4, so s^2 - 5 b^2 needs 2 * 96^2 size^8 < 2^63.
+    """
+    if rational:
+        return 100 * size ** 4 < 2.0 ** 62
+    return 2 * 96 ** 2 * size ** 8 < 2.0 ** 62
+
+
+class _FloatOps:
+    """Float arithmetic: float64 arrays and the FLOAT_EPS sign rule."""
+
+    sign = staticmethod(_sign)
+    where = staticmethod(np.where)
+
+    def __init__(self, surf: TranslationSurface, radius: float):
+        self.bx = np.array([float(v.x) for v in surf.vertices])
+        self.by = np.array([float(v.y) for v in surf.vertices])
+        self.rsq = _ball_rsq(radius)
+
+    @staticmethod
+    def pos(x):
+        return x > FLOAT_EPS
+
+    @staticmethod
+    def zero(x):
+        return np.abs(x) <= FLOAT_EPS
+
+    @staticmethod
+    def stack(columns):
+        return np.stack(columns, 1)
+
+    @staticmethod
+    def empty(size: int):
+        return np.empty(size)
+
+    @staticmethod
+    def floats(x):
+        return x
+
+    @staticmethod
+    def route(wave):
+        return wave
+
+    def emit(self, x, y):
+        """The ball mask of the points (x, y) and the holonomies inside."""
+        ball = x * x + y * y <= self.rsq
+        return ball, [Vec2(u, v) for u, v in zip(x[ball].tolist(), y[ball].tolist())]
+
+
+class _ExactOps:
+    """Exact arithmetic: Z[phi] int pairs over the common denominator D."""
+
+    def __init__(self, surf: TranslationSurface, radius: float):
+        flat, self.d = common_denominator(
+            c for v in surf.vertices for x in (v.x, v.y) for c in _zphi_coeffs(x))
+        a, b, c, d = (np.array(flat[k::4], object) for k in range(4))
+        self.rational = not (b.any() or d.any())
+        bx, by = _Z(a, b), _Z(c, d)
+        self.base_size = max(bx.size(), by.size())
+        # the first wave multiplies edge vectors of the base
+        dtype = np.int64 if _int64_safe(2 * self.base_size, self.rational) else object
+        self.bx, self.by = bx.astype(dtype), by.astype(dtype)
+        rsq = Fraction(radius) ** 2
+        self.rsq_num, self.rsq_den = rsq.numerator * self.d * self.d, rsq.denominator
+
+    def sign(self, x):
+        return np.sign(x.a).astype(np.int8) if self.rational else zphi_sign(x.a, x.b)
+
+    def pos(self, x):
+        return self.sign(x) > 0
+
+    @staticmethod
+    def zero(x):
+        return (x.a == 0) & (x.b == 0)
+
+    @staticmethod
+    def where(mask, x, y):
+        return _Z(np.where(mask, x.a, y.a), np.where(mask, x.b, y.b))
+
+    @staticmethod
+    def stack(columns):
+        return _Z(np.stack([z.a for z in columns], 1), np.stack([z.b for z in columns], 1))
+
+    def empty(self, size: int):
+        return _Z(np.empty(size, self.bx.a.dtype), np.empty(size, self.bx.a.dtype))
+
+    def floats(self, x):
+        """The floats (a + b phi)/D, for the window bound, which prunes
+        only windows beyond its float tolerance."""
+        d = self.d
+        return (x.a / d + x.b / d * (1.0 + math.sqrt(5.0)) / 2.0).astype(float)
+
+    def route(self, wave: "_Wave") -> "_Wave":
+        """The wave on int64 when ``_int64_safe`` proves its products fit,
+        else on Python ints; placed vertices are base + translation."""
+        coords = [wave.lx, wave.ly, wave.rx, wave.ry, *(wave.entry or ())[:4]]
+        size = max([self.base_size + max(wave.tx.size(), wave.ty.size()),
+                    *(z.size() for z in coords)])
+        dtype = np.int64 if _int64_safe(size, self.rational) else object
+        self.bx, self.by = self.bx.astype(dtype), self.by.astype(dtype)
+        entry = wave.entry and (*(z.astype(dtype) for z in wave.entry[:4]), wave.entry[4])
+        return wave._replace(**{f: getattr(wave, f).astype(dtype)
+                                for f in ("tx", "ty", "lx", "ly", "rx", "ry")},
+                             entry=entry)
+
+    def emit(self, x, y):
+        """The ball mask of the points (x, y) and the holonomies inside."""
+        points = zip(x.a.tolist(), x.b.tolist(), y.a.tolist(), y.b.tolist())
+        ball, hols = [], []
+        for p in points:
+            inside = _zin_ball(p, self.rsq_num, self.rsq_den)
+            ball.append(inside)
+            if inside:
+                hols.append(_zholonomy(p, self.d))
+        return np.array(ball, bool), hols
+
+
 class _Wave(NamedTuple):
-    """One BFS frontier of float states, one array entry per state.
+    """One BFS frontier of states, one array entry per state.
 
     (tx, ty) translates the placed polygon copy; (lx, ly) and (rx, ry) are
     the cone's clockwise and counterclockwise rays, il whether the clockwise
-    ray belongs to the cone (the other never does: cones are half-open, as
-    in ``_Developer``).  ``entry`` is None in the first wave (states at
-    the corner) and (e1x, e1y, e2x, e2y, side) after it: the ends of the
-    edge the state entered through and the origin's side of that edge.
-    ``parent`` (an index into the previous wave) and ``edge`` record the
-    crossing that made the state, so paths are rebuilt only when emitted.
+    ray belongs to the cone (the other never does: cones are half-open, so
+    the gluing of a corner's in-edge ray to the partner corner's out-edge
+    ray traces no edge-aligned connection twice).  ``entry`` is None in the
+    first wave (states at the corner) and (e1x, e1y, e2x, e2y, side) after
+    it: the ends of the edge the state entered through and the origin's
+    side of that edge.  ``parent`` (an index into the previous wave) and
+    ``edge`` record the crossing that made the state, so paths are rebuilt
+    only when emitted.  Coordinates are arrays of the arithmetic in use.
     """
 
-    tx: np.ndarray
-    ty: np.ndarray
-    lx: np.ndarray
-    ly: np.ndarray
-    rx: np.ndarray
-    ry: np.ndarray
+    tx: object
+    ty: object
+    lx: object
+    ly: object
+    rx: object
+    ry: object
     il: np.ndarray
     entry: Optional[tuple]
     parent: Optional[np.ndarray]
     edge: Optional[np.ndarray]
 
 
-class FloatWaves:
-    """Development of a float surface one BFS frontier wave at a time.
+class Waves:
+    """Breadth-first cone development of a surface from its singularity,
+    one frontier wave at a time.
 
-    Every state of a wave is held in numpy arrays, and each step of
-    ``surface._Developer._process`` (vertex classification, ``_blocked``,
-    the ball test, the sub-cone split, ``_window_min_radius``, ``_first_hit_edge``
-    and the new states) runs on all of them at once: per-state vertex work
-    as (states, n) arrays, the ragged splits and sub-cones laid end to end
-    with ``_ragged``.  Python loops run only over the n polygon edges, for
-    the ordered nearest-exit scan.  Each float expression is the scalar
-    one in the same order, so with a zero tolerance of FLOAT_EPS every
-    decision and every holonomy is the one a state-by-state search makes,
-    and the waves hold the states in that search's queue order.
+    A state is a placed polygon copy and a visibility cone.  Each step
+    classifies the copy's vertices against every cone of the wave, emits
+    those first on their ray from the origin, splits each cone at its
+    interior emitted vertices, prunes sub-cones whose window lies beyond the
+    radius, and continues each through the edge its middle ray exits by:
+    per-state vertex work as (states, n) arrays, the ragged splits and
+    sub-cones laid end to end with ``_ragged``.  Python loops run only over
+    the n polygon edges, for the ordered nearest-exit scan.  The waves hold
+    the states in the queue order of a state-by-state search, so the
+    connections come out in its discovery order (states in BFS order, the
+    vertices of each state in index order).
     """
 
     def __init__(self, surf: TranslationSurface, radius: float):
+        self.ops = (_ExactOps if surf.is_exact() else _FloatOps)(surf, radius)
         n = self.n = len(surf.vertices)
-        self.bx = np.array([float(v.x) for v in surf.vertices])
-        self.by = np.array([float(v.y) for v in surf.vertices])
         self.nxt = np.roll(np.arange(n), -1)
         # crossing edge k shifts the copy by base[k] - base[partner(k) + 1]
-        glued = self.nxt[list(surf.partner)]
-        self.sx, self.sy = self.bx - self.bx[glued], self.by - self.by[glued]
-        self.rsq = _ball_rsq(radius)
+        self.glued = self.nxt[list(surf.partner)]
         self.reach = _window_reach(radius)
 
     def run(self) -> list[SaddleConnection]:
-        """The connections in order of discovery, as ``_Developer.run``;
-        the state budget is ``surface.DEFAULT_STATE_BUDGET``."""
+        """The connections in order of discovery; a development of more than
+        ``surface.DEFAULT_STATE_BUDGET`` states raises ResourceLimitError
+        carrying those of the waves completed before the one that would
+        overrun it."""
         wave, links, found, states = self._first_wave(), [], [], 0
-        while len(wave.tx):
-            states += len(wave.tx)
+        while len(wave.il):
+            states += len(wave.il)
             if states > surface.DEFAULT_STATE_BUDGET:
-                # the partial result ends at the last completed wave
                 raise ResourceLimitError(
                     f"development exceeded {surface.DEFAULT_STATE_BUDGET} states",
                     partial=_connections(links, found))
             links.append((wave.parent, wave.edge))
-            wave = self._step(wave, found)
+            wave = self._step(self.ops.route(wave), found)
         return _connections(links, found)
 
     def _first_wave(self) -> _Wave:
-        """The corner wedges of ``_Developer._initial_states``."""
-        n, bx, by = self.n, self.bx, self.by
+        """The corner wedges: each corner's angle from its out-edge ray to
+        its in-edge ray, carved into sub-pi pieces by quarter turns."""
+        ops, n, bx, by = self.ops, self.n, self.ops.bx, self.ops.by
         prev = np.roll(np.arange(n), 1)
         ix, iy = bx[prev] - bx, by[prev] - by  # in-edge rays
         turns = [(bx[self.nxt] - bx, by[self.nxt] - by)]  # out-edge rays
         for _ in range(4):
             x, y = turns[-1]
             turns.append((-y, x))
-        cx, cy = (np.stack(axis, 1) for axis in zip(*turns))
+        cx, cy = (ops.stack(axis) for axis in zip(*turns))  # (corner, turn)
         # quarter turns inserted until the in-edge ray is strictly left
-        left = cx[:, :4] * iy[:, None] - cy[:, :4] * ix[:, None] > FLOAT_EPS
+        left = ops.pos(cx[:, :4] * iy[:, None] - cy[:, :4] * ix[:, None])
         inserts = np.where(left.any(1), left.argmax(1), 4)
         corner = np.repeat(np.arange(n), inserts + 1)
         w = _ragged(np.zeros(n, np.int64), inserts + 1, int(inserts.sum()) + n)
         last, after = w == inserts[corner], np.minimum(w + 1, 4)
         return _Wave(-bx[corner], -by[corner], cx[corner, w], cy[corner, w],
-                     np.where(last, ix[corner], cx[corner, after]),
-                     np.where(last, iy[corner], cy[corner, after]),
+                     ops.where(last, ix[corner], cx[corner, after]),
+                     ops.where(last, iy[corner], cy[corner, after]),
                      np.ones(len(w), bool), None, None, None)
 
     def _ray_hits(self, entry, own, rx, ry, edges):
-        """``_Developer._ray_hit`` of each ray (rx, ry), a column, against
-        every edge of its state ``own``: (num, den, sign of den, hit)."""
+        """Where each ray (rx, ry), a column, meets every edge (q1, q2) of
+        its state ``own``: (num, den, sign of den, hit), the meeting point
+        ray * num/den, hit where num/den > 0 and the point lies past the
+        entry edge."""
+        sign = self.ops.sign
         num, ex, ey = (a[own] for a in edges)
         den = rx * ey - ry * ex
-        sden = _sign(den)
-        hit = _sign(num) * sden > 0
+        sden = sign(den)
+        hit = sign(num) * sden > 0
         if entry is not None:
             e1x, e1y, e2x, e2y, side = (a[own, None] for a in entry)
             eex, eey = e2x - e1x, e2y - e1y
             val = num * (eex * ry - eey * rx) - den * (eex * e1y - eey * e1x)
-            hit &= _sign(val) * sden == -side
+            hit &= sign(val) * sden == -side
         return num, den, sden, hit
 
     def _step(self, wave: _Wave, found: list) -> _Wave:
         """Process every state of the wave; append its emitted vertices to
-        ``found`` as (state indices, xs, ys) lists and return the next wave."""
-        n, nxt, eps = self.n, self.nxt, FLOAT_EPS
-        count = len(wave.tx)
-        px, py = self.bx + wave.tx[:, None], self.by + wave.ty[:, None]
+        ``found`` as (state indices, holonomies) and return the next wave."""
+        ops, n, nxt = self.ops, self.n, self.nxt
+        count = len(wave.il)
+        px, py = ops.bx + wave.tx[:, None], ops.by + wave.ty[:, None]
         qx, qy = px[:, nxt], py[:, nxt]
         edges = (px * qy - py * qx, qx - px, qy - py)  # cross(q1, q2), q2 - q1
         entry = wave.entry
-        origin = (np.abs(px) <= eps) & (np.abs(py) <= eps)
+        origin = ops.zero(px) & ops.zero(py)
         if entry is None:
             beyond = ~origin
         else:
             e1x, e1y, e2x, e2y, side = (a[:, None] for a in entry)
-            beyond = ((e2x - e1x) * (py - e1y) - (e2y - e1y) * (px - e1x)) * side < -eps
+            beyond = ops.sign((e2x - e1x) * (py - e1y) - (e2y - e1y) * (px - e1x)) \
+                == -side
 
         # candidate vertices: in the cone and past the entry
         lx, ly, rx, ry = (a[:, None] for a in (wave.lx, wave.ly, wave.rx, wave.ry))
         c_l, c_r = lx * py - ly * px, px * ry - py * rx
-        interior = (c_l > eps) & (c_r > eps)
-        on_l = (np.abs(c_l) <= eps) & (lx * px + ly * py > eps)
+        interior = ops.pos(c_l) & ops.pos(c_r)
+        on_l = ops.zero(c_l) & ops.pos(lx * px + ly * py)
         cand = ~origin & beyond & (interior | on_l & wave.il[:, None])
         cs, cv = np.nonzero(cand)
 
-        # _blocked: an edge crosses the ray piece before the candidate
+        # blocked: an edge crosses the ray piece before the candidate
         p0, p1 = px[cs, cv, None], py[cs, cv, None]
-        sides = _sign(p0 * py[cs] - p1 * px[cs])
+        sides = ops.sign(p0 * py[cs] - p1 * px[cs])
         along = (sides == 0) & (sides[:, nxt] == 0)
         t = p0 * px[cs] + p1 * py[cs]
-        near = (t > eps) & (p0 * p0 + p1 * p1 - t > eps) & beyond[cs]
+        near = ops.pos(t) & ops.pos(p0 * p0 + p1 * p1 - t) & beyond[cs]
         num, den, sden, hit = self._ray_hits(entry, cs, p0, p1, edges)
         blocked = (along & (near | near[:, nxt])) \
-            | (~along & (sides * sides[:, nxt] <= 0) & hit & (_sign(num - den) * sden < 0))
+            | (~along & (sides * sides[:, nxt] <= 0) & hit
+               & (ops.sign(num - den) * sden < 0))
         free = ~blocked.any(1)
         cs, cv = cs[free], cv[free]
         x, y = px[cs, cv], py[cs, cv]
-        ball = x * x + y * y <= self.rsq
-        found.append((cs[ball].tolist(), x[ball].tolist(), y[ball].tolist()))
+        ball, hols = ops.emit(x, y)
+        found.append((cs[ball].tolist(), hols))
 
         # first singularities terminate rays: interior ones split the cone
         inner = interior[cs, cv]
@@ -176,13 +362,13 @@ class FloatWaves:
         ss, sx, sy = cs[inner], x[inner], y[inner]
         splits = np.bincount(ss, minlength=count)
         # a split's place in the orient order of its state's splits, ties
-        # kept in vertex order (the stable sort of _process): count the
-        # splits j of its state with orient(s_j, s_i) > 0 or a tie and j < i
+        # kept in vertex order (a stable sort): count the splits j of its
+        # state with orient(s_j, s_i) > 0 or a tie and j < i
         pairs = splits[ss]
         i = np.repeat(np.arange(len(ss)), pairs)
         j = _ragged((np.cumsum(splits) - splits)[ss], pairs, int(pairs.sum()))
         cross = sx[j] * sy[i] - sy[j] * sx[i]
-        before = (cross > eps) | (np.abs(cross) <= eps) & (j < i)
+        before = ops.pos(cross) | ops.zero(cross) & (j < i)
         rank = np.bincount(i[before], minlength=len(ss))
 
         # bounds of each state end to end: left ray, splits in order, right ray
@@ -190,7 +376,7 @@ class FloatWaves:
         start = np.cumsum(size) - size
         end = start + splits + 1
         total = int(size.sum())
-        bx, by, binc = np.empty(total), np.empty(total), np.zeros(total, bool)
+        bx, by, binc = ops.empty(total), ops.empty(total), np.zeros(total, bool)
         bx[start], by[start], binc[start] = wave.lx, wave.ly, wave.il & ~kill_l
         bx[end], by[end] = wave.rx, wave.ry
         at = start[ss] + 1 + rank
@@ -200,25 +386,27 @@ class FloatWaves:
         cone = (own, bx[a], by[a], binc[a], bx[a + 1], by[a + 1])
 
         # sub-cones: drop slivers, then windows beyond the radius
-        keep = cone[1] * cone[5] - cone[2] * cone[4] > eps
+        keep = ops.pos(cone[1] * cone[5] - cone[2] * cone[4])
         own, lx, ly, il, rx, ry = (c[keep] for c in cone)
         if entry is not None:
-            keep = ~(_window_min_radius(entry, own, lx, ly, rx, ry) > self.reach)
+            window = [ops.floats(c) for c in (*entry[:4], lx, ly, rx, ry)]
+            keep = ~(_window_min_radius(own, *window) > self.reach)
             own, lx, ly, il, rx, ry = (c[keep] for c in (own, lx, ly, il, rx, ry))
 
-        # _first_hit_edge of the middle ray: nearest crossed edge, in edge order
+        # exit edge of the middle ray: nearest crossed edge, in edge order
         mx, my = (lx + rx)[:, None], (ly + ry)[:, None]
-        sides = _sign(mx * py[own] - my * px[own])
+        sides = ops.sign(mx * py[own] - my * px[own])
         num, den, sden, hit = self._ray_hits(entry, own, mx, my, edges)
         hit &= ~((sides == 0) & (sides[:, nxt] == 0)) & (sides * sides[:, nxt] <= 0)
         best = np.full(len(own), -1)
-        bnum, bden, bsign = np.zeros((3, len(own)))
+        bnum, bden = num[:, 0], den[:, 0]  # read only once best >= 0
+        bsign = np.zeros(len(own))
         for k in range(n):
-            nearer = hit[:, k] & ((best < 0) | (_sign(num[:, k] * bden - bnum * den[:, k])
+            nearer = hit[:, k] & ((best < 0) | (ops.sign(num[:, k] * bden - bnum * den[:, k])
                                                * sden[:, k] * bsign < 0))
             best[nearer] = k
-            bnum = np.where(nearer, num[:, k], bnum)
-            bden = np.where(nearer, den[:, k], bden)
+            bnum = ops.where(nearer, num[:, k], bnum)
+            bden = ops.where(nearer, den[:, k], bden)
             bsign = np.where(nearer, sden[:, k], bsign)
         if (best < 0).any():
             raise RuntimeError("development ray found no exit edge")
@@ -226,17 +414,18 @@ class FloatWaves:
         # cross the exit edge into the glued copy
         e1x, e1y = px[own, best], py[own, best]
         e2x, e2y = px[own, nxt[best]], py[own, nxt[best]]
-        side = _sign((e2x - e1x) * -e1y - (e2y - e1y) * -e1x)
+        side = ops.sign((e2x - e1x) * -e1y - (e2y - e1y) * -e1x)
         keep = side != 0  # a window collinear with the origin subtends no angle
         own, k = own[keep], best[keep]
-        return _Wave(wave.tx[own] + self.sx[k], wave.ty[own] + self.sy[k],
+        shift_x, shift_y = ops.bx - ops.bx[self.glued], ops.by - ops.by[self.glued]
+        return _Wave(wave.tx[own] + shift_x[k], wave.ty[own] + shift_y[k],
                      lx[keep], ly[keep], rx[keep], ry[keep], il[keep],
                      (e1x[keep], e1y[keep], e2x[keep], e2y[keep], side[keep]), own, k)
 
 
-def _window_min_radius(entry, own, lx, ly, rx, ry):
-    """``_Developer._window_min_radius`` of each sub-cone (lx, ly)-(rx, ry)
-    of state ``own``: a lower bound for |x| over the entry window.
+def _window_min_radius(own, e1x, e1y, e2x, e2y, lx, ly, rx, ry):
+    """A lower bound for |x| over the entry window (e1, e2)[own] of each
+    sub-cone (lx, ly)-(rx, ry), in floats on every surface.
 
     ``np.hypot`` is not ``math.hypot``: on about 0.2 % of random inputs they
     differ by one ulp.  The bound only prunes windows beyond
@@ -244,7 +433,7 @@ def _window_min_radius(entry, own, lx, ly, rx, ry):
     so a one-ulp difference can only add or drop states that emit nothing,
     and only when a bound lies within an ulp of that threshold.
     """
-    e1x, e1y, e2x, e2y = (a[own] for a in entry[:4])
+    e1x, e1y, e2x, e2y = (a[own] for a in (e1x, e1y, e2x, e2y))
     ex, ey = e2x - e1x, e2y - e1y
     low = np.full(len(own), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,16 +455,15 @@ def _connections(links, found) -> list[SaddleConnection]:
     its state's chain of crossings, built wave by wave only for the states
     that lead to an emitted vertex."""
     links = [(parent.tolist(), edge.tolist()) for parent, edge in links[1:]]
-    need = [set(states) for states, _, _ in found]
+    need = [set(states) for states, _ in found]
     for w in range(len(found) - 1, 0, -1):
         parent = links[w - 1][0]
         need[w - 1].update(parent[s] for s in need[w])
     paths = dict.fromkeys(need[0], ())
     out = []
-    for w, (states, xs, ys) in enumerate(found):
+    for w, (states, hols) in enumerate(found):
         if w:
             parent, edge = links[w - 1]
             paths = {s: paths[parent[s]] + (edge[s],) for s in need[w]}
-        out.extend(SaddleConnection(Vec2(x, y), paths[s])
-                   for s, x, y in zip(states, xs, ys))
+        out.extend(SaddleConnection(h, paths[s]) for s, h in zip(states, hols))
     return out

@@ -32,12 +32,15 @@ def _as_coeff(x):
     raise TypeError(f"GoldenNum coefficients must be int or Fraction, got {type(x).__name__}")
 
 
-def zphi_sign(a, b) -> int:
+def zphi_sign(a, b):
     """Exact sign of the real number a + b*phi (a, b int or Fraction): -1, 0 or +1.
 
     The one sign rule of Q(sqrt 5), shared by GoldenNum and the integer
-    surface development.
+    surface development, which passes numpy int arrays (int64 or object) of
+    one shape and gets the signs elementwise as an int8 array.
     """
+    if not isinstance(b, (int, Fraction)):
+        return _zphi_signs(a, b)
     if b == 0:
         return (a > 0) - (a < 0)
     # 2(a + b phi) = s + b sqrt 5
@@ -51,6 +54,16 @@ def zphi_sign(a, b) -> int:
     if s > 0:  # b < 0
         return (lhs > rhs) - (lhs < rhs)
     return (rhs > lhs) - (rhs < lhs)
+
+
+def _zphi_signs(a, b):
+    """``zphi_sign`` of int arrays; (2a + b)^2 and 5 b^2 must fit their dtype."""
+    import numpy as np  # loaded already by every caller that holds arrays
+    s = 2 * a + b
+    ss, sb = np.sign(s).astype(np.int8), np.sign(b).astype(np.int8)
+    # same signs (or zeros): that sign; opposite signs: compare s^2 with 5 b^2
+    return np.where(ss * sb < 0, ss * np.sign(s * s - 5 * b * b).astype(np.int8),
+                    np.sign(ss + sb))
 
 
 def common_denominator(values) -> tuple[list[int], int]:

@@ -364,16 +364,18 @@ def test_pinned_output_bytes(command, fmt, capsys, tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    """Neither the CLI import nor an exact surface development loads the
-    lazily imported modules: scipy.integrate, and the float development."""
+    """The CLI import loads neither lazily imported module (scipy.integrate,
+    the wave development); the first surface development loads the waves
+    only."""
     res = subprocess.run(
         [sys.executable, "-c",
-         "import gapkit.cli, sys; print('scipy.integrate' in sys.modules); "
+         "import gapkit.cli, sys; "
+         "print('scipy.integrate' in sys.modules, 'gapkit._waves' in sys.modules); "
          "from gapkit import surface; surface.saddle_connections(surface.golden_l(), 3.0); "
-         "print('gapkit._waves' in sys.modules)"],
+         "print('scipy.integrate' in sys.modules, 'gapkit._waves' in sys.modules)"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False"]
+    assert res.stdout.split() == ["False", "False", "False", "True"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapkit import surface
-from gapkit.core import PHI, shear
+from gapkit import _waves, surface
+from gapkit.core import PHI, GoldenNum, Mat2, shear
 from gapkit.errors import ResourceLimitError
 from gapkit.surface import (TranslationSurface, golden_l, l_shape,
                             saddle_connections, sc_angle_gaps, sc_slope_gaps)
@@ -173,6 +174,127 @@ class TestPinnedGoldenOutput:
         assert len(gaps) == 39
         assert hashlib.sha256(str(gaps).encode()).hexdigest() == \
             "e2e8d62fd09868f921489dd24840084e43a692ffdc60e758dc68ca60e97181e5"
+
+
+def sheared_golden():
+    return golden_l().act(shear(Fraction(1, 3)))
+
+
+def discovery_digest(conns):
+    return hashlib.sha256(
+        "\n".join(f"{c.holonomy}|{c.path}" for c in conns).encode()).hexdigest()
+
+
+class TestPinnedDevelopments:
+    """Exact developments pinned by discovery order and state count, as the
+    state-by-state search gave them before the waves took exact surfaces:
+    (surface, radius, connections, states, sha256 of str(holonomy)|path in
+    discovery order)."""
+
+    CASES = [
+        (golden_l, 3.0, 72, 300,
+         "0290d25dea6e949ac4bcbc04399e6fcbbcc4806712a95ae3706efd776e83916e"),
+        (golden_l, 3.75, 112, 466,
+         "12d198b60f55d9cb8653c9007e0ea21a080812d6e65a210ded96e5ff82a232d7"),
+        (golden_l, 4.5, 168, 690,
+         "0145c0a9d2d10b8dc2e16bf7278b7973a4c06ae51835508bfcaa7b60d2e9c7db"),
+        (golden_l, 10.0, 768, 4128,
+         "4d4433c01f228840659334250c54c1e147d127ef7345f1f00897799e1c11c66d"),
+        (golden_l, 20.0, 3176, 25624,
+         "6330d3b55c70088ef99370a20bf8b1325c9ab1c4f4a766831b37e91c7d2180fb"),
+        (golden_l, 40.0, 12824, 179138,
+         "0cf09331bb07c9c92eaca19e27ea27e7c30f864767dfc4098fe8143b8d277afb"),
+        (lambda: l_shape(Fraction(3, 2), Fraction(5, 3)), 10.0, 952, 4922,
+         "8e2d60182affbc3a9d4b2bcf112e187ab4a2ada29b16fe837a82ef6aa7c57b82"),
+        (lambda: l_shape(2, 3), 10.0, 460, 2282,
+         "8414208ab91ed25d573dcbefd6d367a063884636b1c93937139595dcc06b8449"),
+        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0, 256, 1051,
+         "94e4432868b63d44d6da406f8199a5f43a533558a7284e40adc7ed7c35ac60c1"),
+        (lambda: l_shape(PHI + 1, PHI), 10.0, 752, 3628,
+         "fa50afcd6efc2d1bb7aade4e50bdedb95ab642718351f8a529b3aa4289105e9c"),
+        (lambda: l_shape(2, 2), 10.0, 576, 2880,
+         "37da01200150375edeccf84d50a5ca6b8657fe4fa735c21a208b47d9816d17ba"),
+        (sheared_golden, 10.0, 806, 4295,
+         "cc1ed75cea495ad224d1f8625095f1c5cae2b2939572ed2cb7ddae9680bab4d3"),
+        (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 10.0, 794, 4496,
+         "234562aeedfde81dddeff8916ce4a31c3fd8c6cc9fe658dbb80d0f826de5b7e6"),
+    ]
+
+    @pytest.mark.parametrize("make, radius, connections, states, digest", CASES,
+                             ids=["golden-3", "golden-3.75", "golden-4.5", "golden-10",
+                                  "golden-20", "golden-40", "l(3/2,5/3)", "l(2,3)",
+                                  "l(13/12,14/11)", "l(phi+1,phi)", "l(2,2)",
+                                  "golden-shear", "golden-shear-diag"])
+    def test_discovery_order_and_state_count(self, monkeypatch, make, radius,
+                                             connections, states, digest):
+        # exactly `states` states fit the budget, and one fewer overruns it
+        monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", states)
+        conns = surface._Developer(make(), radius).run()
+        assert len(conns) == connections
+        assert discovery_digest(conns) == digest
+        monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", states - 1)
+        with pytest.raises(ResourceLimitError, match=f"exceeded {states - 1} states"):
+            surface._Developer(make(), radius).run()
+
+
+class TestIntegerRoutes:
+    """The exact waves run on int64 while their coordinates are small, and
+    give the same connections on Python ints."""
+
+    @pytest.mark.parametrize("make, radius", [
+        (golden_l, 4.5),
+        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0),  # D = 132
+    ], ids=["golden", "l(13/12,14/11)"])
+    def test_python_ints_match_int64(self, monkeypatch, make, radius):
+        dtypes = set()
+
+        def sign(ops, x, signs=_waves._ExactOps.sign):
+            dtypes.add(x.a.dtype)
+            return signs(ops, x)
+
+        monkeypatch.setattr(_waves._ExactOps, "sign", sign)
+        fast = surface._Developer(make(), radius).run()
+        assert dtypes == {np.dtype(np.int64)}
+        dtypes.clear()
+        monkeypatch.setattr(_waves, "_int64_safe", lambda size, rational: False)
+        slow = surface._Developer(make(), radius).run()
+        assert dtypes == {np.dtype(object)}
+        assert slow == fast
+        assert [(str(c.holonomy), c.path) for c in slow] == \
+            [(str(c.holonomy), c.path) for c in fast]
+
+
+def golden_orbit_holonomies(radius):
+    """The holonomy multiset of the golden L inside the ball, from its Veech
+    group alone: breadth-first over T = [[1, phi], [0, 1]], its inverse and
+    S = [[0, -1], [1, 0]] inside the ball, from the roots (1, 0), twice, and
+    (1/phi, 0), once.  The search is complete because Rosen's
+    lambda-reduction of a vector never increases its norm."""
+    rsq = Fraction(radius) ** 2
+    counts = Counter()
+    for root, weight in (((GoldenNum(1), GoldenNum(0)), 2),
+                         ((PHI - 1, GoldenNum(0)), 1)):
+        seen, frontier = {root}, [root]
+        while frontier:
+            reached = []
+            for x, y in frontier:
+                for w in ((x + PHI * y, y), (x - PHI * y, y), (-y, x)):
+                    if w not in seen and w[0] * w[0] + w[1] * w[1] <= rsq:
+                        seen.add(w)
+                        reached.append(w)
+            frontier = reached
+        counts.update(dict.fromkeys(seen, weight))
+    return counts
+
+
+@pytest.mark.parametrize("radius, connections", [(3.0, 72), (4.5, 168), (10.0, 768)])
+def test_golden_development_matches_its_veech_group_orbits(radius, connections):
+    """An exact oracle that shares nothing with the development."""
+    orbits = golden_orbit_holonomies(radius)
+    developed = Counter((c.holonomy.x, c.holonomy.y)
+                        for c in saddle_connections(golden_l(), radius))
+    assert sum(orbits.values()) == connections
+    assert developed == orbits
 
 
 class TestEquivariance:

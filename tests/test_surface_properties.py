@@ -1,13 +1,14 @@
 """Property tests: the shared Z[phi] sign rule against high-precision
-arithmetic, the integer surface development against the float one and
-against exact linear maps, and the radius cache against fresh
-developments."""
+arithmetic, the exact surface development against the float one and
+against exact linear maps, budget partials against full developments, and
+the radius cache against fresh developments."""
 
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -51,6 +52,19 @@ def test_zphi_sign_near_zero_fibonacci_pairs(n, da, db, negate):
     assert zphi_sign(a, b) == reference_sign(a, b)
 
 
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG)),
+                min_size=1, max_size=20))
+def test_zphi_sign_of_arrays(pairs):
+    # object arrays hold Python ints of any size; int64 ones, coefficients
+    # small enough that 5 b^2 and (2a + b)^2 fit
+    a, b = zip(*pairs)
+    expected = [zphi_sign(x, y) for x, y in pairs]
+    assert zphi_sign(np.array(a, object), np.array(b, object)).tolist() == expected
+    a, b = (np.array([x >> 32 for x in col], np.int64) for col in (a, b))
+    assert zphi_sign(a, b).tolist() == [zphi_sign(int(x), int(y)) for x, y in zip(a, b)]
+
+
 sides = st.fractions(min_value=Fraction(1), max_value=Fraction(3),
                      max_denominator=12).filter(lambda x: x > 1)
 
@@ -79,16 +93,21 @@ def test_rational_l_shape_exact_matches_float(alpha, beta, quarter_radius):
 
 
 @SETTINGS
-@given(sides, sides, st.integers(20, 400))
-def test_float_budget_partial_is_a_prefix_of_the_development(alpha, beta, budget):
-    surf = l_shape(float(alpha), float(beta))
+@given(sides, sides, st.sampled_from(["float", "exact", "golden"]), st.integers(20, 400))
+@example(Fraction(3, 2), Fraction(5, 3), "exact", 200)
+@example(Fraction(3, 2), Fraction(5, 3), "golden", 200)
+def test_budget_partial_is_a_prefix_of_the_development(alpha, beta, kind, budget):
+    surf = {"float": lambda: l_shape(float(alpha), float(beta)),
+            "exact": lambda: l_shape(alpha, beta),
+            "golden": golden_l}[kind]()
     full = _Developer(surf, 5.0).run()
     with mock.patch.object(surface, "DEFAULT_STATE_BUDGET", budget), \
             pytest.raises(ResourceLimitError, match=f"exceeded {budget} states") as exc:
         _Developer(surf, 5.0).run()
     partial = exc.value.partial
-    # the partial result ends at a wave boundary of the same discovery order;
-    # the first wave (13 corner wedges) fits every budget drawn and emits
+    # the partial result ends at a wave boundary of the same discovery order,
+    # on either arithmetic; the first wave (13 corner wedges) fits every
+    # budget drawn and emits
     assert partial and partial == full[:len(partial)]
     assert not Counter(map(str, partial)) - Counter(map(str, full))
 
