@@ -1,21 +1,26 @@
 """Development of translation surfaces, one breadth-first frontier wave at a
 time on numpy arrays.
 
-``surface._Developer.run`` imports this module when it first develops a
-surface, so ``import gapkit.surface`` (and the CLI) never pays for loading
-it.  ``Waves`` holds every state of a wave in arrays and runs each step of
-the search on all of them at once.  The steps are written once, for two
-arithmetics that differ only in the array type, the sign rule, the ball
+``surface.saddle_connections`` imports this module when it first develops
+a surface, so ``import gapkit.surface`` (and the CLI) never pays for
+loading it.  ``Waves`` holds every state of a wave in arrays and runs each
+step of the search on all of them at once.  The steps are written once, for
+two arithmetics that differ only in the array type, the sign rule, the ball
 test and how holonomies are built:
 
 * ``_FloatOps``: float64 arrays, signs within FLOAT_EPS of zero are zero,
   the ball |x|^2 <= R^2 + FLOAT_EPS, holonomies ``Vec2`` of floats;
-* ``_ExactOps``: every coordinate over the surface's common denominator D as
-  a Z[phi] pair of int arrays (``_Z``), exact signs from ``core.zphi_sign``,
-  the ball test ``surface._zin_ball`` on Python ints, holonomies from
-  ``surface._zholonomy``.  A wave runs on int64 only while ``_int64_safe``
-  proves from the size of its coordinates that no product or square can
-  overflow, and on Python ints (object arrays) past that bound.
+* ``_ExactOps``: every vertex coordinate (int, Fraction or GoldenNum, all
+  in Q(sqrt 5)) is put over one common denominator D and stored as an int
+  pair (a, b) meaning (a + b phi)/D (rational surfaces have b = 0; the
+  golden L has D = 1), a Z[phi] pair of int arrays (``_Z``).  Each
+  predicate is an integer polynomial whose sign ``core.zphi_sign`` decides
+  exactly.  The ball test ``_zin_ball`` takes R^2 D^2 as an int fraction
+  and runs on Python ints, and ``_zholonomy`` builds GoldenNum, Fraction
+  and int values only for the emitted holonomies.  A wave runs on int64
+  only while ``_int64_safe`` proves from the size of its coordinates that
+  no product or square can overflow, and on Python ints (object arrays)
+  past that bound.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import surface
-from .core import Vec2, common_denominator, zphi_sign
+from .core import GoldenNum, Vec2, common_denominator, zphi_sign
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
-from .surface import (FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq,
-                      _window_reach, _zholonomy, _zin_ball, _zphi_coeffs)
+from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -137,6 +141,33 @@ class _FloatOps:
         """The ball mask of the points (x, y) and the holonomies inside."""
         ball = x * x + y * y <= self.rsq
         return ball, [Vec2(u, v) for u, v in zip(x[ball].tolist(), y[ball].tolist())]
+
+
+def _zphi_coeffs(x):
+    """Rational (a, b) with x = a + b*phi."""
+    return (x.a, x.b) if isinstance(x, GoldenNum) else (x, 0)
+
+
+def _zphi_value(a, b, d):
+    """The scalar (a + b*phi)/d as an int, a Fraction or a GoldenNum."""
+    if b == 0:
+        return a // d if a % d == 0 else Fraction(a, d)
+    return GoldenNum(Fraction(a, d), Fraction(b, d))
+
+
+# Z[phi] int primitives for one point (see the module docstring): a point
+# (a, b, c, d) is ((a + b phi)/D, (c + d phi)/D).
+
+def _zin_ball(p, rsq_num, rsq_den):
+    """|p|^2 <= R^2 exactly, for R^2 D^2 = rsq_num / rsq_den."""
+    a, b, c, d = p
+    # |p|^2 D^2 = (a^2 + b^2 + c^2 + d^2) + (2ab + b^2 + 2cd + d^2) phi
+    return zphi_sign(rsq_den * (a * a + b * b + c * c + d * d) - rsq_num,
+                     rsq_den * (2 * a * b + b * b + 2 * c * d + d * d)) <= 0
+
+
+def _zholonomy(p, d):
+    return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
 
 
 class _ExactOps:
@@ -421,6 +452,11 @@ class Waves:
         return _Wave(wave.tx[own] + shift_x[k], wave.ty[own] + shift_y[k],
                      lx[keep], ly[keep], rx[keep], ry[keep], il[keep],
                      (e1x[keep], e1y[keep], e2x[keep], e2y[keep], side[keep]), own, k)
+
+
+def _window_reach(radius: float) -> float:
+    """Windows whose |x| lower bound exceeds this hold no connection in the ball."""
+    return radius * (1 + 1e-9) + 1e-9
 
 
 def _window_min_radius(own, e1x, e1y, e2x, e2y, lx, ly, rx, ry):

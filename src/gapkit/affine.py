@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -58,14 +57,6 @@ class AffineLattice(PointSystem):
             fx, fy = float(coeff.x) % 1.0, float(coeff.y) % 1.0
         object.__setattr__(self, "shift", self.basis @ Vec2(fx, fy))
 
-    def torsion_order(self) -> Optional[int]:
-        """Smallest n with n*shift in the lattice, when the shift is rational."""
-        coeff = self.basis.inverse() @ self.shift
-        if isinstance(coeff.x, (int, Fraction)) and isinstance(coeff.y, (int, Fraction)):
-            return math.lcm(Fraction(coeff.x).denominator,
-                            Fraction(coeff.y).denominator)
-        return None
-
     def act(self, g: Mat2) -> "AffineLattice":
         return AffineLattice(g @ self.basis, g @ self.shift)
 
@@ -94,11 +85,6 @@ class WedgeStats:
     radius: float
     sample_count: int
     counts: tuple  # counts[i] = number of sampled directions with i points
-
-    def fraction(self, i: int) -> float:
-        if 0 <= i < len(self.counts):
-            return self.counts[i] / self.sample_count
-        return 0.0
 
     def fractions(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / self.sample_count

@@ -16,8 +16,8 @@ from .errors import VerticalVectorError
 
 __all__ = [
     "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Ball",
-    "MappedRegion", "shear", "diag_flow", "rotation", "slope", "is_exact",
-    "zphi_sign", "common_denominator",
+    "shear", "diag_flow", "rotation", "slope", "is_exact", "zphi_sign",
+    "common_denominator",
 ]
 
 
@@ -289,10 +289,6 @@ class Mat2:
     c: object
     d: object
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
     def det(self):
         return self.a * self.d - self.b * self.c
 
@@ -387,10 +383,6 @@ class Region:
         """Radius of a centered ball containing the region, or None if unbounded."""
         raise NotImplementedError
 
-    def transform(self, g: Mat2) -> "Region":
-        """The image region g . self."""
-        return MappedRegion(g, self)
-
 
 @dataclass(frozen=True)
 class VerticalStrip(Region):
@@ -433,19 +425,3 @@ class Ball(Region):
     def bounding_radius(self):
         return float(self.radius)
 
-
-@dataclass(frozen=True)
-class MappedRegion(Region):
-    """Image g . base of a region under an invertible linear map."""
-
-    g: Mat2
-    base: Region
-
-    def contains(self, v: Vec2) -> bool:
-        return self.base.contains(self.g.inverse() @ v)
-
-    def bounding_radius(self):
-        r = self.base.bounding_radius()
-        if r is None:
-            return None
-        return r * self.g.frobenius()  # Frobenius bounds the operator norm

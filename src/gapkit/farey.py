@@ -46,6 +46,11 @@ def farey_pairs(q: int) -> Iterator[tuple[int, int]]:
         p0, q0, p1, q1 = p1, q1, k * p1 - p0, k * q1 - q0
 
 
+def _over_budget(q: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"Farey level {q} exceeds the {DEFAULT_TERM_BUDGET}-term budget")
+
+
 def farey_sequence(q: int) -> FareyLevel:
     """Materialize the level-q Farey sequence as exact Fractions; more than
     DEFAULT_TERM_BUDGET terms (read at each call) raises ResourceLimitError."""
@@ -53,8 +58,7 @@ def farey_sequence(q: int) -> FareyLevel:
     for p, d in farey_pairs(q):
         out.append(Fraction(p, d))
         if len(out) > DEFAULT_TERM_BUDGET:
-            raise ResourceLimitError(
-                f"Farey level {q} exceeds the {DEFAULT_TERM_BUDGET}-term budget")
+            raise _over_budget(q)
     return FareyLevel(q, tuple(out))
 
 
@@ -71,8 +75,13 @@ def farey_size(q: int) -> int:
 
 
 def farey_gaps(q: int) -> list[Fraction]:
-    """The N(q) normalized gaps N(q) * (g_{i+1} - g_i) = N(q)/(q_i q_{i+1}), exact."""
+    """The N(q) normalized gaps N(q) * (g_{i+1} - g_i) = N(q)/(q_i q_{i+1}), exact.
+
+    A level of more than DEFAULT_TERM_BUDGET terms (read at each call)
+    raises ResourceLimitError before any gap is built."""
     n = farey_size(q)
+    if n + 1 > DEFAULT_TERM_BUDGET:
+        raise _over_budget(q)
     gaps = []
     prev_den = None
     for _, den in farey_pairs(q):

@@ -10,19 +10,14 @@ as holonomy vectors, and continues each sub-cone across the glued edge it
 exits through.
 
 All decisions reduce to sign tests of cross/dot products of coordinates.
-The development runs one breadth-first frontier wave at a time
-(``gapkit._waves``, imported on the first development), every state of a
-wave held in numpy arrays, on one of two arithmetics:
+``saddle_connections`` runs the development one breadth-first frontier wave
+at a time with ``gapkit._waves.Waves``, imported on the first development,
+every state of a wave held in numpy arrays, on one of two arithmetics:
 
 * exact surfaces (int, Fraction and GoldenNum coordinates, all in
-  Q(sqrt 5)): every vertex coordinate is put over one common denominator D
-  and stored as an int pair (a, b) meaning (a + b phi)/D (rational surfaces
-  have b = 0; the golden L has D = 1), each predicate is an integer
-  polynomial whose sign ``core.zphi_sign`` decides exactly, on int64 while
-  a computed bound proves no overflow and on Python ints past it.  The
-  ball test ``_zin_ball`` takes R^2 D^2 as an int fraction, and GoldenNum,
-  Fraction and int values are built only for the emitted holonomies
-  (``_zholonomy``);
+  Q(sqrt 5)): exact signs on the Z[phi] int format that ``gapkit._waves``
+  describes, with GoldenNum, Fraction and int values built only for the
+  emitted holonomies;
 * float surfaces: a 1e-9 zero tolerance, with the usual caveat that
   near-degenerate configurations may misclassify a boundary.
 
@@ -37,8 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (GoldenNum, Mat2, PHI, Region, Vec2, _check_positive, is_exact,
-                   slope, zphi_sign)
+from .core import Mat2, PHI, Region, Vec2, _check_positive, is_exact, slope
 from .pointcloud import GapSequence, PointSystem, _collapse
 from .stats import EmpiricalDist, circular_gaps
 
@@ -54,10 +48,6 @@ DEFAULT_STATE_BUDGET = 2_000_000
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
 
 
 def _sub(u, v):
@@ -83,10 +73,6 @@ class SaddleConnection:
     @property
     def length_sq(self):
         return self.holonomy.norm_sq()
-
-    @property
-    def slope(self):
-        return slope(self.holonomy)
 
     @property
     def angle(self) -> float:
@@ -151,45 +137,6 @@ class TranslationSurface(PointSystem):
         moved = [g @ v for v in self.vertices]
         return TranslationSurface(moved, self.pairings)
 
-    # -- singularity data ----------------------------------------------------
-
-    def corner_classes(self) -> list[list[int]]:
-        """Corners identified by the gluings, one list per singularity."""
-        n = len(self.vertices)
-        root = list(range(n))
-
-        def find(x):
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        def union(x, y):
-            root[find(x)] = find(y)
-
-        for i in range(n):
-            j = self.partner[i]
-            union(i, (j + 1) % n)        # tail of i meets head of j
-            union((i + 1) % n, j)
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return list(groups.values())
-
-    def corner_angle(self, i: int) -> float:
-        """Interior angle at corner i, in (0, 2 pi)."""
-        v = self._coords(i)
-        d_out = _sub(self._coords(i + 1), v)
-        d_in = _sub(self._coords(i - 1), v)
-        fo = (float(d_out[0]), float(d_out[1]))
-        fi = (float(d_in[0]), float(d_in[1]))
-        return math.atan2(_cross(fo, fi), _dot(fo, fi)) % (2.0 * math.pi)
-
-    def cone_angles(self) -> list[float]:
-        """Total angle around each singularity (6 pi for the L-surfaces)."""
-        return [sum(self.corner_angle(i) for i in cls)
-                for cls in self.corner_classes()]
-
     # -- point-system surface ------------------------------------------------
 
     def enumerate_points(self, region: Region) -> list[Vec2]:
@@ -235,56 +182,9 @@ def golden_l() -> TranslationSurface:
 # development search
 # ---------------------------------------------------------------------------
 
-def _zphi_coeffs(x):
-    """Rational (a, b) with x = a + b*phi."""
-    return (x.a, x.b) if isinstance(x, GoldenNum) else (x, 0)
-
-
-def _zphi_value(a, b, d):
-    """The scalar (a + b*phi)/d as an int, a Fraction or a GoldenNum."""
-    if b == 0:
-        return a // d if a % d == 0 else Fraction(a, d)
-    return GoldenNum(Fraction(a, d), Fraction(b, d))
-
-
-# Z[phi] int primitives for one point (see the module docstring): a point
-# (a, b, c, d) is ((a + b phi)/D, (c + d phi)/D).
-
-def _zin_ball(p, rsq_num, rsq_den):
-    """|p|^2 <= R^2 exactly, for R^2 D^2 = rsq_num / rsq_den."""
-    a, b, c, d = p
-    # |p|^2 D^2 = (a^2 + b^2 + c^2 + d^2) + (2ab + b^2 + 2cd + d^2) phi
-    return zphi_sign(rsq_den * (a * a + b * b + c * c + d * d) - rsq_num,
-                     rsq_den * (2 * a * b + b * b + 2 * c * d + d * d)) <= 0
-
-
-def _zholonomy(p, d):
-    return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
-
-
 def _ball_rsq(radius: float) -> float:
     """Bound of the float ball test |x|^2 <= R^2 + FLOAT_EPS."""
     return radius ** 2 + FLOAT_EPS
-
-
-def _window_reach(radius: float) -> float:
-    """Windows whose |x| lower bound exceeds this hold no connection in the ball."""
-    return radius * (1 + 1e-9) + 1e-9
-
-
-class _Developer:
-    """Breadth-first cone development of a surface from its singularity, in
-    frontier waves of ``_waves.Waves`` on either arithmetic."""
-
-    def __init__(self, surface: TranslationSurface, radius):
-        self.surf = surface
-        self.radius = float(radius)
-
-    def run(self) -> list[SaddleConnection]:
-        """The connections in order of discovery (states in BFS order, the
-        vertices of each state in index order)."""
-        from ._waves import Waves  # loaded only once a surface develops
-        return Waves(self.surf, self.radius).run()
 
 
 def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConnection, ...]:
@@ -311,7 +211,8 @@ def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConne
             rsq = Fraction(key) ** 2 if surface._exact else _ball_rsq(key)
             cache[key] = tuple(c for c in cache[min(larger)] if c.length_sq <= rsq)
         else:
-            conns = _Developer(surface, radius).run()
+            from ._waves import Waves  # loaded only once a surface develops
+            conns = Waves(surface, key).run()
             conns.sort(key=lambda c: (float(c.length_sq), c.angle, c.path))
             cache[key] = tuple(conns)
     return cache[key]

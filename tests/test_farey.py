@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from gapkit import bcz, farey, stats
+from gapkit import bcz, cli, farey, stats
 from gapkit.errors import ResourceLimitError
 
 
@@ -43,6 +43,13 @@ class TestSequence:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             farey.farey_sequence(0)
+
+    def test_gaps_budget(self, monkeypatch):
+        # level 10 has N(10) + 1 = 34 terms; the check comes before any gap
+        monkeypatch.setattr(farey, "DEFAULT_TERM_BUDGET", 10)
+        with pytest.raises(ResourceLimitError, match="Farey level 10 exceeds the 10-term"):
+            farey.farey_gaps(10)
+        assert cli.main(["farey-gaps", "--q", "10"]) == 3
 
 
 class TestSize:

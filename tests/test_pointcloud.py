@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapkit import lattice, pointcloud, surface
+from gapkit import lattice, pointcloud
 from gapkit.core import Ball, Mat2, diag_flow, rotation, shear
 from gapkit.errors import UnsupportedQueryError
 from gapkit.lattice import UnimodularLattice, ZSQUARED
@@ -13,6 +13,8 @@ from gapkit.pointcloud import (PointSystem, SlopeSequence, gaps,
                                hitting_times, is_exceptional,
                                is_horizontally_short, is_vertically_short,
                                slopes_in_strip)
+
+from conftest import MappedRegion
 
 
 def random_group_element(gen):
@@ -218,7 +220,7 @@ class TestEquivariance:
         for sysm in systems:
             for _ in range(25):
                 g = random_group_element(gen)
-                mapped_region = region.transform(g)
+                mapped_region = MappedRegion(g, region)
                 direct = {(round(float(v.x), 8), round(float(v.y), 8))
                           for v in sysm.act(g).enumerate_points(mapped_region)}
                 pushed = {(round(float((g @ v).x), 8), round(float((g @ v).y), 8))
@@ -229,7 +231,7 @@ class TestEquivariance:
         g = shear(Fraction(1, 2))  # exact parameter keeps the surface exact
         region = Ball(2.0)
         direct = {(round(float(v.x), 8), round(float(v.y), 8))
-                  for v in golden_surface.act(g).enumerate_points(region.transform(g))}
+                  for v in golden_surface.act(g).enumerate_points(MappedRegion(g, region))}
         pushed = {(round(float((g @ v).x), 8), round(float((g @ v).y), 8))
                   for v in golden_surface.enumerate_points(region)}
         assert direct == pushed

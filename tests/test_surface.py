@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gapkit import _waves, surface
-from gapkit.core import PHI, GoldenNum, Mat2, shear
+from gapkit.core import PHI, GoldenNum, Mat2, shear, slope
 from gapkit.errors import ResourceLimitError
 from gapkit.surface import (TranslationSurface, golden_l, l_shape,
                             saddle_connections, sc_angle_gaps, sc_slope_gaps)
@@ -19,17 +19,39 @@ def holonomy_set(conns):
     return {(c.holonomy.x, c.holonomy.y) for c in conns}
 
 
+def cone_angles(surf):
+    """Total angle around each singularity: the corners that the gluings
+    identify form one class, whose interior angles add up."""
+    pts = [(float(v.x), float(v.y)) for v in surf.vertices]
+    n = len(pts)
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in enumerate(surf.partner):
+        root[find(i)] = find((j + 1) % n)  # the tail of edge i is the head of j
+    total = Counter()
+    for i, (x, y) in enumerate(pts):
+        ox, oy = pts[(i + 1) % n][0] - x, pts[(i + 1) % n][1] - y
+        ix, iy = pts[i - 1][0] - x, pts[i - 1][1] - y
+        total[find(i)] += math.atan2(ox * iy - oy * ix, ox * ix + oy * iy) % (2 * math.pi)
+    return list(total.values())
+
+
 class TestConstruction:
     def test_golden_matches_explicit_l_shape(self):
         assert golden_l().vertices == l_shape(PHI, PHI).vertices
 
     def test_golden_cone_angle(self):
-        angles = golden_l().cone_angles()
+        angles = cone_angles(golden_l())
         assert len(angles) == 1
         assert angles[0] == pytest.approx(6 * math.pi, abs=1e-9)
 
     def test_generic_l_shape_single_6pi_singularity(self):
-        angles = l_shape(1.7, 1.9).cone_angles()
+        angles = cone_angles(l_shape(1.7, 1.9))
         assert len(angles) == 1
         assert angles[0] == pytest.approx(6 * math.pi, abs=1e-9)
 
@@ -149,13 +171,26 @@ class TestRadiusCache:
         def no_development(self):
             raise AssertionError("developed again below a cached radius")
 
-        monkeypatch.setattr(surface._Developer, "run", no_development)
+        monkeypatch.setattr(_waves.Waves, "run", no_development)
         served = saddle_connections(surf, smaller)
         assert served == fresh
         assert [(str(c.holonomy), c.path) for c in served] == \
             [(str(c.holonomy), c.path) for c in fresh]
         if surf._exact and smaller in (1.0, 3.75):
             assert any(c.length_sq == Fraction(smaller) ** 2 for c in served)
+
+    @pytest.mark.parametrize("make, radius", [
+        (golden_l, PHI + 2),
+        (lambda: l_shape(Fraction(3, 2), Fraction(5, 4)), Fraction(15, 4)),
+    ], ids=["golden-phi+2", "l(3/2,5/4)-15/4"])
+    def test_exact_radius_develops_as_its_float(self, make, radius):
+        # saddle_connections keys and develops by float(radius), whatever
+        # scalar it is given
+        exact = saddle_connections(make(), radius)
+        approx = saddle_connections(make(), float(radius))
+        assert exact == approx
+        assert [(str(c.holonomy), c.path) for c in exact] == \
+            [(str(c.holonomy), c.path) for c in approx]
 
 
 class TestPinnedGoldenOutput:
@@ -229,12 +264,12 @@ class TestPinnedDevelopments:
                                              connections, states, digest):
         # exactly `states` states fit the budget, and one fewer overruns it
         monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", states)
-        conns = surface._Developer(make(), radius).run()
+        conns = _waves.Waves(make(), radius).run()
         assert len(conns) == connections
         assert discovery_digest(conns) == digest
         monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", states - 1)
         with pytest.raises(ResourceLimitError, match=f"exceeded {states - 1} states"):
-            surface._Developer(make(), radius).run()
+            _waves.Waves(make(), radius).run()
 
 
 class TestIntegerRoutes:
@@ -253,11 +288,11 @@ class TestIntegerRoutes:
             return signs(ops, x)
 
         monkeypatch.setattr(_waves._ExactOps, "sign", sign)
-        fast = surface._Developer(make(), radius).run()
+        fast = _waves.Waves(make(), radius).run()
         assert dtypes == {np.dtype(np.int64)}
         dtypes.clear()
         monkeypatch.setattr(_waves, "_int64_safe", lambda size, rational: False)
-        slow = surface._Developer(make(), radius).run()
+        slow = _waves.Waves(make(), radius).run()
         assert dtypes == {np.dtype(object)}
         assert slow == fast
         assert [(str(c.holonomy), c.path) for c in slow] == \
@@ -330,7 +365,8 @@ class TestEquivariance:
 class TestGapPipelines:
     def test_slope_gap_count(self, golden_surface):
         conns = saddle_connections(golden_surface, 5.0)
-        slopes = {c.slope for c in conns if c.holonomy.x > 0 and c.holonomy.y >= 0}
+        slopes = {slope(c.holonomy) for c in conns
+                  if c.holonomy.x > 0 and c.holonomy.y >= 0}
         seq = sc_slope_gaps(golden_surface, 5.0)
         assert len(seq) == len(slopes) - 1
 

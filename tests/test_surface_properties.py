@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapkit import surface
+from gapkit import _waves, surface
 from gapkit.core import GoldenNum, Mat2, shear, zphi_sign
 from gapkit.errors import ResourceLimitError
-from gapkit.surface import _Developer, golden_l, l_shape, saddle_connections
+from gapkit.surface import golden_l, l_shape, saddle_connections
 
 SETTINGS = settings.get_profile("gapkit")
 
@@ -88,7 +88,7 @@ def test_rational_l_shape_exact_matches_float(alpha, beta, quarter_radius):
     approx = saddle_connections(surf.to_float(), radius)
     assert rounded(exact) == rounded(approx)
     assert len(exact) == len(approx)
-    # the float waves cross the same edges as the exact scalar search
+    # the float waves cross the same edges as the exact waves
     assert rounded_paths(exact) == rounded_paths(approx)
 
 
@@ -100,10 +100,10 @@ def test_budget_partial_is_a_prefix_of_the_development(alpha, beta, kind, budget
     surf = {"float": lambda: l_shape(float(alpha), float(beta)),
             "exact": lambda: l_shape(alpha, beta),
             "golden": golden_l}[kind]()
-    full = _Developer(surf, 5.0).run()
+    full = _waves.Waves(surf, 5.0).run()
     with mock.patch.object(surface, "DEFAULT_STATE_BUDGET", budget), \
             pytest.raises(ResourceLimitError, match=f"exceeded {budget} states") as exc:
-        _Developer(surf, 5.0).run()
+        _waves.Waves(surf, 5.0).run()
     partial = exc.value.partial
     # the partial result ends at a wave boundary of the same discovery order,
     # on either arithmetic; the first wave (13 corner wedges) fits every
@@ -130,7 +130,7 @@ def test_radius_cache_matches_a_fresh_development(alpha, beta, radii):
         fresh = saddle_connections(make(), small)
         surf = make()
         saddle_connections(surf, large)
-        with mock.patch.object(_Developer, "run",
+        with mock.patch.object(_waves.Waves, "run",
                                side_effect=AssertionError("developed below a cached radius")):
             served = saddle_connections(surf, small)
         assert served == fresh
