@@ -14,13 +14,40 @@ test and how holonomies are built:
   in Q(sqrt 5)) is put over one common denominator D and stored as an int
   pair (a, b) meaning (a + b phi)/D (rational surfaces have b = 0; the
   golden L has D = 1), a Z[phi] pair of int arrays (``_Z``).  Each
-  predicate is an integer polynomial whose sign ``core.zphi_sign`` decides
-  exactly.  The ball test ``_zin_ball`` takes R^2 D^2 as an int fraction
-  and runs on Python ints, and ``_zholonomy`` builds GoldenNum, Fraction
-  and int values only for the emitted holonomies.  A wave runs on int64
-  only while ``_int64_safe`` proves from the size of its coordinates that
-  no product or square can overflow, and on Python ints (object arrays)
-  past that bound.
+  predicate is the sign of an element x = a + b phi of Z[phi], decided
+  exactly as below, and ``_zholonomy`` builds GoldenNum, Fraction and int
+  values only for the emitted holonomies.
+
+Exact decisions in floats.  Before each wave, ``_ExactOps.route`` bounds
+|x| and the conjugate |x'| = |a + b (1 - phi)| of the wave's x-coordinates
+(placed vertices, ray and entry-edge x parts) by X and X', and of its
+y-coordinates by Y and Y'.  Every value a step signs is a product of two
+cross products, |x| <= 48 (XY)^2 (the exit test of the middle ray), or
+smaller, or a dot product, |x| <= 2 (X^2 + Y^2); so |x| <= V = 48 (XY)^2 +
+2 (X^2 + Y^2), and |x'| <= V' from the conjugate bounds.  ``_route`` picks
+the wave's arithmetic from these bounds:
+
+* "object", Python ints, when a product could overflow int64: every
+  coefficient a step forms is below 2^9 S^4, S the largest of the four
+  bounds;
+* "int64" on a rational surface: the sign of a;
+* "float": the sign of the float a + b*phi, when V + V' < 2^53 and
+  (V + V') V' < 2^51 sqrt 5.  Then a and b are exact floats, and rounding
+  phi and b*phi errs by under 2.0001 * 2^-53 |b| phi, with |b| <=
+  (V + V')/sqrt 5.  For b != 0 the norm x x' = a^2 + ab - b^2 is a nonzero
+  integer, so |x| >= 1/|x'| >= 1/V' exceeds that error and the float sign
+  is exact (b = 0 is exact in floats, x = 0 too);
+* "zphi": ``core.zphi_sign`` on int64, which squares 2a + b = x + x' and
+  sqrt(5) b = x - x', when (V + V')^2 < 2^62;
+* "object" past all of these.
+
+The ball test |p|^2 <= R^2 runs in floats as well.  For p = ((a + b phi)/D,
+(c + d phi)/D), converting the ints and forming (a + b phi)^2 +
+(c + d phi)^2 - R^2 D^2 in floats errs by under 12 * 2^-53 (m + R^2 D^2),
+m = (|a| + |b| phi)^2 + (|c| + |d| phi)^2, so only the points within
+2^-48 (m + R^2 D^2) of the sphere, or past the float range, go to the
+exact test ``_zin_ball``, which takes R^2 D^2 as an int fraction and runs
+on Python ints.
 """
 
 from __future__ import annotations
@@ -76,30 +103,52 @@ class _Z:
     def astype(self, dtype):
         return _Z(self.a.astype(dtype, copy=False), self.b.astype(dtype, copy=False))
 
-    def size(self) -> float:
-        """An upper bound for max(|x|, |x'|) over the elements, x' the
-        conjugate a + b (1 - phi); float rounding is covered by the margin."""
-        if not len(self.a):
-            return 0.0
-        a, b = self.a.astype(float), self.b.astype(float)
-        top = max(np.abs(a + b * _PHI).max(), np.abs(a + b * (1.0 - _PHI)).max())
-        return top * (1.0 + 1e-9) + 1.0
+
+def _bounds(*columns: _Z) -> tuple[float, float]:
+    """Upper bounds for max |x| and max |x'| over the elements of the 1-D
+    columns, x' the conjugate a + b (1 - phi); the margin covers float
+    rounding."""
+    a = np.concatenate([z.a for z in columns]).astype(float)
+    b = np.concatenate([z.b for z in columns]).astype(float)
+    if not len(a):
+        return 0.0, 0.0
+    return (np.abs(a + b * _PHI).max() * (1.0 + 1e-9) + 1.0,
+            np.abs(a + b * (1.0 - _PHI)).max() * (1.0 + 1e-9) + 1.0)
 
 
-def _int64_safe(size: float, rational: bool) -> bool:
-    """Whether a wave whose coordinates (placed vertices, rays, entry edges)
-    have |x|, |x'| <= size runs on int64 without overflow.
-
-    Every value a step signs is a sum of products of at most four
-    coordinates, with |x|, |x'| <= 48 size^4 (the exit test of the middle
-    ray), and the partial sums of each Z[phi] product stay below
-    3 * 32 size^4.  On a rational surface (every b = 0) those are all; else
-    ``zphi_sign`` squares 2a + b = x + x' and sqrt(5) b = x - x', each of
-    size at most 96 size^4, so s^2 - 5 b^2 needs 2 * 96^2 size^8 < 2^63.
-    """
+def _route(x: float, xc: float, y: float, yc: float, rational: bool) -> str:
+    """The arithmetic of a wave whose x-coordinates have |x| <= x and
+    |x'| <= xc, and whose y-coordinates |y| <= y and |y'| <= yc: "object",
+    "int64", "float" or "zphi", by the bounds of the module docstring."""
+    if 2 ** 9 * max(x, xc, y, yc) ** 4 >= 2.0 ** 62:
+        return "object"
     if rational:
-        return 100 * size ** 4 < 2.0 ** 62
-    return 2 * 96 ** 2 * size ** 8 < 2.0 ** 62
+        return "int64"
+    return _sign_route(48 * (x * y) ** 2 + 2 * (x * x + y * y),
+                       48 * (xc * yc) ** 2 + 2 * (xc * xc + yc * yc))
+
+
+def _sign_route(v: float, vc: float) -> str:
+    """The sign rule for values x of Z[phi] on int64 with |x| <= v and
+    |x'| <= vc: "float", "zphi" or "object" (module docstring)."""
+    if v + vc < 2.0 ** 53 and (v + vc) * vc < 2.0 ** 51 * math.sqrt(5.0):
+        return "float"
+    if (v + vc) ** 2 < 2.0 ** 62:
+        return "zphi"
+    return "object"
+
+
+def _rational_sign(x):
+    return np.sign(x.a).astype(np.int8)
+
+
+def _float_sign(x):
+    """The sign of x, exact on the "float" route (module docstring)."""
+    return np.sign(x.a + x.b * _PHI).astype(np.int8)
+
+
+def _zphi_sign(x):
+    return zphi_sign(x.a, x.b)
 
 
 class _FloatOps:
@@ -152,6 +201,8 @@ def _zphi_value(a, b, d):
     """The scalar (a + b*phi)/d as an int, a Fraction or a GoldenNum."""
     if b == 0:
         return a // d if a % d == 0 else Fraction(a, d)
+    if d == 1:
+        return GoldenNum(a, b)
     return GoldenNum(Fraction(a, d), Fraction(b, d))
 
 
@@ -178,16 +229,25 @@ class _ExactOps:
             c for v in surf.vertices for x in (v.x, v.y) for c in _zphi_coeffs(x))
         a, b, c, d = (np.array(flat[k::4], object) for k in range(4))
         self.rational = not (b.any() or d.any())
-        bx, by = _Z(a, b), _Z(c, d)
-        self.base_size = max(bx.size(), by.size())
-        # the first wave multiplies edge vectors of the base
-        dtype = np.int64 if _int64_safe(2 * self.base_size, self.rational) else object
-        self.bx, self.by = bx.astype(dtype), by.astype(dtype)
+        self.bx, self.by = _Z(a, b), _Z(c, d)
+        self.base = (*_bounds(self.bx), *_bounds(self.by))  # X, X', Y, Y'
+        # the first wave multiplies edge vectors of the base, turned by
+        # quarter turns, so either axis may hold either kind of coordinate
+        edge, edge_c = 2 * max(self.base[0::2]), 2 * max(self.base[1::2])
+        self._use(_route(edge, edge_c, edge, edge_c, self.rational))
         rsq = Fraction(radius) ** 2
         self.rsq_num, self.rsq_den = rsq.numerator * self.d * self.d, rsq.denominator
+        try:
+            self.rsq = self.rsq_num / self.rsq_den  # R^2 D^2, correctly rounded
+        except OverflowError:  # every point then goes to the exact test
+            self.rsq = math.inf
 
-    def sign(self, x):
-        return np.sign(x.a).astype(np.int8) if self.rational else zphi_sign(x.a, x.b)
+    def _use(self, route: str):
+        """Put the base on the route's int type and take its sign rule."""
+        dtype = object if route == "object" else np.int64
+        self.bx, self.by = self.bx.astype(dtype), self.by.astype(dtype)
+        self.sign = _rational_sign if self.rational else \
+            _float_sign if route == "float" else _zphi_sign
 
     def pos(self, x):
         return self.sign(x) > 0
@@ -214,28 +274,37 @@ class _ExactOps:
         return (x.a / d + x.b / d * (1.0 + math.sqrt(5.0)) / 2.0).astype(float)
 
     def route(self, wave: "_Wave") -> "_Wave":
-        """The wave on int64 when ``_int64_safe`` proves its products fit,
-        else on Python ints; placed vertices are base + translation."""
-        coords = [wave.lx, wave.ly, wave.rx, wave.ry, *(wave.entry or ())[:4]]
-        size = max([self.base_size + max(wave.tx.size(), wave.ty.size()),
-                    *(z.size() for z in coords)])
-        dtype = np.int64 if _int64_safe(size, self.rational) else object
-        self.bx, self.by = self.bx.astype(dtype), self.by.astype(dtype)
-        entry = wave.entry and (*(z.astype(dtype) for z in wave.entry[:4]), wave.entry[4])
+        """The wave on the arithmetic that ``_route`` picks from the bounds
+        of its x- and y-coordinates; placed vertices are base + translation."""
+        entry = wave.entry[:4] if wave.entry else ()
+        x, xc = _bounds(wave.lx, wave.rx, *entry[0::2])
+        y, yc = _bounds(wave.ly, wave.ry, *entry[1::2])
+        (tx, txc), (ty, tyc) = _bounds(wave.tx), _bounds(wave.ty)
+        bx, bxc, by, byc = self.base
+        self._use(_route(max(x, bx + tx), max(xc, bxc + txc),
+                         max(y, by + ty), max(yc, byc + tyc), self.rational))
+        dtype = self.bx.a.dtype
+        entry = wave.entry and (*(z.astype(dtype) for z in entry), wave.entry[4])
         return wave._replace(**{f: getattr(wave, f).astype(dtype)
                                 for f in ("tx", "ty", "lx", "ly", "rx", "ry")},
                              entry=entry)
 
     def emit(self, x, y):
-        """The ball mask of the points (x, y) and the holonomies inside."""
-        points = zip(x.a.tolist(), x.b.tolist(), y.a.tolist(), y.b.tolist())
-        ball, hols = [], []
-        for p in points:
-            inside = _zin_ball(p, self.rsq_num, self.rsq_den)
-            ball.append(inside)
-            if inside:
-                hols.append(_zholonomy(p, self.d))
-        return np.array(ball, bool), hols
+        """The ball mask of the points (x, y) and the holonomies inside: the
+        float test, and ``_zin_ball`` within its error band (module
+        docstring)."""
+        cols = (x.a, x.b, y.a, y.b)
+        a, b, c, d = (v.astype(float) for v in cols)
+        fx, fy = a + b * _PHI, c + d * _PHI
+        mx, my = np.abs(a) + np.abs(b) * _PHI, np.abs(c) + np.abs(d) * _PHI
+        gap = fx * fx + fy * fy - self.rsq
+        band = 2.0 ** -48 * (mx * mx + my * my + self.rsq)
+        ball = gap < -band
+        for i in np.flatnonzero(~(np.abs(gap) > band)).tolist():  # and nan
+            ball[i] = _zin_ball([int(v[i]) for v in cols], self.rsq_num, self.rsq_den)
+        inside = np.flatnonzero(ball)
+        points = zip(*(v[inside].tolist() for v in cols))
+        return ball, [_zholonomy(p, self.d) for p in points]
 
 
 class _Wave(NamedTuple):

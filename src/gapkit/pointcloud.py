@@ -20,7 +20,10 @@ decided in ints.  The loop then orders rows by the float Y / X, which Python
 computes correctly rounded, so it is monotone in the exact slope and equal
 to float(slope); only rows with equal float keys are ordered by the exact
 cross-multiplication Y1 X2 vs Y2 X1.  Fraction slopes and points are built
-only for the rows returned.
+only for the rows returned.  Exact slopes that come as scalars (those of
+surfaces, and every GoldenNum slope) are ordered float first the same way:
+a stable sort by a float with a proven error bound, and exact comparisons
+only among rows whose error intervals overlap (_collapse_exact).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive, is_exact,
-                   shear, slope)
+from .core import (Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip, _check_positive,
+                   is_exact, shear, slope)
 from .errors import ExhaustionError, UnsupportedQueryError
 
 __all__ = [
@@ -45,6 +48,8 @@ __all__ = [
     "is_horizontally_short", "is_vertically_short", "is_exceptional",
     "hitting_times",
 ]
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 # |y| below this counts as horizontal for float systems (exact systems use 0)
 AXIS_TOL = 1e-9
@@ -162,17 +167,56 @@ def _ragged(starts, lens, total: int):
 
 def _collapse(rows: list) -> list:
     """Sort (slope, point) pairs by slope, keeping the first pair of each slope
-    value (exact equality, or 1e-12 relative)."""
+    value (exact equality, or 1e-12 relative).  The rows share one kind of
+    slope: exact ones go to _collapse_exact."""
+    if rows and is_exact(rows[0][0]):
+        return _collapse_exact(rows)
     rows = sorted(rows, key=lambda r: r[0])
     out = rows[:1]
     for row in rows[1:]:
         s, prev = row[0], out[-1][0]
-        if is_exact(s) and is_exact(prev):
-            if s == prev:
-                continue
-        elif float(s) - float(prev) <= 1e-12 * max(1.0, abs(float(prev))):
-            continue
-        out.append(row)
+        if float(s) - float(prev) > 1e-12 * max(1.0, abs(float(prev))):
+            out.append(row)
+    return out
+
+
+def _collapse_exact(rows: list) -> list:
+    """_collapse of exact slopes (int, Fraction or GoldenNum), float first.
+
+    A slope a + b phi becomes the float f = a + b*phi of its coefficients,
+    which errs by at most 5 * 2^-53 (|a| + |b| phi) (conversions, phi, one
+    product, one sum) plus underflow; ``err`` is 8 * 2^-53 (|a| + |b| phi)
+    + 2^-1060, computed from the floats of a and b.  A stable sort
+    by f is the exact order except inside runs whose intervals
+    [f - err, f + err] overlap: a run ends where the largest upper end so
+    far lies below every lower end after it, and only runs of more than one
+    row are sorted exactly.  Equal slopes have equal coefficients, hence
+    equal floats, so they share a run in their input order, and the stable
+    exact sort keeps the first of each.
+    """
+    parts = [(s.a, s.b) if isinstance(s, GoldenNum) else (s, 0) for s, _ in rows]
+    try:
+        fa = np.array([float(a) for a, _ in parts])
+        fb = np.array([float(b) for _, b in parts])
+    except OverflowError:  # beyond floats: one run, sorted exactly
+        order, cut = list(range(len(rows))), np.array([], int)
+    else:
+        f = fa + fb * _PHI
+        err = 2.0 ** -50 * (np.abs(fa) + np.abs(fb) * _PHI) + 2.0 ** -1060
+        order = np.argsort(f, kind="stable")
+        upper = np.maximum.accumulate((f + err)[order])
+        lower = np.minimum.accumulate((f - err)[order][::-1])[::-1]
+        cut = np.flatnonzero(upper[:-1] < lower[1:]) + 1
+        order = order.tolist()
+    if len(cut) == len(rows) - 1:
+        return [rows[i] for i in order]
+    out = []
+    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(rows)]):
+        run = [rows[i] for i in order[lo:hi]]
+        if len(run) > 1:
+            run = sorted(run, key=itemgetter(0))
+            run = [r for j, r in enumerate(run) if j == 0 or run[j - 1][0] != r[0]]
+        out.extend(run)
     return out
 
 

@@ -15,9 +15,10 @@ at a time with ``gapkit._waves.Waves``, imported on the first development,
 every state of a wave held in numpy arrays, on one of two arithmetics:
 
 * exact surfaces (int, Fraction and GoldenNum coordinates, all in
-  Q(sqrt 5)): exact signs on the Z[phi] int format that ``gapkit._waves``
-  describes, with GoldenNum, Fraction and int values built only for the
-  emitted holonomies;
+  Q(sqrt 5)): exact decisions on the Z[phi] int format that
+  ``gapkit._waves`` describes, taken in floats wherever a written error
+  bound proves the float answer exact and in ints elsewhere, with
+  GoldenNum, Fraction and int values built only for the emitted holonomies;
 * float surfaces: a 1e-9 zero tolerance, with the usual caveat that
   near-degenerate configurations may misclassify a boundary.
 

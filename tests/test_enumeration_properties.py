@@ -1,7 +1,8 @@
 """Property tests: the coefficient-scan kernel against a brute-force scan of
 the whole integer coefficient box, on random exact rational lattices; the
-exact int-numerator strip order against a brute-force Fraction sort; and a
-stacked scan of many float bases against one scan per basis."""
+exact int-numerator strip order against a brute-force Fraction sort; a
+stacked scan of many float bases against one scan per basis; and the float
+first order of exact scalar slopes against an exact sort."""
 
 import math
 from fractions import Fraction
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gapkit import pointcloud
 from gapkit.affine import AffineLattice
-from gapkit.core import Ball, Mat2, Vec2, VerticalStrip, shear
+from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, shear
 from gapkit.lattice import UnimodularLattice, coefficient_scan
 from gapkit.pointcloud import (ExactRows, PointSystem, is_horizontally_short,
                                slopes_in_strip, strip_points)
@@ -226,3 +228,61 @@ def test_enumerate_each_matches_enumerate_points(bases, exact, radius, eta, heig
             [s.enumerate_points(region) for s in systems]
         assert UnimodularLattice.enumerate_each([exact], region) == \
             [exact.enumerate_points(region)]
+
+
+TINY = Fraction(1, 10 ** 30)
+
+
+@st.composite
+def exact_slopes(draw):
+    """Slopes drawn from a few values, each possibly nudged by 1e-30 and
+    given as an int, a Fraction or a GoldenNum (q, 0) when rational."""
+    rationals = st.fractions(-3, 3, max_denominator=40)
+    pool = draw(st.lists(rationals | st.builds(GoldenNum, rationals, rationals),
+                         min_size=1, max_size=6))
+    slopes = []
+    for _ in range(draw(st.integers(0, 30))):
+        s = draw(st.sampled_from(pool)) + draw(st.sampled_from([0, 0, TINY, -TINY]))
+        if isinstance(s, GoldenNum) and s.b == 0:
+            s = s.a
+        if not isinstance(s, GoldenNum) and draw(st.booleans()):
+            s = GoldenNum(s)
+        elif isinstance(s, Fraction) and s.denominator == 1:
+            s = int(s)
+        slopes.append(s)
+    return slopes
+
+
+def exact_collapse(rows):
+    """Stable exact sort by slope, keeping the first row of each value."""
+    out = []
+    for row in sorted(rows, key=lambda r: r[0]):
+        if not out or row[0] != out[-1][0]:
+            out.append(row)
+    return out
+
+
+@SETTINGS
+@given(exact_slopes())
+@example([Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 3) - TINY, Fraction(1, 3)])
+@example([GoldenNum(0, 1), GoldenNum(1, 0), 1, GoldenNum(0, 1) - TINY, GoldenNum(0, 1)])
+@example([Fraction(10 ** 400), 1, Fraction(10 ** 400), -Fraction(10 ** 400)])  # past floats
+def test_collapse_of_exact_slopes_matches_an_exact_sort(slopes):
+    rows = [(s, i) for i, s in enumerate(slopes)]
+    assert pointcloud._collapse(rows) == exact_collapse(rows)
+
+
+@SETTINGS
+@given(st.integers(10 ** 6, 10 ** 12), st.integers(-2, 2), st.booleans())
+def test_collapse_orders_golden_slopes_that_floats_misorder(b, k, above):
+    # the float a + b*phi of x = k + frac(b phi) errs by up to ulp(b phi),
+    # far more than its distance to y, a Fraction within 1e-30 of x on
+    # either side: one of the two sides puts the float keys out of order
+    floor_bphi = (b + math.isqrt(5 * b * b)) // 2
+    x = GoldenNum(k - floor_bphi, b)
+    n = 10 ** 30 * b
+    y = Fraction(10 ** 30 * (k - floor_bphi) + (n + math.isqrt(5 * n * n)) // 2 + above,
+                 10 ** 30)
+    assert (y > x) == above
+    rows = [(x, 0), (y, 1), (Fraction(k), 2), (x, 3), (y, 4)]
+    assert pointcloud._collapse(rows) == exact_collapse(rows)

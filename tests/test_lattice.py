@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gapkit import bcz, farey, hall, lattice, pointcloud, stats
-from gapkit.core import Ball, Mat2, shear
+from gapkit.core import Ball, Mat2
 from gapkit.lattice import (UnimodularLattice, ZSQUARED, has_vertical_vector,
                             poisson_baseline, seeded_lattice, slope_gaps_fast,
                             strip_vectors, to_transversal)

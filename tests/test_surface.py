@@ -272,31 +272,78 @@ class TestPinnedDevelopments:
             _waves.Waves(make(), radius).run()
 
 
-class TestIntegerRoutes:
-    """The exact waves run on int64 while their coordinates are small, and
-    give the same connections on Python ints."""
+def spy_routes(monkeypatch, force=None):
+    """Record the arithmetic ``_waves._route`` picks for each wave (and the
+    first), or make every wave take ``force(picked)`` instead."""
+    routes, pick = [], _waves._route
 
-    @pytest.mark.parametrize("make, radius", [
-        (golden_l, 4.5),
-        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0),  # D = 132
-    ], ids=["golden", "l(13/12,14/11)"])
-    def test_python_ints_match_int64(self, monkeypatch, make, radius):
+    def route(*bounds):
+        picked = pick(*bounds)
+        routes.append(force(picked) if force else picked)
+        return routes[-1]
+
+    monkeypatch.setattr(_waves, "_route", route)
+    return routes
+
+
+class TestIntegerRoutes:
+    """The exact waves run on int64 while their coordinates are small, with
+    float signs where a bound proves them exact, and give the same
+    connections on Python ints and with ``zphi_sign`` everywhere."""
+
+    @pytest.mark.parametrize("make, radius, routes", [
+        (golden_l, 4.5, {"float"}),
+        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0, {"int64"}),  # D = 132
+        # D = 3, and |x| and |x'| far apart on each axis
+        (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 10.0, {"float", "zphi"}),
+    ], ids=["golden", "l(13/12,14/11)", "golden-shear-diag"])
+    def test_python_ints_match_int64(self, monkeypatch, make, radius, routes):
         dtypes = set()
 
-        def sign(ops, x, signs=_waves._ExactOps.sign):
-            dtypes.add(x.a.dtype)
-            return signs(ops, x)
+        def route(ops, wave, routed=_waves._ExactOps.route):
+            wave = routed(ops, wave)
+            dtypes.add(wave.lx.a.dtype)
+            return wave
 
-        monkeypatch.setattr(_waves._ExactOps, "sign", sign)
+        monkeypatch.setattr(_waves._ExactOps, "route", route)
+        picked = spy_routes(monkeypatch)
         fast = _waves.Waves(make(), radius).run()
         assert dtypes == {np.dtype(np.int64)}
+        assert set(picked) == routes
         dtypes.clear()
-        monkeypatch.setattr(_waves, "_int64_safe", lambda size, rational: False)
+        spy_routes(monkeypatch, force=lambda picked: "object")
         slow = _waves.Waves(make(), radius).run()
         assert dtypes == {np.dtype(object)}
         assert slow == fast
         assert [(str(c.holonomy), c.path) for c in slow] == \
             [(str(c.holonomy), c.path) for c in fast]
+
+    @pytest.mark.parametrize("radius, routes", [(3.0, {"float"}), (4.5, {"float"}),
+                                                (40.0, {"float", "zphi"})])
+    def test_float_signs_match_zphi_signs(self, monkeypatch, radius, routes):
+        # golden-exact's radii take the certified float signs on every wave;
+        # R = 40 outgrows their bound and takes zphi_sign on its widest waves
+        picked = spy_routes(monkeypatch)
+        mixed = _waves.Waves(golden_l(), radius).run()
+        assert set(picked) == routes
+        picked = spy_routes(monkeypatch, force=lambda picked: picked.replace("float", "zphi"))
+        exact = _waves.Waves(golden_l(), radius).run()
+        assert set(picked) == {"zphi"}
+        assert mixed == exact
+        assert [(str(c.holonomy), c.path) for c in mixed] == \
+            [(str(c.holonomy), c.path) for c in exact]
+
+    def test_radius_past_floats_is_decided_exactly(self, monkeypatch):
+        # R^2 overflows a float, so every ball test goes to _zin_ball; the
+        # development runs to the state budget as at any radius that large
+        monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", 3000)
+        partials = []
+        for radius in (1e100, 1e200):
+            with pytest.raises(ResourceLimitError) as info:
+                saddle_connections(golden_l(), radius)
+            partials.append(info.value.partial)
+        assert len(partials[0]) > 0
+        assert partials[1] == partials[0]
 
 
 def golden_orbit_holonomies(radius):

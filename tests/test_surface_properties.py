@@ -1,8 +1,10 @@
 """Property tests: the shared Z[phi] sign rule against high-precision
-arithmetic, the exact surface development against the float one and
+arithmetic, the float sign and ball test of the exact waves against their
+exact routes, the exact surface development against the float one and
 against exact linear maps, budget partials against full developments, and
 the radius cache against fresh developments."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -63,6 +65,87 @@ def test_zphi_sign_of_arrays(pairs):
     assert zphi_sign(np.array(a, object), np.array(b, object)).tolist() == expected
     a, b = (np.array([x >> 32 for x in col], np.int64) for col in (a, b))
     assert zphi_sign(a, b).tolist() == [zphi_sign(int(x), int(y)) for x, y in zip(a, b)]
+
+
+# (|x| + |x'|) |x'| below this lets the waves take the float sign of x
+FLOAT_SIGN_BOUND = 2 ** 51 * mpmath.sqrt(5)
+
+
+def magnitudes(a, b):
+    """|x| and |x'| of x = a + b phi, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a) + mpmath.mpf(b) * mpmath.phi
+        return abs(x), abs(x - mpmath.mpf(b) * mpmath.sqrt(5))
+
+
+def float_sign_route(a, b):
+    """The sign rule the waves give x = a + b phi from its own bounds; on
+    the float route, its float sign is the exact one.  A pair on or past
+    the bound is refused, and one well inside it is taken."""
+    z = _waves._Z(np.array([a], np.int64), np.array([b], np.int64))
+    route = _waves._sign_route(*_waves._bounds(z))
+    x, xc = magnitudes(a, b)
+    if route == "float":
+        assert _waves._float_sign(z).tolist() == [reference_sign(a, b)] == [zphi_sign(a, b)]
+    if (x + xc) * xc >= FLOAT_SIGN_BOUND:
+        assert route != "float"
+    if (x + xc + 3) * (xc + 2) < FLOAT_SIGN_BOUND * 0.99:
+        assert route == "float"
+    return route
+
+
+@SETTINGS
+@given(st.integers(-2 ** 25, 2 ** 25), st.integers(-2 ** 25, 2 ** 25),
+       st.integers(0, 3), st.integers(-3, 3), st.booleans())
+@example(0, 0, 0, 0, False)
+@example(0, 2 ** 25, 0, 1, True)
+@example(0, 2 ** 25, 3, 1, True)
+def test_float_sign_route_random_pairs(a, b, shift, k, near_zero):
+    # up to 2^25 most pairs lie inside the bound, up to 2^28 most outside
+    a, b = a << shift, b << shift
+    if near_zero:  # a + b phi within about k of zero
+        a = k - int(mpmath.nint(mpmath.mpf(b) * mpmath.phi))
+    float_sign_route(a, b)
+
+
+@SETTINGS
+@given(st.integers(1, 60), st.integers(-1, 1), st.integers(-1, 1), st.booleans())
+@example(37, 0, 0, False)  # the last one inside the bound
+@example(38, 0, 0, True)  # the first one past it
+def test_float_sign_route_near_zero_fibonacci_pairs(n, da, db, negate):
+    a, b = fibonacci(n + 1) + da, -fibonacci(n) + db
+    if negate:
+        a, b = -a, -b
+    route = float_sign_route(a, b)
+    if (da, db) == (0, 0):
+        assert (route == "float") == (n <= 37)
+
+
+def test_float_sign_is_wrong_just_past_its_bound():
+    # F(41) - F(40) phi = phi^-40 > 0, but a + b*phi rounds to 0 in floats
+    a, b = fibonacci(41), -fibonacci(40)
+    z = _waves._Z(np.array([a], np.int64), np.array([b], np.int64))
+    assert _waves._float_sign(z).tolist() == [0]
+    assert zphi_sign(a, b) == reference_sign(a, b) == 1
+    assert _waves._sign_route(*_waves._bounds(z)) == "zphi"
+
+
+@SETTINGS
+@given(st.lists(st.tuples(*[st.integers(-30, 30)] * 4), min_size=1, max_size=30),
+       st.integers(0, 29), st.booleans())
+@example([(3, 0, 4, 0), (5, 0, 0, 0), (0, 0, 5, 1)], 0, False)  # on the sphere R = 5
+def test_float_ball_matches_the_exact_ball(points, on, inflate):
+    # a radius through one of the points, so that its float test lands in
+    # the error band; the emitted holonomies are those of the exact test
+    x, y = (float(GoldenNum(a, b)) for a, b in (points[on % len(points)][:2],
+                                                 points[on % len(points)][2:]))
+    radius = max(math.hypot(x, y), 0.5) * (1 + 1e-12 if inflate else 1)
+    ops = _waves._ExactOps(golden_l(), radius)
+    a, b, c, d = (np.array(col, np.int64) for col in zip(*points))
+    ball, hols = ops.emit(_waves._Z(a, b), _waves._Z(c, d))
+    inside = [_waves._zin_ball(p, ops.rsq_num, ops.rsq_den) for p in points]
+    assert ball.tolist() == inside
+    assert hols == [_waves._zholonomy(p, 1) for p, keep in zip(points, inside) if keep]
 
 
 sides = st.fractions(min_value=Fraction(1), max_value=Fraction(3),
