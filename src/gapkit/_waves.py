@@ -59,12 +59,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import surface
-from .core import GoldenNum, Vec2, common_denominator, zphi_sign
+from .core import _PHI, GoldenNum, Vec2, common_denominator, zphi_sign
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq
-
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def _sign(x):
@@ -152,7 +150,16 @@ def _zphi_sign(x):
 
 
 class _FloatOps:
-    """Float arithmetic: float64 arrays and the FLOAT_EPS sign rule."""
+    """Float arithmetic: float64 arrays and the FLOAT_EPS sign rule.
+
+    Copies whose window meets the ball have vertices with |x| <= X = R +
+    2 max |x_v|, |y| <= Y = R + 2 max |y_v|; rays (such vertices or
+    quarter-turned edges) have parts below M = max(X, Y).  A product of two
+    cross products takes one ray at most, so the exact waves' 48 (XY)^2
+    widens to 48 XY M^2, and every signed value is below V = 48 XY M^2 +
+    6 M^2.  A surface with V past the floats raises ValueError: its
+    products could overflow to inf and nan, which decide no sign.
+    """
 
     sign = staticmethod(_sign)
     where = staticmethod(np.where)
@@ -161,6 +168,11 @@ class _FloatOps:
         self.bx = np.array([float(v.x) for v in surf.vertices])
         self.by = np.array([float(v.y) for v in surf.vertices])
         self.rsq = _ball_rsq(radius)
+        x = radius + 2 * float(np.abs(self.bx).max())
+        y = radius + 2 * float(np.abs(self.by).max())
+        m = max(x, y)
+        if not math.isfinite(48 * x * y * m * m + 6 * m * m):
+            raise ValueError(f"surface too large to develop in floats at radius {radius}")
 
     @staticmethod
     def pos(x):
@@ -271,7 +283,7 @@ class _ExactOps:
         """The floats (a + b phi)/D, for the window bound, which prunes
         only windows beyond its float tolerance."""
         d = self.d
-        return (x.a / d + x.b / d * (1.0 + math.sqrt(5.0)) / 2.0).astype(float)
+        return (x.a / d + x.b / d * _PHI).astype(float)
 
     def route(self, wave: "_Wave") -> "_Wave":
         """The wave on the arithmetic that ``_route`` picks from the bounds

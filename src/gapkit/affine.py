@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Mat2, Region, Vec2, _check_positive, diag_flow, rotation
+from .core import Mat2, Region, Vec2, _check_positive, diag_flow, is_exact, rotation
 from .lattice import coefficient_scan
 from .pointcloud import GapSequence, PointSystem
 from .stats import EmpiricalDist, circular_gaps, rng
@@ -48,6 +48,8 @@ class AffineLattice(PointSystem):
         det = float(self.basis.det())
         if abs(det - 1.0) > 1e-12:
             raise ValueError(f"basis determinant {det} is not 1")
+        if not all(is_exact(c) or math.isfinite(c) for c in self.shift):
+            raise ValueError(f"shift {self.shift} is not finite")
         inv = self.basis.inverse()
         coeff = inv @ self.shift
         exact = isinstance(coeff.x, (int, Fraction)) and isinstance(coeff.y, (int, Fraction))
@@ -105,7 +107,9 @@ def _sorted_angles(lattice: AffineLattice, radius: float) -> np.ndarray:
 
 
 def _window_counts(angles: np.ndarray, thetas: np.ndarray, half_width: float) -> np.ndarray:
-    """Number of angles within +-half_width of each theta, circularly."""
+    """Number of angles within +-half_width of each theta, circularly (all from pi on)."""
+    if half_width >= math.pi:
+        return np.full(len(thetas), len(angles), dtype=np.int64)
     lo = (thetas - half_width) % TWO_PI
     hi = lo + 2.0 * half_width  # may pass 2 pi; handle the wrap by splitting
     below = np.searchsorted(angles, np.minimum(hi, TWO_PI), side="right") \
@@ -116,7 +120,8 @@ def _window_counts(angles: np.ndarray, thetas: np.ndarray, half_width: float) ->
 
 
 def wedge_count(lattice: AffineLattice, theta: float, sigma: float, radius: float) -> int:
-    """Number of lattice points in the thinning wedge around direction theta."""
+    """Number of lattice points in the thinning wedge around direction theta
+    (of half-width sigma/R^2: the whole ball from a half-turn on)."""
     _check_positive(sigma, "sigma")
     _check_positive(radius, "radius")
     angles = _sorted_angles(lattice, radius)
@@ -143,7 +148,8 @@ def renormalized_triangle_count(lattice: AffineLattice, theta: float,
 
 def empirical_p(lattice: AffineLattice, sigma: float, radius: float,
                 samples: int, seed: int) -> WedgeStats:
-    """Fractions of uniformly random directions whose wedge holds i points."""
+    """Fractions of uniformly random directions whose wedge holds i points
+    (every wedge holds the whole ball once sigma/R^2 >= pi)."""
     if samples < 1:
         raise ValueError("need at least one direction sample")
     _check_positive(sigma, "sigma")

@@ -151,7 +151,7 @@ def _cmd_lattice_gaps(args):
 
 def _shifted_square_lattice(shift: str) -> affine.AffineLattice:
     """Z^2 shifted by the --shift value 'x,y'."""
-    sx, sy = (float(_parse_scalar(part)) for part in shift.split(","))
+    sx, sy = map(_scalar_to_float, shift.split(","))
     return affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
 
 
@@ -218,8 +218,12 @@ def _read_column(path: str) -> np.ndarray:
 
 def _scalar_to_float(text: str) -> float:
     """A 'p/q' or decimal cell as a float; a zero denominator or a
-    non-finite value (nan, inf) is a ValueError."""
-    value = float(_parse_scalar(text)) if "/" in text else float(text)
+    non-finite value (nan, inf, or a p/q past the float range) is a
+    ValueError."""
+    try:
+        value = float(_parse_scalar(text)) if "/" in text else float(text)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"non-finite cell {text!r}")
     return value

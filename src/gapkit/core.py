@@ -227,7 +227,7 @@ class GoldenNum:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * (1.0 + math.sqrt(5.0)) / 2.0
+        return float(self.a) + float(self.b) * _PHI
 
     def __repr__(self):
         return f"GoldenNum({self.a!r}, {self.b!r})"
@@ -241,6 +241,7 @@ class GoldenNum:
 
 
 PHI = GoldenNum(0, 1)
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0  # the float of PHI, shared by every module
 
 
 def is_exact(x) -> bool:

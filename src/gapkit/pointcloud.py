@@ -16,14 +16,13 @@ paths, and their agreement is the load-bearing invariant of this module.
 
 Exact systems may hand the strip loop their points as ExactRows: int
 numerator pairs (X, Y) over one common denominator, membership already
-decided in ints.  The loop then orders rows by the float Y / X, which Python
-computes correctly rounded, so it is monotone in the exact slope and equal
-to float(slope); only rows with equal float keys are ordered by the exact
-cross-multiplication Y1 X2 vs Y2 X1.  Fraction slopes and points are built
-only for the rows returned.  Exact slopes that come as scalars (those of
-surfaces, and every GoldenNum slope) are ordered float first the same way:
-a stable sort by a float with a proven error bound, and exact comparisons
-only among rows whose error intervals overlap (_collapse_exact).
+decided in ints; Fraction slopes and points are built only for the rows
+returned.  Every exact slope order is one float-first sort (_float_first):
+a stable sort by a float f with an error bound err, and exact comparisons
+only inside runs of overlapping intervals [f - err, f + err].  Int rows
+pass the correctly rounded Y / X with err = 0 (rounding is monotone), exact
+scalar slopes (those of surfaces, and every GoldenNum slope) the float of
+a + b phi with a written bound (_collapse_exact).
 """
 
 from __future__ import annotations
@@ -31,15 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import compress, groupby
+from itertools import compress
 from operator import itemgetter, truediv
 from typing import Optional
 
 import numpy as np
 
-from .core import (Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip, _check_positive,
-                   is_exact, shear, slope)
+from .core import (_PHI, Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip,
+                   _check_positive, is_exact, shear, slope)
 from .errors import ExhaustionError, UnsupportedQueryError
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "is_horizontally_short", "is_vertically_short", "is_exceptional",
     "hitting_times",
 ]
-
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 # |y| below this counts as horizontal for float systems (exact systems use 0)
 AXIS_TOL = 1e-9
@@ -180,59 +176,44 @@ def _collapse(rows: list) -> list:
     return out
 
 
+def _float_first(rows: list, f: np.ndarray, err, key) -> list:
+    """``rows`` sorted by ``key``, the first row of each key value kept,
+    given floats ``f`` and bounds ``err`` (array or scalar) such that
+    f[i] + err[i] < f[j] - err[j] implies key(rows[i]) < key(rows[j]), and
+    equal floats for equal keys.  A stable sort by f is the key order except
+    inside runs, which end where the largest f + err so far lies below every
+    later f - err; only runs of more than one row are sorted by key, stably,
+    so the first row of each key value in the input stays first."""
+    order = np.argsort(f, kind="stable")
+    upper = np.maximum.accumulate((f + err)[order])
+    lower = np.minimum.accumulate((f - err)[order][::-1])[::-1]
+    edge = np.concatenate(([0], np.flatnonzero(upper[:-1] < lower[1:]) + 1, [len(f)]))
+    wide = np.flatnonzero(np.diff(edge) > 1)[::-1]  # last first: runs shrink
+    rows = [rows[i] for i in order.tolist()]
+    for lo, hi in zip(edge[wide].tolist(), edge[wide + 1].tolist()):
+        run = sorted([(key(r), r) for r in rows[lo:hi]], key=itemgetter(0))
+        rows[lo:hi] = [r for j, (k, r) in enumerate(run) if j == 0 or run[j - 1][0] != k]
+    return rows
+
+
 def _collapse_exact(rows: list) -> list:
     """_collapse of exact slopes (int, Fraction or GoldenNum), float first.
 
     A slope a + b phi becomes the float f = a + b*phi of its coefficients,
     which errs by at most 5 * 2^-53 (|a| + |b| phi) (conversions, phi, one
     product, one sum) plus underflow; ``err`` is 8 * 2^-53 (|a| + |b| phi)
-    + 2^-1060, computed from the floats of a and b.  A stable sort
-    by f is the exact order except inside runs whose intervals
-    [f - err, f + err] overlap: a run ends where the largest upper end so
-    far lies below every lower end after it, and only runs of more than one
-    row are sorted exactly.  Equal slopes have equal coefficients, hence
-    equal floats, so they share a run in their input order, and the stable
-    exact sort keeps the first of each.
+    + 2^-1060, computed from the floats of a and b.  Equal slopes have equal
+    coefficients, hence equal floats.  Slopes beyond the float range make
+    one run, sorted exactly.
     """
     parts = [(s.a, s.b) if isinstance(s, GoldenNum) else (s, 0) for s, _ in rows]
     try:
         fa = np.array([float(a) for a, _ in parts])
         fb = np.array([float(b) for _, b in parts])
-    except OverflowError:  # beyond floats: one run, sorted exactly
-        order, cut = list(range(len(rows))), np.array([], int)
-    else:
-        f = fa + fb * _PHI
-        err = 2.0 ** -50 * (np.abs(fa) + np.abs(fb) * _PHI) + 2.0 ** -1060
-        order = np.argsort(f, kind="stable")
-        upper = np.maximum.accumulate((f + err)[order])
-        lower = np.minimum.accumulate((f - err)[order][::-1])[::-1]
-        cut = np.flatnonzero(upper[:-1] < lower[1:]) + 1
-        order = order.tolist()
-    if len(cut) == len(rows) - 1:
-        return [rows[i] for i in order]
-    out = []
-    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(rows)]):
-        run = [rows[i] for i in order[lo:hi]]
-        if len(run) > 1:
-            run = sorted(run, key=itemgetter(0))
-            run = [r for j, r in enumerate(run) if j == 0 or run[j - 1][0] != r[0]]
-        out.extend(run)
-    return out
-
-
-def _cmp_slope(r, t) -> int:
-    """Exact order of the slopes of int rows (x, y), x > 0."""
-    a, b = r[1] * t[0], t[1] * r[0]
-    return (a > b) - (a < b)
-
-
-def _exact_run(run: list) -> list:
-    """Rows of one float key, sorted by exact slope, the first row of each
-    slope value kept (sorted is stable, as in _collapse)."""
-    if len(run) > 1:
-        run = sorted(run, key=cmp_to_key(_cmp_slope))
-        run = [r for j, r in enumerate(run) if j == 0 or _cmp_slope(run[j - 1], r)]
-    return run
+    except OverflowError:
+        return _float_first(rows, np.zeros(len(rows)), math.inf, itemgetter(0))
+    err = 2.0 ** -50 * (np.abs(fa) + np.abs(fb) * _PHI) + 2.0 ** -1060
+    return _float_first(rows, fa + fb * _PHI, err, itemgetter(0))
 
 
 def _slope_order(rows: ExactRows, cut: float) -> list:
@@ -241,13 +222,8 @@ def _slope_order(rows: ExactRows, cut: float) -> list:
     xs, ys = rows.xs, rows.ys
     keys = np.fromiter(map(truediv, ys, xs), dtype=float, count=len(xs))
     idx = np.flatnonzero(keys <= cut)
-    idx = idx[np.argsort(keys[idx], kind="stable")]
-    out = [(xs[i], ys[i]) for i in idx.tolist()]
-    ordered = keys[idx]
-    if np.any(ordered[1:] == ordered[:-1]):
-        runs = groupby(zip(ordered.tolist(), out), key=itemgetter(0))
-        out = [r for _, run in runs for r in _exact_run([r for _, r in run])]
-    return out
+    return _float_first([(xs[i], ys[i]) for i in idx.tolist()], keys[idx], 0.0,
+                        lambda r: Fraction(r[1], r[0]))
 
 
 def _strip_rows(system: PointSystem, eta, n: int):

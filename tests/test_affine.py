@@ -28,6 +28,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AffineLattice(Mat2(1.0, 0.0, 0.0, 1.1), Vec2(0.0, 0.0))
 
+    def test_non_finite_shift_rejected(self):
+        # an infinite shift used to reduce to nan and fail only on enumeration
+        with pytest.raises(ValueError, match="shift .* is not finite"):
+            unit_affine(math.inf, 0.0)
+
 
 class TestPointsInBall:
     def test_half_shift_unit_ball(self):
@@ -71,6 +76,18 @@ class TestWedges:
         counted = sum(wedge_count(generic_affine, (2 * i + 1) * math.pi / k,
                                   sigma, radius) for i in range(k))
         assert counted == total
+
+    def test_half_turn_wedge_is_the_ball(self):
+        # from sigma/R^2 = pi on the wedge is the whole ball; at 4 the
+        # two wrapped halves used to overlap and count points twice
+        lat, radius = unit_affine(0.2137, 0.5813), 5.0
+        total = len(lat.ball_points(radius))
+        for ratio in (math.pi, 4.0):
+            sigma = ratio * radius ** 2
+            assert [wedge_count(lat, t, sigma, radius) for t in (0.0, 1.0, 2.0, 3.0)] \
+                == [total] * 4
+            ws = empirical_p(lat, sigma, radius, 200, seed=1)
+            assert ws.counts[total] == 200 and len(ws.counts) == total + 1
 
     def test_triangle_count_integer_lattice(self):
         # theta=0, R=1 renormalizes by the identity

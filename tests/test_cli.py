@@ -167,7 +167,8 @@ class TestCompare:
         assert shown in err
 
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf",
+                                      pytest.param("9" * 400 + "/1", id="400-nines")])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cells_are_rejected(self, tmp_path, capsys, cell, fmt):
         path = tmp_path / ("gaps." + fmt)
@@ -216,7 +217,13 @@ class TestContract:
         ["surface-sc", "--shape", "foo", "--radius", "3"],
         ["compare", "--left", "{tmp}/missing.csv", "--cdf", "hall"],
         ["hall", "--grid", "4", "--output", "{tmp}/no/such/dir/x.csv"],
-    ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output"])
+        # past the float range: these ended in a traceback with exit 1
+        ["affine-angles", "--shift", "1e400,0", "--radius", "5"],
+        ["wedge-p", "--shift", "1e400,0", "--sigma", "1", "--radius", "5", "--samples", "10"],
+        ["surface-sc", "--shape", "l:1e154,1.5", "--radius", "5"],
+        ["surface-sc", "--shape", "l:1e200,2", "--radius", "5"],
+    ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output",
+            "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200"])
     def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
         res = run_cli([arg.format(tmp=tmp_path) for arg in args])
         assert res.returncode == 2

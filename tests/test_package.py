@@ -1,5 +1,6 @@
-"""Package hygiene: every exported name resolves, and no module or test file
-imports a name it never uses."""
+"""Package hygiene: every exported name resolves, no module or test file
+imports a name it never uses, and no private module-level name of the
+package goes unread."""
 
 import ast
 import importlib
@@ -53,3 +54,37 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_a_leftover():
     source = "from typing import Optional\nimport math\n\nx = math.pi\n"
     assert unused_imports(source) == ["Optional (line 1)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (def, class or assignment) of the sources,
+    a dict of file name to text, that no code of them reads outside the
+    name's own definition; a name is read as a Name or an attribute."""
+    tops = [(file, node) for file, text in sources.items() for node in ast.parse(text).body]
+    reads = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+              or isinstance(n, ast.Attribute)} for _, node in tops]
+    unread = []
+    for k, (file, node) in enumerate(tops):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        unread += [f"{file}: {name} (line {node.lineno})" for name in names
+                   if name.startswith("_") and not name.startswith("__")
+                   and not any(name in r for j, r in enumerate(reads) if j != k)]
+    return unread
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_unread_private_check_sees_a_leftover():
+    sources = {"a.py": "import b\n\n\ndef _used():\n    return b._J\n\n\n"
+                       "def _left(n):\n    return _left(n - 1)\n\n\n_K = 2\nx = _used()\n",
+               "b.py": "_J = 1\n"}
+    assert unread_private_names(sources) == ["a.py: _left (line 8)", "a.py: _K (line 12)"]

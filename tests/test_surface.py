@@ -440,6 +440,16 @@ class TestBudget:
         with pytest.raises(ValueError):
             saddle_connections(make(), radius)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e120, 1.5), (1e154, 1.5), (1e200, 2.0)])
+    def test_float_surface_past_the_float_range(self, alpha, beta):
+        # its products overflowed, and a ray found no exit edge; at 1e120
+        # only through a quarter-turned first-wave ray
+        with pytest.raises(ValueError, match="too large to develop in floats"):
+            saddle_connections(l_shape(alpha, beta), 5.0)
+
+    def test_long_float_surface_still_develops(self):
+        assert len(saddle_connections(l_shape(1e100, 2.0), 5.0)) == 58
+
     def test_state_budget_error(self, monkeypatch):
         monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", 50)
         with pytest.raises(ResourceLimitError):
