@@ -18,28 +18,25 @@ test and how holonomies are built:
   exactly as below, and ``_zholonomy`` builds GoldenNum, Fraction and int
   values only for the emitted holonomies.
 
-Exact decisions in floats.  Before each wave, ``_ExactOps.route`` bounds
-|x| and the conjugate |x'| = |a + b (1 - phi)| of the wave's x-coordinates
-(placed vertices, ray and entry-edge x parts) by X and X', and of its
-y-coordinates by Y and Y'.  Every value a step signs is a product of two
-cross products, |x| <= 48 (XY)^2 (the exit test of the middle ray), or
-smaller, or a dot product, |x| <= 2 (X^2 + Y^2); so |x| <= V = 48 (XY)^2 +
-2 (X^2 + Y^2), and |x'| <= V' from the conjugate bounds.  ``_route`` picks
-the wave's arithmetic from these bounds:
-
-* "object", Python ints, when a product could overflow int64: every
-  coefficient a step forms is below 2^9 S^4, S the largest of the four
-  bounds;
-* "int64" on a rational surface: the sign of a;
-* "float": the sign of the float a + b*phi, when V + V' < 2^53 and
-  (V + V') V' < 2^51 sqrt 5.  Then a and b are exact floats, and rounding
-  phi and b*phi errs by under 2.0001 * 2^-53 |b| phi, with |b| <=
-  (V + V')/sqrt 5.  For b != 0 the norm x x' = a^2 + ab - b^2 is a nonzero
-  integer, so |x| >= 1/|x'| >= 1/V' exceeds that error and the float sign
-  is exact (b = 0 is exact in floats, x = 0 too);
-* "zphi": ``core.zphi_sign`` on int64, which squares 2a + b = x + x' and
-  sqrt(5) b = x - x', when (V + V')^2 < 2^62;
-* "object" past all of these.
+Signs.  Before each wave, ``_ExactOps.route`` bounds |x| and the conjugate
+|x'| = |a + b (1 - phi)| of the wave's x-coordinates (placed vertices, ray
+and entry-edge x parts) by X and X', and of its y-coordinates by Y and Y'.
+``_route`` puts the wave on Python ints (object arrays) when a product
+could overflow int64 (every coefficient a step forms is below 2^9 S^4, S
+the largest bound), on int64 otherwise.  Every signed value is a product
+of two cross products, |x| <= 48 (XY)^2, or smaller, or a dot product,
+|x| <= 2 (X^2 + Y^2); so |x| <= V = 48 (XY)^2 + 2 (X^2 + Y^2), and
+|x'| <= V' likewise.  ``_ExactOps.sign`` takes the sign of the float
+``core.zphi_float`` of a + b phi.  It is proven exact on a rational
+surface (b = 0), and on int64 when V + V' < 2^53 and (V + V') V' <
+2^51 sqrt 5: a and b are then exact floats, rounding phi and b*phi errs by
+under 2.0001 * 2^-53 |b| phi with |b| <= (V + V')/sqrt 5, and for b != 0
+the norm x x' = a^2 + ab - b^2 is a nonzero integer, so |x| >= 1/V'
+exceeds that error.  Without the proof each element is checked, a filter
+in the manner of Shewchuk (1997): one with b != 0 and a float within
+``core.zphi_float_error`` of zero, or not a number, is signed by the
+scalar ``core.zphi_sign`` on Python ints, as is every element of an object
+array past the floats.
 
 The ball test |p|^2 <= R^2 runs in floats as well.  For p = ((a + b phi)/D,
 (c + d phi)/D), converting the ints and forming (a + b phi)^2 +
@@ -59,7 +56,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import surface
-from .core import _PHI, GoldenNum, Vec2, common_denominator, zphi_sign
+from .core import (_PHI, GoldenNum, Vec2, common_denominator, zphi_float, zphi_float_error,
+                   zphi_sign)
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq
@@ -110,43 +108,26 @@ def _bounds(*columns: _Z) -> tuple[float, float]:
     b = np.concatenate([z.b for z in columns]).astype(float)
     if not len(a):
         return 0.0, 0.0
-    return (np.abs(a + b * _PHI).max() * (1.0 + 1e-9) + 1.0,
+    return (np.abs(zphi_float(a, b)).max() * (1.0 + 1e-9) + 1.0,
             np.abs(a + b * (1.0 - _PHI)).max() * (1.0 + 1e-9) + 1.0)
 
 
-def _route(x: float, xc: float, y: float, yc: float, rational: bool) -> str:
-    """The arithmetic of a wave whose x-coordinates have |x| <= x and
-    |x'| <= xc, and whose y-coordinates |y| <= y and |y'| <= yc: "object",
-    "int64", "float" or "zphi", by the bounds of the module docstring."""
-    if 2 ** 9 * max(x, xc, y, yc) ** 4 >= 2.0 ** 62:
-        return "object"
-    if rational:
-        return "int64"
-    return _sign_route(48 * (x * y) ** 2 + 2 * (x * x + y * y),
-                       48 * (xc * yc) ** 2 + 2 * (xc * xc + yc * yc))
+def _route(x: float, xc: float, y: float, yc: float, rational: bool) -> tuple[type, bool]:
+    """The int dtype of a wave with |x| <= x, |x'| <= xc, |y| <= y and |y'| <= yc
+    on its coordinates, and whether these bounds prove its float signs."""
+    if max(x, xc, y, yc) >= 2.0 ** (53 / 4):  # 2^9 S^4 >= 2^62
+        return object, rational
+    v = 48 * (x * y) ** 2 + 2 * (x * x + y * y)
+    vc = 48 * (xc * yc) ** 2 + 2 * (xc * xc + yc * yc)
+    return np.int64, rational or v + vc < 2.0 ** 53 and (v + vc) * vc < 2.0 ** 51 * math.sqrt(5.0)
 
 
-def _sign_route(v: float, vc: float) -> str:
-    """The sign rule for values x of Z[phi] on int64 with |x| <= v and
-    |x'| <= vc: "float", "zphi" or "object" (module docstring)."""
-    if v + vc < 2.0 ** 53 and (v + vc) * vc < 2.0 ** 51 * math.sqrt(5.0):
-        return "float"
-    if (v + vc) ** 2 < 2.0 ** 62:
-        return "zphi"
-    return "object"
-
-
-def _rational_sign(x):
-    return np.sign(x.a).astype(np.int8)
-
-
-def _float_sign(x):
-    """The sign of x, exact on the "float" route (module docstring)."""
-    return np.sign(x.a + x.b * _PHI).astype(np.int8)
-
-
-def _zphi_sign(x):
-    return zphi_sign(x.a, x.b)
+def _checked(s, x, doubt):
+    """The signs s of x with the elements under the mask ``doubt`` signed
+    again by the scalar ``zphi_sign`` on Python ints."""
+    for i in np.flatnonzero(doubt).tolist():
+        s.flat[i] = zphi_sign(int(x.a.flat[i]), int(x.b.flat[i]))
+    return s
 
 
 class _FloatOps:
@@ -246,7 +227,7 @@ class _ExactOps:
         # the first wave multiplies edge vectors of the base, turned by
         # quarter turns, so either axis may hold either kind of coordinate
         edge, edge_c = 2 * max(self.base[0::2]), 2 * max(self.base[1::2])
-        self._use(_route(edge, edge_c, edge, edge_c, self.rational))
+        self._use(*_route(edge, edge_c, edge, edge_c, self.rational))
         rsq = Fraction(radius) ** 2
         self.rsq_num, self.rsq_den = rsq.numerator * self.d * self.d, rsq.denominator
         try:
@@ -254,12 +235,30 @@ class _ExactOps:
         except OverflowError:  # every point then goes to the exact test
             self.rsq = math.inf
 
-    def _use(self, route: str):
-        """Put the base on the route's int type and take its sign rule."""
-        dtype = object if route == "object" else np.int64
+    def _use(self, dtype: type, proven: bool):
+        """Put the base on the wave's int dtype and take its sign proof."""
         self.bx, self.by = self.bx.astype(dtype), self.by.astype(dtype)
-        self.sign = _rational_sign if self.rational else \
-            _float_sign if route == "float" else _zphi_sign
+        self.proven = proven
+
+    def sign(self, x):
+        """The sign of each element of x as int8: the float sign, checked element
+        by element unless the wave's bound proves it (module docstring)."""
+        if x.a.dtype != object:
+            return self._signs(x, x.a, x.b)
+        try:
+            a, b = x.a.astype(float), x.b.astype(float)
+        except OverflowError:  # past the floats: every element exactly
+            return _checked(np.zeros(x.a.shape, np.int8), x, np.ones(x.a.shape, bool))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are checked
+            return self._signs(x, a, b)
+
+    def _signs(self, x, a, b):
+        """``sign`` from the floats (or int64 arrays) a, b of x's coefficients."""
+        f = zphi_float(a, b)
+        s = np.sign(f).astype(np.int8)
+        if self.proven:
+            return s
+        return _checked(s, x, (x.b != 0) & ~(np.abs(f) > zphi_float_error(a, b)))
 
     def pos(self, x):
         return self.sign(x) > 0
@@ -283,7 +282,7 @@ class _ExactOps:
         """The floats (a + b phi)/D, for the window bound, which prunes
         only windows beyond its float tolerance."""
         d = self.d
-        return (x.a / d + x.b / d * _PHI).astype(float)
+        return zphi_float(x.a / d, x.b / d).astype(float)
 
     def route(self, wave: "_Wave") -> "_Wave":
         """The wave on the arithmetic that ``_route`` picks from the bounds
@@ -293,7 +292,7 @@ class _ExactOps:
         y, yc = _bounds(wave.ly, wave.ry, *entry[1::2])
         (tx, txc), (ty, tyc) = _bounds(wave.tx), _bounds(wave.ty)
         bx, bxc, by, byc = self.base
-        self._use(_route(max(x, bx + tx), max(xc, bxc + txc),
+        self._use(*_route(max(x, bx + tx), max(xc, bxc + txc),
                          max(y, by + ty), max(yc, byc + tyc), self.rational))
         dtype = self.bx.a.dtype
         entry = wave.entry and (*(z.astype(dtype) for z in entry), wave.entry[4])
@@ -307,7 +306,7 @@ class _ExactOps:
         docstring)."""
         cols = (x.a, x.b, y.a, y.b)
         a, b, c, d = (v.astype(float) for v in cols)
-        fx, fy = a + b * _PHI, c + d * _PHI
+        fx, fy = zphi_float(a, b), zphi_float(c, d)
         mx, my = np.abs(a) + np.abs(b) * _PHI, np.abs(c) + np.abs(d) * _PHI
         gap = fx * fx + fy * fy - self.rsq
         band = 2.0 ** -48 * (mx * mx + my * my + self.rsq)

@@ -119,13 +119,19 @@ def _window_counts(angles: np.ndarray, thetas: np.ndarray, half_width: float) ->
     return (below + wrapped).astype(np.int64)
 
 
+def _half_width(sigma: float, radius: float) -> float:
+    """The wedge half-width sigma/R^2, inf where R^2 underflows to 0."""
+    _check_positive(sigma, "sigma")
+    _check_positive(radius, "radius")
+    return sigma / radius ** 2 if radius ** 2 else math.inf
+
+
 def wedge_count(lattice: AffineLattice, theta: float, sigma: float, radius: float) -> int:
     """Number of lattice points in the thinning wedge around direction theta
     (of half-width sigma/R^2: the whole ball from a half-turn on)."""
-    _check_positive(sigma, "sigma")
-    _check_positive(radius, "radius")
+    half_width = _half_width(sigma, radius)
     angles = _sorted_angles(lattice, radius)
-    counts = _window_counts(angles, np.array([float(theta)]), sigma / radius ** 2)
+    counts = _window_counts(angles, np.array([float(theta)]), half_width)
     return int(counts[0])
 
 
@@ -152,12 +158,11 @@ def empirical_p(lattice: AffineLattice, sigma: float, radius: float,
     (every wedge holds the whole ball once sigma/R^2 >= pi)."""
     if samples < 1:
         raise ValueError("need at least one direction sample")
-    _check_positive(sigma, "sigma")
-    _check_positive(radius, "radius")
+    half_width = _half_width(sigma, radius)
     gen = rng(seed)
     thetas = gen.uniform(0.0, TWO_PI, samples)
     angles = _sorted_angles(lattice, radius)
-    counts = _window_counts(angles, thetas, sigma / radius ** 2)
+    counts = _window_counts(angles, thetas, half_width)
     hist = np.bincount(counts)
     return WedgeStats(sigma=sigma, radius=radius, sample_count=samples,
                       counts=tuple(int(c) for c in hist))

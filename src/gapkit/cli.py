@@ -151,7 +151,7 @@ def _cmd_lattice_gaps(args):
 
 def _shifted_square_lattice(shift: str) -> affine.AffineLattice:
     """Z^2 shifted by the --shift value 'x,y'."""
-    sx, sy = map(_scalar_to_float, shift.split(","))
+    sx, sy = (_scalar_to_float(part, "--shift part") for part in shift.split(","))
     return affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
 
 
@@ -213,19 +213,19 @@ def _read_column(path: str) -> np.ndarray:
     else:
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         cells = [ln.split(",")[-1] for ln in lines[1:]]
-    return np.array(list(map(_scalar_to_float, cells)))
+    return np.array([_scalar_to_float(cell, "cell") for cell in cells])
 
 
-def _scalar_to_float(text: str) -> float:
-    """A 'p/q' or decimal cell as a float; a zero denominator or a
-    non-finite value (nan, inf, or a p/q past the float range) is a
-    ValueError."""
+def _scalar_to_float(text: str, name: str) -> float:
+    """A 'p/q' or decimal, named ``name`` in errors, as a float; a zero
+    denominator or a non-finite value (nan, inf, or a p/q past the float
+    range) is a ValueError."""
     try:
         value = float(_parse_scalar(text)) if "/" in text else float(text)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"non-finite cell {text!r}")
+        raise ValueError(f"non-finite {name} {text!r}")
     return value
 
 

@@ -17,7 +17,7 @@ from .errors import VerticalVectorError
 __all__ = [
     "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Ball",
     "shear", "diag_flow", "rotation", "slope", "is_exact", "zphi_sign",
-    "common_denominator",
+    "zphi_float", "zphi_float_error", "common_denominator",
 ]
 
 
@@ -33,14 +33,8 @@ def _as_coeff(x):
 
 
 def zphi_sign(a, b):
-    """Exact sign of the real number a + b*phi (a, b int or Fraction): -1, 0 or +1.
-
-    The one sign rule of Q(sqrt 5), shared by GoldenNum and the integer
-    surface development, which passes numpy int arrays (int64 or object) of
-    one shape and gets the signs elementwise as an int8 array.
-    """
-    if not isinstance(b, (int, Fraction)):
-        return _zphi_signs(a, b)
+    """Exact sign of the real number a + b*phi (a, b int or Fraction): -1, 0 or +1;
+    the one exact sign rule of Q(sqrt 5), for GoldenNum and the exact waves."""
     if b == 0:
         return (a > 0) - (a < 0)
     # 2(a + b phi) = s + b sqrt 5
@@ -56,14 +50,17 @@ def zphi_sign(a, b):
     return (rhs > lhs) - (rhs < lhs)
 
 
-def _zphi_signs(a, b):
-    """``zphi_sign`` of int arrays; (2a + b)^2 and 5 b^2 must fit their dtype."""
-    import numpy as np  # loaded already by every caller that holds arrays
-    s = 2 * a + b
-    ss, sb = np.sign(s).astype(np.int8), np.sign(b).astype(np.int8)
-    # same signs (or zeros): that sign; opposite signs: compare s^2 with 5 b^2
-    return np.where(ss * sb < 0, ss * np.sign(s * s - 5 * b * b).astype(np.int8),
-                    np.sign(ss + sb))
+def zphi_float(a, b):
+    """The float a + b*phi from the floats (or int arrays) a, b of the coefficients."""
+    return a + b * _PHI
+
+
+def zphi_float_error(a, b):
+    """A bound on |zphi_float(a, b) - (a + b phi)|, for a and b the floats of
+    the coefficients: conversions, phi, one product and one sum err by at
+    most 5 * 2^-53 (|a| + |b| phi) plus underflow, and this is 8 * 2^-53
+    (|a| + |b| phi) + 2^-1060.  A float beyond it has the exact sign."""
+    return 2.0 ** -50 * (abs(a) + abs(b) * _PHI) + 2.0 ** -1060
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -227,7 +224,7 @@ class GoldenNum:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * _PHI
+        return zphi_float(float(self.a), float(self.b))
 
     def __repr__(self):
         return f"GoldenNum({self.a!r}, {self.b!r})"

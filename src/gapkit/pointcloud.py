@@ -22,7 +22,7 @@ a stable sort by a float f with an error bound err, and exact comparisons
 only inside runs of overlapping intervals [f - err, f + err].  Int rows
 pass the correctly rounded Y / X with err = 0 (rounding is monotone), exact
 scalar slopes (those of surfaces, and every GoldenNum slope) the float of
-a + b phi with a written bound (_collapse_exact).
+a + b phi with the bound written in core (_collapse_exact).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (_PHI, Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip,
-                   _check_positive, is_exact, shear, slope)
+from .core import (Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip, _check_positive,
+                   is_exact, shear, slope, zphi_float, zphi_float_error)
 from .errors import ExhaustionError, UnsupportedQueryError
 
 __all__ = [
@@ -176,44 +176,42 @@ def _collapse(rows: list) -> list:
     return out
 
 
-def _float_first(rows: list, f: np.ndarray, err, key) -> list:
-    """``rows`` sorted by ``key``, the first row of each key value kept,
-    given floats ``f`` and bounds ``err`` (array or scalar) such that
-    f[i] + err[i] < f[j] - err[j] implies key(rows[i]) < key(rows[j]), and
+def _float_first(f: np.ndarray, err, key) -> list[int]:
+    """The indices i of the floats ``f`` in order of ``key(i)``, the first
+    index of each key value kept, given bounds ``err`` (array or scalar)
+    such that f[i] + err[i] < f[j] - err[j] implies key(i) < key(j), and
     equal floats for equal keys.  A stable sort by f is the key order except
     inside runs, which end where the largest f + err so far lies below every
-    later f - err; only runs of more than one row are sorted by key, stably,
-    so the first row of each key value in the input stays first."""
+    later f - err; only runs of more than one index are sorted by key,
+    stably, so the first index of each key value stays first."""
     order = np.argsort(f, kind="stable")
     upper = np.maximum.accumulate((f + err)[order])
     lower = np.minimum.accumulate((f - err)[order][::-1])[::-1]
     edge = np.concatenate(([0], np.flatnonzero(upper[:-1] < lower[1:]) + 1, [len(f)]))
     wide = np.flatnonzero(np.diff(edge) > 1)[::-1]  # last first: runs shrink
-    rows = [rows[i] for i in order.tolist()]
+    order = order.tolist()
     for lo, hi in zip(edge[wide].tolist(), edge[wide + 1].tolist()):
-        run = sorted([(key(r), r) for r in rows[lo:hi]], key=itemgetter(0))
-        rows[lo:hi] = [r for j, (k, r) in enumerate(run) if j == 0 or run[j - 1][0] != k]
-    return rows
+        run = sorted([(key(i), i) for i in order[lo:hi]], key=itemgetter(0))
+        order[lo:hi] = [i for j, (k, i) in enumerate(run) if j == 0 or run[j - 1][0] != k]
+    return order
 
 
 def _collapse_exact(rows: list) -> list:
     """_collapse of exact slopes (int, Fraction or GoldenNum), float first.
 
-    A slope a + b phi becomes the float f = a + b*phi of its coefficients,
-    which errs by at most 5 * 2^-53 (|a| + |b| phi) (conversions, phi, one
-    product, one sum) plus underflow; ``err`` is 8 * 2^-53 (|a| + |b| phi)
-    + 2^-1060, computed from the floats of a and b.  Equal slopes have equal
-    coefficients, hence equal floats.  Slopes beyond the float range make
-    one run, sorted exactly.
+    A slope a + b phi becomes the float ``core.zphi_float`` of the floats of
+    its coefficients, within ``core.zphi_float_error`` of it.  Equal slopes
+    have equal coefficients, hence equal floats.  Slopes beyond the float
+    range make one run, sorted exactly.
     """
     parts = [(s.a, s.b) if isinstance(s, GoldenNum) else (s, 0) for s, _ in rows]
     try:
-        fa = np.array([float(a) for a, _ in parts])
-        fb = np.array([float(b) for _, b in parts])
+        fa, fb = np.array(parts, dtype=float).T
     except OverflowError:
-        return _float_first(rows, np.zeros(len(rows)), math.inf, itemgetter(0))
-    err = 2.0 ** -50 * (np.abs(fa) + np.abs(fb) * _PHI) + 2.0 ** -1060
-    return _float_first(rows, fa + fb * _PHI, err, itemgetter(0))
+        f, err = np.zeros(len(rows)), math.inf
+    else:
+        f, err = zphi_float(fa, fb), zphi_float_error(fa, fb)
+    return [rows[i] for i in _float_first(f, err, lambda i: rows[i][0])]
 
 
 def _slope_order(rows: ExactRows, cut: float) -> list:
@@ -221,9 +219,9 @@ def _slope_order(rows: ExactRows, cut: float) -> list:
     equal slopes collapsed to their first row."""
     xs, ys = rows.xs, rows.ys
     keys = np.fromiter(map(truediv, ys, xs), dtype=float, count=len(xs))
-    idx = np.flatnonzero(keys <= cut)
-    return _float_first([(xs[i], ys[i]) for i in idx.tolist()], keys[idx], 0.0,
-                        lambda r: Fraction(r[1], r[0]))
+    at = np.flatnonzero(keys <= cut).tolist()
+    kept = _float_first(keys[at], 0.0, lambda i: Fraction(ys[at[i]], xs[at[i]]))
+    return [(xs[at[i]], ys[at[i]]) for i in kept]
 
 
 def _strip_rows(system: PointSystem, eta, n: int):

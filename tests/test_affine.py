@@ -79,11 +79,11 @@ class TestWedges:
 
     def test_half_turn_wedge_is_the_ball(self):
         # from sigma/R^2 = pi on the wedge is the whole ball; at 4 the
-        # two wrapped halves used to overlap and count points twice
-        lat, radius = unit_affine(0.2137, 0.5813), 5.0
-        total = len(lat.ball_points(radius))
-        for ratio in (math.pi, 4.0):
-            sigma = ratio * radius ** 2
+        # two wrapped halves used to overlap and count points twice, and
+        # at R = 1e-300, where R^2 underflows to 0, sigma/R^2 divided by 0
+        lat = unit_affine(0.2137, 0.5813)
+        for sigma, radius in ((math.pi * 25.0, 5.0), (4.0 * 25.0, 5.0), (1.0, 1e-300)):
+            total = len(lat.ball_points(radius))
             assert [wedge_count(lat, t, sigma, radius) for t in (0.0, 1.0, 2.0, 3.0)] \
                 == [total] * 4
             ws = empirical_p(lat, sigma, radius, 200, seed=1)

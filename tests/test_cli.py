@@ -202,6 +202,8 @@ class TestContract:
         ["sqrtn", "--n", "3000"],
         ["surface-sc", "--shape", "golden", "--radius", "3.0"],
         ["baseline-poisson", "--n", "1000", "--seed", "11"],
+        # R^2 underflows to 0: every wedge is the whole (empty) ball
+        ["wedge-p", "--sigma", "1", "--radius", "1e-300", "--samples", "3"],
     ])
     def test_byte_identical_reruns_and_worker_independence(self, args):
         first = run_cli(args)
@@ -229,6 +231,8 @@ class TestContract:
         assert res.returncode == 2
         assert res.stderr.startswith("gapkit:")
         assert "Traceback" not in res.stderr
+        if "--shift" in args:
+            assert "--shift" in res.stderr
 
     @pytest.mark.parametrize("args", [
         ["surface-sc", "--shape", "golden", "--radius", "inf"],

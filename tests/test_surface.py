@@ -273,65 +273,63 @@ class TestPinnedDevelopments:
 
 
 def spy_routes(monkeypatch, force=None):
-    """Record the arithmetic ``_waves._route`` picks for each wave (and the
-    first), or make every wave take ``force(picked)`` instead."""
+    """Record the (dtype, proven) that ``_waves._route`` picks for each wave
+    (and the first), or make every wave take ``force(dtype, proven)``."""
     routes, pick = [], _waves._route
 
     def route(*bounds):
         picked = pick(*bounds)
-        routes.append(force(picked) if force else picked)
+        routes.append(force(*picked) if force else picked)
         return routes[-1]
 
     monkeypatch.setattr(_waves, "_route", route)
     return routes
 
 
+PROVEN, CHECKED = (np.int64, True), (np.int64, False)
+
+
 class TestIntegerRoutes:
-    """The exact waves run on int64 while their coordinates are small, with
-    float signs where a bound proves them exact, and give the same
-    connections on Python ints and with ``zphi_sign`` everywhere."""
+    """The exact waves run on int64 while no product can overflow it, take
+    the float signs that a bound proves exact and check the others element
+    by element, and give the same connections with the check on every wave
+    and on Python ints."""
+
+    @staticmethod
+    def assert_forced_runs_match(monkeypatch, make, radius, routes):
+        picked = spy_routes(monkeypatch)
+        default = _waves.Waves(make(), radius).run()
+        assert set(picked) == routes
+        for force in (lambda dtype, proven: (dtype, False),  # the check everywhere
+                      lambda dtype, proven: (object, proven)):
+            spy_routes(monkeypatch, force)
+            run = _waves.Waves(make(), radius).run()
+            assert run == default
+            assert [(str(c.holonomy), c.path) for c in run] == \
+                [(str(c.holonomy), c.path) for c in default]
 
     @pytest.mark.parametrize("make, radius, routes", [
-        (golden_l, 4.5, {"float"}),
-        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0, {"int64"}),  # D = 132
+        (golden_l, 10.0, {PROVEN}),
+        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0, {PROVEN}),  # D = 132
         # D = 3, and |x| and |x'| far apart on each axis
-        (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 10.0, {"float", "zphi"}),
+        (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 10.0, {PROVEN, CHECKED}),
     ], ids=["golden", "l(13/12,14/11)", "golden-shear-diag"])
     def test_python_ints_match_int64(self, monkeypatch, make, radius, routes):
-        dtypes = set()
+        self.assert_forced_runs_match(monkeypatch, make, radius, routes)
 
-        def route(ops, wave, routed=_waves._ExactOps.route):
-            wave = routed(ops, wave)
-            dtypes.add(wave.lx.a.dtype)
-            return wave
-
-        monkeypatch.setattr(_waves._ExactOps, "route", route)
-        picked = spy_routes(monkeypatch)
-        fast = _waves.Waves(make(), radius).run()
-        assert dtypes == {np.dtype(np.int64)}
-        assert set(picked) == routes
-        dtypes.clear()
-        spy_routes(monkeypatch, force=lambda picked: "object")
-        slow = _waves.Waves(make(), radius).run()
-        assert dtypes == {np.dtype(object)}
-        assert slow == fast
-        assert [(str(c.holonomy), c.path) for c in slow] == \
-            [(str(c.holonomy), c.path) for c in fast]
-
-    @pytest.mark.parametrize("radius, routes", [(3.0, {"float"}), (4.5, {"float"}),
-                                                (40.0, {"float", "zphi"})])
+    @pytest.mark.parametrize("radius, routes", [(3.0, {PROVEN}), (4.5, {PROVEN}),
+                                                (40.0, {PROVEN, CHECKED})])
     def test_float_signs_match_zphi_signs(self, monkeypatch, radius, routes):
-        # golden-exact's radii take the certified float signs on every wave;
-        # R = 40 outgrows their bound and takes zphi_sign on its widest waves
+        # golden-exact's radii take proven float signs on every wave; R = 40
+        # outgrows the proof on its widest waves, which check each sign
+        self.assert_forced_runs_match(monkeypatch, golden_l, radius, routes)
+
+    def test_side_past_int64_runs_on_python_ints(self, monkeypatch):
+        # products of the 10^100 side would overflow int64; b = 0 proves
+        # the float signs of this rational surface
         picked = spy_routes(monkeypatch)
-        mixed = _waves.Waves(golden_l(), radius).run()
-        assert set(picked) == routes
-        picked = spy_routes(monkeypatch, force=lambda picked: picked.replace("float", "zphi"))
-        exact = _waves.Waves(golden_l(), radius).run()
-        assert set(picked) == {"zphi"}
-        assert mixed == exact
-        assert [(str(c.holonomy), c.path) for c in mixed] == \
-            [(str(c.holonomy), c.path) for c in exact]
+        assert len(_waves.Waves(l_shape(10 ** 100, 2), 5.0).run()) == 58
+        assert set(picked) == {(object, True)}
 
     def test_radius_past_floats_is_decided_exactly(self, monkeypatch):
         # R^2 overflows a float, so every ball test goes to _zin_ball; the

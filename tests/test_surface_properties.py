@@ -1,6 +1,6 @@
 """Property tests: the shared Z[phi] sign rule against high-precision
-arithmetic, the float sign and ball test of the exact waves against their
-exact routes, the exact surface development against the float one and
+arithmetic, the sign rule and float ball test of the exact waves against
+exact arithmetic, the exact surface development against the float one and
 against exact linear maps, budget partials against full developments, and
 the radius cache against fresh developments."""
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gapkit import _waves, surface
-from gapkit.core import GoldenNum, Mat2, shear, zphi_sign
+from gapkit.core import GoldenNum, Mat2, shear, zphi_float, zphi_sign
 from gapkit.errors import ResourceLimitError
 from gapkit.surface import golden_l, l_shape, saddle_connections
 
@@ -54,21 +54,15 @@ def test_zphi_sign_near_zero_fibonacci_pairs(n, da, db, negate):
     assert zphi_sign(a, b) == reference_sign(a, b)
 
 
-@SETTINGS
-@given(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG)),
-                min_size=1, max_size=20))
-def test_zphi_sign_of_arrays(pairs):
-    # object arrays hold Python ints of any size; int64 ones, coefficients
-    # small enough that 5 b^2 and (2a + b)^2 fit
-    a, b = zip(*pairs)
-    expected = [zphi_sign(x, y) for x, y in pairs]
-    assert zphi_sign(np.array(a, object), np.array(b, object)).tolist() == expected
-    a, b = (np.array([x >> 32 for x in col], np.int64) for col in (a, b))
-    assert zphi_sign(a, b).tolist() == [zphi_sign(int(x), int(y)) for x, y in zip(a, b)]
-
-
-# (|x| + |x'|) |x'| below this lets the waves take the float sign of x
+# (|x| + |x'|) |x'| below this proves the float sign of x in the waves
 FLOAT_SIGN_BOUND = 2 ** 51 * mpmath.sqrt(5)
+
+
+def wave_sign(z, proven):
+    """The sign rule of an exact wave with or without the proof, on z."""
+    ops = _waves._ExactOps(golden_l(), 1.0)
+    ops.proven = proven
+    return ops.sign(z).tolist()
 
 
 def magnitudes(a, b):
@@ -78,20 +72,18 @@ def magnitudes(a, b):
         return abs(x), abs(x - mpmath.mpf(b) * mpmath.sqrt(5))
 
 
-def float_sign_route(a, b):
-    """The sign rule the waves give x = a + b phi from its own bounds; on
-    the float route, its float sign is the exact one.  A pair on or past
-    the bound is refused, and one well inside it is taken."""
-    z = _waves._Z(np.array([a], np.int64), np.array([b], np.int64))
-    route = _waves._sign_route(*_waves._bounds(z))
+def wave_signs(a, b):
+    """The wave signs of x = a + b phi and -x, as one (1, 2) array on int64
+    and on Python ints, are the exact signs: checked element by element,
+    and taken as floats where the bound of the ``_waves`` docstring proves
+    them.  Returns whether it does."""
     x, xc = magnitudes(a, b)
-    if route == "float":
-        assert _waves._float_sign(z).tolist() == [reference_sign(a, b)] == [zphi_sign(a, b)]
-    if (x + xc) * xc >= FLOAT_SIGN_BOUND:
-        assert route != "float"
-    if (x + xc + 3) * (xc + 2) < FLOAT_SIGN_BOUND * 0.99:
-        assert route == "float"
-    return route
+    proven = x + xc < 2 ** 53 and (x + xc) * xc < FLOAT_SIGN_BOUND
+    expected = [[reference_sign(a, b), -reference_sign(a, b)]]
+    for dtype in (np.int64, object):
+        z = _waves._Z(np.array([[a, -a]], dtype), np.array([[b, -b]], dtype))
+        assert wave_sign(z, False) == wave_sign(z, proven) == expected
+    return proven
 
 
 @SETTINGS
@@ -105,29 +97,41 @@ def test_float_sign_route_random_pairs(a, b, shift, k, near_zero):
     a, b = a << shift, b << shift
     if near_zero:  # a + b phi within about k of zero
         a = k - int(mpmath.nint(mpmath.mpf(b) * mpmath.phi))
-    float_sign_route(a, b)
+    wave_signs(a, b)
 
 
 @SETTINGS
-@given(st.integers(1, 60), st.integers(-1, 1), st.integers(-1, 1), st.booleans())
+@given(st.integers(1, 86), st.integers(-1, 1), st.integers(-1, 1), st.booleans())
 @example(37, 0, 0, False)  # the last one inside the bound
 @example(38, 0, 0, True)  # the first one past it
+@example(78, 0, 0, False)  # positive, with the float -2.0
 def test_float_sign_route_near_zero_fibonacci_pairs(n, da, db, negate):
     a, b = fibonacci(n + 1) + da, -fibonacci(n) + db
     if negate:
         a, b = -a, -b
-    route = float_sign_route(a, b)
+    proven = wave_signs(a, b)
     if (da, db) == (0, 0):
-        assert (route == "float") == (n <= 37)
+        assert proven == (n <= 37)
+
+
+@SETTINGS
+@given(st.integers(-2 ** 1030, 2 ** 1030), st.integers(-2 ** 1030, 2 ** 1030))
+@example(-15 * 10 ** 307, 15 * 10 ** 307)  # b*phi overflows to inf
+@example(2 ** 1030, 1)  # a overflows its conversion to float
+@pytest.mark.filterwarnings("error")
+def test_wave_sign_near_and_past_the_float_range(a, b):
+    # object arrays go to the scalar zphi_sign wherever floats cannot decide
+    z = _waves._Z(np.array([[a, -a]], object), np.array([[b, -b]], object))
+    assert wave_sign(z, False) == [[zphi_sign(a, b), -zphi_sign(a, b)]]
 
 
 def test_float_sign_is_wrong_just_past_its_bound():
     # F(41) - F(40) phi = phi^-40 > 0, but a + b*phi rounds to 0 in floats
     a, b = fibonacci(41), -fibonacci(40)
     z = _waves._Z(np.array([a], np.int64), np.array([b], np.int64))
-    assert _waves._float_sign(z).tolist() == [0]
-    assert zphi_sign(a, b) == reference_sign(a, b) == 1
-    assert _waves._sign_route(*_waves._bounds(z)) == "zphi"
+    assert zphi_float(float(a), float(b)) == 0.0
+    assert wave_sign(z, False) == [reference_sign(a, b)] == [1]
+    assert not wave_signs(a, b)  # past the bound that proves float signs
 
 
 @SETTINGS
