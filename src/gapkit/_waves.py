@@ -215,9 +215,22 @@ def _zholonomy(p, d):
 
 
 class _ExactOps:
-    """Exact arithmetic: Z[phi] int pairs over the common denominator D."""
+    """Exact arithmetic: Z[phi] int pairs over the common denominator D.
+
+    A vertex coordinate v with no float, or with fl(v)^2 past the float range
+    (|v| above about 1.34e154), raises ValueError: ``_bounds`` and the float
+    window bound multiply coordinates in floats, and inf or nan windows prune
+    nothing, so the development would run to its state budget.  The radius
+    is not read; the exact tests take any.
+    """
 
     def __init__(self, surf: TranslationSurface, radius: float):
+        try:
+            big = max(abs(float(c)) for v in surf.vertices for c in (v.x, v.y))
+        except OverflowError:
+            big = math.inf
+        if not big * big < math.inf:
+            raise ValueError("surface coordinates too large for the float window bounds")
         flat, self.d = common_denominator(
             c for v in surf.vertices for x in (v.x, v.y) for c in _zphi_coeffs(x))
         a, b, c, d = (np.array(flat[k::4], object) for k in range(4))
@@ -308,8 +321,9 @@ class _ExactOps:
         a, b, c, d = (v.astype(float) for v in cols)
         fx, fy = zphi_float(a, b), zphi_float(c, d)
         mx, my = np.abs(a) + np.abs(b) * _PHI, np.abs(c) + np.abs(d) * _PHI
-        gap = fx * fx + fy * fy - self.rsq
-        band = 2.0 ** -48 * (mx * mx + my * my + self.rsq)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan go to _zin_ball
+            gap = fx * fx + fy * fy - self.rsq
+            band = 2.0 ** -48 * (mx * mx + my * my + self.rsq)
         ball = gap < -band
         for i in np.flatnonzero(~(np.abs(gap) > band)).tolist():  # and nan
             ball[i] = _zin_ball([int(v[i]) for v in cols], self.rsq_num, self.rsq_den)

@@ -117,9 +117,9 @@ def _cmd_farey_gaps(args):
 
 
 def _cmd_bcz_orbit(args):
-    scalar = _parse_scalar if args.exact else lambda text: float(_parse_scalar(text))
-    point = bcz.TransversalPoint(*map(scalar, (args.a, args.b, args.eta)))
-    orb = bcz.orbit(point, args.steps, detect_period=True)
+    # the start is checked exactly in both modes; the float walk takes its floats
+    point = bcz.TransversalPoint(*map(_parse_scalar, (args.a, args.b, args.eta)))
+    orb = bcz.orbit(point if args.exact else point.to_float(), args.steps, detect_period=True)
     points = orb.points[:len(orb.returns)]
     return ({"a": args.a, "b": args.b, "eta": args.eta, "steps": args.steps,
              "exact": args.exact, "period": orb.period if orb.period else "none"},

@@ -14,10 +14,11 @@ receives.  A point is primitive exactly when its coefficient pair is
 coprime, which is basis-independent.
 
 The kernel also scans a stack of bases over one box in the same few numpy
-calls, returning the owner of each point; UnimodularLattice.enumerate_each
-uses it to enumerate many float lattices at once (the hitting-time
-candidates of pointcloud.hitting_times).  Per-system enumerate_points stays
-the definition: the stack, split by owner, equals it value for value.
+calls, returning the owner of each point.  UnimodularLattice.axis_hits asks
+many float lattices at once (the hitting-time candidates of
+pointcloud.hitting_times) whether they hold a short horizontal or vertical
+vector: one stacked scan of a thin box around the axis, its columns tested
+in numpy; enumerating each lattice's ball stays the definition.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -91,32 +92,29 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
     the points from m, k and decide membership exactly.
 
     ``basis`` may also be a sequence of bases, scanned over the same box as
-    one stack (``shift``, if given, then holds one pair per basis): each
-    basis is reduced as alone, their row ranges are laid out end to end,
-    and every row and cell carries its basis's coefficients, so a stack
-    costs a few numpy calls however many bases it holds.  A stack returns a
-    fifth array, ``owner``, the index of each point's basis; the points of
-    basis t are the slice owner == t, equal value for value and in order to
-    the scan of basis t alone.  A single basis keeps scalar coefficients
-    and returns no owner.  More than DEFAULT_CELL_BUDGET rows or cells
-    (over the whole stack; the constant is read at each call) raises
-    ResourceLimitError.
+    one stack, which takes no shift: each basis is reduced as alone, their
+    row ranges are laid out end to end, and every row and cell carries its
+    basis's coefficients, so a stack costs a few numpy calls however many
+    bases it holds.  A stack returns a fifth array, ``owner``, the index of
+    each point's basis; the points of basis t are the slice owner == t,
+    equal value for value and in order to the scan of basis t alone.  A
+    single basis keeps scalar coefficients and returns no owner.  More than
+    DEFAULT_CELL_BUDGET rows or cells (over the whole stack; the constant is
+    read at each call) raises ResourceLimitError.
     """
     stacked = not isinstance(basis, Mat2)
+    if stacked and shift is not None:
+        raise ValueError("a stack of bases takes no shift")
     bases = list(basis) if stacked else [basis]
-    if shift is None:
-        shifts = [(0.0, 0.0)] * len(bases)
-    else:
-        shifts = list(shift) if stacked else [shift]
+    sx, sy = (0.0, 0.0) if shift is None else map(float, shift)
     xlo, xhi, ylo, yhi = float(xlo), float(xhi), float(ylo), float(yhi)
     coefs, us, los, his, span = [], [], [], [], 0
-    for g, (sx, sy) in zip(bases, shifts):
+    for g in bases:
         red, u = lagrange_reduce(g.to_float())
         a, b, c, d = red.entries()
         if abs(b) < abs(a):  # iterate the coefficient of the column with smaller |x|
             a, b, c, d = b, a, d, c
             u = (u[1], u[0], u[3], u[2])
-        sx, sy = float(sx), float(sy)
         det = a * d - b * c
         ivals = [(d * (x - sx) - b * (y - sy)) / det for x in (xlo, xhi) for y in (ylo, yhi)]
         ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
@@ -124,20 +122,20 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
         if span > DEFAULT_CELL_BUDGET:
             raise ResourceLimitError(f"coefficient range {span} exceeds "
                                      f"the enumeration budget {DEFAULT_CELL_BUDGET}")
-        coefs.append((a, b, c, d, sx, sy))
+        coefs.append((a, b, c, d))
         us.append(u)
         los.append(ilo)
         his.append(ihi)
     if stacked:
-        coefs = np.array(coefs, dtype=float).reshape(-1, 6)
+        coefs = np.array(coefs, dtype=float).reshape(-1, 4)
         us = np.array(us, dtype=np.int64).reshape(-1, 4)
         los = np.array(los, dtype=np.int64)
         nrows = np.array(his, dtype=np.int64) - los + 1
         owner = np.repeat(np.arange(len(bases)), nrows)
         i = _ragged(los, nrows, int(nrows.sum()))
-        a, b, c, d, sx, sy = coefs[owner].T
+        a, b, c, d = coefs[owner].T
     else:
-        (a, b, c, d, sx, sy), u = coefs[0], us[0]
+        (a, b, c, d), u = coefs[0], us[0]
         i = np.arange(los[0], his[0] + 1, dtype=np.int64)
     # b != 0 (it is the larger |x| of a basis), so the x-constraint bounds j;
     # a zero or tiny d puts nan or huge y-bounds on j, handled below
@@ -166,7 +164,7 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
     js = _ragged(j0, lens, total)
     if stacked:
         owner = np.repeat(owner, lens)
-        a, b, c, d, sx, sy = coefs[owner].T
+        a, b, c, d = coefs[owner].T
     x = a * rows + b * js + sx
     y = c * rows + d * js + sy
     keep = (x >= xlo - margin) & (x <= xhi + margin) \
@@ -258,36 +256,38 @@ class UnimodularLattice(PointSystem):
         if rows is not None:
             return rows.points()
         _, _, x, y = _primitive_scan(self.basis, region)
-        return list(filter(_float_test(region), map(Vec2, x.tolist(), y.tolist())))
+        points = map(Vec2, x.tolist(), y.tolist())
+        if isinstance(region, VerticalStrip):
+            return [v for v in points if 0 < v.x <= region.eta and 0 <= v.y <= region.height]
+        return list(filter(region.contains, points))
 
     @classmethod
-    def enumerate_each(cls, systems, region: Region) -> list[list[Vec2]]:
-        """enumerate_points(region) of every system; a list of float
-        lattices is enumerated by one stacked coefficient_scan.
-
-        The stack applies the same primitivity filter and membership test as
-        enumerate_points and is split by owner, so each list equals that
-        system's enumerate_points in values and order; the cell budget
-        counts the whole stack.  Any other list (one holding an exact
-        basis, or a system that is not a lattice) is enumerated one by one.
-        """
+    def axis_hits(cls, systems, radius: float, horizontal: bool, tols) -> list[bool]:
+        """PointSystem.axis_hits; float lattices answer from one stacked scan
+        of the box |transverse| <= max(tols), |along| <= radius, whose
+        columns take the definition's tests (primitive, Ball.contains, _on_axis
+        with each system's tol).  A point's floats do not depend on the box,
+        so the answers are those of the ball scan; the cell budget counts the
+        whole stack.  Other lists (an exact basis, a system that is not a
+        lattice) take the definition."""
         if not systems or not all(isinstance(s, UnimodularLattice) and not s.is_exact()
                                   for s in systems):
-            return super().enumerate_each(systems, region)
-        _, _, x, y, owner = _primitive_scan([s.basis for s in systems], region)
-        inside = _float_test(region)
-        out = [[] for _ in systems]
-        for v, t in zip(map(Vec2, x.tolist(), y.tolist()), owner.tolist()):
-            if inside(v):
-                out[t].append(v)
-        return out
+            return super().axis_hits(systems, radius, horizontal, tols)
+        tols = np.asarray(tols, dtype=float)
+        box = (-radius, radius, -tols.max(), tols.max())
+        m, k, x, y, owner = coefficient_scan([s.basis for s in systems],
+                                             *(box if horizontal else box[2:] + box[:2]),
+                                             margin=1e-6 * max(1.0, radius))
+        small, span = (y, x) if horizontal else (x, y)
+        hit = (np.gcd(m, k) == 1) & (x * x + y * y <= radius ** 2) & (span != 0) \
+            & (np.abs(small) <= tols[owner]) & (np.abs(span) <= radius)
+        return (np.bincount(owner[hit], minlength=len(systems)) > 0).tolist()
 
 
-def _primitive_scan(basis, region: Region):
-    """coefficient_scan of a basis (or a stack of bases) over the region's
-    box, non-primitive points dropped: coefficients (m, k) and float
-    coordinates (x, y) of the points near the box; the float scan only
-    steers."""
+def _primitive_scan(basis: Mat2, region: Region):
+    """coefficient_scan of a basis over the region's box, non-primitive
+    points dropped: coefficients (m, k) and float coordinates (x, y) of the
+    points near the box; the float scan only steers."""
     if isinstance(region, VerticalStrip):
         if math.isinf(region.height):
             raise ValueError("cannot enumerate an unbounded strip; cap the height")
@@ -303,14 +303,6 @@ def _primitive_scan(basis, region: Region):
     scan = coefficient_scan(basis, *box, margin=margin)
     primitive = np.gcd(scan[0], scan[1]) == 1
     return tuple(col[primitive] for col in scan)
-
-
-def _float_test(region: Region):
-    """The membership test of float lattice points: the strip's own
-    inequalities, or the region's contains."""
-    if isinstance(region, VerticalStrip):
-        return lambda v: 0 < v.x <= region.eta and 0 <= v.y <= region.height
-    return region.contains
 
 
 def _floor_times(value, d: int) -> int:

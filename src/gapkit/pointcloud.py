@@ -13,6 +13,8 @@ so the sorted strip slopes coincide with the times at which the shear flow
 hits the "horizontally short" transversal.  slopes_in_strip and
 hitting_times compute the two sides of that equality through different code
 paths, and their agreement is the load-bearing invariant of this module.
+hitting_times verifies its candidates by one yes/no question per sheared
+system, PointSystem.axis_hits, which float lattices answer as a stack.
 
 Exact systems may hand the strip loop their points as ExactRows: int
 numerator pairs (X, Y) over one common denominator, membership already
@@ -50,9 +52,9 @@ __all__ = [
 # |y| below this counts as horizontal for float systems (exact systems use 0)
 AXIS_TOL = 1e-9
 
-# cells of one enumerate_each call in _has_axis_vector, about 17 MB of scan
-# temporaries: an eta-ball scan of a unit-scale lattice visits about
-# (2 eta + 5)^2 cells, so a call takes 2**18 // that many systems
+# cells of one axis_hits call in _has_axis_vector, at most about 17 MB of scan
+# temporaries: an eta-ball scan of a unit-scale lattice visits about (2 eta +
+# 5)^2 cells, more than a thin axis box, so a call takes 2**18 // that many
 AXIS_CHUNK_CELLS = 2 ** 18
 
 # strip heights grow geometrically up to this height before giving up
@@ -75,13 +77,12 @@ class PointSystem:
         raise NotImplementedError
 
     @classmethod
-    def enumerate_each(cls, systems, region: Region) -> list[list[Vec2]]:
-        """enumerate_points(region) of each of ``systems``, in order.
-
-        Per-system enumeration is the definition; a class may override this
-        to enumerate many of its systems at once, returning equal lists.
-        """
-        return [s.enumerate_points(region) for s in systems]
+    def axis_hits(cls, systems, radius: float, horizontal: bool, tols) -> list[bool]:
+        """For each of ``systems``: does its ball of ``radius`` hold a point
+        on the horizontal (or vertical) axis, by _on_axis with ``tols[t]``?
+        This is the definition; a class may answer many systems at once."""
+        return [any(_on_axis(v, horizontal, tol, radius) for v in s.enumerate_points(Ball(radius)))
+                for s, tol in zip(systems, tols)]
 
     def exact_rows(self, region: Region) -> Optional["ExactRows"]:
         """The points in the region as int numerators, when the system has
@@ -288,25 +289,20 @@ def gaps(seq: SlopeSequence) -> GapSequence:
 def _has_axis_vector(systems: list, eta, horizontal: bool, tols: list) -> list[bool]:
     """Bounded search for a horizontal (or vertical) vector of length <= eta,
     one answer per system (``tols[t]`` is the float zero test of system t);
-    the systems are enumerated in chunks through the first one's
-    enumerate_each, so the memory of a call does not grow with their number."""
+    the systems are asked in chunks through the first one's axis_hits, so
+    the memory of a call does not grow with their number."""
+    _check_positive(eta, "eta")
     radius = float(eta) * (1 + 1e-12)
     chunk = max(1, AXIS_CHUNK_CELLS // math.ceil(2 * radius + 5) ** 2)
-    found = []
-    for lo in range(0, len(systems), chunk):
-        found += type(systems[0]).enumerate_each(systems[lo:lo + chunk], Ball(radius))
-    return [any(_on_axis(v, horizontal, tol, radius) for v in pts)
-            for pts, tol in zip(found, tols)]
+    return [hit for lo in range(0, len(systems), chunk)
+            for hit in type(systems[0]).axis_hits(systems[lo:lo + chunk], radius,
+                                                  horizontal, tols[lo:lo + chunk])]
 
 
 def _on_axis(v: Vec2, horizontal: bool, tol: float, radius: float) -> bool:
     small, span = (v.y, v.x) if horizontal else (v.x, v.y)
-    if is_exact(small):
-        if small != 0:
-            return False
-    elif abs(float(small)) > tol:
-        return False
-    return span != 0 and abs(float(span)) <= radius
+    flat = small == 0 if is_exact(small) else abs(float(small)) <= tol
+    return flat and span != 0 and abs(float(span)) <= radius
 
 
 def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
@@ -316,13 +312,11 @@ def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bo
     that sheared the system by s should scale it by |s|, which is how much
     the shear amplifies coordinate rounding.  Exact systems ignore it.
     """
-    _check_positive(eta, "eta")
     return _has_axis_vector([system], eta, True, [tol])[0]
 
 
 def is_vertically_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
     """True when the set holds a vertical vector of length at most eta."""
-    _check_positive(eta, "eta")
     return _has_axis_vector([system], eta, False, [tol])[0]
 
 
@@ -346,10 +340,10 @@ def hitting_times(system: PointSystem, eta, n: int) -> list:
     the independent route: apply the shear to the system and test shortness
     by enumeration.  Candidates failing verification are dropped, so any
     disagreement with slopes_in_strip is observable.  The candidates are
-    enumerated in chunks of about AXIS_CHUNK_CELLS scan cells through
-    PointSystem.enumerate_each, which scans float lattices as one stack;
-    per-system enumeration remains the definition, so the result is the
-    candidates for which is_horizontally_short holds.
+    asked in chunks of about AXIS_CHUNK_CELLS scan cells through
+    PointSystem.axis_hits, which answers float lattices from one stacked
+    scan; per-system enumeration remains the definition, so the result is
+    the candidates for which is_horizontally_short holds.
     """
     slopes = slopes_in_strip(system, eta, n).slopes
     sheared = [system.act(shear(s)) for s in slopes]

@@ -97,8 +97,7 @@ class TranslationSurface(PointSystem):
                               if i < partner[i])
         self.partner = tuple(partner)
         self._exact = all(is_exact(v.x) and is_exact(v.y) for v in self.vertices)
-        area2 = sum(float(_cross(self._coords(i), self._coords(i + 1)))
-                    for i in range(n))
+        area2 = sum(_cross(self._coords(i), self._coords(i + 1)) for i in range(n))
         if area2 <= 0:
             raise ValueError("polygon vertices must wind counterclockwise")
         for i in range(n):
@@ -166,7 +165,7 @@ def l_shape(alpha, beta) -> TranslationSurface:
     """
     one = 1 if is_exact(alpha) and is_exact(beta) else 1.0
     zero = one - one
-    if not (float(alpha) > 1 and float(beta) > 1):
+    if not (alpha > 1 and beta > 1):
         raise ValueError("L-shape needs both long sides > 1")
     verts = [(zero, zero), (one, zero), (alpha, zero), (alpha, one),
              (one, one), (one, beta), (zero, beta), (zero, one)]

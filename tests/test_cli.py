@@ -224,8 +224,14 @@ class TestContract:
         ["wedge-p", "--shift", "1e400,0", "--sigma", "1", "--radius", "5", "--samples", "10"],
         ["surface-sc", "--shape", "l:1e154,1.5", "--radius", "5"],
         ["surface-sc", "--shape", "l:1e200,2", "--radius", "5"],
+        # starts on or past the domain boundary: the float mode printed an
+        # orbit, as its float point allows 1e-12 past the boundary
+        ["bcz-orbit", "--a", "1/2", "--b", "1/2", "--steps", "3"],
+        ["bcz-orbit", "--a", "0.1", "--b", "0.9", "--steps", "3"],
+        ["bcz-orbit", "--a", "1.0000000000001", "--b", "0.5", "--steps", "3"],
     ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output",
-            "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200"])
+            "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200",
+            "bcz-float-a-plus-b-eta", "bcz-float-decimal-a-plus-b-eta", "bcz-float-a-past-eta"])
     def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
         res = run_cli([arg.format(tmp=tmp_path) for arg in args])
         assert res.returncode == 2

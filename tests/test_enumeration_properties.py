@@ -1,8 +1,10 @@
 """Property tests: the coefficient-scan kernel against a brute-force scan of
 the whole integer coefficient box, on random exact rational lattices; the
 exact int-numerator strip order against a brute-force Fraction sort; a
-stacked scan of many float bases against one scan per basis; and the float
-first order of exact scalar slopes against an exact sort."""
+stacked scan of many float bases against one scan per basis, and the axis
+test of float lattices against per-lattice enumeration; strip slopes
+under an SL(2, Z) change of basis; and the float first order of exact
+scalar slopes against an exact sort."""
 
 import math
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gapkit import pointcloud
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, shear
-from gapkit.lattice import UnimodularLattice, coefficient_scan
+from gapkit.lattice import UnimodularLattice, coefficient_scan, seeded_lattice
 from gapkit.pointcloud import (ExactRows, PointSystem, is_horizontally_short,
                                slopes_in_strip, strip_points)
 
@@ -201,33 +203,74 @@ boxes = st.one_of(
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @SETTINGS
-@given(st.lists(float_bases(), min_size=1, max_size=6), boxes, st.booleans(),
-       st.floats(0.0, 1.0, exclude_max=True))
+@given(st.lists(float_bases(), min_size=1, max_size=6), boxes)
 # a nearly horizontal column puts a row's y-bound for j near 1e300
-@example([Mat2(1.0, 0.0, -1e-300, 1.0), Mat2(1.0, 0.0, 0.0, 1.0)],
-         (-1.0, 1.0, -1.0, 1.0), False, 0.0)
-def test_stacked_scan_matches_scan_per_basis(bases, box, shifted, u):
-    shifts = [g @ Vec2(u, 1.0 - u) for g in bases] if shifted else None
-    m, k, x, y, owner = coefficient_scan(bases, *box, shift=shifts, margin=1e-6)
+@example([Mat2(1.0, 0.0, -1e-300, 1.0), Mat2(1.0, 0.0, 0.0, 1.0)], (-1.0, 1.0, -1.0, 1.0))
+def test_stacked_scan_matches_scan_per_basis(bases, box):
+    m, k, x, y, owner = coefficient_scan(bases, *box, margin=1e-6)
     assert np.all(np.diff(owner) >= 0)
     for t, g in enumerate(bases):
-        one = coefficient_scan(g, *box, shift=shifts[t] if shifted else None, margin=1e-6)
+        one = coefficient_scan(g, *box, margin=1e-6)
         for got, want in zip((m, k, x, y), one):
             assert got.dtype == want.dtype
             assert np.array_equal(got[owner == t], want)
+    with pytest.raises(ValueError, match="no shift"):
+        coefficient_scan(bases, *box, shift=(0.5, 0.5))
+
+
+@st.composite
+def axis_stacks(draw):
+    """(bases, radius, tols): float bases, some with a primitive column
+    (L, e) turned onto the vertical axis or not, L at, an ulp either side
+    of, or well inside the radius and e near the tolerances drawn."""
+    radius = draw(st.floats(0.5, 3.0))
+    tol = st.sampled_from([5e-10, 1e-9, 3e-7])
+    bases = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            bases.append(draw(float_bases()))
+            continue
+        L = draw(st.sampled_from([radius, math.nextafter(radius, 0.0),
+                                  math.nextafter(radius, 9.0), radius / 2]))
+        e = draw(st.sampled_from([0.0, 1.0, -1.0])) * draw(tol)
+        t = draw(st.floats(-2.0, 2.0))
+        g = Mat2(L, t, e, (1.0 + e * t) / L)
+        bases.append(Mat2(0, -1, 1, 0) @ g if draw(st.booleans()) else g)
+    return bases, radius, draw(st.lists(tol, min_size=len(bases), max_size=len(bases)))
 
 
 @SETTINGS
-@given(st.lists(float_bases(), min_size=1, max_size=6), rational_lattices(),
-       st.floats(0.5, 3.0), st.floats(0.25, 2.0), st.floats(0.0, 6.0))
-def test_enumerate_each_matches_enumerate_points(bases, exact, radius, eta, height):
-    # float bases go through one stack, the exact lattice through exact_rows
+@given(axis_stacks(), st.booleans())
+def test_axis_hits_match_the_definition(stack, horizontal):
+    # the float lattices answer from one stacked thin scan; the base class
+    # enumerates each ball
+    bases, radius, tols = stack
     systems = [UnimodularLattice(g) for g in bases]
-    for region in (Ball(radius), VerticalStrip(eta, height)):
-        assert UnimodularLattice.enumerate_each(systems, region) == \
-            [s.enumerate_points(region) for s in systems]
-        assert UnimodularLattice.enumerate_each([exact], region) == \
-            [exact.enumerate_points(region)]
+    assert UnimodularLattice.axis_hits(systems, radius, horizontal, tols) == \
+        PointSystem.axis_hits(systems, radius, horizontal, tols)
+
+
+@st.composite
+def sl2z(draw):
+    """g in SL(2, Z): a product of one to three elementary matrices with an
+    off-diagonal entry in [-2, 2]."""
+    g = Mat2(1, 0, 0, 1)
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(-2, 2))
+        g = g @ (Mat2(1, t, 0, 1) if draw(st.booleans()) else Mat2(1, 0, t, 1))
+    return g
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), sl2z())
+def test_change_of_basis_keeps_the_strip_slopes(seed, g):
+    # B and B g span one lattice: exact slopes are equal, float ones close
+    lat = seeded_lattice(seed)
+    moved = UnimodularLattice(lat.basis @ g)
+    assert slopes_in_strip(moved, 1, 300) == slopes_in_strip(lat, 1, 300)
+    np.testing.assert_allclose(slopes_in_strip(moved.to_float(), 1, 300).floats(),
+                               slopes_in_strip(lat.to_float(), 1, 300).floats(),
+                               rtol=1e-9, atol=0)
 
 
 TINY = Fraction(1, 10 ** 30)

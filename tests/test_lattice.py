@@ -318,13 +318,13 @@ class TestEnumerationBudget:
         monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 10)
         with pytest.raises(ResourceLimitError):
             ZSQUARED.enumerate_points(Ball(4000.0))
-        # a stack is held to the budget as a whole: each of these scans
-        # 81 cells, under the budget alone, the three together over it
+        # a stack is held to the budget as a whole: each of these thin scans
+        # visits 45 cells, under the budget alone, the three together over it
         monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 100)
         flat = ZSQUARED.to_float()
-        assert flat.enumerate_points(Ball(3.0))
+        assert UnimodularLattice.axis_hits([flat] * 2, 3.0, True, [1e-9] * 2) == [True] * 2
         with pytest.raises(ResourceLimitError):
-            UnimodularLattice.enumerate_each([flat] * 3, Ball(3.0))
+            UnimodularLattice.axis_hits([flat] * 3, 3.0, True, [1e-9] * 3)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1,10 +1,11 @@
-"""Package hygiene: every exported name resolves, no module or test file
-imports a name it never uses, and no private module-level name of the
-package goes unread."""
+"""Package hygiene: every exported name resolves, every name perfbench wraps
+resolves, no module or test file imports a name it never uses, and no
+private module-level name of the package goes unread."""
 
 import ast
 import importlib
 import pkgutil
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,21 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_perfbench_traced_names_resolve(monkeypatch):
+    # perfbench's tracer wraps these by name; a renamed one breaks only its
+    # traced runs, which tier-1 does not make
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import TRACED
+    missing = []
+    for module, path, *_ in TRACED:
+        try:
+            attrgetter(path)(importlib.import_module(f"gapkit.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{path}")
+    assert len(TRACED) > 0
+    assert missing == []
 
 
 def unused_imports(source: str) -> list[str]:

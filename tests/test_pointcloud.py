@@ -126,7 +126,7 @@ class TestHittingTimes:
         assert hitting_times(ZSQUARED, 1, 0) == []
         # no candidate: nothing to stack
         assert hitting_times(ZSQUARED.to_float(), 1, 0) == []
-        assert UnimodularLattice.enumerate_each([], Ball(1.0)) == []
+        assert UnimodularLattice.axis_hits([], 1.0, True, []) == []
 
     def test_matches_slopes_random_lattices(self, seeded_lattices):
         for lat in seeded_lattices[:5]:

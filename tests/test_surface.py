@@ -448,6 +448,17 @@ class TestBudget:
     def test_long_float_surface_still_develops(self):
         assert len(saddle_connections(l_shape(1e100, 2.0), 5.0)) == 58
 
+    @pytest.mark.parametrize("exponent", [155, 200, 400])
+    def test_exact_surface_past_the_float_range(self, exponent):
+        # at 10^155 the float windows overflowed and pruned nothing, so the
+        # development ran to the state budget; at 10^400 no float existed
+        with pytest.raises(ValueError, match="too large for the float window bounds"):
+            saddle_connections(l_shape(10 ** exponent, 2), 5.0)
+
+    def test_long_exact_surface_still_develops(self):
+        # 10^154 squares below the float range
+        assert len(saddle_connections(l_shape(10 ** 154, 2), 5.0)) == 58
+
     def test_state_budget_error(self, monkeypatch):
         monkeypatch.setattr(surface, "DEFAULT_STATE_BUDGET", 50)
         with pytest.raises(ResourceLimitError):
