@@ -6,15 +6,17 @@ Subpackages by topic:
   the shear / diagonal / rotation subgroups, and plane regions;
 * :mod:`gapkit.pointcloud` -- the abstract point-system contract with the
   slope / return-time machinery;
-* :mod:`gapkit.farey` -- exact Farey sequences and normalized gap sets;
+* :mod:`gapkit.farey` -- streamed Farey fractions, their count, and exact
+  normalized gap sets;
 * :mod:`gapkit.bcz` -- the horocycle transversal, its return map and roof;
 * :mod:`gapkit.hall` -- the analytic limiting gap distribution;
 * :mod:`gapkit.lattice` -- unimodular lattices, the enumeration oracle and
   the return-map fast path;
-* :mod:`gapkit.affine` -- lattice translates, thinning wedges, sqrt(n) mod 1;
+* :mod:`gapkit.affine` -- lattice translates, wedge occupancy statistics,
+  sqrt(n) mod 1;
 * :mod:`gapkit.surface` -- L-shaped translation surfaces and saddle
   connections;
-* :mod:`gapkit.stats` -- empirical distributions, KS distance, discrepancy;
+* :mod:`gapkit.stats` -- empirical distributions, circular gaps, KS distance;
 * :mod:`gapkit.cli` -- the ``gapkit`` command.
 """
 
@@ -22,11 +24,10 @@ __version__ = "0.1.0"
 
 from .core import GoldenNum, Mat2, PHI, Vec2, diag_flow, rotation, shear, slope
 from .errors import (ExceptionalLatticeError, ExhaustionError, GapkitError,
-                     ResourceLimitError, UnsupportedQueryError,
-                     VerticalVectorError)
+                     ResourceLimitError, VerticalVectorError)
 
 __all__ = [
     "__version__", "GoldenNum", "PHI", "Vec2", "Mat2", "shear", "diag_flow",
     "rotation", "slope", "GapkitError", "ExhaustionError", "ResourceLimitError",
-    "VerticalVectorError", "ExceptionalLatticeError", "UnsupportedQueryError",
+    "VerticalVectorError", "ExceptionalLatticeError",
 ]

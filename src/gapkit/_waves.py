@@ -148,12 +148,12 @@ class _FloatOps:
     def __init__(self, surf: TranslationSurface, radius: float):
         self.bx = np.array([float(v.x) for v in surf.vertices])
         self.by = np.array([float(v.y) for v in surf.vertices])
-        self.rsq = _ball_rsq(radius)
         x = radius + 2 * float(np.abs(self.bx).max())
         y = radius + 2 * float(np.abs(self.by).max())
         m = max(x, y)
         if not math.isfinite(48 * x * y * m * m + 6 * m * m):
             raise ValueError(f"surface too large to develop in floats at radius {radius}")
+        self.rsq = _ball_rsq(radius)
 
     @staticmethod
     def pos(x):

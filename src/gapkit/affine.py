@@ -23,9 +23,8 @@ from .pointcloud import GapSequence, PointSystem
 from .stats import EmpiricalDist, circular_gaps, rng
 
 __all__ = [
-    "AffineLattice", "WedgeStats", "points_in_ball", "wedge_count",
-    "renormalized_triangle_count", "empirical_p", "sqrt_mod1_gaps",
-    "angle_gap_distribution",
+    "AffineLattice", "WedgeStats", "renormalized_triangle_count", "empirical_p",
+    "sqrt_mod1_gaps", "angle_gap_distribution",
 ]
 
 ORIGIN_TOL = 1e-12
@@ -92,11 +91,6 @@ class WedgeStats:
         return np.asarray(self.counts, dtype=float) / self.sample_count
 
 
-def points_in_ball(lattice: AffineLattice, radius: float) -> list[Vec2]:
-    """All points of the affine lattice in the closed ball (origin excluded)."""
-    return [Vec2(x, y) for x, y in lattice.ball_points(radius)]
-
-
 def _sorted_angles(lattice: AffineLattice, radius: float) -> np.ndarray:
     pts = lattice.ball_points(radius)
     if len(pts) == 0:
@@ -124,15 +118,6 @@ def _half_width(sigma: float, radius: float) -> float:
     _check_positive(sigma, "sigma")
     _check_positive(radius, "radius")
     return sigma / radius ** 2 if radius ** 2 else math.inf
-
-
-def wedge_count(lattice: AffineLattice, theta: float, sigma: float, radius: float) -> int:
-    """Number of lattice points in the thinning wedge around direction theta
-    (of half-width sigma/R^2: the whole ball from a half-turn on)."""
-    half_width = _half_width(sigma, radius)
-    angles = _sorted_angles(lattice, radius)
-    counts = _window_counts(angles, np.array([float(theta)]), half_width)
-    return int(counts[0])
 
 
 def renormalized_triangle_count(lattice: AffineLattice, theta: float,

@@ -74,7 +74,11 @@ class TransversalPoint:
         return is_exact(self.a) and is_exact(self.b) and is_exact(self.eta)
 
     def to_float(self) -> "TransversalPoint":
-        return TransversalPoint(float(self.a), float(self.b), float(self.eta))
+        """The point in floats; a coordinate past the float range is a ValueError."""
+        try:
+            return TransversalPoint(float(self.a), float(self.b), float(self.eta))
+        except OverflowError:
+            raise ValueError("transversal coordinates past the float range") from None
 
 
 @dataclass(frozen=True, eq=False)

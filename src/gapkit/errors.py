@@ -31,7 +31,3 @@ class ResourceLimitError(GapkitError):
 
 class ExceptionalLatticeError(GapkitError):
     """The lattice has a short vertical vector and never reaches the transversal."""
-
-
-class UnsupportedQueryError(GapkitError):
-    """The query needs data (e.g. a Minkowski constant) the system does not declare."""

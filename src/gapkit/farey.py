@@ -11,27 +11,15 @@ constant memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import ResourceLimitError
 
-__all__ = ["FareyLevel", "farey_pairs", "farey_sequence", "farey_size", "farey_gaps"]
+__all__ = ["farey_pairs", "farey_size", "farey_gaps"]
 
 # a level Q list holds ~ (3/pi^2) Q^2 fractions; cap the materialized form
 DEFAULT_TERM_BUDGET = 50_000_000
-
-
-@dataclass(frozen=True)
-class FareyLevel:
-    """The full Farey sequence of one level, 0/1 through 1/1, ascending."""
-
-    q: int
-    fractions: tuple
-
-    def __len__(self):
-        return len(self.fractions)
 
 
 def farey_pairs(q: int) -> Iterator[tuple[int, int]]:
@@ -44,22 +32,6 @@ def farey_pairs(q: int) -> Iterator[tuple[int, int]]:
         yield p1, q1
         k = (q + q0) // q1
         p0, q0, p1, q1 = p1, q1, k * p1 - p0, k * q1 - q0
-
-
-def _over_budget(q: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"Farey level {q} exceeds the {DEFAULT_TERM_BUDGET}-term budget")
-
-
-def farey_sequence(q: int) -> FareyLevel:
-    """Materialize the level-q Farey sequence as exact Fractions; more than
-    DEFAULT_TERM_BUDGET terms (read at each call) raises ResourceLimitError."""
-    out = []
-    for p, d in farey_pairs(q):
-        out.append(Fraction(p, d))
-        if len(out) > DEFAULT_TERM_BUDGET:
-            raise _over_budget(q)
-    return FareyLevel(q, tuple(out))
 
 
 def farey_size(q: int) -> int:
@@ -81,7 +53,8 @@ def farey_gaps(q: int) -> list[Fraction]:
     raises ResourceLimitError before any gap is built."""
     n = farey_size(q)
     if n + 1 > DEFAULT_TERM_BUDGET:
-        raise _over_budget(q)
+        raise ResourceLimitError(
+            f"Farey level {q} exceeds the {DEFAULT_TERM_BUDGET}-term budget")
     gaps = []
     prev_den = None
     for _, den in farey_pairs(q):

@@ -16,9 +16,9 @@ coprime, which is basis-independent.
 The kernel also scans a stack of bases over one box in the same few numpy
 calls, returning the owner of each point.  UnimodularLattice.axis_hits asks
 many float lattices at once (the hitting-time candidates of
-pointcloud.hitting_times) whether they hold a short horizontal or vertical
-vector: one stacked scan of a thin box around the axis, its columns tested
-in numpy; enumerating each lattice's ball stays the definition.
+pointcloud.hitting_times) whether they hold a short horizontal vector: one
+stacked scan of a thin box around the axis, its columns tested in numpy;
+enumerating each lattice's ball stays the definition.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -44,7 +44,7 @@ from .pointcloud import ExactRows, GapSequence, PointSystem, _ragged, strip_poin
 from .stats import rng
 
 __all__ = [
-    "UnimodularLattice", "ZSQUARED", "strip_vectors", "to_transversal",
+    "UnimodularLattice", "ZSQUARED", "to_transversal",
     "slope_gaps_fast", "has_vertical_vector", "poisson_baseline",
     "seeded_lattice", "lagrange_reduce", "coefficient_scan",
 ]
@@ -206,10 +206,6 @@ class UnimodularLattice(PointSystem):
     def to_float(self) -> "UnimodularLattice":
         return UnimodularLattice(self.basis.to_float(), self.tag)
 
-    @property
-    def minkowski_constant(self) -> Optional[float]:
-        return 4.0  # classical constant for covolume-1 planar lattices
-
     def act(self, g: Mat2) -> "UnimodularLattice":
         return UnimodularLattice(g @ self.basis, self.tag)
 
@@ -262,25 +258,23 @@ class UnimodularLattice(PointSystem):
         return list(filter(region.contains, points))
 
     @classmethod
-    def axis_hits(cls, systems, radius: float, horizontal: bool, tols) -> list[bool]:
+    def axis_hits(cls, systems, radius: float, tols) -> list[bool]:
         """PointSystem.axis_hits; float lattices answer from one stacked scan
-        of the box |transverse| <= max(tols), |along| <= radius, whose
-        columns take the definition's tests (primitive, Ball.contains, _on_axis
-        with each system's tol).  A point's floats do not depend on the box,
-        so the answers are those of the ball scan; the cell budget counts the
-        whole stack.  Other lists (an exact basis, a system that is not a
-        lattice) take the definition."""
+        of the box |x| <= radius, |y| <= max(tols), whose columns take the
+        definition's tests (primitive, Ball.contains, _on_axis with each
+        system's tol).  A point's floats do not depend on the box, so the
+        answers are those of the ball scan; the cell budget counts the whole
+        stack.  Other lists (an exact basis, a system that is not a lattice)
+        take the definition."""
         if not systems or not all(isinstance(s, UnimodularLattice) and not s.is_exact()
                                   for s in systems):
-            return super().axis_hits(systems, radius, horizontal, tols)
+            return super().axis_hits(systems, radius, tols)
         tols = np.asarray(tols, dtype=float)
-        box = (-radius, radius, -tols.max(), tols.max())
-        m, k, x, y, owner = coefficient_scan([s.basis for s in systems],
-                                             *(box if horizontal else box[2:] + box[:2]),
+        m, k, x, y, owner = coefficient_scan([s.basis for s in systems], -radius, radius,
+                                             -tols.max(), tols.max(),
                                              margin=1e-6 * max(1.0, radius))
-        small, span = (y, x) if horizontal else (x, y)
-        hit = (np.gcd(m, k) == 1) & (x * x + y * y <= radius ** 2) & (span != 0) \
-            & (np.abs(small) <= tols[owner]) & (np.abs(span) <= radius)
+        hit = (np.gcd(m, k) == 1) & (x * x + y * y <= radius ** 2) & (x != 0) \
+            & (np.abs(y) <= tols[owner]) & (np.abs(x) <= radius)
         return (np.bincount(owner[hit], minlength=len(systems)) > 0).tolist()
 
 
@@ -314,36 +308,6 @@ def _floor_times(value, d: int) -> int:
 ZSQUARED = UnimodularLattice(Mat2(1, 0, 0, 1), tag="Z^2")
 
 
-def _lattice_strip_points(lat: UnimodularLattice, eta, n: int) -> list:
-    """First n (slope, vector) pairs of the strip, from the growing-height loop.
-
-    A vertical lattice whose strip is empty is rejected up front instead of
-    doubling the height up to the budget.  An exact basis always has a
-    primitive vertical vector (0, h); every x-coordinate is then a multiple
-    of 1/h and the line x = 1/h holds primitive points, so the strip is
-    empty exactly when h * eta < 1.  Float bases keep the bounded test:
-    a vertical vector found within coefficient 1000 and a strip empty at
-    the loop's first height.
-    """
-    if lat.is_exact():
-        m, k = _vertical_coefficients(lat)
-        g = lat.basis
-        empty = abs(g.c * m + g.d * k) * Fraction(eta) < 1
-    else:
-        empty = has_vertical_vector(lat, 1000) and not lat.enumerate_points(
-            VerticalStrip(eta, float(eta) * max(4.0, 4.0 * n)))
-    if empty:
-        raise ExceptionalLatticeError(
-            "lattice has a vertical vector and an empty strip; "
-            "the shear flow never reaches the transversal")
-    return strip_points(lat, eta, n)
-
-
-def strip_vectors(lat: UnimodularLattice, eta, n: int) -> list[Vec2]:
-    """The n strip vectors of smallest nonnegative slope, in slope order."""
-    return [v for _, v in _lattice_strip_points(lat, eta, n)]
-
-
 def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint, object]:
     """Transversal coordinates of the first shear-flow hit, plus the hit time.
 
@@ -352,13 +316,24 @@ def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint,
     (b', 1/a), and b is the representative of b' modulo a inside (eta-a, eta].
     The basis must be exact (a float basis is a ValueError); the coordinates
     are exact, and a float eta is promoted exactly.
+
+    A lattice whose strip is empty is rejected up front instead of doubling
+    the height up to the budget.  An exact basis always has a primitive
+    vertical vector (0, h); every x-coordinate is then a multiple of 1/h and
+    the line x = 1/h holds primitive points, so the strip is empty exactly
+    when h * eta < 1.
     """
     if not lat.is_exact():
         raise ValueError("the transversal needs an exact lattice basis")
     _check_positive(eta, "eta")
     if isinstance(eta, float):
         eta = Fraction(eta)
-    [(s1, v1)] = _lattice_strip_points(lat, eta, 1)
+    m, k = _vertical_coefficients(lat)
+    if abs(lat.basis.c * m + lat.basis.d * k) * eta < 1:
+        raise ExceptionalLatticeError(
+            "lattice has a vertical vector and an empty strip; "
+            "the shear flow never reaches the transversal")
+    [(s1, v1)] = strip_points(lat, eta, 1)
     a = v1.x
     coeff = lat.basis.inverse() @ v1  # integral
     m0, k0 = round(coeff.x), round(coeff.y)
@@ -402,27 +377,15 @@ def slope_gaps_fast(lat: UnimodularLattice, eta, n: int,
 
 
 def has_vertical_vector(lat: UnimodularLattice, bound: int = 1000) -> bool:
-    """Bounded test for a vector with zero horizontal component.
-
-    Exact bases are decided analytically; float bases scan coefficients up
-    to the bound with a 1e-12 zero test, so False only means "none found
-    within the bound".
-    """
+    """Whether the primitive vertical vector has both basis coefficients at
+    most ``bound`` in absolute value, decided exactly; the basis must be
+    exact (a float basis is a ValueError, as in to_transversal)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if lat.is_exact():
-        m, k = _vertical_coefficients(lat)
-        return abs(m) <= bound and k <= bound
-    fa, fb = float(lat.basis.a), float(lat.basis.b)
-    if abs(fa) <= 1e-12 or abs(fb) <= 1e-12:
-        return True
-    ms = np.arange(1, bound + 1)
-    base = np.rint(-fa * ms / fb)
-    for off in (-1.0, 0.0, 1.0):
-        ks = base + off
-        if np.any((np.abs(fa * ms + fb * ks) <= 1e-12) & (np.abs(ks) <= bound)):
-            return True
-    return False
+    if not lat.is_exact():
+        raise ValueError("the vertical-vector test needs an exact lattice basis")
+    m, k = _vertical_coefficients(lat)
+    return abs(m) <= bound and k <= bound
 
 
 def _vertical_coefficients(lat: UnimodularLattice) -> tuple[int, int]:

@@ -40,13 +40,12 @@ import numpy as np
 
 from .core import (Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip, _check_positive,
                    is_exact, shear, slope, zphi_float, zphi_float_error)
-from .errors import ExhaustionError, UnsupportedQueryError
+from .errors import ExhaustionError
 
 __all__ = [
     "PointSystem", "ExactRows", "SlopeSequence", "GapSequence", "strip_points",
     "slopes_in_strip", "gaps",
-    "is_horizontally_short", "is_vertically_short", "is_exceptional",
-    "hitting_times",
+    "is_horizontally_short", "hitting_times",
 ]
 
 # |y| below this counts as horizontal for float systems (exact systems use 0)
@@ -77,11 +76,11 @@ class PointSystem:
         raise NotImplementedError
 
     @classmethod
-    def axis_hits(cls, systems, radius: float, horizontal: bool, tols) -> list[bool]:
+    def axis_hits(cls, systems, radius: float, tols) -> list[bool]:
         """For each of ``systems``: does its ball of ``radius`` hold a point
-        on the horizontal (or vertical) axis, by _on_axis with ``tols[t]``?
-        This is the definition; a class may answer many systems at once."""
-        return [any(_on_axis(v, horizontal, tol, radius) for v in s.enumerate_points(Ball(radius)))
+        on the horizontal axis, by _on_axis with ``tols[t]``?  This is the
+        definition; a class may answer many systems at once."""
+        return [any(_on_axis(v, tol, radius) for v in s.enumerate_points(Ball(radius)))
                 for s, tol in zip(systems, tols)]
 
     def exact_rows(self, region: Region) -> Optional["ExactRows"]:
@@ -92,12 +91,6 @@ class PointSystem:
     def act(self, g: Mat2) -> "PointSystem":
         """The system attached to the transformed state g.x."""
         raise NotImplementedError
-
-    @property
-    def minkowski_constant(self) -> Optional[float]:
-        """c with: every centered convex symmetric set of area >= c meets the
-        point set; None when no constant is declared."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -286,8 +279,8 @@ def gaps(seq: SlopeSequence) -> GapSequence:
     return GapSequence(tuple(t - s for s, t in zip(seq.slopes, seq.slopes[1:])))
 
 
-def _has_axis_vector(systems: list, eta, horizontal: bool, tols: list) -> list[bool]:
-    """Bounded search for a horizontal (or vertical) vector of length <= eta,
+def _has_axis_vector(systems: list, eta, tols: list) -> list[bool]:
+    """Bounded search for a horizontal vector of length <= eta,
     one answer per system (``tols[t]`` is the float zero test of system t);
     the systems are asked in chunks through the first one's axis_hits, so
     the memory of a call does not grow with their number."""
@@ -296,13 +289,12 @@ def _has_axis_vector(systems: list, eta, horizontal: bool, tols: list) -> list[b
     chunk = max(1, AXIS_CHUNK_CELLS // math.ceil(2 * radius + 5) ** 2)
     return [hit for lo in range(0, len(systems), chunk)
             for hit in type(systems[0]).axis_hits(systems[lo:lo + chunk], radius,
-                                                  horizontal, tols[lo:lo + chunk])]
+                                                  tols[lo:lo + chunk])]
 
 
-def _on_axis(v: Vec2, horizontal: bool, tol: float, radius: float) -> bool:
-    small, span = (v.y, v.x) if horizontal else (v.x, v.y)
-    flat = small == 0 if is_exact(small) else abs(float(small)) <= tol
-    return flat and span != 0 and abs(float(span)) <= radius
+def _on_axis(v: Vec2, tol: float, radius: float) -> bool:
+    flat = v.y == 0 if is_exact(v.y) else abs(float(v.y)) <= tol
+    return flat and v.x != 0 and abs(float(v.x)) <= radius
 
 
 def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
@@ -312,25 +304,7 @@ def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bo
     that sheared the system by s should scale it by |s|, which is how much
     the shear amplifies coordinate rounding.  Exact systems ignore it.
     """
-    return _has_axis_vector([system], eta, True, [tol])[0]
-
-
-def is_vertically_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
-    """True when the set holds a vertical vector of length at most eta."""
-    return _has_axis_vector([system], eta, False, [tol])[0]
-
-
-def is_exceptional(system: PointSystem, eta) -> bool:
-    """Vertically short at the threshold eta/(4c), c the Minkowski constant.
-
-    Exceptional states are the ones the shear flow may never bring to the
-    horizontally-short transversal.
-    """
-    c = system.minkowski_constant
-    if c is None:
-        raise UnsupportedQueryError(
-            "exceptionality needs a declared Minkowski constant")
-    return is_vertically_short(system, eta / (4.0 * c))
+    return _has_axis_vector([system], eta, [tol])[0]
 
 
 def hitting_times(system: PointSystem, eta, n: int) -> list:
@@ -348,4 +322,4 @@ def hitting_times(system: PointSystem, eta, n: int) -> list:
     slopes = slopes_in_strip(system, eta, n).slopes
     sheared = [system.act(shear(s)) for s in slopes]
     tols = [AXIS_TOL * max(1.0, abs(float(s))) for s in slopes]
-    return list(compress(slopes, _has_axis_vector(sheared, eta, True, tols)))
+    return list(compress(slopes, _has_axis_vector(sheared, eta, tols)))

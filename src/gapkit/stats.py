@@ -1,4 +1,4 @@
-"""Empirical distributions, Kolmogorov-Smirnov distance, star discrepancy, RNG.
+"""Empirical distributions, circular gaps, Kolmogorov-Smirnov distance, seeded RNG.
 
 The KS statistic is evaluated exactly at the sample points (both one-sided
 limits of the step function), never on a grid.
@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = [
     "EmpiricalDist", "ecdf", "circular_gaps", "ks_distance", "ks_two_sample",
-    "discrepancy", "histogram", "rng", "split_rng", "RNG_ALGORITHM",
+    "rng", "RNG_ALGORITHM",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -101,29 +101,6 @@ def ks_two_sample(d1: EmpiricalDist, d2: EmpiricalDist) -> float:
     return float(np.max(np.abs(c1 - c2)))
 
 
-def discrepancy(dist: EmpiricalDist) -> float:
-    """Star discrepancy sup_{t in [0,1]} |ECDF(t) - t| for samples in [0,1]."""
-    x = dist.samples
-    if x[0] < -1e-12 or x[-1] > 1 + 1e-12:
-        raise ValueError("discrepancy needs samples in [0, 1]")
-    n = dist.count
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))
-
-
-def histogram(dist: EmpiricalDist, bins: int, value_range=None):
-    """Bin masses normalized to total 1; returns (edges, masses)."""
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    counts, edges = np.histogram(dist.samples, bins=bins, range=value_range)
-    return edges, counts / dist.count
-
-
 def rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the algorithm name is RNG_ALGORITHM."""
     return np.random.default_rng(seed)
-
-
-def split_rng(gen: np.random.Generator, n: int):
-    """n statistically independent child streams of a generator."""
-    return list(gen.spawn(n))

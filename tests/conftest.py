@@ -3,6 +3,7 @@
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,13 @@ class MappedRegion(Region):
     def bounding_radius(self):
         r = self.base.bounding_radius()
         return None if r is None else r * self.g.frobenius()  # bounds |g|
+
+
+def farey_fractions(q: int) -> list[Fraction]:
+    """The level-q Farey sequence by brute force: every p/d with d <= q and
+    0 <= p <= d, reduced, deduplicated and sorted; the oracle of the
+    streamed farey.farey_pairs and of farey.farey_size."""
+    return sorted({Fraction(p, d) for d in range(1, q + 1) for p in range(d + 1)})
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gapkit import stats
-from gapkit.affine import (AffineLattice, angle_gap_distribution, empirical_p,
-                           points_in_ball, renormalized_triangle_count,
-                           sqrt_mod1_gaps, wedge_count)
+from gapkit.affine import (AffineLattice, _half_width, _sorted_angles, _window_counts,
+                           angle_gap_distribution, empirical_p,
+                           renormalized_triangle_count, sqrt_mod1_gaps)
 from gapkit.core import Ball, Mat2, Vec2, rotation
 
 from conftest import MappedRegion
@@ -14,6 +14,22 @@ from conftest import MappedRegion
 
 def unit_affine(x, y):
     return AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(x, y))
+
+
+def wedge_counts(lat, thetas, sigma, radius):
+    """The counts empirical_p bins: ball points within sigma/R^2 of each
+    direction in ``thetas``, circularly."""
+    angles = _sorted_angles(lat, radius)
+    return _window_counts(angles, np.asarray(thetas, dtype=float),
+                          _half_width(sigma, radius)).tolist()
+
+
+def brute_wedge_count(lat, theta, sigma, radius):
+    """Ball points whose angle lies within sigma/R^2 of theta, each angle
+    measured on its own."""
+    pts = lat.ball_points(radius)
+    d = (np.arctan2(pts[:, 1], pts[:, 0]) - theta) % (2 * math.pi)
+    return int(np.count_nonzero(np.minimum(d, 2 * math.pi - d) <= sigma / radius ** 2))
 
 
 class TestConstruction:
@@ -36,8 +52,8 @@ class TestConstruction:
 
 class TestPointsInBall:
     def test_half_shift_unit_ball(self):
-        pts = points_in_ball(unit_affine(0.5, 0.5), 1.0)
-        got = sorted((round(v.x, 9), round(v.y, 9)) for v in pts)
+        pts = unit_affine(0.5, 0.5).ball_points(1.0)
+        got = sorted(map(tuple, np.round(pts, 9).tolist()))
         assert got == [(-0.5, -0.5), (-0.5, 0.5), (0.5, -0.5), (0.5, 0.5)]
 
     def test_density_matches_area(self):
@@ -45,11 +61,11 @@ class TestPointsInBall:
         assert len(pts) / (math.pi * 300.0 ** 2) == pytest.approx(1.0, abs=0.01)
 
     def test_empty_when_radius_too_small(self):
-        assert points_in_ball(unit_affine(0.5, 0.5), 0.5) == []
+        assert unit_affine(0.5, 0.5).ball_points(0.5).shape == (0, 2)
 
     def test_origin_excluded_for_trivial_shift(self):
-        pts = points_in_ball(unit_affine(0.0, 0.0), 1.5)
-        assert all(v.norm() > 1e-9 for v in pts)
+        pts = unit_affine(0.0, 0.0).ball_points(1.5)
+        assert len(pts) == 8 and np.all(np.hypot(pts[:, 0], pts[:, 1]) > 1e-9)
 
     def test_equivariance_of_enumeration(self, generic_affine):
         g = rotation(0.7)
@@ -65,17 +81,24 @@ class TestWedges:
     def test_constructed_single_point(self):
         # one point at angle 0, radius 5; a narrow wedge around it
         lat = unit_affine(0.0, 0.5)
-        count = wedge_count(lat, math.atan2(0.5, 1.0), 0.5, 1.3)
-        assert count == 1
+        theta = math.atan2(0.5, 1.0)
+        assert wedge_counts(lat, [theta], 0.5, 1.3) == [1]
+        assert brute_wedge_count(lat, theta, 0.5, 1.3) == 1
 
     def test_partition_covers_ball(self, generic_affine):
         radius = 20.0
         total = len(generic_affine.ball_points(radius))
         k = 64
         sigma = math.pi * radius ** 2 / k  # half-width pi/k each
-        counted = sum(wedge_count(generic_affine, (2 * i + 1) * math.pi / k,
-                                  sigma, radius) for i in range(k))
-        assert counted == total
+        centers = [(2 * i + 1) * math.pi / k for i in range(k)]
+        assert sum(wedge_counts(generic_affine, centers, sigma, radius)) == total
+
+    def test_window_counts_match_brute_force(self, generic_affine):
+        # wedges that wrap past 2 pi included
+        thetas = stats.rng(5).uniform(0.0, 2 * math.pi, 200)
+        for sigma, radius in ((1.0, 10.0), (40.0, 20.0)):
+            assert wedge_counts(generic_affine, thetas, sigma, radius) == \
+                [brute_wedge_count(generic_affine, t, sigma, radius) for t in thetas]
 
     def test_half_turn_wedge_is_the_ball(self):
         # from sigma/R^2 = pi on the wedge is the whole ball; at 4 the
@@ -84,8 +107,7 @@ class TestWedges:
         lat = unit_affine(0.2137, 0.5813)
         for sigma, radius in ((math.pi * 25.0, 5.0), (4.0 * 25.0, 5.0), (1.0, 1e-300)):
             total = len(lat.ball_points(radius))
-            assert [wedge_count(lat, t, sigma, radius) for t in (0.0, 1.0, 2.0, 3.0)] \
-                == [total] * 4
+            assert wedge_counts(lat, [0.0, 1.0, 2.0, 3.0], sigma, radius) == [total] * 4
             ws = empirical_p(lat, sigma, radius, 200, seed=1)
             assert ws.counts[total] == 200 and len(ws.counts) == total + 1
 
@@ -98,7 +120,6 @@ class TestWedges:
         gen = stats.rng(123)
         thetas = gen.uniform(0.0, 2 * math.pi, 1000)
         radius = 100.0
-        from gapkit.affine import _sorted_angles, _window_counts
         angles = _sorted_angles(generic_affine, radius)
         wedge = _window_counts(angles, thetas, 1.0 / radius ** 2)
         tri = np.array([renormalized_triangle_count(generic_affine, th, 1.0, radius)
@@ -111,8 +132,6 @@ class TestWedges:
     def test_sizes_must_be_positive_and_finite(self, sigma, radius):
         # sigma = inf used to count 0 points, or raise OverflowError
         lat = unit_affine(0.2, 0.3)
-        with pytest.raises(ValueError, match="positive and finite"):
-            wedge_count(lat, 0.0, sigma, radius)
         with pytest.raises(ValueError, match="positive and finite"):
             renormalized_triangle_count(lat, 0.0, sigma, radius)
         with pytest.raises(ValueError, match="positive and finite"):

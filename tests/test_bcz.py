@@ -31,6 +31,13 @@ class TestStep:
         with pytest.raises(ValueError):
             bcz.TransversalPoint(Fraction(3, 2), Fraction(1), 1)     # a > eta
 
+    def test_to_float_past_the_float_range_raises(self):
+        # an exact point in the domain whose coordinates no float holds
+        big = 10 ** 400
+        point = bcz.TransversalPoint(big, big, big)
+        with pytest.raises(ValueError, match="past the float range"):
+            point.to_float()
+
     def test_domain_closure_bulk(self):
         # one vectorized map step stays in the domain (independent of bcz_step)
         samples = bcz.sample_invariant_measure(1.0, 10 ** 6, seed=5)

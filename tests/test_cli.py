@@ -229,9 +229,14 @@ class TestContract:
         ["bcz-orbit", "--a", "1/2", "--b", "1/2", "--steps", "3"],
         ["bcz-orbit", "--a", "0.1", "--b", "0.9", "--steps", "3"],
         ["bcz-orbit", "--a", "1.0000000000001", "--b", "0.5", "--steps", "3"],
+        # past the float range: an OverflowError traceback with exit 1, from
+        # the float start and from the square of the radius
+        ["bcz-orbit", "--a", "1e400", "--b", "1e400", "--eta", "1e400", "--steps", "3"],
+        ["surface-sc", "--shape", "l:2,2", "--radius", "1e160"],
     ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output",
             "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200",
-            "bcz-float-a-plus-b-eta", "bcz-float-decimal-a-plus-b-eta", "bcz-float-a-past-eta"])
+            "bcz-float-a-plus-b-eta", "bcz-float-decimal-a-plus-b-eta", "bcz-float-a-past-eta",
+            "bcz-float-start-1e400", "surface-radius-square-overflows"])
     def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
         res = run_cli([arg.format(tmp=tmp_path) for arg in args])
         assert res.returncode == 2

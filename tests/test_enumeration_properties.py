@@ -3,7 +3,8 @@ the whole integer coefficient box, on random exact rational lattices; the
 exact int-numerator strip order against a brute-force Fraction sort; a
 stacked scan of many float bases against one scan per basis, and the axis
 test of float lattices against per-lattice enumeration; strip slopes
-under an SL(2, Z) change of basis; and the float first order of exact
+under an SL(2, Z) change of basis; the return times of the transversal
+orbit against the strip slope gaps; and the float first order of exact
 scalar slopes against an exact sort."""
 
 import math
@@ -16,8 +17,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gapkit import pointcloud
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, shear
-from gapkit.lattice import UnimodularLattice, coefficient_scan, seeded_lattice
-from gapkit.pointcloud import (ExactRows, PointSystem, is_horizontally_short,
+from gapkit.errors import ExceptionalLatticeError
+from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
+                            slope_gaps_fast)
+from gapkit.pointcloud import (ExactRows, PointSystem, gaps, is_horizontally_short,
                                slopes_in_strip, strip_points)
 
 SETTINGS = settings.get_profile("gapkit")
@@ -240,14 +243,14 @@ def axis_stacks(draw):
 
 
 @SETTINGS
-@given(axis_stacks(), st.booleans())
-def test_axis_hits_match_the_definition(stack, horizontal):
+@given(axis_stacks())
+def test_axis_hits_match_the_definition(stack):
     # the float lattices answer from one stacked thin scan; the base class
     # enumerates each ball
     bases, radius, tols = stack
     systems = [UnimodularLattice(g) for g in bases]
-    assert UnimodularLattice.axis_hits(systems, radius, horizontal, tols) == \
-        PointSystem.axis_hits(systems, radius, horizontal, tols)
+    assert UnimodularLattice.axis_hits(systems, radius, tols) == \
+        PointSystem.axis_hits(systems, radius, tols)
 
 
 @st.composite
@@ -271,6 +274,20 @@ def test_change_of_basis_keeps_the_strip_slopes(seed, g):
     np.testing.assert_allclose(slopes_in_strip(moved.to_float(), 1, 300).floats(),
                                slopes_in_strip(lat.to_float(), 1, 300).floats(),
                                rtol=1e-9, atol=0)
+
+
+@SETTINGS
+@given(st.one_of(rational_lattices(), st.integers(0, 10 ** 6).map(seeded_lattice)),
+       st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=16),
+       st.integers(1, 12))
+def test_return_times_are_the_strip_slope_gaps(lat, eta, n):
+    # the central identity: the roofs along the transversal orbit are the
+    # gaps of the strip slopes, exactly, at any rational strip width
+    try:
+        fast = slope_gaps_fast(lat, eta, n, exact=True).gaps
+    except ExceptionalLatticeError:
+        assume(False)
+    assert fast == gaps(slopes_in_strip(lat, eta, n + 1)).gaps
 
 
 TINY = Fraction(1, 10 ** 30)

@@ -3,23 +3,28 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 
 from gapkit import bcz, cli, farey, stats
 from gapkit.errors import ResourceLimitError
 
+from conftest import farey_fractions
+
+
+def farey_level(q):
+    return [Fraction(p, d) for p, d in farey.farey_pairs(q)]
+
 
 class TestSequence:
     def test_level_one(self):
-        level = farey.farey_sequence(1)
-        assert list(level.fractions) == [Fraction(0), Fraction(1)]
+        assert farey_level(1) == [Fraction(0), Fraction(1)]
 
     def test_level_four(self):
-        level = farey.farey_sequence(4)
         expected = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                     Fraction(2, 3), Fraction(3, 4), Fraction(1)]
-        assert list(level.fractions) == expected
+        assert farey_level(4) == expected
 
     def test_unimodular_neighbors_level_100(self):
         pairs = list(farey.farey_pairs(100))
@@ -27,22 +32,30 @@ class TestSequence:
             assert q0 * p1 - p0 * q1 == 1
 
     def test_streaming_matches_list(self):
-        fracs = [Fraction(p, q) for p, q in farey.farey_pairs(30)]
-        assert fracs == list(farey.farey_sequence(30).fractions)
+        # the stream against the brute-force list, pairs in lowest terms
+        for q in (1, 2, 7, 30):
+            pairs = list(farey.farey_pairs(q))
+            assert [Fraction(p, d) for p, d in pairs] == farey_fractions(q)
+            assert all(math.gcd(p, d) == 1 for p, d in pairs)
 
     def test_denominator_bound_and_sorted(self):
-        level = farey.farey_sequence(17)
-        assert all(f.denominator <= 17 for f in level.fractions)
-        assert sorted(level.fractions) == list(level.fractions)
+        level = farey_level(17)
+        assert all(f.denominator <= 17 for f in level)
+        assert sorted(level) == level
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(farey, "DEFAULT_TERM_BUDGET", 10)
+        # level 4 has N(4) + 1 = 7 terms: a budget of 7 holds them, 6 does not
+        monkeypatch.setattr(farey, "DEFAULT_TERM_BUDGET", 7)
+        assert len(farey.farey_gaps(4)) == 6
+        monkeypatch.setattr(farey, "DEFAULT_TERM_BUDGET", 6)
         with pytest.raises(ResourceLimitError):
-            farey.farey_sequence(100)
+            farey.farey_gaps(4)
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
-            farey.farey_sequence(0)
+            next(farey.farey_pairs(0))
+        with pytest.raises(ValueError):
+            farey.farey_size(0)
 
     def test_gaps_budget(self, monkeypatch):
         # level 10 has N(10) + 1 = 34 terms; the check comes before any gap
@@ -63,7 +76,7 @@ class TestSize:
 
     def test_matches_sequence_length(self):
         for q in (1, 5, 23):
-            assert farey.farey_size(q) == len(farey.farey_sequence(q)) - 1
+            assert farey.farey_size(q) == len(farey_fractions(q)) - 1
 
     def test_density_limit(self):
         # N(Q)/Q^2 -> 3/pi^2
@@ -97,8 +110,9 @@ class TestGaps:
         assert float(min(gaps)) > 0.30
 
     def test_equidistribution_discrepancy(self):
+        # star discrepancy: the KS distance to the uniform law on [0, 1]
         vals = [p / q for p, q in farey.farey_pairs(1000)]
-        assert stats.discrepancy(stats.ecdf(vals)) <= 0.01
+        assert stats.ks_distance(stats.ecdf(vals), lambda t: np.clip(t, 0.0, 1.0)) <= 0.01
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

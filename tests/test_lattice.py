@@ -11,7 +11,7 @@ from gapkit import bcz, farey, hall, lattice, pointcloud, stats
 from gapkit.core import Ball, Mat2
 from gapkit.lattice import (UnimodularLattice, ZSQUARED, has_vertical_vector,
                             poisson_baseline, seeded_lattice, slope_gaps_fast,
-                            strip_vectors, to_transversal)
+                            to_transversal)
 from gapkit.errors import ExhaustionError
 from gapkit.pointcloud import gaps, slopes_in_strip, strip_points
 
@@ -30,8 +30,10 @@ class TestConstruction:
             assert lat.basis.det() == 1
             assert not has_vertical_vector(lat, 1000)
 
-    def test_minkowski_constant_declared(self):
-        assert ZSQUARED.minkowski_constant == 4.0
+
+def strip_vectors(lat, eta, n):
+    """The n strip vectors of smallest nonnegative slope, in slope order."""
+    return [v for _, v in strip_points(lat, eta, n)]
 
 
 class TestStripVectors:
@@ -265,14 +267,20 @@ class TestFastGaps:
 
 class TestVerticalVectors:
     def test_explicit_vertical_basis(self):
-        assert has_vertical_vector(UnimodularLattice(Mat2(0.0, -1.0, 1.0, 0.5)), 10)
+        assert has_vertical_vector(UnimodularLattice(Mat2(0, -1, 1, Fraction(1, 2))), 10)
 
     def test_integer_lattice(self):
         assert has_vertical_vector(ZSQUARED, 1)
 
     def test_irrational_horizontal_shear(self):
-        lat = UnimodularLattice(Mat2(1.0, math.sqrt(2), 0.0, 1.0))
+        # the float sqrt(2) taken exactly: its denominator is 2^52
+        lat = UnimodularLattice(Mat2(1, Fraction(math.sqrt(2)), 0, 1))
         assert not has_vertical_vector(lat, 1000)
+
+    def test_float_basis_raises(self):
+        lat = UnimodularLattice(Mat2(1.0, math.sqrt(2), 0.0, 1.0))
+        with pytest.raises(ValueError, match="exact lattice basis"):
+            has_vertical_vector(lat, 1000)
 
     def test_exact_detection_with_bound(self):
         # minimal vertical coefficient pair is (-355, 113)
@@ -322,9 +330,9 @@ class TestEnumerationBudget:
         # visits 45 cells, under the budget alone, the three together over it
         monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 100)
         flat = ZSQUARED.to_float()
-        assert UnimodularLattice.axis_hits([flat] * 2, 3.0, True, [1e-9] * 2) == [True] * 2
+        assert UnimodularLattice.axis_hits([flat] * 2, 3.0, [1e-9] * 2) == [True] * 2
         with pytest.raises(ResourceLimitError):
-            UnimodularLattice.axis_hits([flat] * 3, 3.0, True, [1e-9] * 3)
+            UnimodularLattice.axis_hits([flat] * 3, 3.0, [1e-9] * 3)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1,6 +1,7 @@
 """Package hygiene: every exported name resolves, every name perfbench wraps
-resolves, no module or test file imports a name it never uses, and no
-private module-level name of the package goes unread."""
+resolves, no module or test file imports a name it never uses, no private
+module-level name of the package goes unread, and every exported name is
+read by a pipeline."""
 
 import ast
 import importlib
@@ -17,6 +18,15 @@ SOURCES = sorted(Path(gapkit.__file__).parent.glob("*.py"))
 TESTS = sorted(p for p in Path(__file__).parent.glob("*.py")
                if p.name != "test_acceptance.py")
 MODULES = ["gapkit"] + [f"gapkit.{m.name}" for m in pkgutil.iter_modules(gapkit.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
+# the pipelines: the acceptance suite and the benchmark
+PIPELINES = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
+# exported names that no pipeline reads, each kept for its reason
+UNREAD_PUBLIC = {
+    "lattice.py: ZSQUARED": "the Z^2 lattice, the base case of the unit tests",
+    "hall.py: region_area": "the closed form that the hall tests check against "
+                            "quadrature on intervals criterion 3c does not reach",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -72,27 +82,55 @@ def test_unused_import_check_sees_a_leftover():
     assert unused_imports(source) == ["Optional (line 1)"]
 
 
+def read_names(tree, strings: bool = False) -> set[str]:
+    """Names the tree reads as a Name or an attribute; with ``strings``, also
+    the dotted parts of its string constants (perfbench's tracer names the
+    functions it wraps)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(n.value.split("."))
+    return out
+
+
+def defined_names(node) -> list[str]:
+    """Names a top-level statement defines as a def, a class or an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private names (def, class or assignment) of the sources,
     a dict of file name to text, that no code of them reads outside the
     name's own definition; a name is read as a Name or an attribute."""
     tops = [(file, node) for file, text in sources.items() for node in ast.parse(text).body]
-    reads = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-              or isinstance(n, ast.Attribute)} for _, node in tops]
-    unread = []
-    for k, (file, node) in enumerate(tops):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        unread += [f"{file}: {name} (line {node.lineno})" for name in names
-                   if name.startswith("_") and not name.startswith("__")
-                   and not any(name in r for j, r in enumerate(reads) if j != k)]
-    return unread
+    reads = [read_names(node) for _, node in tops]
+    return [f"{file}: {name} (line {node.lineno})" for k, (file, node) in enumerate(tops)
+            for name in defined_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != k)]
+
+
+def unread_public_names(sources: dict[str, str], pipelines: list[str]) -> list[str]:
+    """The ``__all__`` names of the sources, a dict of file name to text,
+    that no pipeline text reads and no source reads outside the statement
+    that defines the name in the same file."""
+    outside = set().union(*(read_names(ast.parse(text), strings=True) for text in pipelines))
+    tops = [(file, node) for file, text in sources.items() for node in ast.parse(text).body]
+    reads = [read_names(node) for _, node in tops]
+    return [f"{file}: {name}" for file, node in tops if "__all__" in defined_names(node)
+            for name in ast.literal_eval(node.value)
+            if name not in outside and not any(
+                name in r for (f, top), r in zip(tops, reads)
+                if f != file or name not in defined_names(top))]
 
 
 def test_no_unread_private_names():
@@ -104,3 +142,17 @@ def test_unread_private_check_sees_a_leftover():
                        "def _left(n):\n    return _left(n - 1)\n\n\n_K = 2\nx = _used()\n",
                "b.py": "_J = 1\n"}
     assert unread_private_names(sources) == ["a.py: _left (line 8)", "a.py: _K (line 12)"]
+
+
+def test_every_public_name_is_read_by_a_pipeline():
+    # a name read only by its own unit tests is API that no pipeline uses
+    sources = {p.name: p.read_text() for p in SOURCES}
+    unread = unread_public_names(sources, [p.read_text() for p in PIPELINES])
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
+
+
+def test_unread_public_check_sees_a_leftover():
+    sources = {"a.py": "__all__ = ['f', 'g', 'h', 'k']\n\n\ndef f():\n    return f()\n\n\n"
+                       "def g():\n    return h()\n\n\ndef h():\n    return 1\n\n\nk = 2\n"}
+    pipeline = "import a\n\nTRACED = ('a.k',)\nprint(a.g())\n"
+    assert unread_public_names(sources, [pipeline]) == ["a.py: f"]

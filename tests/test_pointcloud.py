@@ -7,14 +7,15 @@ import pytest
 
 from gapkit import lattice, pointcloud
 from gapkit.core import Ball, Mat2, diag_flow, rotation, shear
-from gapkit.errors import UnsupportedQueryError
+from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import UnimodularLattice, ZSQUARED
-from gapkit.pointcloud import (PointSystem, SlopeSequence, gaps,
-                               hitting_times, is_exceptional,
-                               is_horizontally_short, is_vertically_short,
-                               slopes_in_strip)
+from gapkit.pointcloud import (PointSystem, SlopeSequence, gaps, hitting_times,
+                               is_horizontally_short, slopes_in_strip)
 
 from conftest import MappedRegion
+
+
+QUARTER_TURN = Mat2(0, -1, 1, 0)
 
 
 def random_group_element(gen):
@@ -89,32 +90,32 @@ class TestShortness:
 
     def test_vertical_basis(self):
         lat = UnimodularLattice(Mat2(0.0, 1.0, -1.0, 0.3))
-        assert is_vertically_short(lat, 1)
+        assert is_horizontally_short(lat.act(QUARTER_TURN), 1)
 
     def test_horizontal_shear_has_no_short_vertical(self):
-        # columns (1,0), (1/2,1): the shortest vertical vector is (0, 2)
-        lat = UnimodularLattice(Mat2(1, Fraction(1, 2), 0, 1))
-        assert not is_vertically_short(lat, 1)
-        assert is_vertically_short(lat, 2)
+        # columns (1,0), (1/2,1): the shortest vertical vector is (0, 2),
+        # which the quarter turn takes to (-2, 0)
+        lat = UnimodularLattice(Mat2(1, Fraction(1, 2), 0, 1)).act(QUARTER_TURN)
+        assert not is_horizontally_short(lat, 1)
+        assert is_horizontally_short(lat, 2)
 
     @pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0])
     def test_width_must_be_positive_and_finite(self, eta):
         # inf raised OverflowError on a float lattice before the check
         flat = lattice.seeded_lattice(1).to_float()
-        for short in (is_horizontally_short, is_vertically_short):
-            with pytest.raises(ValueError, match="positive and finite"):
-                short(flat, eta)
+        with pytest.raises(ValueError, match="positive and finite"):
+            is_horizontally_short(flat, eta)
         with pytest.raises(ValueError, match="positive and finite"):
             slopes_in_strip(flat, eta, 5)
 
     def test_exceptional_threshold(self):
-        # Z^2 has vertical vector (0,1); the threshold is eta/16
-        assert not is_exceptional(ZSQUARED, 1)
-        assert is_exceptional(ZSQUARED, 17)
-
-    def test_exceptional_needs_constant(self, golden_surface):
-        with pytest.raises(UnsupportedQueryError):
-            is_exceptional(golden_surface, 1)
+        # a lattice with primitive vertical vector (0, h) has an empty strip,
+        # and never reaches the transversal, exactly when h eta < 1
+        for lat, h in ((ZSQUARED, 1), (UnimodularLattice(Mat2(Fraction(1, 5), 0, 0, 5)), 5)):
+            point, _ = lattice.to_transversal(lat, Fraction(1, h))
+            assert point.a == Fraction(1, h)
+            with pytest.raises(ExceptionalLatticeError):
+                lattice.to_transversal(lat, Fraction(1, h) - Fraction(1, 10 ** 9))
 
 
 class TestHittingTimes:
@@ -126,7 +127,7 @@ class TestHittingTimes:
         assert hitting_times(ZSQUARED, 1, 0) == []
         # no candidate: nothing to stack
         assert hitting_times(ZSQUARED.to_float(), 1, 0) == []
-        assert UnimodularLattice.axis_hits([], 1.0, True, []) == []
+        assert UnimodularLattice.axis_hits([], 1.0, []) == []
 
     def test_matches_slopes_random_lattices(self, seeded_lattices):
         for lat in seeded_lattices[:5]:
@@ -200,7 +201,7 @@ class PerturbedLattice(UnimodularLattice):
 
 
 class PerSystem(PointSystem):
-    """A lattice behind the default, per-system enumerate_each."""
+    """A lattice behind the default, per-system axis_hits."""
 
     def __init__(self, lat):
         self.lat = lat
