@@ -74,11 +74,15 @@ class TransversalPoint:
         return is_exact(self.a) and is_exact(self.b) and is_exact(self.eta)
 
     def to_float(self) -> "TransversalPoint":
-        """The point in floats; a coordinate past the float range is a ValueError."""
+        """The point in floats; a coordinate past the float range, or one
+        that rounds to 0.0, is a ValueError."""
         try:
-            return TransversalPoint(float(self.a), float(self.b), float(self.eta))
+            a, b, eta = float(self.a), float(self.b), float(self.eta)
         except OverflowError:
             raise ValueError("transversal coordinates past the float range") from None
+        if not (a and b and eta):
+            raise ValueError("transversal coordinates underflow to 0.0 in floats")
+        return TransversalPoint(a, b, eta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,11 +182,12 @@ class GoldenNum:
             return None
         return (self - o).sign()
 
-    def __eq__(self, other):
-        c = self._cmp(other) if not isinstance(other, float) else None
-        if c is None:
-            return NotImplemented
-        return c == 0
+    def __eq__(self, other):  # 1 and phi are independent over Q: compare coefficients
+        if isinstance(other, GoldenNum):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -212,10 +213,8 @@ class GoldenNum:
             return NotImplemented
         return c >= 0
 
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((Fraction(self.a), Fraction(self.b)))
+    def __hash__(self):  # hash(Fraction(n, 1)) == hash(n): equal values hash equal
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -267,9 +266,6 @@ class Vec2:
     def norm_sq(self):
         return self.x * self.x + self.y * self.y
 
-    def norm(self) -> float:
-        return math.hypot(float(self.x), float(self.y))
-
     def to_float(self) -> "Vec2":
         return Vec2(float(self.x), float(self.y))
 
@@ -305,8 +301,6 @@ class Mat2:
         det = self.det()
         if det == 1:
             return Mat2(self.d, -self.b, -self.c, self.a)
-        if det == -1:
-            return Mat2(-self.d, self.b, self.c, -self.a)
         if det == 0:
             raise ZeroDivisionError("singular matrix")
         return Mat2(_div(self.d, det), _div(-self.b, det),

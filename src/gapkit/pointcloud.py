@@ -19,12 +19,13 @@ system, PointSystem.axis_hits, which float lattices answer as a stack.
 Exact systems may hand the strip loop their points as ExactRows: int
 numerator pairs (X, Y) over one common denominator, membership already
 decided in ints; Fraction slopes and points are built only for the rows
-returned.  Every exact slope order is one float-first sort (_float_first):
-a stable sort by a float f with an error bound err, and exact comparisons
-only inside runs of overlapping intervals [f - err, f + err].  Int rows
-pass the correctly rounded Y / X with err = 0 (rounding is monotone), exact
-scalar slopes (those of surfaces, and every GoldenNum slope) the float of
-a + b phi with the bound written in core (_collapse_exact).
+returned.  Every slope order, float too, is one float-first sort
+(_float_first): a stable sort by a float f with an error bound err, and
+keys compared only inside runs of overlapping intervals [f - err, f + err].
+Int rows pass the correctly rounded Y / X with err = 0 (rounding is
+monotone), exact scalar slopes (those of exact surfaces) the float of
+a + b phi with the bound written in core (_collapse_exact), float slopes
+themselves with err = 5e-13 max(1, |f|) and one key, so a run is one slope.
 """
 
 from __future__ import annotations
@@ -157,17 +158,13 @@ def _ragged(starts, lens, total: int):
 
 def _collapse(rows: list) -> list:
     """Sort (slope, point) pairs by slope, keeping the first pair of each slope
-    value (exact equality, or 1e-12 relative).  The rows share one kind of
-    slope: exact ones go to _collapse_exact."""
+    value (exact equality, or for floats each run of slopes within about
+    1e-12 relative).  The rows share one kind of slope: exact ones go to
+    _collapse_exact."""
     if rows and is_exact(rows[0][0]):
         return _collapse_exact(rows)
-    rows = sorted(rows, key=lambda r: r[0])
-    out = rows[:1]
-    for row in rows[1:]:
-        s, prev = row[0], out[-1][0]
-        if float(s) - float(prev) > 1e-12 * max(1.0, abs(float(prev))):
-            out.append(row)
-    return out
+    f = np.fromiter(map(itemgetter(0), rows), dtype=float, count=len(rows))
+    return [rows[i] for i in _float_first(f, 5e-13 * np.maximum(1.0, np.abs(f)), lambda i: 0)]
 
 
 def _float_first(f: np.ndarray, err, key) -> list[int]:

@@ -20,7 +20,8 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class EmpiricalDist:
-    """A sorted sample with ECDF queries.  The ECDF is right-continuous."""
+    """A nonempty sample sorted ascending; ks_distance and ks_two_sample
+    read its right-continuous ECDF."""
 
     samples: np.ndarray = field(repr=False)
 
@@ -36,27 +37,11 @@ class EmpiricalDist:
     def count(self) -> int:
         return int(self.samples.size)
 
-    def cdf(self, t):
-        """ECDF value(s): fraction of samples <= t."""
-        t = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.samples, t, side="right") / self.count
-        return float(out) if out.ndim == 0 else out
-
 
 def ecdf(samples) -> EmpiricalDist:
     """Sort a sample into an EmpiricalDist."""
     arr = np.sort(np.asarray(samples, dtype=float))
     return EmpiricalDist(arr)
-
-
-def _eval_cdf(cdf, xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(cdf(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except TypeError:  # a scalar-only cdf, e.g. one that calls float() on t
-        pass
-    return np.array([float(cdf(x)) for x in xs])
 
 
 def circular_gaps(angles) -> EmpiricalDist:
@@ -79,15 +64,13 @@ def ks_distance(dist: EmpiricalDist, cdf) -> float:
 
     Against a (piecewise) continuous monotone cdf the supremum is attained
     at a sample point, approached from one side or the other, so comparing
-    cdf(x_i) with i/n and (i+1)/n is exact.  Passing another EmpiricalDist
-    (e.g. the distribution itself) compares the two step functions instead,
-    so the distance to one's own ECDF is exactly zero.
+    cdf(x_i) with i/n and (i+1)/n is exact.  ``cdf`` is called once, on the
+    array of samples, so it must be vectorized (as hall_cdf is); two samples
+    are compared by ks_two_sample.
     """
-    if isinstance(cdf, EmpiricalDist):
-        return ks_two_sample(dist, cdf)
     x = dist.samples
     n = dist.count
-    f = _eval_cdf(cdf, x)
+    f = np.asarray(cdf(x), dtype=float)
     i = np.arange(n)
     return float(max(np.max(f - i / n), np.max((i + 1) / n - f)))
 

@@ -233,10 +233,14 @@ class TestContract:
         # the float start and from the square of the radius
         ["bcz-orbit", "--a", "1e400", "--b", "1e400", "--eta", "1e400", "--steps", "3"],
         ["surface-sc", "--shape", "l:2,2", "--radius", "1e160"],
+        # an exact start in the domain whose float a underflows: the float
+        # mode refused the rounded point (0.0, 1.0) as outside the domain
+        ["bcz-orbit", "--a", "1e-400", "--b", "1", "--steps", "3"],
     ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output",
             "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200",
             "bcz-float-a-plus-b-eta", "bcz-float-decimal-a-plus-b-eta", "bcz-float-a-past-eta",
-            "bcz-float-start-1e400", "surface-radius-square-overflows"])
+            "bcz-float-start-1e400", "surface-radius-square-overflows",
+            "bcz-float-start-underflows"])
     def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
         res = run_cli([arg.format(tmp=tmp_path) for arg in args])
         assert res.returncode == 2
@@ -244,6 +248,8 @@ class TestContract:
         assert "Traceback" not in res.stderr
         if "--shift" in args:
             assert "--shift" in res.stderr
+        if "1e-400" in args:
+            assert res.stderr == "gapkit: transversal coordinates underflow to 0.0 in floats\n"
 
     @pytest.mark.parametrize("args", [
         ["surface-sc", "--shape", "golden", "--radius", "inf"],

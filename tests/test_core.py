@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gapkit.core import (Ball, GoldenNum, Mat2, PHI, Vec2, VerticalStrip,
                          diag_flow, is_exact, rotation, shear, slope)
@@ -96,6 +97,13 @@ class TestSlope:
         assert isinstance(slope(Vec2(Fraction(1, 3), Fraction(2, 5))), Fraction)
 
 
+# small coefficients, so equal values come up often; a Fraction with
+# denominator 1 is kept as one, as arithmetic may leave it
+coefficients = st.integers(-2, 2) | st.integers(-2, 2).map(Fraction) \
+    | st.fractions(-2, 2, max_denominator=3)
+golden_nums = st.builds(GoldenNum._raw, coefficients, coefficients)
+
+
 class TestGoldenNum:
     def test_defining_relation(self):
         assert PHI * PHI == PHI + 1
@@ -141,6 +149,16 @@ class TestGoldenNum:
     def test_hash_eq_consistency(self):
         assert GoldenNum(2, 0) == 2
         assert hash(GoldenNum(2, 0)) == hash(2)
+
+    @settings.get_profile("gapkit")
+    @given(golden_nums, golden_nums | coefficients)
+    @example(GoldenNum(2, 0), 2)
+    @example(GoldenNum._raw(Fraction(1), 1), GoldenNum(1, 1))
+    @example(GoldenNum(Fraction(1, 2), 0), Fraction(1, 2))
+    def test_eq_is_a_zero_difference_and_hash_follows(self, x, y):
+        assert (x == y) == (y == x) == ((x - y).sign() == 0)
+        if x == y:
+            assert hash(x) == hash(y)
 
     def test_is_exact(self):
         assert is_exact(PHI) and is_exact(Fraction(1, 2)) and is_exact(3)

@@ -4,8 +4,10 @@ exact int-numerator strip order against a brute-force Fraction sort; a
 stacked scan of many float bases against one scan per basis, and the axis
 test of float lattices against per-lattice enumeration; strip slopes
 under an SL(2, Z) change of basis; the return times of the transversal
-orbit against the strip slope gaps; and the float first order of exact
-scalar slopes against an exact sort."""
+orbit against the strip slope gaps; the float first order of exact
+scalar slopes against an exact sort; and the float slope collapse against
+a reference sort-and-compare loop, on random lists and float lattice
+strips."""
 
 import math
 from fractions import Fraction
@@ -16,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gapkit import pointcloud
 from gapkit.affine import AffineLattice
-from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, shear
+from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, shear, slope
 from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
                             slope_gaps_fast)
@@ -346,3 +348,50 @@ def test_collapse_orders_golden_slopes_that_floats_misorder(b, k, above):
     assert (y > x) == above
     rows = [(x, 0), (y, 1), (Fraction(k), 2), (x, 3), (y, 4)]
     assert pointcloud._collapse(rows) == exact_collapse(rows)
+
+
+def float_collapse_loop(rows):
+    """The reference float collapse: a stable sort, then each row kept when
+    its slope lies more than 1e-12 relative above the last kept slope."""
+    rows = sorted(rows, key=lambda r: r[0])
+    out = rows[:1]
+    for row in rows[1:]:
+        s, prev = row[0], out[-1][0]
+        if float(s) - float(prev) > 1e-12 * max(1.0, abs(float(prev))):
+            out.append(row)
+    return out
+
+
+@st.composite
+def float_slopes(draw):
+    """Float slopes around a few values, each copied exactly or moved by at
+    most 1e-13 relative: no chain of close slopes is wider than 1e-12.  The
+    values are at least 1e-6 relative apart, or, near the tie rule, 2e-12
+    relative apart in a row above some c >= 1."""
+    scale, c = draw(st.floats(1e-3, 1e3)), draw(st.floats(1.0, 1e6))
+    pool = [k * scale for k in draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                             max_size=6, unique=True))]
+    pool += [c * (1 + 2e-12 * j) for j in range(draw(st.integers(1 - len(pool), 4)))]
+    slopes = []
+    for _ in range(draw(st.integers(0, 30))):
+        s = draw(st.sampled_from(pool))
+        slopes.append(s + draw(st.sampled_from([0.0, 0.0, 1.0, -1.0]))
+                      * draw(st.floats(0.0, 1e-13)) * max(1.0, abs(s)))
+    return slopes
+
+
+@SETTINGS
+@given(float_slopes())
+@example([1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1.0, 2.0])
+@example([0.0, 1e-13, 0.0, -1e-13])
+def test_collapse_of_float_slopes_matches_the_loop(slopes):
+    rows = [(s, i) for i, s in enumerate(slopes)]
+    assert pointcloud._collapse(rows) == float_collapse_loop(rows)
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1.0, 40.0))
+def test_collapse_of_float_lattice_strips_matches_the_loop(seed, eta, height):
+    lat = seeded_lattice(seed).to_float()
+    rows = [(slope(v), v) for v in lat.enumerate_points(VerticalStrip(eta, height))]
+    assert pointcloud._collapse(rows) == float_collapse_loop(rows)

@@ -9,7 +9,7 @@ import pytest
 
 from gapkit import bcz, farey, hall, lattice, pointcloud, stats
 from gapkit.core import Ball, Mat2
-from gapkit.lattice import (UnimodularLattice, ZSQUARED, has_vertical_vector,
+from gapkit.lattice import (UnimodularLattice, ZSQUARED, _vertical_coefficients,
                             poisson_baseline, seeded_lattice, slope_gaps_fast,
                             to_transversal)
 from gapkit.errors import ExhaustionError
@@ -28,7 +28,8 @@ class TestConstruction:
             lat = seeded_lattice(seed)
             assert lat.is_exact()
             assert lat.basis.det() == 1
-            assert not has_vertical_vector(lat, 1000)
+            m, k = _vertical_coefficients(lat)
+            assert abs(m) > 1000 and k > 1000
 
 
 def strip_vectors(lat, eta, n):
@@ -265,28 +266,37 @@ class TestFastGaps:
         assert ks <= 0.01
 
 
+def vertical_coefficients(lat):
+    """_vertical_coefficients, checked to give a primitive vertical vector."""
+    m, k = _vertical_coefficients(lat)
+    g = lat.basis
+    assert math.gcd(m, k) == 1 and k >= 0 and g.a * m + g.b * k == 0
+    assert g.c * m + g.d * k != 0
+    return m, k
+
+
 class TestVerticalVectors:
     def test_explicit_vertical_basis(self):
-        assert has_vertical_vector(UnimodularLattice(Mat2(0, -1, 1, Fraction(1, 2))), 10)
+        assert vertical_coefficients(UnimodularLattice(Mat2(0, -1, 1, Fraction(1, 2)))) == (1, 0)
 
     def test_integer_lattice(self):
-        assert has_vertical_vector(ZSQUARED, 1)
+        assert vertical_coefficients(ZSQUARED) == (0, 1)
 
     def test_irrational_horizontal_shear(self):
         # the float sqrt(2) taken exactly: its denominator is 2^52
         lat = UnimodularLattice(Mat2(1, Fraction(math.sqrt(2)), 0, 1))
-        assert not has_vertical_vector(lat, 1000)
+        m, k = vertical_coefficients(lat)
+        assert k == 2 ** 52 and abs(m) > 1000
 
     def test_float_basis_raises(self):
         lat = UnimodularLattice(Mat2(1.0, math.sqrt(2), 0.0, 1.0))
         with pytest.raises(ValueError, match="exact lattice basis"):
-            has_vertical_vector(lat, 1000)
+            to_transversal(lat, 1)
 
     def test_exact_detection_with_bound(self):
         # minimal vertical coefficient pair is (-355, 113)
         lat = UnimodularLattice(Mat2(1, Fraction(355, 113), 0, 1))
-        assert has_vertical_vector(lat, 355)
-        assert not has_vertical_vector(lat, 354)
+        assert vertical_coefficients(lat) == (-355, 113)
 
 
 class TestPoissonBaseline:
