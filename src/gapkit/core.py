@@ -241,7 +241,12 @@ _PHI = (1.0 + math.sqrt(5.0)) / 2.0  # the float of PHI, shared by every module
 
 
 def is_exact(x) -> bool:
-    """True for scalars carrying exact arithmetic (int, Fraction, GoldenNum)."""
+    """True for scalars carrying exact arithmetic (int, Fraction, GoldenNum).
+
+    A float is answered first: the isinstance test against Fraction goes
+    through its ABC machinery, which costs more than the rest of the call."""
+    if type(x) is float:
+        return False
     return isinstance(x, (int, Fraction, GoldenNum)) and not isinstance(x, bool)
 
 

@@ -14,11 +14,17 @@ receives.  A point is primitive exactly when its coefficient pair is
 coprime, which is basis-independent.
 
 The kernel also scans a stack of bases over one box in the same few numpy
-calls, returning the owner of each point.  UnimodularLattice.axis_hits asks
-many float lattices at once (the hitting-time candidates of
-pointcloud.hitting_times) whether they hold a short horizontal vector: one
-stacked scan of a thin box around the axis, its columns tested in numpy;
-enumerating each lattice's ball stays the definition.
+calls, returning the owner of each point; the stack is Lagrange-reduced by
+one vectorised loop (_lagrange_stack) that gives every basis the entries
+lagrange_reduce gives it alone.  A float lattice hands
+pointcloud.hitting_times its candidates as one such stack
+(UnimodularLattice.shear_stack): the float (n, 4) array of sheared bases
+(a, b, c - s a, d - s b), held to the determinant test in one pass, with
+no lattice built per slope.  UnimodularLattice.axis_hits asks the stack
+whether each basis holds a short horizontal vector: one stacked scan of a
+thin box around the axis, its columns tested in numpy; enumerating each
+lattice's ball stays the definition.  Float strips come out of the scan as
+x, y arrays (UnimodularLattice.float_columns), with no Vec2 per point.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -80,6 +86,36 @@ def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
     return Mat2(x1, x2, y1, y2), u
 
 
+def _lagrange_stack(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lagrange_reduce of every row (a, b, c, d) of a float (n, 4) array.
+
+    One vectorised loop runs while any row still has mu != 0; a row whose
+    mu is 0 is left as it stands, and a finished row is a fixed point of
+    the loop, so each row comes out bit for bit as lagrange_reduce gives it
+    (np.rint rounds half to even, as round does).  Returns the reduced rows
+    and u, both (n, 4) and row-major, u as int64.
+    """
+    x1, x2, y1, y2 = g.T.copy()
+    u0, u1, u2, u3 = np.eye(2, dtype=np.int64).reshape(4, 1).repeat(len(g), axis=1)
+    for _ in range(256):
+        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        swap = n1 > n2
+        x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
+        y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
+        u0, u1 = np.where(swap, u1, u0), np.where(swap, u0, u1)
+        u2, u3 = np.where(swap, u3, u2), np.where(swap, u2, u3)
+        mu = np.rint((x1 * x2 + y1 * y2) / np.minimum(n1, n2))
+        live = mu != 0.0
+        if not live.any():
+            return np.stack((x1, x2, y1, y2), axis=1), np.stack((u0, u1, u2, u3), axis=1)
+        np.subtract(x2, mu * x1, out=x2, where=live)
+        np.subtract(y2, mu * y1, out=y2, where=live)
+        m = mu.astype(np.int64)
+        u1 -= m * u0
+        u3 -= m * u2
+    raise ResourceLimitError("basis reduction did not converge")
+
+
 def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0):
     """Points basis (m, k) + shift whose float coordinates lie in a box.
 
@@ -91,26 +127,47 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
     every point in the box widened by ``margin``.  Exact callers rebuild
     the points from m, k and decide membership exactly.
 
-    ``basis`` may also be a sequence of bases, scanned over the same box as
-    one stack, which takes no shift: each basis is reduced as alone, their
-    row ranges are laid out end to end, and every row and cell carries its
-    basis's coefficients, so a stack costs a few numpy calls however many
-    bases it holds.  A stack returns a fifth array, ``owner``, the index of
-    each point's basis; the points of basis t are the slice owner == t,
-    equal value for value and in order to the scan of basis t alone.  A
-    single basis keeps scalar coefficients and returns no owner.  More than
-    DEFAULT_CELL_BUDGET rows or cells (over the whole stack; the constant is
-    read at each call) raises ResourceLimitError.
+    ``basis`` may also be a list of bases, each a Mat2 or its four entries
+    (a, b, c, d), scanned over the same box as one stack, which takes no
+    shift: the stack is reduced and bounded in one vectorised pass
+    (_lagrange_stack), each basis as if alone, their row ranges are laid
+    out end to end, and every row and cell carries its basis's
+    coefficients, so a stack costs a few numpy calls however many bases it
+    holds.  A stack returns a fifth array, ``owner``, the index of each
+    point's basis; the points of basis t are the slice owner == t, equal
+    value for value and in order to the scan of basis t alone.  A single
+    basis keeps scalar coefficients and lagrange_reduce, which is faster
+    for one, and returns no owner.  More than DEFAULT_CELL_BUDGET rows or
+    cells (over the whole stack; the constant is read at each call) raises
+    ResourceLimitError.
     """
     stacked = not isinstance(basis, Mat2)
     if stacked and shift is not None:
         raise ValueError("a stack of bases takes no shift")
-    bases = list(basis) if stacked else [basis]
     sx, sy = (0.0, 0.0) if shift is None else map(float, shift)
     xlo, xhi, ylo, yhi = float(xlo), float(xhi), float(ylo), float(yhi)
-    coefs, us, los, his, span = [], [], [], [], 0
-    for g in bases:
-        red, u = lagrange_reduce(g.to_float())
+    if stacked:
+        g = np.array([e.to_float().entries() if isinstance(e, Mat2) else e for e in basis],
+                     dtype=float).reshape(-1, 4)
+        red, us = _lagrange_stack(g)
+        # iterate the coefficient of the column with smaller |x|
+        flip = np.abs(red[:, 1]) < np.abs(red[:, 0])
+        red[flip] = red[flip][:, [1, 0, 3, 2]]
+        us[flip] = us[flip][:, [1, 0, 3, 2]]
+        a, b, c, d = red.T
+        det = a * d - b * c
+        ivals = [(d * x - b * y) / det for x in (xlo, xhi) for y in (ylo, yhi)]
+        los = np.floor(np.minimum.reduce(ivals)) - 1
+        spans = np.ceil(np.maximum.reduce(ivals)) + 1 - los
+        if not spans.sum() <= DEFAULT_CELL_BUDGET:
+            raise ResourceLimitError(f"coefficient range {spans.sum():.0f} exceeds "
+                                     f"the enumeration budget {DEFAULT_CELL_BUDGET}")
+        los, nrows = los.astype(np.int64), spans.astype(np.int64) + 1
+        owner = np.repeat(np.arange(len(g)), nrows)
+        i = _ragged(los, nrows, int(nrows.sum()))
+        a, b, c, d = red[owner].T
+    else:
+        red, u = lagrange_reduce(basis.to_float())
         a, b, c, d = red.entries()
         if abs(b) < abs(a):  # iterate the coefficient of the column with smaller |x|
             a, b, c, d = b, a, d, c
@@ -118,25 +175,10 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
         det = a * d - b * c
         ivals = [(d * (x - sx) - b * (y - sy)) / det for x in (xlo, xhi) for y in (ylo, yhi)]
         ilo, ihi = math.floor(min(ivals)) - 1, math.ceil(max(ivals)) + 1
-        span += ihi - ilo
-        if span > DEFAULT_CELL_BUDGET:
-            raise ResourceLimitError(f"coefficient range {span} exceeds "
+        if ihi - ilo > DEFAULT_CELL_BUDGET:
+            raise ResourceLimitError(f"coefficient range {ihi - ilo} exceeds "
                                      f"the enumeration budget {DEFAULT_CELL_BUDGET}")
-        coefs.append((a, b, c, d))
-        us.append(u)
-        los.append(ilo)
-        his.append(ihi)
-    if stacked:
-        coefs = np.array(coefs, dtype=float).reshape(-1, 4)
-        us = np.array(us, dtype=np.int64).reshape(-1, 4)
-        los = np.array(los, dtype=np.int64)
-        nrows = np.array(his, dtype=np.int64) - los + 1
-        owner = np.repeat(np.arange(len(bases)), nrows)
-        i = _ragged(los, nrows, int(nrows.sum()))
-        a, b, c, d = coefs[owner].T
-    else:
-        (a, b, c, d), u = coefs[0], us[0]
-        i = np.arange(los[0], his[0] + 1, dtype=np.int64)
+        i = np.arange(ilo, ihi + 1, dtype=np.int64)
     # b != 0 (it is the larger |x| of a basis), so the x-constraint bounds j;
     # a zero or tiny d puts nan or huge y-bounds on j, handled below
     with np.errstate(all="ignore"):
@@ -164,7 +206,7 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
     js = _ragged(j0, lens, total)
     if stacked:
         owner = np.repeat(owner, lens)
-        a, b, c, d = coefs[owner].T
+        a, b, c, d = red[owner].T
     x = a * rows + b * js + sx
     y = c * rows + d * js + sy
     keep = (x >= xlo - margin) & (x <= xhi + margin) \
@@ -209,6 +251,26 @@ class UnimodularLattice(PointSystem):
     def act(self, g: Mat2) -> "UnimodularLattice":
         return UnimodularLattice(g @ self.basis, self.tag)
 
+    def shear_stack(self, slopes):
+        """PointSystem.shear_stack; a float lattice gives the bases of
+        shear(s) @ basis as one float (n, 4) array of rows
+        (a, b, c - s a, d - s b), which axis_hits takes in place of a list
+        of lattices.  Every row is held to __post_init__'s determinant test
+        at once: |det - 1| <= DET_TOL max(1, |row|^2), else ValueError."""
+        if self.is_exact():
+            return super().shear_stack(slopes)
+        a, b, c, d = map(float, self.basis.entries())
+        s = np.asarray(slopes, dtype=float)
+        stack = np.empty((len(s), 4))
+        stack[:, 0], stack[:, 1], stack[:, 2], stack[:, 3] = a, b, c - s * a, d - s * b
+        det = a * stack[:, 3] - b * stack[:, 2]
+        tol = DET_TOL * np.maximum(1.0, (stack * stack).sum(axis=1))
+        bad = np.flatnonzero(np.abs(det - 1.0) > tol)
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"basis determinant {det[t]} is not 1 within {tol[t]}")
+        return stack
+
     # -- enumeration ------------------------------------------------------
 
     def exact_rows(self, region: Region) -> Optional[ExactRows]:
@@ -246,32 +308,50 @@ class UnimodularLattice(PointSystem):
         """Primitive points in the region.
 
         Exact bases decide strip and ball membership on int numerators
-        (see exact_rows) and build exact vectors only for the points found.
+        (see exact_rows) and build exact vectors only for the points found;
+        float bases decide strip membership on arrays (see float_columns).
         """
         rows = self.exact_rows(region)
         if rows is not None:
             return rows.points()
-        _, _, x, y = _primitive_scan(self.basis, region)
-        points = map(Vec2, x.tolist(), y.tolist())
         if isinstance(region, VerticalStrip):
-            return [v for v in points if 0 < v.x <= region.eta and 0 <= v.y <= region.height]
-        return list(filter(region.contains, points))
+            x, y = self.float_columns(region)
+            return list(map(Vec2, x.tolist(), y.tolist()))
+        _, _, x, y = _primitive_scan(self.basis, region)
+        return list(filter(region.contains, map(Vec2, x.tolist(), y.tolist())))
+
+    def float_columns(self, region: Region):
+        """Float bases in a VerticalStrip: the primitive points as float
+        arrays (x, y) straight from the scan, kept by 0 < x <= eta and
+        0 <= y <= height in numpy (against the largest floats <= eta and
+        height, so an exact eta is compared exactly).  None otherwise."""
+        if self.is_exact() or not isinstance(region, VerticalStrip):
+            return None
+        _, _, x, y = _primitive_scan(self.basis, region)
+        keep = (x > 0) & (x <= _float_floor(region.eta)) \
+            & (y >= 0) & (y <= _float_floor(region.height))
+        return x[keep], y[keep]
 
     @classmethod
     def axis_hits(cls, systems, radius: float, tols) -> list[bool]:
-        """PointSystem.axis_hits; float lattices answer from one stacked scan
-        of the box |x| <= radius, |y| <= max(tols), whose columns take the
+        """PointSystem.axis_hits; float lattices, or a float stack of their
+        basis rows from shear_stack, answer from one stacked scan of the
+        box |x| <= radius, |y| <= max(tols), whose columns take the
         definition's tests (primitive, Ball.contains, _on_axis with each
         system's tol).  A point's floats do not depend on the box, so the
         answers are those of the ball scan; the cell budget counts the whole
         stack.  Other lists (an exact basis, a system that is not a lattice)
         take the definition."""
-        if not systems or not all(isinstance(s, UnimodularLattice) and not s.is_exact()
-                                  for s in systems):
+        if len(systems) == 0:
+            return []
+        if isinstance(systems, np.ndarray):
+            bases = list(systems)
+        elif all(isinstance(s, UnimodularLattice) and not s.is_exact() for s in systems):
+            bases = [s.basis for s in systems]
+        else:
             return super().axis_hits(systems, radius, tols)
         tols = np.asarray(tols, dtype=float)
-        m, k, x, y, owner = coefficient_scan([s.basis for s in systems], -radius, radius,
-                                             -tols.max(), tols.max(),
+        m, k, x, y, owner = coefficient_scan(bases, -radius, radius, -tols.max(), tols.max(),
                                              margin=1e-6 * max(1.0, radius))
         hit = (np.gcd(m, k) == 1) & (x * x + y * y <= radius ** 2) & (x != 0) \
             & (np.abs(y) <= tols[owner]) & (np.abs(x) <= radius)
@@ -297,6 +377,12 @@ def _primitive_scan(basis: Mat2, region: Region):
     scan = coefficient_scan(basis, *box, margin=margin)
     primitive = np.gcd(scan[0], scan[1]) == 1
     return tuple(col[primitive] for col in scan)
+
+
+def _float_floor(value) -> float:
+    """The largest float <= value, an exact or float scalar."""
+    f = float(value)
+    return math.nextafter(f, -math.inf) if f > value else f
 
 
 def _floor_times(value, d: int) -> int:

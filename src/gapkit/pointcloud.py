@@ -14,12 +14,16 @@ hits the "horizontally short" transversal.  slopes_in_strip and
 hitting_times compute the two sides of that equality through different code
 paths, and their agreement is the load-bearing invariant of this module.
 hitting_times verifies its candidates by one yes/no question per sheared
-system, PointSystem.axis_hits, which float lattices answer as a stack.
+system, PointSystem.axis_hits, asked of the sequence PointSystem.shear_stack
+gives: a list of act(shear(s)) systems by default, one float array of
+sheared bases for a float lattice, which axis_hits answers as a stack.
 
 Exact systems may hand the strip loop their points as ExactRows: int
 numerator pairs (X, Y) over one common denominator, membership already
 decided in ints; Fraction slopes and points are built only for the rows
-returned.  Every slope order, float too, is one float-first sort
+returned.  Float lattices hand it float arrays (x, y) (float_columns),
+whose slopes y / x are ordered as arrays; a Vec2 is built only for a point
+strip_points returns.  Every slope order, float too, is one float-first sort
 (_float_first): a stable sort by a float f with an error bound err, and
 keys compared only inside runs of overlapping intervals [f - err, f + err].
 Int rows pass the correctly rounded Y / X with err = 0 (rounding is
@@ -89,9 +93,19 @@ class PointSystem:
         an exact int form for that region; None otherwise."""
         return None
 
+    def float_columns(self, region: Region) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The points in the region as float arrays (x, y), when the system
+        is float and holds them as columns; None otherwise."""
+        return None
+
     def act(self, g: Mat2) -> "PointSystem":
         """The system attached to the transformed state g.x."""
         raise NotImplementedError
+
+    def shear_stack(self, slopes):
+        """The systems shear(s).x, one per slope, as a sequence that this
+        class's axis_hits answers: here the list of act(shear(s))."""
+        return [self.act(shear(s)) for s in slopes]
 
 
 @dataclass(frozen=True)
@@ -164,7 +178,13 @@ def _collapse(rows: list) -> list:
     if rows and is_exact(rows[0][0]):
         return _collapse_exact(rows)
     f = np.fromiter(map(itemgetter(0), rows), dtype=float, count=len(rows))
-    return [rows[i] for i in _float_first(f, 5e-13 * np.maximum(1.0, np.abs(f)), lambda i: 0)]
+    return [rows[i] for i in _float_order(f)]
+
+
+def _float_order(f: np.ndarray) -> list[int]:
+    """_float_first of float slopes with err = 5e-13 max(1, |f|) and one
+    key: each run of overlapping intervals keeps its first index."""
+    return _float_first(f, 5e-13 * np.maximum(1.0, np.abs(f)), lambda i: 0)
 
 
 def _float_first(f: np.ndarray, err, key) -> list[int]:
@@ -215,12 +235,22 @@ def _slope_order(rows: ExactRows, cut: float) -> list:
     return [(xs[at[i]], ys[at[i]]) for i in kept]
 
 
+def _column_order(x: np.ndarray, y: np.ndarray, cut: float) -> np.ndarray:
+    """Float strip columns with slope y / x <= cut in slope order, ties
+    collapsed as _collapse does, as an (m, 3) array of rows (slope, x, y)."""
+    f = y / x
+    at = f <= cut
+    rows = np.stack((f[at], x[at], y[at]), axis=1)
+    return rows[_float_order(rows[:, 0])]
+
+
 def _strip_rows(system: PointSystem, eta, n: int):
     """The growing-height strip loop behind strip_points.
 
-    Returns (rows, exact): the first n rows in slope order, as (slope, point)
-    pairs when ``exact`` is None, else as (x, y) int rows of the ExactRows
-    ``exact``.
+    Returns (rows, exact): the first n rows in slope order, as (x, y) int
+    rows of the ExactRows ``exact``, else as an (n, 3) float array of rows
+    (slope, x, y) for a system with float_columns, else as (slope, point)
+    pairs.
     """
     _check_positive(eta, "eta")
     height = float(eta) * max(4.0, 4.0 * n)
@@ -228,11 +258,13 @@ def _strip_rows(system: PointSystem, eta, n: int):
         cut = height / float(eta)
         strip = VerticalStrip(eta, height)
         exact = system.exact_rows(strip)
-        if exact is None:
+        if exact is not None:
+            rows = _slope_order(exact, cut)
+        elif (cols := system.float_columns(strip)) is not None:
+            rows = _column_order(*cols, cut)
+        else:
             pairs = ((slope(v), v) for v in system.enumerate_points(strip))
             rows = _collapse([r for r in pairs if float(r[0]) <= cut])
-        else:
-            rows = _slope_order(exact, cut)
         if len(rows) >= n:
             return rows[:n], exact
         if height >= DEFAULT_HEIGHT_BUDGET:
@@ -242,10 +274,12 @@ def _strip_rows(system: PointSystem, eta, n: int):
         height *= 2.0
 
 
-def _slopes(rows: list, exact: Optional[ExactRows]) -> tuple:
-    if exact is None:
-        return tuple(s for s, _ in rows)
-    return tuple(Fraction(y, x) for x, y in rows)
+def _slopes(rows, exact: Optional[ExactRows]) -> tuple:
+    if exact is not None:
+        return tuple(Fraction(y, x) for x, y in rows)
+    if isinstance(rows, np.ndarray):
+        return tuple(rows[:, 0].tolist())
+    return tuple(s for s, _ in rows)
 
 
 def strip_points(system: PointSystem, eta, n: int) -> list:
@@ -258,9 +292,11 @@ def strip_points(system: PointSystem, eta, n: int) -> list:
     raises ExhaustionError carrying the partial SlopeSequence.
     """
     rows, exact = _strip_rows(system, eta, n)
-    if exact is None:
-        return rows
-    return [(Fraction(y, x), exact.point(x, y)) for x, y in rows]
+    if exact is not None:
+        return [(Fraction(y, x), exact.point(x, y)) for x, y in rows]
+    if isinstance(rows, np.ndarray):
+        return [(s, Vec2(x, y)) for s, x, y in rows.tolist()]
+    return rows
 
 
 def slopes_in_strip(system: PointSystem, eta, n: int) -> SlopeSequence:
@@ -276,17 +312,17 @@ def gaps(seq: SlopeSequence) -> GapSequence:
     return GapSequence(tuple(t - s for s, t in zip(seq.slopes, seq.slopes[1:])))
 
 
-def _has_axis_vector(systems: list, eta, tols: list) -> list[bool]:
+def _has_axis_vector(cls, systems, eta, tols) -> list[bool]:
     """Bounded search for a horizontal vector of length <= eta,
     one answer per system (``tols[t]`` is the float zero test of system t);
-    the systems are asked in chunks through the first one's axis_hits, so
-    the memory of a call does not grow with their number."""
+    the systems, a sequence from cls.shear_stack, are asked in chunks
+    through cls.axis_hits, so the memory of a call does not grow with their
+    number."""
     _check_positive(eta, "eta")
     radius = float(eta) * (1 + 1e-12)
     chunk = max(1, AXIS_CHUNK_CELLS // math.ceil(2 * radius + 5) ** 2)
     return [hit for lo in range(0, len(systems), chunk)
-            for hit in type(systems[0]).axis_hits(systems[lo:lo + chunk], radius,
-                                                  tols[lo:lo + chunk])]
+            for hit in cls.axis_hits(systems[lo:lo + chunk], radius, tols[lo:lo + chunk])]
 
 
 def _on_axis(v: Vec2, tol: float, radius: float) -> bool:
@@ -301,7 +337,7 @@ def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bo
     that sheared the system by s should scale it by |s|, which is how much
     the shear amplifies coordinate rounding.  Exact systems ignore it.
     """
-    return _has_axis_vector([system], eta, [tol])[0]
+    return _has_axis_vector(type(system), [system], eta, [tol])[0]
 
 
 def hitting_times(system: PointSystem, eta, n: int) -> list:
@@ -310,13 +346,17 @@ def hitting_times(system: PointSystem, eta, n: int) -> list:
     Candidates come from the strip slopes; each one is then verified through
     the independent route: apply the shear to the system and test shortness
     by enumeration.  Candidates failing verification are dropped, so any
-    disagreement with slopes_in_strip is observable.  The candidates are
-    asked in chunks of about AXIS_CHUNK_CELLS scan cells through
-    PointSystem.axis_hits, which answers float lattices from one stacked
-    scan; per-system enumeration remains the definition, so the result is
-    the candidates for which is_horizontally_short holds.
+    disagreement with slopes_in_strip is observable.  The sheared systems
+    come from system.shear_stack(slopes): a float lattice builds them as one
+    float array of bases (a, b, c - s a, d - s b) from its own basis, so
+    the check stays independent of the strip points.  They are asked in
+    chunks of about AXIS_CHUNK_CELLS scan cells through axis_hits, which
+    answers a float stack from one stacked scan; per-system enumeration
+    remains the definition, so the result is the candidates s for which
+    is_horizontally_short(system.act(shear(s)), eta, AXIS_TOL max(1, |s|))
+    holds.
     """
     slopes = slopes_in_strip(system, eta, n).slopes
-    sheared = [system.act(shear(s)) for s in slopes]
-    tols = [AXIS_TOL * max(1.0, abs(float(s))) for s in slopes]
-    return list(compress(slopes, _has_axis_vector(sheared, eta, tols)))
+    tols = AXIS_TOL * np.maximum(1.0, np.abs(np.asarray(slopes, dtype=float)))
+    hits = _has_axis_vector(type(system), system.shear_stack(slopes), eta, tols)
+    return list(compress(slopes, hits))

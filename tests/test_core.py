@@ -164,6 +164,15 @@ class TestGoldenNum:
         assert is_exact(PHI) and is_exact(Fraction(1, 2)) and is_exact(3)
         assert not is_exact(0.5) and not is_exact(True)
 
+    @settings.get_profile("gapkit")
+    @given(st.integers() | st.booleans() | st.fractions() | golden_nums | st.floats()
+           | st.floats(allow_nan=False).map(np.float64)
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+    def test_is_exact_keeps_its_definition(self, x):
+        # the float shortcut answers as the isinstance test did
+        want = isinstance(x, (int, Fraction, GoldenNum)) and not isinstance(x, bool)
+        assert is_exact(x) == want
+
 
 class TestRegions:
     def test_strip_membership(self):

@@ -1,8 +1,10 @@
 """Property tests: the coefficient-scan kernel against a brute-force scan of
 the whole integer coefficient box, on random exact rational lattices; the
 exact int-numerator strip order against a brute-force Fraction sort; a
-stacked scan of many float bases against one scan per basis, and the axis
-test of float lattices against per-lattice enumeration; strip slopes
+stacked scan of many float bases against one scan per basis, the stacked
+Lagrange reduction against lagrange_reduce, the axis test of float
+lattices against per-lattice enumeration, and hitting times from the
+candidate stack against one sheared lattice per candidate; strip slopes
 under an SL(2, Z) change of basis; the return times of the transversal
 orbit against the strip slope gaps; the float first order of exact
 scalar slopes against an exact sort; and the float slope collapse against
@@ -16,14 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gapkit import pointcloud
+from gapkit import lattice, pointcloud
 from gapkit.affine import AffineLattice
-from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, shear, slope
+from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, rotation, shear, slope
 from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
                             slope_gaps_fast)
-from gapkit.pointcloud import (ExactRows, PointSystem, gaps, is_horizontally_short,
-                               slopes_in_strip, strip_points)
+from gapkit.pointcloud import (ExactRows, PointSystem, gaps, hitting_times,
+                               is_horizontally_short, slopes_in_strip, strip_points)
 
 SETTINGS = settings.get_profile("gapkit")
 
@@ -221,6 +223,62 @@ def test_stacked_scan_matches_scan_per_basis(bases, box):
             assert np.array_equal(got[owner == t], want)
     with pytest.raises(ValueError, match="no shift"):
         coefficient_scan(bases, *box, shift=(0.5, 0.5))
+
+
+sheared_bases = st.builds(lambda s, g: shear(s) @ g, st.floats(-1e3, 1e3), float_bases())
+
+
+@SETTINGS
+@given(st.lists(float_bases() | sheared_bases, min_size=1, max_size=8))
+@example([Mat2(1.0, 0.0, -1e-300, 1.0), Mat2(1.0, 0.0, 0.0, 1.0)])
+# mu rounds to -0.0 beside a live row: the column (-0.0, 2.0) keeps its sign
+@example([Mat2(0.5, -0.0, -0.05, 2.0), Mat2(1.0, 1.0, 0.0, 1.0)])
+def test_stacked_reduction_matches_lagrange_reduce(bases):
+    # one vectorised loop over the stack, bit for bit the loop of each basis
+    red, u = lattice._lagrange_stack(np.array([g.entries() for g in bases], dtype=float))
+    assert red.dtype == float and u.dtype == np.int64
+    for t, g in enumerate(bases):
+        want, want_u = lattice.lagrange_reduce(g)
+        assert red[t].tolist() == list(want.entries())
+        assert np.signbit(red[t]).tolist() == [math.copysign(1.0, e) < 0 for e in want.entries()]
+        assert tuple(u[t].tolist()) == want_u
+
+
+@SETTINGS
+@given(float_bases(), st.floats(0.1, 1.4), st.floats(0.25, 3.0), st.integers(1, 40))
+def test_hitting_times_match_the_definition(g, theta, eta, n):
+    # the stack of sheared bases against one sheared lattice per candidate;
+    # the rotation leaves no vertical vector, so every strip fills
+    flat = UnimodularLattice(rotation(theta) @ g)
+    slopes = slopes_in_strip(flat, eta, n).slopes
+    want = [s for s in slopes
+            if is_horizontally_short(flat.act(shear(s)), eta,
+                                     pointcloud.AXIS_TOL * max(1.0, abs(s)))]
+    assert hitting_times(flat, eta, n) == want
+    stack = flat.shear_stack(slopes)
+    assert stack.tolist() == [list(flat.act(shear(s)).basis.entries()) for s in slopes]
+
+
+@SETTINGS
+@given(st.floats(-1e3, 1e3), st.sampled_from([1e-6, 1e-3, 0.5]))
+def test_a_stack_row_off_unimodular_raises(s, err):
+    # a basis whose determinant is 1 + err, built past __post_init__; the
+    # stack raises where a lattice built from that row would
+    off = Mat2(1.0 + err, 0.0, 0.0, 1.0)
+    lat = object.__new__(UnimodularLattice)
+    object.__setattr__(lat, "basis", off)
+
+    def raises(build):
+        try:
+            build()
+        except ValueError as e:
+            assert "is not 1 within" in str(e)
+            return True
+        return False
+
+    assert raises(lambda: lat.shear_stack([s])) == raises(
+        lambda: UnimodularLattice(shear(s) @ off))
+    assert raises(lambda: lat.shear_stack([s, 0.0]))  # the unsheared row is off
 
 
 @st.composite

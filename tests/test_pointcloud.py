@@ -199,6 +199,9 @@ class PerturbedLattice(UnimodularLattice):
             g = shear(self.bad + 1e-3)
         return UnimodularLattice(g @ self.basis)
 
+    def shear_stack(self, slopes):
+        return super().shear_stack([s + 1e-3 if s == self.bad else s for s in slopes])
+
 
 class PerSystem(PointSystem):
     """A lattice behind the default, per-system axis_hits."""
