@@ -45,6 +45,20 @@ m = (|a| + |b| phi)^2 + (|c| + |d| phi)^2, so only the points within
 2^-48 (m + R^2 D^2) of the sphere, or past the float range, go to the
 exact test ``_zin_ball``, which takes R^2 D^2 as an int fraction and runs
 on Python ints.
+
+The exit of a sub-cone's middle ray is the first hit edge of least num/den:
+its one hit edge when it has one, else picked in floats (``_ExactOps.exits``).
+With fn, fd the ``core.zphi_float`` of num and den and en, ed their
+``core.zphi_float_error``, |fd| > ed gives den the sign of fd and
+|num/den - fn/fd| <= (en + |fn/fd| ed)/(|fd| - ed).  So q = fl(fn/fd) lies
+within w = (1 + 2^-48)(en + |q| ed)/(|fd| - ed) + 2^-48 |q| + 2^-1000 of
+num/den, formed in floats (w is infinite where |fd| <= ed), with room for
+the roundings of q, w and q +- w and for underflow.  A row whose least q has
+q + w below q - w of every other hit edge exits by that edge.  The other
+rows, those with exact or near ties among them, and every row of an object
+wave past the floats go to the ordered scan ``_ordered_exits``, which
+compares the quotients exactly; so do all rows of a float surface, whose
+FLOAT_EPS "nearer" rule is not an order to sort by.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ from .core import (_PHI, GoldenNum, Vec2, common_denominator, zphi_float, zphi_f
                    zphi_sign)
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
-from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _ball_rsq
+from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _angle, _ball_rsq
 
 
 def _sign(x):
@@ -130,6 +144,22 @@ def _checked(s, x, doubt):
     return s
 
 
+def _ordered_exits(ops, num, den, sden, hit):
+    """The first hit edge of least num/den in each row, by an ordered scan
+    of the edges with the sign rule of ``ops``; -1 in a row with no hit."""
+    best = np.full(len(hit), -1)
+    bnum, bden = num[:, 0], den[:, 0]  # read only once best >= 0
+    bsign = np.zeros(len(hit))
+    for k in range(hit.shape[1]):
+        nearer = hit[:, k] & ((best < 0) | (ops.sign(num[:, k] * bden - bnum * den[:, k])
+                                           * sden[:, k] * bsign < 0))
+        best[nearer] = k
+        bnum = ops.where(nearer, num[:, k], bnum)
+        bden = ops.where(nearer, den[:, k], bden)
+        bsign = np.where(nearer, sden[:, k], bsign)
+    return best
+
+
 class _FloatOps:
     """Float arithmetic: float64 arrays and the FLOAT_EPS sign rule.
 
@@ -179,10 +209,20 @@ class _FloatOps:
     def route(wave):
         return wave
 
+    def exits(self, num, den, sden, hit):
+        """The exit edge of each row: the ordered scan, whose FLOAT_EPS
+        "nearer" rule is not an order that floats could sort by."""
+        return _ordered_exits(self, num, den, sden, hit)
+
     def emit(self, x, y):
         """The ball mask of the points (x, y) and the holonomies inside."""
         ball = x * x + y * y <= self.rsq
         return ball, [Vec2(u, v) for u, v in zip(x[ball].tolist(), y[ball].tolist())]
+
+    @staticmethod
+    def keys(x, y):
+        """The sort keys float(length_sq) and angle of the holonomies (x, y)."""
+        return x * x + y * y, list(map(_angle, x.tolist(), y.tolist()))
 
 
 def _zphi_coeffs(x):
@@ -195,7 +235,7 @@ def _zphi_value(a, b, d):
     if b == 0:
         return a // d if a % d == 0 else Fraction(a, d)
     if d == 1:
-        return GoldenNum(a, b)
+        return GoldenNum._raw(a, b)  # int coefficients need no normalizing
     return GoldenNum(Fraction(a, d), Fraction(b, d))
 
 
@@ -212,6 +252,17 @@ def _zin_ball(p, rsq_num, rsq_den):
 
 def _zholonomy(p, d):
     return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
+
+
+def _zkeys(p, d):
+    """float(length_sq) and the angle of ``_zholonomy(p, d)``, bit for bit:
+    the float of a rational or GoldenNum value is that of the correctly
+    rounded int quotients of its coefficients, as a/d is."""
+    a, b, c, e = p
+    dd = d * d
+    return (zphi_float((a * a + b * b + c * c + e * e) / dd,
+                       (2 * a * b + b * b + 2 * c * e + e * e) / dd),
+            _angle(zphi_float(a / d, b / d), zphi_float(c / d, e / d)))
 
 
 class _ExactOps:
@@ -313,6 +364,43 @@ class _ExactOps:
                                 for f in ("tx", "ty", "lx", "ly", "rx", "ry")},
                              entry=entry)
 
+    def exits(self, num, den, sden, hit):
+        """The exit edge of each row, the first hit edge of least num/den:
+        the one hit edge of a row that has one, ``_nearest`` of the others."""
+        best = hit.argmax(1)
+        rows = np.flatnonzero(np.count_nonzero(hit, 1) != 1)
+        if len(rows):
+            best[rows] = self._nearest(num[rows], den[rows], sden[rows], hit[rows])
+        return best
+
+    def _nearest(self, num, den, sden, hit):
+        """``exits`` decided in floats where the bound of the module docstring
+        separates the least quotient from the others, by the ordered scan
+        elsewhere."""
+        try:
+            a, b, c, d = (v.astype(float) for v in (num.a, num.b, den.a, den.b))
+        except OverflowError:  # past the floats: every row is scanned
+            return _ordered_exits(self, num, den, sden, hit)
+        best = np.full(len(hit), -1)
+        with np.errstate(all="ignore"):  # the bound covers underflow; inf and nan decide nothing
+            fd, ed = zphi_float(c, d), zphi_float_error(c, d)
+            q = np.where(hit, zphi_float(a, b) / fd, np.inf)
+            r = np.abs(q)
+            # half-widths: infinite where den's float lies within its error of 0
+            w = (zphi_float_error(a, b) + r * ed) / np.maximum(np.abs(fd) - ed, 0.0) \
+                * (1.0 + 2.0 ** -48) + 2.0 ** -48 * r + 2.0 ** -1000
+            pick = q.argmin(1)
+            at = (np.arange(len(q)), pick)
+            hi = q[at] + w[at]
+            # decided: every other edge's lower bound lies above the pick's upper one
+            above = np.where(hit, q - w, np.inf) > hi[:, None]
+            sure = np.count_nonzero(above, 1) == hit.shape[1] - 1
+        best[sure] = pick[sure]
+        rest = np.flatnonzero(~sure)
+        if len(rest):
+            best[rest] = _ordered_exits(self, num[rest], den[rest], sden[rest], hit[rest])
+        return best
+
     def emit(self, x, y):
         """The ball mask of the points (x, y) and the holonomies inside: the
         float test, and ``_zin_ball`` within its error band (module
@@ -330,6 +418,11 @@ class _ExactOps:
         inside = np.flatnonzero(ball)
         points = zip(*(v[inside].tolist() for v in cols))
         return ball, [_zholonomy(p, self.d) for p in points]
+
+    def keys(self, x, y):
+        """The sort keys float(length_sq) and angle of the holonomies (x, y)."""
+        keys = [_zkeys(p, self.d) for p in zip(*(v.tolist() for v in (x.a, x.b, y.a, y.b)))]
+        return [k[0] for k in keys], [k[1] for k in keys]
 
 
 class _Wave(NamedTuple):
@@ -369,8 +462,12 @@ class Waves:
     interior emitted vertices, prunes sub-cones whose window lies beyond the
     radius, and continues each through the edge its middle ray exits by:
     per-state vertex work as (states, n) arrays, the ragged splits and
-    sub-cones laid end to end with ``_ragged``.  Python loops run only over
-    the n polygon edges, for the ordered nearest-exit scan.  The waves hold
+    sub-cones laid end to end with ``_ragged``.  On an exact surface a
+    sub-cone exits by its one hit edge, or by the nearest one that a float
+    pass over the quotients of all its edges proves; the Python loop over
+    the n polygon edges, the ordered nearest-exit scan, runs only for the
+    rows that pass leaves undecided, and for every row of a float surface.
+    The waves hold
     the states in the queue order of a state-by-state search, so the
     connections come out in its discovery order (states in BFS order, the
     vertices of each state in index order).
@@ -385,10 +482,11 @@ class Waves:
         self.reach = _window_reach(radius)
 
     def run(self) -> list[SaddleConnection]:
-        """The connections in order of discovery; a development of more than
-        ``surface.DEFAULT_STATE_BUDGET`` states raises ResourceLimitError
-        carrying those of the waves completed before the one that would
-        overrun it."""
+        """The connections in order of discovery, their sort keys left in
+        ``keys`` as float arrays (float(length_sq), angle); a development of
+        more than ``surface.DEFAULT_STATE_BUDGET`` states raises
+        ResourceLimitError carrying those of the waves completed before the
+        one that would overrun it."""
         wave, links, found, states = self._first_wave(), [], [], 0
         while len(wave.il):
             states += len(wave.il)
@@ -398,6 +496,7 @@ class Waves:
                     partial=_connections(links, found))
             links.append((wave.parent, wave.edge))
             wave = self._step(self.ops.route(wave), found)
+        self.keys = [np.concatenate(k, dtype=float) for k in zip(*(k for *_, k in found))]
         return _connections(links, found)
 
     def _first_wave(self) -> _Wave:
@@ -441,8 +540,9 @@ class Waves:
 
     def _step(self, wave: _Wave, found: list) -> _Wave:
         """Process every state of the wave; append its emitted vertices to
-        ``found`` as (state indices, holonomies) and return the next wave."""
-        ops, n, nxt = self.ops, self.n, self.nxt
+        ``found`` as (state indices, holonomies, sort keys) and return the
+        next wave."""
+        ops, nxt = self.ops, self.nxt
         count = len(wave.il)
         px, py = ops.bx + wave.tx[:, None], ops.by + wave.ty[:, None]
         qx, qy = px[:, nxt], py[:, nxt]
@@ -478,7 +578,7 @@ class Waves:
         cs, cv = cs[free], cv[free]
         x, y = px[cs, cv], py[cs, cv]
         ball, hols = ops.emit(x, y)
-        found.append((cs[ball].tolist(), hols))
+        found.append((cs[ball].tolist(), hols, ops.keys(x[ball], y[ball])))
 
         # first singularities terminate rays: interior ones split the cone
         inner = interior[cs, cv]
@@ -523,16 +623,7 @@ class Waves:
         sides = ops.sign(mx * py[own] - my * px[own])
         num, den, sden, hit = self._ray_hits(entry, own, mx, my, edges)
         hit &= ~((sides == 0) & (sides[:, nxt] == 0)) & (sides * sides[:, nxt] <= 0)
-        best = np.full(len(own), -1)
-        bnum, bden = num[:, 0], den[:, 0]  # read only once best >= 0
-        bsign = np.zeros(len(own))
-        for k in range(n):
-            nearer = hit[:, k] & ((best < 0) | (ops.sign(num[:, k] * bden - bnum * den[:, k])
-                                               * sden[:, k] * bsign < 0))
-            best[nearer] = k
-            bnum = ops.where(nearer, num[:, k], bnum)
-            bden = ops.where(nearer, den[:, k], bden)
-            bsign = np.where(nearer, sden[:, k], bsign)
+        best = ops.exits(num, den, sden, hit)
         if (best < 0).any():
             raise RuntimeError("development ray found no exit edge")
 
@@ -580,18 +671,34 @@ def _window_min_radius(own, e1x, e1y, e2x, e2y, lx, ly, rx, ry):
     return np.minimum(low, np.where(seen, np.hypot(fx, fy), np.inf))
 
 
+def _key_order(conns, lsq, angle) -> list[int]:
+    """The indices of ``conns`` in order of (float(length_sq), angle, path),
+    given ``Waves.keys``: one stable lexsort, then one sort by (run, path,
+    index) of the positions in runs of equal keys."""
+    order = np.lexsort((angle, lsq))
+    lsq, angle = lsq[order], angle[order]
+    tie = (lsq[1:] == lsq[:-1]) & (angle[1:] == angle[:-1])
+    run = np.cumsum(np.concatenate(([True], ~tie))).tolist()
+    at = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False]))).tolist()
+    order = order.tolist()
+    tied = sorted((run[p], conns[order[p]].path, order[p]) for p in at)
+    for p, (_, _, i) in zip(at, tied):
+        order[p] = i
+    return order
+
+
 def _connections(links, found) -> list[SaddleConnection]:
     """The connections of the completed waves in discovery order.  A path is
     its state's chain of crossings, built wave by wave only for the states
     that lead to an emitted vertex."""
     links = [(parent.tolist(), edge.tolist()) for parent, edge in links[1:]]
-    need = [set(states) for states, _ in found]
+    need = [set(states) for states, *_ in found]
     for w in range(len(found) - 1, 0, -1):
         parent = links[w - 1][0]
         need[w - 1].update(parent[s] for s in need[w])
     paths = dict.fromkeys(need[0], ())
     out = []
-    for w, (states, hols) in enumerate(found):
+    for w, (states, hols, _) in enumerate(found):
         if w:
             parent, edge = links[w - 1]
             paths = {s: paths[parent[s]] + (edge[s],) for s in need[w]}

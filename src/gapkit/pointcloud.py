@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip, _check_positive,
-                   is_exact, shear, slope, zphi_float, zphi_float_error)
+                   is_exact, shear, slope, zphi_float, zphi_float_error, zphi_sign)
 from .errors import ExhaustionError
 
 __all__ = [
@@ -213,16 +213,35 @@ def _collapse_exact(rows: list) -> list:
     A slope a + b phi becomes the float ``core.zphi_float`` of the floats of
     its coefficients, within ``core.zphi_float_error`` of it.  Equal slopes
     have equal coefficients, hence equal floats.  Slopes beyond the float
-    range make one run, sorted exactly.
+    range have nan floats and make one run, sorted exactly.
     """
-    parts = [(s.a, s.b) if isinstance(s, GoldenNum) else (s, 0) for s, _ in rows]
-    try:
-        fa, fb = np.array(parts, dtype=float).T
-    except OverflowError:
-        f, err = np.zeros(len(rows)), math.inf
-    else:
-        f, err = zphi_float(fa, fb), zphi_float_error(fa, fb)
+    _, fa, fb = _zphi_floats(s for s, _ in rows)
+    f, err = zphi_float(fa, fb), zphi_float_error(fa, fb)
     return [rows[i] for i in _float_first(f, err, lambda i: rows[i][0])]
+
+
+def _zphi_floats(values):
+    """The coefficient pairs (a, b) of scalars a + b phi (GoldenNum, or any
+    other scalar with b = 0) and their floats as two arrays, every float nan
+    when one coefficient lies past the float range."""
+    parts = [(v.a, v.b) if isinstance(v, GoldenNum) else (v, 0) for v in values]
+    try:
+        fa, fb = np.array(parts, dtype=float).reshape(-1, 2).T
+    except OverflowError:
+        fa = fb = np.full(len(parts), np.nan)
+    return parts, fa, fb
+
+
+def _exact_signs(values) -> np.ndarray:
+    """The exact signs of scalars (GoldenNum, int, Fraction or float): the
+    float sign where ``core.zphi_float_error`` proves it, ``zphi_sign`` on
+    the coefficients elsewhere."""
+    parts, fa, fb = _zphi_floats(values)
+    f = zphi_float(fa, fb)
+    s = np.sign(f)
+    for i in np.flatnonzero(~(np.abs(f) > zphi_float_error(fa, fb))).tolist():  # and nan
+        s[i] = zphi_sign(*parts[i])
+    return s
 
 
 def _slope_order(rows: ExactRows, cut: float) -> list:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Mat2, PHI, Region, Vec2, _check_positive, is_exact, slope
-from .pointcloud import GapSequence, PointSystem, _collapse
+from .pointcloud import GapSequence, PointSystem, _collapse, _exact_signs
 from .stats import EmpiricalDist, circular_gaps
 
 __all__ = [
@@ -77,7 +77,12 @@ class SaddleConnection:
 
     @property
     def angle(self) -> float:
-        return math.atan2(float(self.holonomy.y), float(self.holonomy.x)) % (2 * math.pi)
+        return _angle(float(self.holonomy.x), float(self.holonomy.y))
+
+
+def _angle(x: float, y: float) -> float:
+    """The direction of (x, y) in [0, 2 pi], the angle of a connection."""
+    return math.atan2(y, x) % (2 * math.pi)
 
 
 class TranslationSurface(PointSystem):
@@ -211,10 +216,10 @@ def saddle_connections(surface: TranslationSurface, radius) -> tuple[SaddleConne
             rsq = Fraction(key) ** 2 if surface._exact else _ball_rsq(key)
             cache[key] = tuple(c for c in cache[min(larger)] if c.length_sq <= rsq)
         else:
-            from ._waves import Waves  # loaded only once a surface develops
-            conns = Waves(surface, key).run()
-            conns.sort(key=lambda c: (float(c.length_sq), c.angle, c.path))
-            cache[key] = tuple(conns)
+            from ._waves import Waves, _key_order  # loaded only once a surface develops
+            waves = Waves(surface, key)
+            conns = waves.run()
+            cache[key] = tuple(conns[i] for i in _key_order(conns, *waves.keys))
     return cache[key]
 
 
@@ -225,7 +230,9 @@ def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:
     every gap is strictly positive.
     """
     hols = [c.holonomy for c in saddle_connections(surface, radius)]
-    rows = _collapse([(slope(v), v) for v in hols if v.x > 0 and v.y >= 0])
+    sx, sy = _exact_signs([v.x for v in hols] + [v.y for v in hols]).reshape(2, -1)
+    kept = ((sx > 0) & (sy >= 0)).nonzero()[0].tolist()
+    rows = _collapse([(slope(hols[i]), hols[i]) for i in kept])
     if len(rows) < 2:
         raise ValueError("need at least two slopes to form gaps")
     return GapSequence(tuple(b - a for (a, _), (b, _) in zip(rows, rows[1:])))

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapkit import _waves, surface
-from gapkit.core import GoldenNum, Mat2, shear, zphi_float, zphi_sign
+from gapkit import _waves, pointcloud, surface
+from gapkit.core import PHI, GoldenNum, Mat2, shear, slope, zphi_float, zphi_sign
 from gapkit.errors import ResourceLimitError
-from gapkit.surface import golden_l, l_shape, saddle_connections
+from gapkit.surface import golden_l, l_shape, saddle_connections, sc_slope_gaps
 
 SETTINGS = settings.get_profile("gapkit")
 
@@ -227,6 +227,31 @@ def test_radius_cache_matches_a_fresh_development(alpha, beta, radii):
         assert keys == sorted(keys)
 
 
+@SETTINGS
+@given(sides, sides, st.sampled_from(["float", "exact", "golden"]))
+def test_slope_gaps_match_the_first_quadrant_comprehension(alpha, beta, kind):
+    surf = {"float": lambda: l_shape(float(alpha), float(beta)),
+            "exact": lambda: l_shape(alpha, beta),
+            "golden": lambda: l_shape(alpha + PHI, beta)}[kind]()
+    hols = [c.holonomy for c in saddle_connections(surf, 4.0)]
+    rows = pointcloud._collapse([(slope(v), v) for v in hols if v.x > 0 and v.y >= 0])
+    assert list(sc_slope_gaps(surf, 4.0).gaps) == [b - a for (a, _), (b, _) in zip(rows, rows[1:])]
+
+
+@SETTINGS
+@given(st.integers(1, 90), st.integers(-1, 1), st.booleans(),
+       st.sampled_from([1, Fraction(1, 3), 2 ** 1100]))
+def test_holonomy_signs_are_exact(n, da, negate, scale):
+    # F(n+1) - F(n) phi = (1 - phi)^n lies within its float error from about
+    # n = 38; scaled past the floats, every sign is taken exactly
+    a, b = (fibonacci(n + 1) + da) * scale, -fibonacci(n) * scale
+    if negate:
+        a, b = -a, -b
+    values = [GoldenNum(a, b), a, b, -float(n), 0.0, 5e-324]
+    assert pointcloud._exact_signs(values).tolist() == \
+        [GoldenNum(a, b).sign(), zphi_sign(a, 0), zphi_sign(b, 0), -1, 0, 1]
+
+
 GOLDEN = golden_l()
 SOURCE_RADIUS = 5.0  # covers radius 2 after any map below (|g^-1| <= 2.45)
 
@@ -256,3 +281,135 @@ def test_exact_diagonal_equivariance(s):
     hols = exact_equivariance(Mat2(s, 0, 0, 1 / s))
     # a common denominator D > 1: rational parts come out as Fractions
     assert any(isinstance(x, Fraction) for hol in hols for x in hol)
+
+
+# -- the nearest exit of the exact waves, float first ------------------------
+
+def exact_exits(num, den, hit):
+    """The first hit edge of least num/den in each row, by GoldenNum
+    division and comparison; -1 in a row with no hit."""
+    out = []
+    for row_num, row_den, row_hit in zip(num, den, hit):
+        best, least = -1, None
+        for k, (n, d, h) in enumerate(zip(row_num, row_den, row_hit)):
+            q = GoldenNum(*n) / GoldenNum(*d) if h else None
+            if h and (least is None or q < least):
+                best, least = k, q
+        out.append(best)
+    return out
+
+
+def exit_columns(num, den, hit, dtype):
+    """An exact wave's arithmetic with every sign checked, and its columns
+    (num, den, sign of den, hit) for rows of Z[phi] pairs (a, b)."""
+    ops = _waves._ExactOps(golden_l(), 1.0)
+    ops.proven = False
+    num, den_z = (_waves._Z(*(np.array([[p[i] for p in row] for row in col], dtype)
+                              for i in (0, 1))) for col in (num, den))
+    sden = np.array([[zphi_sign(*d) for d in row] for row in den], np.int8)
+    return ops, (num, den_z, sden, np.array(hit, bool))
+
+
+def wave_exits(num, den, hit, dtype):
+    """The exits an exact wave picks and those of its ordered scan alone."""
+    ops, columns = exit_columns(num, den, hit, dtype)
+    return ops.exits(*columns).tolist(), _waves._ordered_exits(ops, *columns).tolist()
+
+
+def scaled(p, m):
+    """p times the Z[phi] element m."""
+    x = GoldenNum(*p) * GoldenNum(*m)
+    return x.a, x.b
+
+
+@st.composite
+def exit_rows(draw):
+    """(num, den, hit, dtype): rows of random quotients over n edges, with
+    exact ties (an earlier edge's pair times one Z[phi] element, whose first
+    edge must win), near ties F(k+1)/F(k) against phi, and denominators
+    with float errors near or past their size; int64 keeps every product
+    of the ordered scan inside int64, object rows reach past the floats."""
+    dtype = draw(st.sampled_from([np.int64, object]))
+    big = draw(st.sampled_from([2 ** 26] if dtype is np.int64 else [2 ** 26, 2 ** 70, 2 ** 1030]))
+    top = 43 if dtype is np.int64 else 90  # F(44) < 2^30
+    n, rows = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    coeff, small = st.integers(-big, big), st.integers(-2, 2)
+    num, den, hit = [], [], []
+    for _ in range(rows):
+        rn, rd, rh = [], [], []
+        for k in range(n):
+            kind = draw(st.sampled_from(["random", "near", "small"] + ["tie"] * (k > 0)))
+            if kind == "random":
+                p, d = (draw(coeff), draw(coeff)), (draw(coeff), draw(coeff))
+            elif kind == "small":  # den = +-((1 - phi)^i + j): large float errors
+                i, j = draw(st.integers(20, top)), draw(st.integers(0, 1))
+                sign = draw(st.sampled_from([1, -1]))
+                p = (draw(coeff), draw(coeff))
+                d = (sign * (fibonacci(i + 1) + j), -sign * fibonacci(i))
+            elif kind == "tie":
+                j, m = draw(st.integers(0, k - 1)), (draw(small), draw(small))
+                if m == (0, 0):
+                    m = (1, 0)
+                p, d = scaled(rn[j], m), scaled(rd[j], m)
+            else:  # F(k+1)/F(k), or phi itself, which it approximates
+                i = draw(st.integers(20, top))
+                p, d = draw(st.sampled_from([((fibonacci(i + 1), 0), (fibonacci(i), 0)),
+                                             ((0, 1), (1, 0))]))
+            rn.append(p)
+            rd.append(d)
+            rh.append(d != (0, 0) and draw(st.booleans()))
+        num.append(rn)
+        den.append(rd)
+        hit.append(rh)
+    return num, den, hit, dtype
+
+
+@settings(SETTINGS, max_examples=150)
+@given(exit_rows())
+@example(([[(fibonacci(41), 0), (0, 1)]], [[(fibonacci(40), 0), (1, 0)]],
+          [[True, True]], np.int64))  # F(41)/F(40) > phi by less than the floats see
+@example(([[(fibonacci(42), 0), (0, 1)]], [[(fibonacci(41), 0), (1, 0)]],
+          [[True, True]], np.int64))  # F(42)/F(41) < phi: the second edge wins
+@example(([[(3, 1), (6, 2), (1, 0)]], [[(2, 0), (4, 0), (9, 0)]],
+          [[True, True, False]], np.int64))  # an exact tie: the first edge wins
+@example(([[(2 ** 1030, 0), (1, 0)]], [[(2 ** 1031, 0), (1, 0)]],
+          [[True, True]], object))  # past the floats
+@example(([[(0, 15 * 10 ** 307), (1, 0)]], [[(1, 0), (1, 0)]],
+          [[True, True]], object))  # b phi overflows to inf
+@example(([[(1, 0), (1, 0)]], [[(fibonacci(79), -fibonacci(78)), (1, 0)]],
+          [[True, True]], object))  # den = phi^-78 > 0 has the float -2.0
+@example(([[(1, 0), (1, 0)]],
+          [[(fibonacci(79), -fibonacci(78)), (fibonacci(72) + 1, -fibonacci(71))]],
+          [[True, True]], object))  # and against a quotient near 1 with a wide interval
+def test_float_first_exit_is_the_ordered_scan(rows):
+    num, den, hit, dtype = rows
+    with np.errstate(all="raise"):  # the waves guard every overflow they allow
+        picked, scanned = wave_exits(num, den, hit, dtype)
+    assert picked == scanned == exact_exits(num, den, hit)
+
+
+def test_exit_rows_the_floats_cannot_order_reach_the_scan(monkeypatch):
+    # F(k+1)/F(k) against phi: |F(k+1)/F(k) - phi| ~ phi^-2k, which the
+    # floats see for small k and not for large k, whose rows the scan decides
+    scanned, scan = [], _waves._ordered_exits
+
+    def spy(ops, num, den, sden, hit):
+        scanned.extend(den.a[:, 0].tolist())
+        return scan(ops, num, den, sden, hit)
+
+    monkeypatch.setattr(_waves, "_ordered_exits", spy)
+    ks = range(2, 44)
+    num = [[(fibonacci(k + 1), 0), (0, 1)] for k in ks]
+    den = [[(fibonacci(k), 0), (1, 0)] for k in ks]
+    ops, columns = exit_columns(num, den, [[True, True]] * len(ks), np.int64)
+    # odd k: F(k+1)/F(k) < phi, so the first edge wins; even k: the second
+    assert ops.exits(*columns).tolist() == [1 - k % 2 for k in ks]
+    assert not {fibonacci(k) for k in range(2, 12)} & set(scanned)
+    assert {fibonacci(k) for k in range(35, 44)} <= set(scanned)
+
+
+def test_golden_development_never_scans(monkeypatch):
+    # every exit of the golden L is decided in floats
+    monkeypatch.setattr(_waves, "_ordered_exits",
+                        mock.Mock(side_effect=AssertionError("an exit went to the scan")))
+    assert len(_waves.Waves(golden_l(), 10.0).run()) == 768
