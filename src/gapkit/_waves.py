@@ -70,8 +70,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import surface
-from .core import (_PHI, GoldenNum, Vec2, common_denominator, zphi_float, zphi_float_error,
-                   zphi_sign)
+from .core import (_PHI, GoldenNum, Vec2, _zphi_coeffs, common_denominator, zphi_float,
+                   zphi_float_error, zphi_sign)
 from .errors import ResourceLimitError
 from .pointcloud import _ragged
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _angle, _ball_rsq
@@ -223,11 +223,6 @@ class _FloatOps:
     def keys(x, y):
         """The sort keys float(length_sq) and angle of the holonomies (x, y)."""
         return x * x + y * y, list(map(_angle, x.tolist(), y.tolist()))
-
-
-def _zphi_coeffs(x):
-    """Rational (a, b) with x = a + b*phi."""
-    return (x.a, x.b) if isinstance(x, GoldenNum) else (x, 0)
 
 
 def _zphi_value(a, b, d):

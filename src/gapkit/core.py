@@ -50,6 +50,12 @@ def zphi_sign(a, b):
     return (rhs > lhs) - (rhs < lhs)
 
 
+def _zphi_coeffs(x):
+    """The rational coefficients (a, b) of x = a + b*phi: a GoldenNum's own,
+    (x, 0) for any other scalar."""
+    return (x.a, x.b) if isinstance(x, GoldenNum) else (x, 0)
+
+
 def zphi_float(a, b):
     """The float a + b*phi from the floats (or int arrays) a, b of the coefficients."""
     return a + b * _PHI

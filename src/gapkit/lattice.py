@@ -13,18 +13,17 @@ Fraction slopes and exact points are built only for the rows a caller
 receives.  A point is primitive exactly when its coefficient pair is
 coprime, which is basis-independent.
 
-The kernel also scans a stack of bases over one box in the same few numpy
-calls, returning the owner of each point; the stack is Lagrange-reduced by
-one vectorised loop (_lagrange_stack) that gives every basis the entries
-lagrange_reduce gives it alone.  A float lattice hands
-pointcloud.hitting_times its candidates as one such stack
-(UnimodularLattice.shear_stack): the float (n, 4) array of sheared bases
-(a, b, c - s a, d - s b), held to the determinant test in one pass, with
-no lattice built per slope.  UnimodularLattice.axis_hits asks the stack
-whether each basis holds a short horizontal vector: one stacked scan of a
-thin box around the axis, its columns tested in numpy; enumerating each
-lattice's ball stays the definition.  Float strips come out of the scan as
-x, y arrays (UnimodularLattice.float_columns), with no Vec2 per point.
+The kernel also scans a float (n, 4) stack of bases over one box in the
+same few numpy calls, returning the owner of each point; the stack is
+Lagrange-reduced by one vectorised loop (_lagrange_stack) that gives every
+basis the entries lagrange_reduce gives it alone.  A float lattice verifies
+pointcloud.hitting_times's candidates with one such stack
+(UnimodularLattice.axis_hits): the sheared bases (a, b, c - s a, d - s b),
+held to the determinant test in one pass, with no lattice built per slope,
+scanned in a thin box around the axis and their columns tested in numpy;
+the base class's enumeration of each sheared lattice's ball stays the
+definition.  Float strips come out of the scan as x, y arrays
+(UnimodularLattice.float_columns), with no Vec2 per point.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -46,7 +45,8 @@ from . import bcz
 from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive,
                    common_denominator, is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
-from .pointcloud import ExactRows, GapSequence, PointSystem, _ragged, strip_points
+from .pointcloud import (ExactRows, GapSequence, PointSystem, _axis_radius, _ragged,
+                         strip_points)
 from .stats import rng
 
 __all__ = [
@@ -59,6 +59,11 @@ DET_TOL = 1e-12
 # rows and cells one coefficient scan may visit; a cell costs about 65 bytes
 # of temporary arrays, so a scan at the cap peaks near 1.3 GB
 DEFAULT_CELL_BUDGET = 20_000_000
+# cells of one stacked scan in UnimodularLattice.axis_hits, at most about
+# 17 MB of scan temporaries: an eta-ball scan of a unit-scale lattice visits
+# about (2 eta + 5)^2 cells, more than a thin axis box, so one scan takes
+# 2**18 // that many sheared bases
+AXIS_CHUNK_CELLS = 2 ** 18
 
 
 def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
@@ -127,29 +132,26 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
     every point in the box widened by ``margin``.  Exact callers rebuild
     the points from m, k and decide membership exactly.
 
-    ``basis`` may also be a list of bases, each a Mat2 or its four entries
-    (a, b, c, d), scanned over the same box as one stack, which takes no
-    shift: the stack is reduced and bounded in one vectorised pass
-    (_lagrange_stack), each basis as if alone, their row ranges are laid
-    out end to end, and every row and cell carries its basis's
-    coefficients, so a stack costs a few numpy calls however many bases it
-    holds.  A stack returns a fifth array, ``owner``, the index of each
-    point's basis; the points of basis t are the slice owner == t, equal
-    value for value and in order to the scan of basis t alone.  A single
-    basis keeps scalar coefficients and lagrange_reduce, which is faster
-    for one, and returns no owner.  More than DEFAULT_CELL_BUDGET rows or
-    cells (over the whole stack; the constant is read at each call) raises
-    ResourceLimitError.
+    ``basis`` may also be a float (n, 4) array of bases, rows (a, b, c, d),
+    scanned over the same box as one stack, which takes no shift: the stack
+    is reduced and bounded in one vectorised pass (_lagrange_stack), each
+    basis as if alone, their row ranges are laid out end to end, and every
+    row and cell carries its basis's coefficients, so a stack costs a few
+    numpy calls however many bases it holds.  A stack returns a fifth
+    array, ``owner``, the index of each point's basis; the points of basis
+    t are the slice owner == t, equal value for value and in order to the
+    scan of basis t alone.  A single basis keeps scalar coefficients and
+    lagrange_reduce, which is faster for one, and returns no owner.  More
+    than DEFAULT_CELL_BUDGET rows or cells (over the whole stack; the
+    constant is read at each call) raises ResourceLimitError.
     """
-    stacked = not isinstance(basis, Mat2)
+    stacked = isinstance(basis, np.ndarray)
     if stacked and shift is not None:
         raise ValueError("a stack of bases takes no shift")
     sx, sy = (0.0, 0.0) if shift is None else map(float, shift)
     xlo, xhi, ylo, yhi = float(xlo), float(xhi), float(ylo), float(yhi)
     if stacked:
-        g = np.array([e.to_float().entries() if isinstance(e, Mat2) else e for e in basis],
-                     dtype=float).reshape(-1, 4)
-        red, us = _lagrange_stack(g)
+        red, us = _lagrange_stack(basis)
         # iterate the coefficient of the column with smaller |x|
         flip = np.abs(red[:, 1]) < np.abs(red[:, 0])
         red[flip] = red[flip][:, [1, 0, 3, 2]]
@@ -163,7 +165,7 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
             raise ResourceLimitError(f"coefficient range {spans.sum():.0f} exceeds "
                                      f"the enumeration budget {DEFAULT_CELL_BUDGET}")
         los, nrows = los.astype(np.int64), spans.astype(np.int64) + 1
-        owner = np.repeat(np.arange(len(g)), nrows)
+        owner = np.repeat(np.arange(len(basis)), nrows)
         i = _ragged(los, nrows, int(nrows.sum()))
         a, b, c, d = red[owner].T
     else:
@@ -251,26 +253,6 @@ class UnimodularLattice(PointSystem):
     def act(self, g: Mat2) -> "UnimodularLattice":
         return UnimodularLattice(g @ self.basis, self.tag)
 
-    def shear_stack(self, slopes):
-        """PointSystem.shear_stack; a float lattice gives the bases of
-        shear(s) @ basis as one float (n, 4) array of rows
-        (a, b, c - s a, d - s b), which axis_hits takes in place of a list
-        of lattices.  Every row is held to __post_init__'s determinant test
-        at once: |det - 1| <= DET_TOL max(1, |row|^2), else ValueError."""
-        if self.is_exact():
-            return super().shear_stack(slopes)
-        a, b, c, d = map(float, self.basis.entries())
-        s = np.asarray(slopes, dtype=float)
-        stack = np.empty((len(s), 4))
-        stack[:, 0], stack[:, 1], stack[:, 2], stack[:, 3] = a, b, c - s * a, d - s * b
-        det = a * stack[:, 3] - b * stack[:, 2]
-        tol = DET_TOL * np.maximum(1.0, (stack * stack).sum(axis=1))
-        bad = np.flatnonzero(np.abs(det - 1.0) > tol)
-        if bad.size:
-            t = bad[0]
-            raise ValueError(f"basis determinant {det[t]} is not 1 within {tol[t]}")
-        return stack
-
     # -- enumeration ------------------------------------------------------
 
     def exact_rows(self, region: Region) -> Optional[ExactRows]:
@@ -332,30 +314,43 @@ class UnimodularLattice(PointSystem):
             & (y >= 0) & (y <= _float_floor(region.height))
         return x[keep], y[keep]
 
-    @classmethod
-    def axis_hits(cls, systems, radius: float, tols) -> list[bool]:
-        """PointSystem.axis_hits; float lattices, or a float stack of their
-        basis rows from shear_stack, answer from one stacked scan of the
-        box |x| <= radius, |y| <= max(tols), whose columns take the
+    def axis_hits(self, slopes, eta, tols) -> list[bool]:
+        """PointSystem.axis_hits; a float lattice stacks the bases of
+        shear(s) @ basis as one float (n, 4) array of rows
+        (a, b, c - s a, d - s b), every row held to __post_init__'s
+        determinant test at once (|det - 1| <= DET_TOL max(1, |row|^2),
+        else ValueError).  Chunks of about AXIS_CHUNK_CELLS cells each take
+        one stacked scan of the box |x| <= r, |y| <= max(tols), r the radius
+        is_horizontally_short searches, and its columns take the
         definition's tests (primitive, Ball.contains, _on_axis with each
-        system's tol).  A point's floats do not depend on the box, so the
-        answers are those of the ball scan; the cell budget counts the whole
-        stack.  Other lists (an exact basis, a system that is not a lattice)
-        take the definition."""
-        if len(systems) == 0:
-            return []
-        if isinstance(systems, np.ndarray):
-            bases = list(systems)
-        elif all(isinstance(s, UnimodularLattice) and not s.is_exact() for s in systems):
-            bases = [s.basis for s in systems]
-        else:
-            return super().axis_hits(systems, radius, tols)
+        row's tol).  A point's floats do not depend on the box, so the
+        answers are those of the ball scan.  An exact lattice takes the
+        definition."""
+        if self.is_exact():
+            return super().axis_hits(slopes, eta, tols)
+        radius = _axis_radius(eta)
+        a, b, c, d = map(float, self.basis.entries())
+        s = np.asarray(slopes, dtype=float)
+        stack = np.empty((len(s), 4))
+        stack[:, 0], stack[:, 1], stack[:, 2], stack[:, 3] = a, b, c - s * a, d - s * b
+        det = a * stack[:, 3] - b * stack[:, 2]
+        tol = DET_TOL * np.maximum(1.0, (stack * stack).sum(axis=1))
+        bad = np.flatnonzero(np.abs(det - 1.0) > tol)
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"basis determinant {det[t]} is not 1 within {tol[t]}")
         tols = np.asarray(tols, dtype=float)
-        m, k, x, y, owner = coefficient_scan(bases, -radius, radius, -tols.max(), tols.max(),
-                                             margin=1e-6 * max(1.0, radius))
-        hit = (np.gcd(m, k) == 1) & (x * x + y * y <= radius ** 2) & (x != 0) \
-            & (np.abs(y) <= tols[owner]) & (np.abs(x) <= radius)
-        return (np.bincount(owner[hit], minlength=len(systems)) > 0).tolist()
+        chunk = max(1, AXIS_CHUNK_CELLS // math.ceil(2 * radius + 5) ** 2)
+        hits = []
+        for lo in range(0, len(s), chunk):
+            ytol = tols[lo:lo + chunk]
+            m, k, x, y, owner = coefficient_scan(stack[lo:lo + chunk], -radius, radius,
+                                                 -ytol.max(), ytol.max(),
+                                                 margin=1e-6 * max(1.0, radius))
+            hit = (np.gcd(m, k) == 1) & (x * x + y * y <= radius ** 2) & (x != 0) \
+                & (np.abs(y) <= ytol[owner]) & (np.abs(x) <= radius)
+            hits += (np.bincount(owner[hit], minlength=len(ytol)) > 0).tolist()
+        return hits
 
 
 def _primitive_scan(basis: Mat2, region: Region):

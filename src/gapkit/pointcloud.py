@@ -13,10 +13,11 @@ so the sorted strip slopes coincide with the times at which the shear flow
 hits the "horizontally short" transversal.  slopes_in_strip and
 hitting_times compute the two sides of that equality through different code
 paths, and their agreement is the load-bearing invariant of this module.
-hitting_times verifies its candidates by one yes/no question per sheared
-system, PointSystem.axis_hits, asked of the sequence PointSystem.shear_stack
-gives: a list of act(shear(s)) systems by default, one float array of
-sheared bases for a float lattice, which axis_hits answers as a stack.
+hitting_times verifies its candidates through one hook,
+PointSystem.axis_hits(slopes, eta, tols): is shear(s).x eta-horizontally
+short, for each candidate s?  The base class answers by the definition,
+is_horizontally_short of each act(shear(s)); a float lattice answers from
+one stacked scan of its sheared bases (lattice.UnimodularLattice).
 
 Exact systems may hand the strip loop their points as ExactRows: int
 numerator pairs (X, Y) over one common denominator, membership already
@@ -34,7 +35,6 @@ themselves with err = 5e-13 max(1, |f|) and one key, so a run is one slope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Ball, GoldenNum, Mat2, Region, Vec2, VerticalStrip, _check_positive,
+from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive, _zphi_coeffs,
                    is_exact, shear, slope, zphi_float, zphi_float_error, zphi_sign)
 from .errors import ExhaustionError
 
@@ -55,11 +55,6 @@ __all__ = [
 
 # |y| below this counts as horizontal for float systems (exact systems use 0)
 AXIS_TOL = 1e-9
-
-# cells of one axis_hits call in _has_axis_vector, at most about 17 MB of scan
-# temporaries: an eta-ball scan of a unit-scale lattice visits about (2 eta +
-# 5)^2 cells, more than a thin axis box, so a call takes 2**18 // that many
-AXIS_CHUNK_CELLS = 2 ** 18
 
 # strip heights grow geometrically up to this height before giving up
 DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
@@ -80,13 +75,12 @@ class PointSystem:
         """All points of the set inside a bounded region (order unspecified)."""
         raise NotImplementedError
 
-    @classmethod
-    def axis_hits(cls, systems, radius: float, tols) -> list[bool]:
-        """For each of ``systems``: does its ball of ``radius`` hold a point
-        on the horizontal axis, by _on_axis with ``tols[t]``?  This is the
-        definition; a class may answer many systems at once."""
-        return [any(_on_axis(v, tol, radius) for v in s.enumerate_points(Ball(radius)))
-                for s, tol in zip(systems, tols)]
+    def axis_hits(self, slopes, eta, tols) -> list[bool]:
+        """For each time s of ``slopes``: is the sheared system shear(s).x
+        eta-horizontally short, with ``tols[t]`` the float zero test of
+        time t?  This is the definition; a class may answer all at once."""
+        return [is_horizontally_short(self.act(shear(s)), eta, tol)
+                for s, tol in zip(slopes, tols)]
 
     def exact_rows(self, region: Region) -> Optional["ExactRows"]:
         """The points in the region as int numerators, when the system has
@@ -101,11 +95,6 @@ class PointSystem:
     def act(self, g: Mat2) -> "PointSystem":
         """The system attached to the transformed state g.x."""
         raise NotImplementedError
-
-    def shear_stack(self, slopes):
-        """The systems shear(s).x, one per slope, as a sequence that this
-        class's axis_hits answers: here the list of act(shear(s))."""
-        return [self.act(shear(s)) for s in slopes]
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,7 @@ def _zphi_floats(values):
     """The coefficient pairs (a, b) of scalars a + b phi (GoldenNum, or any
     other scalar with b = 0) and their floats as two arrays, every float nan
     when one coefficient lies past the float range."""
-    parts = [(v.a, v.b) if isinstance(v, GoldenNum) else (v, 0) for v in values]
+    parts = list(map(_zphi_coeffs, values))
     try:
         fa, fb = np.array(parts, dtype=float).reshape(-1, 2).T
     except OverflowError:
@@ -331,17 +320,11 @@ def gaps(seq: SlopeSequence) -> GapSequence:
     return GapSequence(tuple(t - s for s, t in zip(seq.slopes, seq.slopes[1:])))
 
 
-def _has_axis_vector(cls, systems, eta, tols) -> list[bool]:
-    """Bounded search for a horizontal vector of length <= eta,
-    one answer per system (``tols[t]`` is the float zero test of system t);
-    the systems, a sequence from cls.shear_stack, are asked in chunks
-    through cls.axis_hits, so the memory of a call does not grow with their
-    number."""
+def _axis_radius(eta) -> float:
+    """The radius eta (1 + 1e-12) whose ball is searched for a horizontal
+    vector of length <= eta, after checking eta."""
     _check_positive(eta, "eta")
-    radius = float(eta) * (1 + 1e-12)
-    chunk = max(1, AXIS_CHUNK_CELLS // math.ceil(2 * radius + 5) ** 2)
-    return [hit for lo in range(0, len(systems), chunk)
-            for hit in cls.axis_hits(systems[lo:lo + chunk], radius, tols[lo:lo + chunk])]
+    return float(eta) * (1 + 1e-12)
 
 
 def _on_axis(v: Vec2, tol: float, radius: float) -> bool:
@@ -356,26 +339,22 @@ def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bo
     that sheared the system by s should scale it by |s|, which is how much
     the shear amplifies coordinate rounding.  Exact systems ignore it.
     """
-    return _has_axis_vector(type(system), [system], eta, [tol])[0]
+    radius = _axis_radius(eta)
+    return any(_on_axis(v, tol, radius) for v in system.enumerate_points(Ball(radius)))
 
 
 def hitting_times(system: PointSystem, eta, n: int) -> list:
     """Times s >= 0 at which the sheared state shear(s).x is eta-horizontally short.
 
     Candidates come from the strip slopes; each one is then verified through
-    the independent route: apply the shear to the system and test shortness
-    by enumeration.  Candidates failing verification are dropped, so any
-    disagreement with slopes_in_strip is observable.  The sheared systems
-    come from system.shear_stack(slopes): a float lattice builds them as one
-    float array of bases (a, b, c - s a, d - s b) from its own basis, so
-    the check stays independent of the strip points.  They are asked in
-    chunks of about AXIS_CHUNK_CELLS scan cells through axis_hits, which
-    answers a float stack from one stacked scan; per-system enumeration
-    remains the definition, so the result is the candidates s for which
+    the independent route, system.axis_hits: shear the system and test
+    shortness with the tolerance AXIS_TOL max(1, |s|).  Candidates failing
+    verification are dropped, so any disagreement with slopes_in_strip is
+    observable.  The result is the candidates s for which
     is_horizontally_short(system.act(shear(s)), eta, AXIS_TOL max(1, |s|))
-    holds.
+    holds; a float lattice answers from its own basis, sheared as one
+    float stack, so the check stays independent of the strip points.
     """
     slopes = slopes_in_strip(system, eta, n).slopes
     tols = AXIS_TOL * np.maximum(1.0, np.abs(np.asarray(slopes, dtype=float)))
-    hits = _has_axis_vector(type(system), system.shear_stack(slopes), eta, tols)
-    return list(compress(slopes, hits))
+    return list(compress(slopes, system.axis_hits(slopes, eta, tols)))

@@ -2,17 +2,18 @@
 the whole integer coefficient box, on random exact rational lattices; the
 exact int-numerator strip order against a brute-force Fraction sort; a
 stacked scan of many float bases against one scan per basis, the stacked
-Lagrange reduction against lagrange_reduce, the axis test of float
-lattices against per-lattice enumeration, and hitting times from the
-candidate stack against one sheared lattice per candidate; strip slopes
-under an SL(2, Z) change of basis; the return times of the transversal
-orbit against the strip slope gaps; the float first order of exact
-scalar slopes against an exact sort; and the float slope collapse against
-a reference sort-and-compare loop, on random lists and float lattice
-strips."""
+Lagrange reduction against lagrange_reduce, the axis test of a float
+lattice's sheared bases against enumerating each sheared lattice, and
+hitting times from the candidate stack against one sheared lattice per
+candidate; strip slopes under an SL(2, Z) change of basis; the return
+times of the transversal orbit against the strip slope gaps; the float
+first order of exact scalar slopes against an exact sort; and the float
+slope collapse against a reference sort-and-compare loop, on random lists
+and float lattice strips."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,7 +215,8 @@ boxes = st.one_of(
 # a nearly horizontal column puts a row's y-bound for j near 1e300
 @example([Mat2(1.0, 0.0, -1e-300, 1.0), Mat2(1.0, 0.0, 0.0, 1.0)], (-1.0, 1.0, -1.0, 1.0))
 def test_stacked_scan_matches_scan_per_basis(bases, box):
-    m, k, x, y, owner = coefficient_scan(bases, *box, margin=1e-6)
+    stack = np.array([g.entries() for g in bases], dtype=float)
+    m, k, x, y, owner = coefficient_scan(stack, *box, margin=1e-6)
     assert np.all(np.diff(owner) >= 0)
     for t, g in enumerate(bases):
         one = coefficient_scan(g, *box, margin=1e-6)
@@ -222,7 +224,7 @@ def test_stacked_scan_matches_scan_per_basis(bases, box):
             assert got.dtype == want.dtype
             assert np.array_equal(got[owner == t], want)
     with pytest.raises(ValueError, match="no shift"):
-        coefficient_scan(bases, *box, shift=(0.5, 0.5))
+        coefficient_scan(stack, *box, shift=(0.5, 0.5))
 
 
 sheared_bases = st.builds(lambda s, g: shear(s) @ g, st.floats(-1e3, 1e3), float_bases())
@@ -254,16 +256,25 @@ def test_hitting_times_match_the_definition(g, theta, eta, n):
     want = [s for s in slopes
             if is_horizontally_short(flat.act(shear(s)), eta,
                                      pointcloud.AXIS_TOL * max(1.0, abs(s)))]
-    assert hitting_times(flat, eta, n) == want
-    stack = flat.shear_stack(slopes)
+    scans = []
+
+    def spy(basis, *args, **kwargs):
+        scans.append(basis)
+        return scan(basis, *args, **kwargs)
+
+    scan = lattice.coefficient_scan
+    with mock.patch.object(lattice, "coefficient_scan", spy):
+        assert hitting_times(flat, eta, n) == want
+    # the stacked rows are the bases of the sheared lattices
+    stack = np.concatenate([b for b in scans if isinstance(b, np.ndarray)])
     assert stack.tolist() == [list(flat.act(shear(s)).basis.entries()) for s in slopes]
 
 
 @SETTINGS
 @given(st.floats(-1e3, 1e3), st.sampled_from([1e-6, 1e-3, 0.5]))
 def test_a_stack_row_off_unimodular_raises(s, err):
-    # a basis whose determinant is 1 + err, built past __post_init__; the
-    # stack raises where a lattice built from that row would
+    # a basis whose determinant is 1 + err, built past __post_init__; its
+    # stack of sheared bases raises where a lattice built from that row would
     off = Mat2(1.0 + err, 0.0, 0.0, 1.0)
     lat = object.__new__(UnimodularLattice)
     object.__setattr__(lat, "basis", off)
@@ -276,41 +287,49 @@ def test_a_stack_row_off_unimodular_raises(s, err):
             return True
         return False
 
-    assert raises(lambda: lat.shear_stack([s])) == raises(
+    assert raises(lambda: lat.axis_hits([s], 1.0, [1e-9])) == raises(
         lambda: UnimodularLattice(shear(s) @ off))
-    assert raises(lambda: lat.shear_stack([s, 0.0]))  # the unsheared row is off
+    assert raises(lambda: lat.axis_hits([s, 0.0], 1.0, [1e-9] * 2))  # the unsheared row is off
 
 
 @st.composite
 def axis_stacks(draw):
-    """(bases, radius, tols): float bases, some with a primitive column
-    (L, e) turned onto the vertical axis or not, L at, an ulp either side
-    of, or well inside the radius and e near the tolerances drawn."""
-    radius = draw(st.floats(0.5, 3.0))
-    tol = st.sampled_from([5e-10, 1e-9, 3e-7])
-    bases = []
-    for _ in range(draw(st.integers(1, 6))):
-        if draw(st.booleans()):
-            bases.append(draw(float_bases()))
-            continue
+    """(lattice, eta, slopes, tols): a float basis, or one with a primitive
+    column (L, e) turned onto the vertical axis or not, L at, an ulp either
+    side of, or well inside the radius that is_horizontally_short searches
+    for eta and e near the tolerances drawn; the slopes are 0, those that
+    shear a basis column onto the axis or to about a tolerance off it, and
+    a few drawn."""
+    eta = draw(st.floats(0.5, 3.0))
+    radius = pointcloud._axis_radius(eta)
+    levels = [5e-10, 1e-9, 3e-7]
+    tol = st.sampled_from(levels)
+    if draw(st.booleans()):
+        g = draw(float_bases())
+    else:
         L = draw(st.sampled_from([radius, math.nextafter(radius, 0.0),
                                   math.nextafter(radius, 9.0), radius / 2]))
         e = draw(st.sampled_from([0.0, 1.0, -1.0])) * draw(tol)
         t = draw(st.floats(-2.0, 2.0))
         g = Mat2(L, t, e, (1.0 + e * t) / L)
-        bases.append(Mat2(0, -1, 1, 0) @ g if draw(st.booleans()) else g)
-    return bases, radius, draw(st.lists(tol, min_size=len(bases), max_size=len(bases)))
+        g = Mat2(0, -1, 1, 0) @ g if draw(st.booleans()) else g
+    slopes = [0.0]
+    for x, y in ((g.a, g.c), (g.b, g.d)):
+        if x != 0 and abs(y / x) <= 1e3:
+            offsets = draw(st.lists(st.sampled_from(levels + [-v for v in levels]), max_size=2))
+            slopes += [(y - d) / x for d in [0.0] + offsets]
+    slopes += draw(st.lists(st.floats(-4.0, 4.0), max_size=3))
+    tols = draw(st.lists(tol, min_size=len(slopes), max_size=len(slopes)))
+    return UnimodularLattice(g), eta, slopes, tols
 
 
 @SETTINGS
 @given(axis_stacks())
 def test_axis_hits_match_the_definition(stack):
-    # the float lattices answer from one stacked thin scan; the base class
-    # enumerates each ball
-    bases, radius, tols = stack
-    systems = [UnimodularLattice(g) for g in bases]
-    assert UnimodularLattice.axis_hits(systems, radius, tols) == \
-        PointSystem.axis_hits(systems, radius, tols)
+    # the float lattice answers from one stacked thin scan of its sheared
+    # bases; the base class enumerates the ball of each sheared lattice
+    lat, eta, slopes, tols = stack
+    assert lat.axis_hits(slopes, eta, tols) == PointSystem.axis_hits(lat, slopes, eta, tols)
 
 
 @st.composite

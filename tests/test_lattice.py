@@ -340,9 +340,9 @@ class TestEnumerationBudget:
         # visits 45 cells, under the budget alone, the three together over it
         monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 100)
         flat = ZSQUARED.to_float()
-        assert UnimodularLattice.axis_hits([flat] * 2, 3.0, [1e-9] * 2) == [True] * 2
+        assert flat.axis_hits([0.0] * 2, 2.5, [1e-9] * 2) == [True] * 2
         with pytest.raises(ResourceLimitError):
-            UnimodularLattice.axis_hits([flat] * 3, 3.0, [1e-9] * 3)
+            flat.axis_hits([0.0] * 3, 2.5, [1e-9] * 3)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

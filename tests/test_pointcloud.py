@@ -127,7 +127,8 @@ class TestHittingTimes:
         assert hitting_times(ZSQUARED, 1, 0) == []
         # no candidate: nothing to stack
         assert hitting_times(ZSQUARED.to_float(), 1, 0) == []
-        assert UnimodularLattice.axis_hits([], 1.0, []) == []
+        assert ZSQUARED.to_float().axis_hits([], 1.0, []) == []
+        assert ZSQUARED.axis_hits([], 1, []) == []
 
     def test_matches_slopes_random_lattices(self, seeded_lattices):
         for lat in seeded_lattices[:5]:
@@ -159,9 +160,24 @@ class TestHittingTimes:
         scan = lattice.coefficient_scan
         monkeypatch.setattr(lattice, "coefficient_scan", spy)
         monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 2000)
-        monkeypatch.setattr(pointcloud, "AXIS_CHUNK_CELLS", 500)
+        monkeypatch.setattr(lattice, "AXIS_CHUNK_CELLS", 500)
         assert hitting_times(ZSQUARED.to_float(), 1, 100) == list(range(100))
-        assert [len(b) for b in scans if isinstance(b, list)] == [7] * 14 + [2]
+        assert [len(b) for b in scans if isinstance(b, np.ndarray)] == [7] * 14 + [2]
+
+    def test_a_float_lattice_builds_no_lattice_per_candidate(self, seeded_lattices,
+                                                            monkeypatch):
+        # the float route shears its own basis as one array
+        flat = seeded_lattices[2].to_float()
+        built = []
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        post_init = UnimodularLattice.__post_init__
+        monkeypatch.setattr(UnimodularLattice, "__post_init__", spy)
+        assert len(hitting_times(flat, 1, 100)) == 100
+        assert built == []
 
     @pytest.mark.parametrize("route", ["stacked", "per-system"])
     def test_drops_a_failed_candidate(self, route, seeded_lattices, monkeypatch):
@@ -180,7 +196,7 @@ class TestHittingTimes:
         scan = lattice.coefficient_scan
         monkeypatch.setattr(lattice, "coefficient_scan", spy)
         assert hitting_times(system, 1, 30) == [s for s in slopes if s != bad]
-        stacks = [b for b in scans if isinstance(b, list)]
+        stacks = [b for b in scans if isinstance(b, np.ndarray)]
         if route == "stacked":
             assert [len(b) for b in stacks] == [30]
         else:
@@ -199,8 +215,8 @@ class PerturbedLattice(UnimodularLattice):
             g = shear(self.bad + 1e-3)
         return UnimodularLattice(g @ self.basis)
 
-    def shear_stack(self, slopes):
-        return super().shear_stack([s + 1e-3 if s == self.bad else s for s in slopes])
+    def axis_hits(self, slopes, eta, tols):
+        return super().axis_hits([s + 1e-3 if s == self.bad else s for s in slopes], eta, tols)
 
 
 class PerSystem(PointSystem):

@@ -118,7 +118,7 @@ def test_float_sign_route_near_zero_fibonacci_pairs(n, da, db, negate):
 @given(st.integers(-2 ** 1030, 2 ** 1030), st.integers(-2 ** 1030, 2 ** 1030))
 @example(-15 * 10 ** 307, 15 * 10 ** 307)  # b*phi overflows to inf
 @example(2 ** 1030, 1)  # a overflows its conversion to float
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wave_sign_near_and_past_the_float_range(a, b):
     # object arrays go to the scalar zphi_sign wherever floats cannot decide
     z = _waves._Z(np.array([[a, -a]], object), np.array([[b, -b]], object))
