@@ -26,6 +26,11 @@ their roofs come out as one float64 array.  Exact roofs become Fractions
 once at the end, and the validated TransversalPoints of either kind are
 built only when ``BczOrbit.points`` is first read.  bcz_step and roof stay
 the single-step map and the independent oracle of both loops.
+
+The float functions (the float walk behind orbit and roof_sequence, and
+sample_invariant_measure) are the only ones that load numpy, inside their
+bodies: the exact route, farey_orbit_start through an exact orbit, runs on
+ints and Fractions in a process where numpy is never imported.
 """
 
 from __future__ import annotations
@@ -34,13 +39,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import _check_positive, common_denominator, is_exact
 from .errors import ResourceLimitError
-from .stats import rng
+
+if TYPE_CHECKING:  # numpy is imported by the float functions themselves
+    import numpy as np
 
 __all__ = [
     "TransversalPoint", "BczOrbit", "bcz_step", "roof", "orbit",
@@ -194,6 +199,7 @@ def _float_walk(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
             period = i + 1
             break
         append(y)
+    import numpy as np
     coords = np.array(xs)
     returns = (1.0 / (coords[:-1] * coords[1:]))[:period or n]
     return BczOrbit(returns, period, xs, None, eta)
@@ -226,6 +232,8 @@ def sample_invariant_measure(eta: float, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     _check_positive(eta, "eta")
+    import numpy as np
+    from .stats import rng
     gen = rng(seed)
     out = np.empty((n, 2))
     filled = 0

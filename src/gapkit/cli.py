@@ -7,6 +7,12 @@ configuration; nothing time- or host-dependent is ever written.
 
 Exit codes: 0 success, 2 argument/validation problems and unreadable or
 unwritable files, 3 exhaustion or resource-budget failures.
+
+Each handler imports numpy and the topic modules it uses in its own body,
+so a command loads only what it needs: farey-gaps and an exact bcz-orbit
+run without numpy.  hall, which loads numpy only when called, is imported
+at the top: perfbench's import probe reads its line in the ``-X importtime``
+output of ``import gapkit.cli``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, affine, bcz, farey, hall, lattice, stats, surface
+from . import __version__, hall
 from .core import Mat2, Vec2
 from .errors import ExhaustionError, GapkitError, ResourceLimitError
 
@@ -35,8 +39,11 @@ _BLOCK_ROWS = 4096  # CSV rows joined into one string per write
 def _cells(column):
     """The text cells of one column: a numpy array prints repr of each value,
     a range str of each index, and any other sequence p/q for a Fraction and
-    str for the rest (int, GoldenNum, Python float)."""
-    if isinstance(column, np.ndarray):
+    str for the rest (int, GoldenNum, Python float).  An array is recognised
+    through the numpy already in sys.modules: none can exist before numpy is
+    loaded, so a command that never loads it never imports it here."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(column, np.ndarray):
         return map(repr, column.tolist())
     if isinstance(column, range):
         return map(str, column)
@@ -77,6 +84,7 @@ def _meta(args, **extra) -> dict:
     # function of (config, seed, version) only
     meta = {"tool": "gapkit", "version": __version__, "command": args.command}
     if getattr(args, "seed", None) is not None:
+        from . import stats
         meta["seed"] = args.seed
         meta["rng"] = stats.RNG_ALGORITHM
     meta.update(extra)
@@ -111,12 +119,14 @@ def _finite_float(text: str) -> float:
 # metadata block and the named output columns.  main writes them.
 
 def _cmd_farey_gaps(args):
+    from . import farey
     gaps = farey.farey_gaps(args.q)
     return ({"q": args.q, "count": len(gaps)},
             {"index": range(len(gaps)), "normalized_gap": gaps})
 
 
 def _cmd_bcz_orbit(args):
+    from . import bcz
     # the start is checked exactly in both modes; the float walk takes its floats
     point = bcz.TransversalPoint(*map(_parse_scalar, (args.a, args.b, args.eta)))
     orb = bcz.orbit(point if args.exact else point.to_float(), args.steps, detect_period=True)
@@ -128,6 +138,7 @@ def _cmd_bcz_orbit(args):
 
 
 def _cmd_hall(args):
+    import numpy as np
     lo, hi = hall.kinks(args.scaling)
     ts = np.linspace(0.0, 4.0 * hi, args.grid)
     return ({"scaling": args.scaling, "grid": args.grid,
@@ -137,6 +148,7 @@ def _cmd_hall(args):
 
 
 def _cmd_lattice_gaps(args):
+    from . import lattice
     lat = lattice.seeded_lattice(args.seed)
     if args.oracle:
         from .pointcloud import gaps as gaps_of, slopes_in_strip
@@ -149,19 +161,22 @@ def _cmd_lattice_gaps(args):
             {"index": range(len(values)), "gap": values})
 
 
-def _shifted_square_lattice(shift: str) -> affine.AffineLattice:
-    """Z^2 shifted by the --shift value 'x,y'."""
+def _shifted_square_lattice(shift: str):
+    """The affine.AffineLattice Z^2 shifted by the --shift value 'x,y'."""
+    from . import affine
     sx, sy = (_scalar_to_float(part, "--shift part") for part in shift.split(","))
     return affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
 
 
 def _cmd_affine_angles(args):
+    from . import affine
     dist = affine.angle_gap_distribution(_shifted_square_lattice(args.shift), args.radius)
     return ({"shift": args.shift, "radius": args.radius, "count": dist.count},
             {"index": range(dist.count), "normalized_gap": dist.samples})
 
 
 def _cmd_wedge_p(args):
+    from . import affine
     ws = affine.empirical_p(_shifted_square_lattice(args.shift), args.sigma,
                             args.radius, args.samples, args.seed)
     return ({"sigma": args.sigma, "radius": args.radius, "samples": args.samples,
@@ -171,12 +186,15 @@ def _cmd_wedge_p(args):
 
 
 def _cmd_sqrtn(args):
+    from . import affine
     seq = affine.sqrt_mod1_gaps(args.n)
     return ({"n": args.n, "count": len(seq)},
             {"index": range(len(seq)), "normalized_gap": seq.gaps})
 
 
 def _cmd_surface_sc(args):
+    import numpy as np
+    from . import surface
     kind, _, dims = args.shape.partition(":")
     if args.shape == "golden":
         surf = surface.golden_l()
@@ -194,13 +212,15 @@ def _cmd_surface_sc(args):
 
 
 def _cmd_baseline_poisson(args):
+    from . import lattice
     seq = lattice.poisson_baseline(args.n, args.seed)
     return ({"n": args.n, "count": len(seq)},
             {"index": range(len(seq)), "normalized_gap": seq.gaps})
 
 
-def _read_column(path: str) -> np.ndarray:
-    """Last column of a gapkit CSV (or a JSON rows payload), as floats."""
+def _read_column(path: str):
+    """Last column of a gapkit CSV (or a JSON rows payload), as a float array."""
+    import numpy as np
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -230,6 +250,8 @@ def _scalar_to_float(text: str, name: str) -> float:
 
 
 def _cmd_compare(args):
+    import numpy as np
+    from . import stats
     left = stats.ecdf(_read_column(args.left))
     if args.cdf in ("hall", "hall-unnormalized"):
         scaling = "farey" if args.cdf == "hall" else "unnormalized"

@@ -18,13 +18,14 @@ with d = sqrt(1 - 4c) and u+- = (1 +- d)/2 the points where the hyperbola
 meets the line u + v = 1.  The two regime changes (hyperbola entering the
 square at t = 1, touching the line at t = 4) are exactly the points where
 the density has a corner.
+
+The module loads numpy only when one of its array functions runs, so
+importing it (as gapkit.cli does) costs no numpy import.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 __all__ = [
     "FAREY_SCALE", "region_area", "region_area_quadrature", "hall_cdf",
@@ -44,6 +45,7 @@ def _check_scaling(scaling: str):
 
 def _area_below(t):
     """F(t) as above, vectorized over t >= 0 (inf allowed)."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = np.where(t > 0, 1.0 / np.where(t > 0, t, 1.0), np.inf)
@@ -104,6 +106,7 @@ def region_area_quadrature(a: float, b: float) -> float:
 
 def hall_cdf(t, scaling: str = "farey"):
     """CDF of the limiting gap law; vectorized, 0 below the first kink."""
+    import numpy as np
     _check_scaling(scaling)
     t = np.asarray(t, dtype=float)
     arg = t * FAREY_SCALE if scaling == "farey" else t
@@ -118,6 +121,7 @@ def hall_pdf(t, scaling: str = "farey"):
     middle regime it is 2 log(t)/t^2, beyond the second kink it is
     (4/t^2) log(1/u+).
     """
+    import numpy as np
     _check_scaling(scaling)
     t = np.asarray(t, dtype=float)
     arg = t * FAREY_SCALE if scaling == "farey" else t
@@ -149,6 +153,7 @@ def detect_kinks(cdf, lo: float, hi: float, n: int = 4001) -> tuple[float, float
     the second-difference sequence mark the kinks.  Resolution is the grid
     step.
     """
+    import numpy as np
     ts = np.linspace(lo, hi, n)
     f = np.asarray(cdf(ts), dtype=float)
     d2 = f[2:] - 2.0 * f[1:-1] + f[:-2]

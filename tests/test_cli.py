@@ -406,6 +406,41 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert res.stdout.split() == ["False", "False", "False", "True"]
 
 
+# the exact Farey/BCZ route in one fresh process: each line is read after one
+# step; the three cli.main lines give exit code, numpy loaded, stdout SHA-256
+EXACT_ROUTE = """
+import hashlib, io, sys
+from contextlib import redirect_stdout
+import gapkit.bcz as bcz, gapkit.farey as farey
+print("numpy" in sys.modules)
+size = farey.farey_size(60)
+orb = bcz.orbit(bcz.farey_orbit_start(60), size + 1, detect_period=True)
+print(orb.period == size, "numpy" in sys.modules)
+from gapkit import cli
+print("numpy" in sys.modules)
+for command in sys.argv[1:]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(command.split())
+    print(code, "numpy" in sys.modules, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_exact_farey_route_leaves_numpy_unloaded():
+    """The exact Farey orbit, the CLI import, farey-gaps and an exact
+    bcz-orbit load no numpy; a float bcz-orbit in the same process then
+    loads it, and every command prints its pinned bytes."""
+    commands = ["farey-gaps --q 12", "bcz-orbit --a 1/4 --b 1 --eta 1 --steps 10 --exact",
+                "bcz-orbit --a 0.3 --b 0.9 --steps 50"]
+    res = subprocess.run([sys.executable, "-c", EXACT_ROUTE, *commands],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[:3] == ["False", "True False", "False"]
+    assert lines[3:] == [f"0 {command.endswith('50')} {PINNED_OUTPUT[command][0]}"
+                         for command in commands]
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -53,6 +53,19 @@ class TestSlopesInStrip:
         assert str(err.value) == "found 0 of 5 slopes below height 1280.0"
         assert err.value.partial == pointcloud.SlopeSequence(Fraction(1, 2), ())
 
+    def test_exhaustion_partial_holds_the_exact_slopes_found(self, monkeypatch):
+        # diag(1/3, 3) Z^2 meets the strip of width 1/3 only at x = 1/3, at
+        # slopes 9j: under the first cap, slope 36, that is 5 of the 9 asked
+        from gapkit.errors import ExhaustionError
+        lat = UnimodularLattice(Mat2(Fraction(1, 3), 0, 0, 3))
+        monkeypatch.setattr(pointcloud, "DEFAULT_HEIGHT_BUDGET", 1.0)
+        with pytest.raises(ExhaustionError) as err:
+            slopes_in_strip(lat, Fraction(1, 3), 9)
+        assert str(err.value) == "found 5 of 9 slopes below height 12.0"
+        partial = err.value.partial.slopes
+        assert partial == tuple(Fraction(9 * j) for j in range(5))
+        assert all(type(s) is Fraction for s in partial)
+
     def test_unbounded_strip_enumeration_rejected(self):
         from gapkit.core import VerticalStrip
         with pytest.raises(ValueError):
