@@ -8,11 +8,10 @@ configuration; nothing time- or host-dependent is ever written.
 Exit codes: 0 success, 2 argument/validation problems and unreadable or
 unwritable files, 3 exhaustion or resource-budget failures.
 
-Each handler imports numpy and the topic modules it uses in its own body,
-so a command loads only what it needs: farey-gaps and an exact bcz-orbit
-run without numpy.  hall, which loads numpy only when called, is imported
-at the top: perfbench's import probe reads its line in the ``-X importtime``
-output of ``import gapkit.cli``.
+farey, bcz and hall load no numpy on import and are imported at the top.
+numpy and the modules that load it on import (lattice, affine, surface,
+stats) are imported in the handlers that use them, so farey-gaps and an
+exact bcz-orbit run without numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import __version__, hall
+from . import __version__, bcz, farey, hall
 from .core import Mat2, Vec2
 from .errors import ExhaustionError, GapkitError, ResourceLimitError
 
@@ -119,14 +118,12 @@ def _finite_float(text: str) -> float:
 # metadata block and the named output columns.  main writes them.
 
 def _cmd_farey_gaps(args):
-    from . import farey
     gaps = farey.farey_gaps(args.q)
     return ({"q": args.q, "count": len(gaps)},
             {"index": range(len(gaps)), "normalized_gap": gaps})
 
 
 def _cmd_bcz_orbit(args):
-    from . import bcz
     # the start is checked exactly in both modes; the float walk takes its floats
     point = bcz.TransversalPoint(*map(_parse_scalar, (args.a, args.b, args.eta)))
     orb = bcz.orbit(point if args.exact else point.to_float(), args.steps, detect_period=True)

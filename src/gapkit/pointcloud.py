@@ -130,13 +130,7 @@ class SlopeSequence:
 
     def __post_init__(self):
         for s, t in zip(self.slopes, self.slopes[1:]):
-            # denominators of Fractions are positive, so s < t is one int
-            # cross product, cheaper than Fraction's own comparison
-            if isinstance(s, Fraction) and isinstance(t, Fraction):
-                increasing = s.numerator * t.denominator < t.numerator * s.denominator
-            else:
-                increasing = t > s
-            if not increasing:
+            if not t > s:
                 raise ValueError("slopes must be strictly increasing")
 
     def __len__(self):

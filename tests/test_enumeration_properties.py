@@ -7,8 +7,7 @@ lattice's sheared bases against enumerating each sheared lattice, and
 hitting times from the candidate stack against one sheared lattice per
 candidate; strip slopes under an SL(2, Z) change of basis; the return
 times of the transversal orbit against the strip slope gaps; the float
-first order of exact scalar slopes against an exact sort; the strict-increase
-check of SlopeSequence against Fraction comparison; and the float
+first order of exact scalar slopes against an exact sort; and the float
 slope collapse against a reference sort-and-compare loop, on random lists
 and float lattice strips."""
 
@@ -26,7 +25,7 @@ from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, rotation, sh
 from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
                             slope_gaps_fast)
-from gapkit.pointcloud import (ExactRows, PointSystem, SlopeSequence, gaps, hitting_times,
+from gapkit.pointcloud import (ExactRows, PointSystem, gaps, hitting_times,
                                is_horizontally_short, slopes_in_strip, strip_points)
 
 SETTINGS = settings.get_profile("gapkit")
@@ -410,27 +409,6 @@ def exact_collapse(rows):
 def test_collapse_of_exact_slopes_matches_an_exact_sort(slopes):
     rows = [(s, i) for i, s in enumerate(slopes)]
     assert pointcloud._collapse(rows) == exact_collapse(rows)
-
-
-@SETTINGS
-@given(st.lists(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7),
-                          st.fractions()), max_size=8), st.booleans())
-@example([Fraction(1, 3), Fraction(2, 6)], False)  # a tie of equal Fractions
-@example([0, Fraction(0), Fraction(1, 2), 1, Fraction(1)], False)  # int/Fraction ties
-@example([Fraction(-1, 2), Fraction(1, 3) - TINY, Fraction(1, 3), 1, Fraction(10 ** 400)], False)
-def test_slope_sequence_check_matches_fraction_comparison(slopes, sort):
-    """The cross-multiplied check of SlopeSequence accepts and rejects
-    Fraction/int slopes, ties included, exactly as Fraction's own
-    comparison of every consecutive pair."""
-    if sort:
-        slopes = sorted(slopes)
-    increasing = all(Fraction(t) > Fraction(s) for s, t in zip(slopes, slopes[1:]))
-    try:
-        SlopeSequence(1, tuple(slopes))
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == increasing
 
 
 @SETTINGS

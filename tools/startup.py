@@ -4,22 +4,26 @@ Every sample is one new ``python3`` process, timed from its start to its
 exit.  Each COMMAND is the argument string of a gapkit subcommand, run as
 ``python3 -m gapkit.cli COMMAND``; each ``--code`` is Python source, run as
 ``python3 -c CODE``.  A side is a checkout: its ``src/`` is the child's
-PYTHONPATH.  The two sides alternate within each repeat, the side that goes
-first swapping from one repeat to the next, so that a slow spell of the
-host falls on both.  One discarded run per side and command comes first (it
-fills the bytecode caches where writing them is allowed).
+PYTHONPATH.  Each job is sampled 15 times per side; the two sides alternate
+within each repeat, the side that goes first swapping from one repeat to the
+next, so that a slow spell of the host falls on both.  One discarded run per
+side and job comes first (it fills the bytecode caches where writing them is
+allowed).
 
-    python3 tools/startup.py [--parent PATH] [--repeats N] [--code SRC ...]
-                             [COMMAND ...]
+    python3 tools/startup.py [--parent PATH] [--code SRC ...] [COMMAND ...]
     python3 tools/startup.py --quick
 
-Without commands or ``--code`` it times ``farey-gaps --q 60``,
-``bcz-orbit --a 1/7 --b 1 --steps 30 --exact`` (two of the acceptance
-suite's criterion 10 commands) and ``--code "import gapkit.cli"``.
+The startup block of BENCH_26.json is
+
+    python3 tools/startup.py --parent PATH "farey-gaps --q 60" \
+        "bcz-orbit --a 1/7 --b 1 --steps 30 --exact" \
+        --code "import gapkit.cli" --code pass
+
 Without ``--parent`` this checkout runs on both sides.  ``--quick`` times
-one small command once per side.  It prints one JSON object: per command and side the median and the
-quartiles (inclusive method) of the samples, in seconds, and the samples.
-Only the standard library is used, so the probe itself loads no numpy.
+``farey-gaps --q 5`` once per side.  It prints one JSON object: per job and
+side the median and the quartiles (inclusive method) of the samples, in
+seconds, and the samples.  Only the standard library is used, so the probe
+itself loads no numpy.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_COMMANDS = ["farey-gaps --q 60", "bcz-orbit --a 1/7 --b 1 --steps 30 --exact"]
-DEFAULT_CODE = ["import gapkit.cli"]
+REPEATS = 15
 QUICK_COMMAND = "farey-gaps --q 5"
 
 
@@ -95,22 +98,19 @@ def main(argv=None) -> int:
                         help="Python source to time as python3 -c SRC (repeatable)")
     parser.add_argument("--parent", type=Path, default=ROOT,
                         help="the other checkout (default: this one)")
-    parser.add_argument("--repeats", type=int, default=15, help="samples per side")
     parser.add_argument("--quick", action="store_true",
                         help=f"time {QUICK_COMMAND!r} once per side")
     args = parser.parse_args(argv)
     if args.quick:
         commands, codes, repeats = [QUICK_COMMAND], [], 1
-    elif args.commands or args.code:
-        commands, codes, repeats = args.commands, args.code or [], args.repeats
     else:
-        commands, codes, repeats = DEFAULT_COMMANDS, DEFAULT_CODE, args.repeats
+        commands, codes, repeats = args.commands, args.code or [], REPEATS
+    if not commands and not codes:
+        parser.error("give at least one COMMAND or --code, or --quick")
     sides = {"change": ROOT, "parent": args.parent.resolve()}
     for checkout in sides.values():
         if not (checkout / "src" / "gapkit").is_dir():
             parser.error(f"{checkout} has no src/gapkit")
-    if repeats < 1:
-        parser.error("--repeats must be at least 1")
     jobs = {f"gapkit {c}": ["-m", "gapkit.cli", *shlex.split(c)] for c in commands}
     jobs.update({f"python -c {src!r}": ["-c", src] for src in codes})
     try:
