@@ -15,8 +15,9 @@ test and how holonomies are built:
   pair (a, b) meaning (a + b phi)/D (rational surfaces have b = 0; the
   golden L has D = 1), a Z[phi] pair of int arrays (``_Z``).  Each
   predicate is the sign of an element x = a + b phi of Z[phi], decided
-  exactly as below, and ``_zholonomy`` builds GoldenNum, Fraction and int
-  values only for the emitted holonomies.
+  exactly as below: formed from the Z[phi] pairs, or on a certified wave
+  in floats, and ``_zholonomy`` builds GoldenNum, Fraction and int values
+  only for the emitted holonomies.
 
 Signs.  Before each wave, ``_ExactOps.route`` bounds |x| and the conjugate
 |x'| = |a + b (1 - phi)| of the wave's x-coordinates (placed vertices, ray
@@ -38,6 +39,31 @@ in the manner of Shewchuk (1997): one with b != 0 and a float within
 scalar ``core.zphi_sign`` on Python ints, as is every element of an object
 array past the floats.
 
+Certified waves.  A proven int64 wave is certified when its bounds show
+that every signed value formed in floats from its coordinates has the
+exact sign (``_certify``); its predicates then multiply no Z[phi] pair.
+With e = 2^-53, a coordinate u = a + b phi becomes the float
+fl(a + fl(b fl(phi))) (``_ExactOps.pred``), which lies within 4e m of u,
+m = |a| + |b| phi: a and b are exact floats (S < 2^(53/4) puts them below
+2^15).  As b = (u - u')/sqrt 5 and a = (phi u' + (phi - 1) u)/sqrt 5,
+m <= |u| + 1.5 |u'|, and m = |u| on a rational surface.  A float formed
+from such floats by a tree of + - * with the value's degree d and at most
+k roundings on any path from a coordinate errs by at most
+(1 + 4e)^d (1 + e)^k - 1 times the same tree evaluated on the m's with
+every - made +, by induction over the tree; and that tree is bounded as V
+is, by W = V taken at X + 1.5 X' and Y + 1.5 Y' (at X and Y on a rational
+surface).  Every signed value has d <= 4 and k <= 10 (the widest, the
+entry test of a middle ray, has k = 8), so its float errs by under 26.01e W
+<= E = 2^-48 W; no rounding underflows, every float formed being 0 or
+above 2^-600.  A nonzero x has |x| >= 1/|x'| >= 1/V', as |x x'| is a
+nonzero integer (|x| >= 1 on a rational surface).  So for tau = 2E and
+tau + E < 1/V' (or < 1), a nonzero float is read by its sign beyond tau,
+and the float of a zero lies within E < tau of 0: read +1 above tau, -1
+below -tau and 0 in between, every sign is exact, zero included.  The
+Z[phi] pairs stay for the linear columns that later waves and the
+holonomies read: placed vertices, translations, rays and entry edges,
+which only add and gather.
+
 The ball test |p|^2 <= R^2 runs in floats as well.  For p = ((a + b phi)/D,
 (c + d phi)/D), converting the ints and forming (a + b phi)^2 +
 (c + d phi)^2 - R^2 D^2 in floats errs by under 12 * 2^-53 (m + R^2 D^2),
@@ -49,7 +75,8 @@ on Python ints.
 The exit of a sub-cone's middle ray is the first hit edge of least num/den:
 its one hit edge when it has one, else picked in floats (``_ExactOps.exits``).
 With fn, fd the ``core.zphi_float`` of num and den and en, ed their
-``core.zphi_float_error``, |fd| > ed gives den the sign of fd and
+``core.zphi_float_error`` (on a certified wave its floats of num and den,
+and E), |fd| > ed gives den the sign of fd and
 |num/den - fn/fd| <= (en + |fn/fd| ed)/(|fd| - ed).  So q = fl(fn/fd) lies
 within w = (1 + 2^-48)(en + |q| ed)/(|fd| - ed) + 2^-48 |q| + 2^-1000 of
 num/den, formed in floats (w is infinite where |fd| <= ed), with room for
@@ -77,9 +104,9 @@ from .pointcloud import _ragged
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _angle, _ball_rsq
 
 
-def _sign(x):
-    """The float sign rule on an array, as int8: 0 within FLOAT_EPS of zero."""
-    return (x > FLOAT_EPS).astype(np.int8) - (x < -FLOAT_EPS)
+def _sign(x, band=FLOAT_EPS):
+    """The float sign rule on an array, as int8: 0 within ``band`` of zero."""
+    return (x > band).astype(np.int8) - (x < -band)
 
 
 class _Z:
@@ -126,14 +153,30 @@ def _bounds(*columns: _Z) -> tuple[float, float]:
             np.abs(a + b * (1.0 - _PHI)).max() * (1.0 + 1e-9) + 1.0)
 
 
+def _values(x: float, y: float) -> float:
+    """V, the bound on every signed value of a wave whose coordinates are
+    bounded by x and y (module docstring)."""
+    return 48 * (x * y) ** 2 + 2 * (x * x + y * y)
+
+
 def _route(x: float, xc: float, y: float, yc: float, rational: bool) -> tuple[type, bool]:
     """The int dtype of a wave with |x| <= x, |x'| <= xc, |y| <= y and |y'| <= yc
     on its coordinates, and whether these bounds prove its float signs."""
     if max(x, xc, y, yc) >= 2.0 ** (53 / 4):  # 2^9 S^4 >= 2^62
         return object, rational
-    v = 48 * (x * y) ** 2 + 2 * (x * x + y * y)
-    vc = 48 * (xc * yc) ** 2 + 2 * (xc * xc + yc * yc)
+    v, vc = _values(x, y), _values(xc, yc)
     return np.int64, rational or v + vc < 2.0 ** 53 and (v + vc) * vc < 2.0 ** 51 * math.sqrt(5.0)
+
+
+def _certify(x: float, xc: float, y: float, yc: float, rational: bool) -> Optional[float]:
+    """E, the bound on the float error of every signed value of a wave with
+    the bounds of ``_route``, when the band 2E certifies its float signs:
+    3E below 1/V' (below 1 on a rational surface); None when it does not."""
+    if max(x, xc, y, yc) >= 2.0 ** (53 / 4):  # past int64, and before any square
+        return None
+    k = 0.0 if rational else 1.5  # |a| + |b| phi <= |u| + k |u'|
+    err = 2.0 ** -48 * _values(x + k * xc, y + k * yc)
+    return err if 3 * err * (1.0 if rational else _values(xc, yc)) < 1 else None
 
 
 def _checked(s, x, doubt):
@@ -204,6 +247,8 @@ class _FloatOps:
     @staticmethod
     def floats(x):
         return x
+
+    pred = floats
 
     @staticmethod
     def route(wave):
@@ -286,7 +331,7 @@ class _ExactOps:
         # the first wave multiplies edge vectors of the base, turned by
         # quarter turns, so either axis may hold either kind of coordinate
         edge, edge_c = 2 * max(self.base[0::2]), 2 * max(self.base[1::2])
-        self._use(*_route(edge, edge_c, edge, edge_c, self.rational))
+        self._use(edge, edge_c, edge, edge_c)
         rsq = Fraction(radius) ** 2
         self.rsq_num, self.rsq_den = rsq.numerator * self.d * self.d, rsq.denominator
         try:
@@ -294,14 +339,28 @@ class _ExactOps:
         except OverflowError:  # every point then goes to the exact test
             self.rsq = math.inf
 
-    def _use(self, dtype: type, proven: bool):
-        """Put the base on the wave's int dtype and take its sign proof."""
+    def _use(self, *bounds: float) -> type:
+        """Put the base on the int dtype that ``_route`` picks from a wave's
+        bounds (x, x', y, y'), take its sign proof, and certify the wave
+        (``err`` its E, else None) when the proof holds on int64; returns
+        the dtype."""
+        dtype, self.proven = _route(*bounds, self.rational)
         self.bx, self.by = self.bx.astype(dtype), self.by.astype(dtype)
-        self.proven = proven
+        self.err = _certify(*bounds, self.rational) if dtype is np.int64 and self.proven \
+            else None
+        return dtype
+
+    def pred(self, x):
+        """The column x as the predicates multiply it: its floats a + b phi
+        on a certified wave, its Z[phi] pairs on any other."""
+        return x if self.err is None else zphi_float(x.a, x.b)
 
     def sign(self, x):
-        """The sign of each element of x as int8: the float sign, checked element
-        by element unless the wave's bound proves it (module docstring)."""
+        """The sign of each element of x as int8: on a certified wave's floats
+        the band 2E, on Z[phi] pairs the float sign, checked element by
+        element unless the wave's bound proves it (module docstring)."""
+        if type(x) is not _Z:
+            return _sign(x, 2 * self.err)
         if x.a.dtype != object:
             return self._signs(x, x.a, x.b)
         try:
@@ -320,14 +379,15 @@ class _ExactOps:
         return _checked(s, x, (x.b != 0) & ~(np.abs(f) > zphi_float_error(a, b)))
 
     def pos(self, x):
-        return self.sign(x) > 0
+        return x > 2 * self.err if type(x) is not _Z else self.sign(x) > 0
 
-    @staticmethod
-    def zero(x):
-        return (x.a == 0) & (x.b == 0)
+    def zero(self, x):
+        return np.abs(x) <= 2 * self.err if type(x) is not _Z else (x.a == 0) & (x.b == 0)
 
     @staticmethod
     def where(mask, x, y):
+        if type(x) is not _Z:
+            return np.where(mask, x, y)
         return _Z(np.where(mask, x.a, y.a), np.where(mask, x.b, y.b))
 
     @staticmethod
@@ -351,9 +411,7 @@ class _ExactOps:
         y, yc = _bounds(wave.ly, wave.ry, *entry[1::2])
         (tx, txc), (ty, tyc) = _bounds(wave.tx), _bounds(wave.ty)
         bx, bxc, by, byc = self.base
-        self._use(*_route(max(x, bx + tx), max(xc, bxc + txc),
-                         max(y, by + ty), max(yc, byc + tyc), self.rational))
-        dtype = self.bx.a.dtype
+        dtype = self._use(max(x, bx + tx), max(xc, bxc + txc), max(y, by + ty), max(yc, byc + tyc))
         entry = wave.entry and (*(z.astype(dtype) for z in entry), wave.entry[4])
         return wave._replace(**{f: getattr(wave, f).astype(dtype)
                                 for f in ("tx", "ty", "lx", "ly", "rx", "ry")},
@@ -368,28 +426,36 @@ class _ExactOps:
             best[rows] = self._nearest(num[rows], den[rows], sden[rows], hit[rows])
         return best
 
+    def _floats(self, x):
+        """The floats of x and a bound on their error: a certified wave's
+        floats and its E, or ``core.zphi_float`` and ``zphi_float_error`` of
+        the coefficient floats of Z[phi] pairs."""
+        if type(x) is not _Z:
+            return x, self.err
+        a, b = x.a.astype(float), x.b.astype(float)
+        return zphi_float(a, b), zphi_float_error(a, b)
+
     def _nearest(self, num, den, sden, hit):
         """``exits`` decided in floats where the bound of the module docstring
         separates the least quotient from the others, by the ordered scan
         elsewhere."""
         try:
-            a, b, c, d = (v.astype(float) for v in (num.a, num.b, den.a, den.b))
+            with np.errstate(all="ignore"):  # the bound covers underflow; inf and nan decide nothing
+                (fn, en), (fd, ed) = self._floats(num), self._floats(den)
+                q = np.where(hit, fn / fd, np.inf)
+                r = np.abs(q)
+                # half-widths: infinite where den's float lies within its error of 0
+                w = (en + r * ed) / np.maximum(np.abs(fd) - ed, 0.0) \
+                    * (1.0 + 2.0 ** -48) + 2.0 ** -48 * r + 2.0 ** -1000
+                pick = q.argmin(1)
+                at = (np.arange(len(q)), pick)
+                hi = q[at] + w[at]
+                # decided: every other edge's lower bound lies above the pick's upper one
+                above = np.where(hit, q - w, np.inf) > hi[:, None]
+                sure = np.count_nonzero(above, 1) == hit.shape[1] - 1
         except OverflowError:  # past the floats: every row is scanned
             return _ordered_exits(self, num, den, sden, hit)
         best = np.full(len(hit), -1)
-        with np.errstate(all="ignore"):  # the bound covers underflow; inf and nan decide nothing
-            fd, ed = zphi_float(c, d), zphi_float_error(c, d)
-            q = np.where(hit, zphi_float(a, b) / fd, np.inf)
-            r = np.abs(q)
-            # half-widths: infinite where den's float lies within its error of 0
-            w = (zphi_float_error(a, b) + r * ed) / np.maximum(np.abs(fd) - ed, 0.0) \
-                * (1.0 + 2.0 ** -48) + 2.0 ** -48 * r + 2.0 ** -1000
-            pick = q.argmin(1)
-            at = (np.arange(len(q)), pick)
-            hi = q[at] + w[at]
-            # decided: every other edge's lower bound lies above the pick's upper one
-            above = np.where(hit, q - w, np.inf) > hi[:, None]
-            sure = np.count_nonzero(above, 1) == hit.shape[1] - 1
         best[sure] = pick[sure]
         rest = np.flatnonzero(~sure)
         if len(rest):
@@ -415,7 +481,18 @@ class _ExactOps:
         return ball, [_zholonomy(p, self.d) for p in points]
 
     def keys(self, x, y):
-        """The sort keys float(length_sq) and angle of the holonomies (x, y)."""
+        """The sort keys float(length_sq) and angle of the holonomies (x, y),
+        those of ``_zkeys``.  On int64 with D below 2^26 they are formed in
+        arrays: the coefficients lie below S < 2^(53/4), so the sums of their
+        squares are exact in int64, and these sums, the coefficients and D^2
+        convert to floats exactly, which makes each quotient the correctly
+        rounded one of ``_zkeys``."""
+        if x.a.dtype != object and self.d < 2 ** 26:
+            a, b, c, e = x.a, x.b, y.a, y.b
+            dd = float(self.d * self.d)
+            lsq = zphi_float((a * a + b * b + c * c + e * e) / dd,
+                             (2 * a * b + b * b + 2 * c * e + e * e) / dd)
+            return lsq, list(map(_angle, self.floats(x).tolist(), self.floats(y).tolist()))
         keys = [_zkeys(p, self.d) for p in zip(*(v.tolist() for v in (x.a, x.b, y.a, y.b)))]
         return [k[0] for k in keys], [k[1] for k in keys]
 
@@ -506,7 +583,8 @@ class Waves:
             turns.append((-y, x))
         cx, cy = (ops.stack(axis) for axis in zip(*turns))  # (corner, turn)
         # quarter turns inserted until the in-edge ray is strictly left
-        left = ops.pos(cx[:, :4] * iy[:, None] - cy[:, :4] * ix[:, None])
+        fcx, fcy, fix, fiy = map(ops.pred, (cx[:, :4], cy[:, :4], ix, iy))
+        left = ops.pos(fcx * fiy[:, None] - fcy * fix[:, None])
         inserts = np.where(left.any(1), left.argmax(1), 4)
         corner = np.repeat(np.arange(n), inserts + 1)
         w = _ragged(np.zeros(n, np.int64), inserts + 1, int(inserts.sum()) + n)
@@ -537,33 +615,35 @@ class Waves:
         """Process every state of the wave; append its emitted vertices to
         ``found`` as (state indices, holonomies, sort keys) and return the
         next wave."""
-        ops, nxt = self.ops, self.nxt
+        ops, nxt, pred = self.ops, self.nxt, self.ops.pred
         count = len(wave.il)
+        # placed vertices, and (f-prefixed) as the predicates multiply them
         px, py = ops.bx + wave.tx[:, None], ops.by + wave.ty[:, None]
-        qx, qy = px[:, nxt], py[:, nxt]
-        edges = (px * qy - py * qx, qx - px, qy - py)  # cross(q1, q2), q2 - q1
-        entry = wave.entry
-        origin = ops.zero(px) & ops.zero(py)
+        fx, fy = pred(px), pred(py)
+        qx, qy = fx[:, nxt], fy[:, nxt]
+        edges = (fx * qy - fy * qx, qx - fx, qy - fy)  # cross(q1, q2), q2 - q1
+        entry = wave.entry and (*map(pred, wave.entry[:4]), wave.entry[4])
+        origin = ops.zero(fx) & ops.zero(fy)
         if entry is None:
             beyond = ~origin
         else:
             e1x, e1y, e2x, e2y, side = (a[:, None] for a in entry)
-            beyond = ops.sign((e2x - e1x) * (py - e1y) - (e2y - e1y) * (px - e1x)) \
+            beyond = ops.sign((e2x - e1x) * (fy - e1y) - (e2y - e1y) * (fx - e1x)) \
                 == -side
 
         # candidate vertices: in the cone and past the entry
-        lx, ly, rx, ry = (a[:, None] for a in (wave.lx, wave.ly, wave.rx, wave.ry))
-        c_l, c_r = lx * py - ly * px, px * ry - py * rx
+        lx, ly, rx, ry = (pred(a)[:, None] for a in (wave.lx, wave.ly, wave.rx, wave.ry))
+        c_l, c_r = lx * fy - ly * fx, fx * ry - fy * rx
         interior = ops.pos(c_l) & ops.pos(c_r)
-        on_l = ops.zero(c_l) & ops.pos(lx * px + ly * py)
+        on_l = ops.zero(c_l) & ops.pos(lx * fx + ly * fy)
         cand = ~origin & beyond & (interior | on_l & wave.il[:, None])
         cs, cv = np.nonzero(cand)
 
         # blocked: an edge crosses the ray piece before the candidate
-        p0, p1 = px[cs, cv, None], py[cs, cv, None]
-        sides = ops.sign(p0 * py[cs] - p1 * px[cs])
+        p0, p1 = fx[cs, cv, None], fy[cs, cv, None]
+        sides = ops.sign(p0 * fy[cs] - p1 * fx[cs])
         along = (sides == 0) & (sides[:, nxt] == 0)
-        t = p0 * px[cs] + p1 * py[cs]
+        t = p0 * fx[cs] + p1 * fy[cs]
         near = ops.pos(t) & ops.pos(p0 * p0 + p1 * p1 - t) & beyond[cs]
         num, den, sden, hit = self._ray_hits(entry, cs, p0, p1, edges)
         blocked = (along & (near | near[:, nxt])) \
@@ -587,7 +667,8 @@ class Waves:
         pairs = splits[ss]
         i = np.repeat(np.arange(len(ss)), pairs)
         j = _ragged((np.cumsum(splits) - splits)[ss], pairs, int(pairs.sum()))
-        cross = sx[j] * sy[i] - sy[j] * sx[i]
+        fsx, fsy = pred(sx), pred(sy)
+        cross = fsx[j] * fsy[i] - fsy[j] * fsx[i]
         before = ops.pos(cross) | ops.zero(cross) & (j < i)
         rank = np.bincount(i[before], minlength=len(ss))
 
@@ -606,16 +687,16 @@ class Waves:
         cone = (own, bx[a], by[a], binc[a], bx[a + 1], by[a + 1])
 
         # sub-cones: drop slivers, then windows beyond the radius
-        keep = ops.pos(cone[1] * cone[5] - cone[2] * cone[4])
+        keep = ops.pos(pred(cone[1]) * pred(cone[5]) - pred(cone[2]) * pred(cone[4]))
         own, lx, ly, il, rx, ry = (c[keep] for c in cone)
         if entry is not None:
-            window = [ops.floats(c) for c in (*entry[:4], lx, ly, rx, ry)]
+            window = [ops.floats(c) for c in (*wave.entry[:4], lx, ly, rx, ry)]
             keep = ~(_window_min_radius(own, *window) > self.reach)
             own, lx, ly, il, rx, ry = (c[keep] for c in (own, lx, ly, il, rx, ry))
 
         # exit edge of the middle ray: nearest crossed edge, in edge order
-        mx, my = (lx + rx)[:, None], (ly + ry)[:, None]
-        sides = ops.sign(mx * py[own] - my * px[own])
+        mx, my = pred(lx + rx)[:, None], pred(ly + ry)[:, None]
+        sides = ops.sign(mx * fy[own] - my * fx[own])
         num, den, sden, hit = self._ray_hits(entry, own, mx, my, edges)
         hit &= ~((sides == 0) & (sides[:, nxt] == 0)) & (sides * sides[:, nxt] <= 0)
         best = ops.exits(num, den, sden, hit)
@@ -625,7 +706,8 @@ class Waves:
         # cross the exit edge into the glued copy
         e1x, e1y = px[own, best], py[own, best]
         e2x, e2y = px[own, nxt[best]], py[own, nxt[best]]
-        side = ops.sign((e2x - e1x) * -e1y - (e2y - e1y) * -e1x)
+        f1x, f1y, f2x, f2y = map(pred, (e1x, e1y, e2x, e2y))
+        side = ops.sign((f2x - f1x) * -f1y - (f2y - f1y) * -f1x)
         keep = side != 0  # a window collinear with the origin subtends no angle
         own, k = own[keep], best[keep]
         shift_x, shift_y = ops.bx - ops.bx[self.glued], ops.by - ops.by[self.glued]

@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Mat2, PHI, Region, Vec2, _check_positive, is_exact, slope
+from .core import (PHI, GoldenNum, Mat2, Region, Vec2, _check_positive, _zphi_coeffs,
+                   is_exact, slope)
 from .pointcloud import GapSequence, PointSystem, _collapse, _exact_signs
 from .stats import EmpiricalDist, circular_gaps
 
@@ -232,10 +233,28 @@ def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:
     hols = [c.holonomy for c in saddle_connections(surface, radius)]
     sx, sy = _exact_signs([v.x for v in hols] + [v.y for v in hols]).reshape(2, -1)
     kept = ((sx > 0) & (sy >= 0)).nonzero()[0].tolist()
-    rows = _collapse([(slope(hols[i]), hols[i]) for i in kept])
+    rows = _collapse([(_slope(hols[i]), hols[i]) for i in kept])
     if len(rows) < 2:
         raise ValueError("need at least two slopes to form gaps")
     return GapSequence(tuple(b - a for (a, _), (b, _) in zip(rows, rows[1:])))
+
+
+def _slope(v: Vec2):
+    """``core.slope(v)``, equal in value and type: for a GoldenNum coordinate
+    and int coefficients x = a + b phi, y = c + d phi, the slope y x'/N(x)
+    with one Fraction per coefficient, N(x) = a^2 + ab - b^2 = x x'."""
+    x, y = v
+    if type(x) is GoldenNum or type(y) is GoldenNum:
+        (a, b), (c, d) = _zphi_coeffs(x), _zphi_coeffs(y)
+        n = a * a + a * b - b * b
+        if type(a) is type(b) is type(c) is type(d) is int and n:
+            return GoldenNum._raw(_quotient(c * (a + b) - d * b, n), _quotient(d * a - c * b, n))
+    return slope(v)
+
+
+def _quotient(p: int, n: int):
+    """p/n as a GoldenNum coefficient: an int when n divides p."""
+    return p // n if p % n == 0 else Fraction(p, n)
 
 
 def sc_angle_gaps(surface: TranslationSurface, radius) -> EmpiricalDist:

@@ -344,6 +344,91 @@ class TestIntegerRoutes:
         assert partials[1] == partials[0]
 
 
+def certified_run(waves):
+    """Run a development, recording per wave whether its route certified it
+    (the first entry is the corner wedges, built before the first route)."""
+    ops, route, marks = waves.ops, waves.ops.route, [waves.ops.err is not None]
+
+    def spy(wave):
+        routed = route(wave)
+        marks.append(ops.err is not None)
+        return routed
+
+    ops.route = spy
+    return waves.run(), marks
+
+
+def spy_products(monkeypatch):
+    """Count the Z[phi] products ``_waves._Z`` forms."""
+    calls, mul = [], _waves._Z.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(_waves._Z, "__mul__", spy)
+    return calls
+
+
+class TestCertifiedWaves:
+    """Waves whose bounds certify their float signs form every product of
+    their predicates in floats; the others keep the Z[phi] products, and
+    both give the pinned developments."""
+
+    @pytest.mark.parametrize("radius, connections", [(3.0, 72), (3.75, 112), (4.5, 168)])
+    def test_golden_exact_radii_form_no_zphi_product(self, monkeypatch, radius, connections):
+        products = spy_products(monkeypatch)
+        conns, marks = certified_run(_waves.Waves(golden_l(), radius))
+        assert len(conns) == connections
+        assert all(marks)
+        assert products == []
+
+    @pytest.mark.parametrize("case", [3, 11], ids=["golden-10", "golden-shear"])
+    def test_uncertified_waves_keep_the_pinned_developments(self, monkeypatch, case):
+        make, radius, connections, _, digest = TestPinnedDevelopments.CASES[case]
+        products = spy_products(monkeypatch)
+        conns, marks = certified_run(_waves.Waves(make(), radius))
+        assert True in marks and False in marks
+        assert products  # the uncertified waves multiply Z[phi] pairs
+        assert len(conns) == connections
+        assert discovery_digest(conns) == digest
+
+    def test_certification_belongs_to_each_instance(self):
+        golden = _waves.Waves(golden_l(), 3.0)
+        long = _waves.Waves(l_shape(10 ** 100, 2), 5.0)  # Python ints: never certified
+        assert golden.ops.err is not None and long.ops.err is None
+        assert len(long.run()) == 58
+        assert golden.ops.err is not None
+        conns, marks = certified_run(golden)
+        assert len(conns) == 72 and all(marks)
+        assert long.ops.err is None
+
+    @pytest.mark.parametrize("bound", [2.0 ** (53 / 4), 2.0 ** 200, np.float64(1e300), 1.7e308])
+    @pytest.mark.filterwarnings("error")
+    def test_bounds_past_int64_certify_nothing(self, bound):
+        # the bound arithmetic exits before it squares, as _route does
+        with np.errstate(all="raise"):
+            for rational in (False, True):
+                assert _waves._certify(bound, 1.0, 1.0, 1.0, rational) is None
+                assert _waves._certify(1.0, 1.0, 1.0, bound, rational) is None
+            assert _waves._certify(2.0 ** 13, 2.0 ** 13, 2.0 ** 13, 2.0 ** 13, False) is None
+
+
+@pytest.mark.parametrize("make, radius", [
+    (golden_l, 20.0),  # D = 1, certified and uncertified waves
+    (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 6.0),  # D = 3
+    (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0),  # D = 132
+    (lambda: l_shape(10 ** 100, 2), 5.0),  # Python ints
+], ids=["golden", "golden-shear-diag", "l(13/12,14/11)", "l(10^100,2)"])
+def test_sort_keys_are_the_floats_of_the_holonomies(make, radius):
+    # the keys that order the connections, formed in arrays on int64 waves
+    waves = _waves.Waves(make(), radius)
+    conns = waves.run()
+    lsq, angle = waves.keys
+    assert lsq.tolist() == [float(c.length_sq) for c in conns]
+    assert angle.tolist() == [c.angle for c in conns]
+
+
 def golden_orbit_holonomies(radius):
     """The holonomy multiset of the golden L inside the ball, from its Veech
     group alone: breadth-first over T = [[1, phi], [0, 1]], its inverse and

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gapkit import _waves, pointcloud, surface
-from gapkit.core import PHI, GoldenNum, Mat2, shear, slope, zphi_float, zphi_sign
-from gapkit.errors import ResourceLimitError
+from gapkit.core import PHI, GoldenNum, Mat2, Vec2, shear, slope, zphi_float, zphi_sign
+from gapkit.errors import ResourceLimitError, VerticalVectorError
 from gapkit.surface import golden_l, l_shape, saddle_connections, sc_slope_gaps
 
 SETTINGS = settings.get_profile("gapkit")
@@ -413,3 +413,176 @@ def test_golden_development_never_scans(monkeypatch):
     monkeypatch.setattr(_waves, "_ordered_exits",
                         mock.Mock(side_effect=AssertionError("an exit went to the scan")))
     assert len(_waves.Waves(golden_l(), 10.0).run()) == 768
+
+
+# -- certified waves: every predicate formed in floats -----------------------
+
+def parallel(draw, p, small):
+    """p times a small nonzero element of Z[phi], p a point of pairs (a, b)."""
+    m = (draw(small), draw(small))
+    if m == (0, 0):
+        m = (1, 0)
+    return tuple(scaled(c, m) for c in p)
+
+
+@st.composite
+def certified_rows(draw, edges=1):
+    """Rows of a certified wave: per row, ``edges`` vertex pairs (q1, q2), an
+    entry edge (e1, e2) and the rays l and r of a sub-cone, each point a pair
+    of Z[phi] coefficient pairs below 2^k (the bound refuses most rows from
+    k = 3).  Parallel points, drawn often, make the signed values below
+    exact zeros."""
+    k = draw(st.integers(0, 4))
+    coeff, small = st.integers(-2 ** k, 2 ** k), st.integers(-2, 2)
+
+    def point():
+        return tuple((draw(coeff), draw(coeff)) for _ in range(2))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = []
+        for _ in range(edges):
+            q1 = point()
+            q.extend([q1, parallel(draw, q1, small) if draw(st.booleans()) else point()])
+        e1 = point()
+        e2 = parallel(draw, e1, small) if draw(st.booleans()) else point()
+        l, r = point(), point()
+        if draw(st.booleans()):  # the middle ray l + r parallel to q2 - q1
+            (ax, bx), (ay, by) = l
+            (cx, dx), (cy, dy) = parallel(draw, tuple(
+                (u[0] - v[0], u[1] - v[1]) for u, v in zip(q[1], q[0])), small)
+            r = ((cx - ax, dx - bx), (cy - ay, dy - by))
+        rows.append([*q, e1, e2, l, r])
+    return rows
+
+
+def coordinate_columns(rows, dtype):
+    """Per point of a row and axis, the column of ``_Z`` pairs over the rows."""
+    return [_waves._Z(*(np.array([row[p][axis][i] for row in rows], dtype) for i in (0, 1)))
+            for p in range(len(rows[0])) for axis in (0, 1)]
+
+
+def wave_bounds(rows):
+    """Upper bounds X, X', Y, Y' on the coordinates of the rows, from
+    60-digit values rounded up."""
+    bounds = [0.0] * 4
+    for row in rows:
+        for point in row:
+            for axis, (a, b) in enumerate(point):
+                for j, m in enumerate(magnitudes(a, b)):
+                    bounds[2 * axis + j] = max(bounds[2 * axis + j], float(m) * (1 + 2 ** -40))
+    return bounds
+
+
+def signed_values(q1x, q1y, q2x, q2y, e1x, e1y, e2x, e2y, lx, ly, rx, ry):
+    """The shapes of signed value a wave step forms, on any arithmetic: the
+    cross and dot products of vertices, the hit tests of the middle ray
+    l + r against the edge q1 q2, and its entry test, a product of cross
+    products (the module docstring's 48 (XY)^2)."""
+    mx, my = lx + rx, ly + ry
+    num = q1x * q2y - q1y * q2x
+    den = mx * (q2y - q1y) - my * (q2x - q1x)
+    eex, eey = e2x - e1x, e2y - e1y
+    return [num, den, num - den, q1x * q1x + q1y * q1y - (q1x * q2x + q1y * q2y),
+            eex * (q1y - e1y) - eey * (q1x - e1x),
+            num * (eex * my - eey * mx) - den * (eex * e1y - eey * e1x)]
+
+
+def certified_ops(err):
+    """An exact wave's arithmetic, certified with the error bound err."""
+    ops = _waves._ExactOps(golden_l(), 1.0)
+    ops.err = err
+    return ops
+
+
+def exact_value(z, i):
+    with mpmath.workdps(60):
+        return mpmath.mpf(int(z.a[i])) + mpmath.mpf(int(z.b[i])) * mpmath.phi
+
+
+def fib_rows(k):
+    """One row whose coordinates include F(k+1) - F(k) phi = (1 - phi)^k,
+    of size phi^-k with a conjugate of size phi^k."""
+    tiny = (fibonacci(k + 1), -fibonacci(k))
+    zero, one = (0, 0), (1, 0)
+    return [[(tiny, one), (one, one), (zero, one), (tiny, zero),
+             (one, zero), (zero, one)]]
+
+
+@settings(SETTINGS, max_examples=120)
+@given(certified_rows(), st.none())
+@example(fib_rows(11), 11)  # the last Fibonacci row the bound certifies
+@example(fib_rows(12), 12)  # the first it refuses
+@example(fib_rows(40), 40)  # past int64's 2^(53/4) bound
+def test_certified_signs_are_the_zphi_signs(rows, fib):
+    err = _waves._certify(*wave_bounds(rows), False)
+    if fib is not None:
+        assert (err is not None) == (fib <= 11)
+    if err is None:
+        return
+    ops = certified_ops(err)
+    floats = signed_values(*map(ops.pred, coordinate_columns(rows, np.int64)))
+    exact = signed_values(*coordinate_columns(rows, object))
+    for f, z in zip(floats, exact):
+        signs = [zphi_sign(int(p), int(q)) for p, q in zip(z.a, z.b)]
+        assert ops.sign(f).tolist() == signs
+        assert ops.pos(f).tolist() == [s > 0 for s in signs]
+        assert ops.zero(f).tolist() == [s == 0 for s in signs]
+        # E bounds the float error, and any float within E decides the sign
+        for i, s in enumerate(signs):
+            x = exact_value(z, i)
+            assert abs(f[i] - x) <= err
+            near = [float(x) + t * err * (1 - 2 ** -20) for t in (-1, 1)]
+            assert ops.sign(np.array(near)).tolist() == [s, s]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(certified_rows(edges=4), st.lists(st.booleans(), min_size=16, max_size=16))
+def test_certified_exits_are_the_exact_exits(rows, hits):
+    # the floats num/den of a certified wave, each within E, pick the exit
+    # that GoldenNum division picks, float first or by the ordered scan
+    err = _waves._certify(*wave_bounds(rows), False)
+    if err is None:
+        return
+    ops = certified_ops(err)
+    fcols, zcols = map(ops.pred, coordinate_columns(rows, np.int64)), coordinate_columns(rows, object)
+
+    def columns(cols):
+        *q, e1x, e1y, e2x, e2y, lx, ly, rx, ry = cols
+        pairs = [signed_values(*q[4 * k:4 * k + 4], e1x, e1y, e2x, e2y, lx, ly, rx, ry)[:2]
+                 for k in range(4)]
+        return [[p[j] for p in pairs] for j in (0, 1)]
+
+    (fnum, fden), (znum, zden) = columns(list(fcols)), columns(zcols)
+    num = [[(int(z.a[i]), int(z.b[i])) for z in znum] for i in range(len(rows))]
+    den = [[(int(z.a[i]), int(z.b[i])) for z in zden] for i in range(len(rows))]
+    hit = [[h and d != (0, 0) for h, d in zip(hits[4 * i:4 * i + 4], row)]
+           for i, row in enumerate(den)]
+    sden = np.array([[zphi_sign(*d) for d in row] for row in den], np.int8)
+    fnum, fden, hit = np.stack(fnum, 1), np.stack(fden, 1), np.array(hit, bool)
+    with np.errstate(all="raise"):  # the waves guard every overflow they allow
+        picked = ops.exits(fnum, fden, sden, hit).tolist()
+        scanned = _waves._ordered_exits(ops, fnum, fden, sden, hit).tolist()
+    assert picked == scanned == exact_exits(num, den, hit)
+
+
+golden_coordinates = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.fractions(max_denominator=30),
+    st.builds(GoldenNum, st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70)),
+    st.builds(GoldenNum, st.integers(-50, 50), st.integers(-50, 50)),
+    st.builds(GoldenNum, st.fractions(max_denominator=6), st.fractions(max_denominator=6)))
+
+
+@SETTINGS
+@given(golden_coordinates, golden_coordinates)
+@example(GoldenNum(2, 0), 3)  # b = 0: still a GoldenNum quotient
+@example(1, PHI)
+@example(PHI, PHI + 1)
+def test_golden_slope_is_the_core_slope(x, y):
+    v = Vec2(x, y)
+    if x == 0:
+        with pytest.raises(VerticalVectorError):
+            surface._slope(v)
+        return
+    assert surface._slope(v) == slope(v)
+    assert repr(surface._slope(v)) == repr(slope(v))  # the same types, coefficients too
