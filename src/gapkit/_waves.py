@@ -53,7 +53,7 @@ k roundings on any path from a coordinate errs by at most
 every - made +, by induction over the tree; and that tree is bounded as V
 is, by W = V taken at X + 1.5 X' and Y + 1.5 Y' (at X and Y on a rational
 surface).  Every signed value has d <= 4 and k <= 10 (the widest, the
-entry test of a middle ray, has k = 8), so its float errs by under 26.01e W
+entry test of a middle ray, has k = 9), so its float errs by under 26.01e W
 <= E = 2^-48 W; no rounding underflows, every float formed being 0 or
 above 2^-600.  A nonzero x has |x| >= 1/|x'| >= 1/V', as |x x'| is a
 nonzero integer (|x| >= 1 on a rational surface).  So for tau = 2E and
@@ -411,7 +411,8 @@ class _ExactOps:
         y, yc = _bounds(wave.ly, wave.ry, *entry[1::2])
         (tx, txc), (ty, tyc) = _bounds(wave.tx), _bounds(wave.ty)
         bx, bxc, by, byc = self.base
-        dtype = self._use(max(x, bx + tx), max(xc, bxc + txc), max(y, by + ty), max(yc, byc + tyc))
+        dtype = self._use(max(x, bx + tx), max(xc, bxc + txc),
+                          max(y, by + ty), max(yc, byc + tyc))
         entry = wave.entry and (*(z.astype(dtype) for z in entry), wave.entry[4])
         return wave._replace(**{f: getattr(wave, f).astype(dtype)
                                 for f in ("tx", "ty", "lx", "ly", "rx", "ry")},
@@ -439,8 +440,8 @@ class _ExactOps:
         """``exits`` decided in floats where the bound of the module docstring
         separates the least quotient from the others, by the ordered scan
         elsewhere."""
-        try:
-            with np.errstate(all="ignore"):  # the bound covers underflow; inf and nan decide nothing
+        try:  # the bound covers underflow; inf and nan decide nothing
+            with np.errstate(all="ignore"):
                 (fn, en), (fd, ed) = self._floats(num), self._floats(den)
                 q = np.where(hit, fn / fd, np.inf)
                 r = np.abs(q)
@@ -682,20 +683,21 @@ class Waves:
         bx[end], by[end] = wave.rx, wave.ry
         at = start[ss] + 1 + rank
         bx[at], by[at] = sx, sy
-        a = _ragged(start, splits + 1, total - count)
+        a = _ragged(start, splits + 1, total - count)  # sub-cone from bound a to a + 1
         own = np.repeat(np.arange(count), splits + 1)
-        cone = (own, bx[a], by[a], binc[a], bx[a + 1], by[a + 1])
+        fbx, fby = pred(bx), pred(by)
 
         # sub-cones: drop slivers, then windows beyond the radius
-        keep = ops.pos(pred(cone[1]) * pred(cone[5]) - pred(cone[2]) * pred(cone[4]))
-        own, lx, ly, il, rx, ry = (c[keep] for c in cone)
+        keep = ops.pos(fbx[a] * fby[a + 1] - fby[a] * fbx[a + 1])
+        own, a = own[keep], a[keep]
         if entry is not None:
-            window = [ops.floats(c) for c in (*wave.entry[:4], lx, ly, rx, ry)]
+            wx, wy = ops.floats(bx), ops.floats(by)
+            window = [*map(ops.floats, wave.entry[:4]), wx[a], wy[a], wx[a + 1], wy[a + 1]]
             keep = ~(_window_min_radius(own, *window) > self.reach)
-            own, lx, ly, il, rx, ry = (c[keep] for c in (own, lx, ly, il, rx, ry))
+            own, a = own[keep], a[keep]
 
         # exit edge of the middle ray: nearest crossed edge, in edge order
-        mx, my = pred(lx + rx)[:, None], pred(ly + ry)[:, None]
+        mx, my = (fbx[a] + fbx[a + 1])[:, None], (fby[a] + fby[a + 1])[:, None]
         sides = ops.sign(mx * fy[own] - my * fx[own])
         num, den, sden, hit = self._ray_hits(entry, own, mx, my, edges)
         hit &= ~((sides == 0) & (sides[:, nxt] == 0)) & (sides * sides[:, nxt] <= 0)
@@ -704,16 +706,16 @@ class Waves:
             raise RuntimeError("development ray found no exit edge")
 
         # cross the exit edge into the glued copy
-        e1x, e1y = px[own, best], py[own, best]
-        e2x, e2y = px[own, nxt[best]], py[own, nxt[best]]
-        f1x, f1y, f2x, f2y = map(pred, (e1x, e1y, e2x, e2y))
+        e1, e2 = (own, best), (own, nxt[best])
+        f1x, f1y, f2x, f2y = fx[e1], fy[e1], fx[e2], fy[e2]
         side = ops.sign((f2x - f1x) * -f1y - (f2y - f1y) * -f1x)
         keep = side != 0  # a window collinear with the origin subtends no angle
-        own, k = own[keep], best[keep]
+        own, k, a = own[keep], best[keep], a[keep]
+        e1, e2 = (own, k), (own, nxt[k])
         shift_x, shift_y = ops.bx - ops.bx[self.glued], ops.by - ops.by[self.glued]
         return _Wave(wave.tx[own] + shift_x[k], wave.ty[own] + shift_y[k],
-                     lx[keep], ly[keep], rx[keep], ry[keep], il[keep],
-                     (e1x[keep], e1y[keep], e2x[keep], e2y[keep], side[keep]), own, k)
+                     bx[a], by[a], bx[a + 1], by[a + 1], binc[a],
+                     (px[e1], py[e1], px[e2], py[e2], side[keep]), own, k)
 
 
 def _window_reach(radius: float) -> float:

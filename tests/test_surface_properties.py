@@ -496,6 +496,7 @@ def certified_ops(err):
 
 
 def exact_value(z, i):
+    """Element i of the Z[phi] column z in 60-digit arithmetic."""
     with mpmath.workdps(60):
         return mpmath.mpf(int(z.a[i])) + mpmath.mpf(int(z.b[i])) * mpmath.phi
 
@@ -545,7 +546,8 @@ def test_certified_exits_are_the_exact_exits(rows, hits):
     if err is None:
         return
     ops = certified_ops(err)
-    fcols, zcols = map(ops.pred, coordinate_columns(rows, np.int64)), coordinate_columns(rows, object)
+    fcols = list(map(ops.pred, coordinate_columns(rows, np.int64)))
+    zcols = coordinate_columns(rows, object)
 
     def columns(cols):
         *q, e1x, e1y, e2x, e2y, lx, ly, rx, ry = cols
@@ -553,7 +555,7 @@ def test_certified_exits_are_the_exact_exits(rows, hits):
                  for k in range(4)]
         return [[p[j] for p in pairs] for j in (0, 1)]
 
-    (fnum, fden), (znum, zden) = columns(list(fcols)), columns(zcols)
+    (fnum, fden), (znum, zden) = columns(fcols), columns(zcols)
     num = [[(int(z.a[i]), int(z.b[i])) for z in znum] for i in range(len(rows))]
     den = [[(int(z.a[i]), int(z.b[i])) for z in zden] for i in range(len(rows))]
     hit = [[h and d != (0, 0) for h, d in zip(hits[4 * i:4 * i + 4], row)]
