@@ -56,7 +56,8 @@ surface).  Every signed value has d <= 4 and k <= 10 (the widest, the
 entry test of a middle ray, has k = 9), so its float errs by under 26.01e W
 <= E = 2^-48 W; no rounding underflows, every float formed being 0 or
 above 2^-600.  A nonzero x has |x| >= 1/|x'| >= 1/V', as |x x'| is a
-nonzero integer (|x| >= 1 on a rational surface).  So for tau = 2E and
+nonzero integer (|x| >= 1 on a rational surface); for a coordinate too,
+as ``_bounds`` are at least 1, so that V' >= X'.  So for tau = 2E and
 tau + E < 1/V' (or < 1), a nonzero float is read by its sign beyond tau,
 and the float of a zero lies within E < tau of 0: read +1 above tau, -1
 below -tau and 0 in between, every sign is exact, zero included.  The
