@@ -12,11 +12,17 @@ farey, bcz and hall load no numpy on import and are imported at the top.
 numpy and the modules that load it on import (lattice, affine, surface,
 stats) are imported in the handlers that use them, so farey-gaps and an
 exact bcz-orbit run without numpy.
+
+The argparse parser is built on the first ``main`` call, not at import, and
+that one parser serves every later call in the process (``build_parser`` is
+cached): building it costs a few milliseconds, more than a small command's
+own work.  Parsing leaves the parser as it was, so callers must not mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -161,7 +167,10 @@ def _cmd_lattice_gaps(args):
 def _shifted_square_lattice(shift: str):
     """The affine.AffineLattice Z^2 shifted by the --shift value 'x,y'."""
     from . import affine
-    sx, sy = (_scalar_to_float(part, "--shift part") for part in shift.split(","))
+    parts = shift.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--shift must be x,y, got {shift!r}")
+    sx, sy = (_scalar_to_float(part, "--shift part") for part in parts)
     return affine.AffineLattice(Mat2(1.0, 0.0, 0.0, 1.0), Vec2(sx, sy))
 
 
@@ -269,7 +278,10 @@ def _cmd_compare(args):
 
 # -- parser -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gapkit parser, built once per process and shared by every caller:
+    do not mutate it (no add_argument, set_defaults or add_parser on it)."""
     parser = argparse.ArgumentParser(
         prog="gapkit",
         description="Gap distributions of slopes and angles of planar point sets")

@@ -236,11 +236,18 @@ class TestContract:
         # an exact start in the domain whose float a underflows: the float
         # mode refused the rounded point (0.0, 1.0) as outside the domain
         ["bcz-orbit", "--a", "1e-400", "--b", "1", "--steps", "3"],
+        # a --shift of one or three parts: a bare unpacking error named no option
+        ["affine-angles", "--shift", "0.5", "--radius", "5"],
+        ["affine-angles", "--shift", "0.5,0.5,0.5", "--radius", "5"],
+        ["wedge-p", "--shift", "0.5", "--sigma", "1", "--radius", "5", "--samples", "10"],
+        ["wedge-p", "--shift", "0.5,0.5,0.5", "--sigma", "1", "--radius", "5",
+         "--samples", "10"],
     ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output",
             "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200",
             "bcz-float-a-plus-b-eta", "bcz-float-decimal-a-plus-b-eta", "bcz-float-a-past-eta",
             "bcz-float-start-1e400", "surface-radius-square-overflows",
-            "bcz-float-start-underflows"])
+            "bcz-float-start-underflows", "affine-shift-one-part", "affine-shift-three-parts",
+            "wedge-shift-one-part", "wedge-shift-three-parts"])
     def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
         res = run_cli([arg.format(tmp=tmp_path) for arg in args])
         assert res.returncode == 2
@@ -248,6 +255,8 @@ class TestContract:
         assert "Traceback" not in res.stderr
         if "--shift" in args:
             assert "--shift" in res.stderr
+            if args[args.index("--shift") + 1].count(",") != 1:
+                assert "x,y" in res.stderr
         if "1e-400" in args:
             assert res.stderr == "gapkit: transversal coordinates underflow to 0.0 in floats\n"
 
@@ -321,6 +330,51 @@ def test_every_subcommand_writes_once_from_main(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert cli.main(["surface-sc", "--shape", "foo", "--radius", "3"]) == 2
     assert calls == []
+
+
+# one process, one parser: an argparse failure, then each command with an
+# option given and then left to its default
+REUSE_SEQUENCE = [
+    "farey-gaps --q 4 --bogus",
+    "bcz-orbit --a 1/7 --b 1 --steps 30 --exact",
+    "bcz-orbit --a 1/7 --b 1 --steps 30",
+    "lattice-gaps --seed 3 --count 20",
+    "lattice-gaps --count 20",
+]
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    """Every cli.main call in one process prints what a fresh process prints
+    for the same argv: no option value or default survives a call."""
+    for command in REUSE_SEQUENCE:
+        fresh = run_cli(command.split())
+        code = cli.main(command.split())
+        out, err = capsys.readouterr()
+        assert (code, out) == (fresh.returncode, fresh.stdout), command
+        if code:
+            assert err == fresh.stderr
+    assert cli.main(REUSE_SEQUENCE[0].split()) == 2
+
+
+def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    """The parser is built once per process: after one call, further main
+    calls, failing ones included, construct no ArgumentParser."""
+    assert cli.main(["hall", "--grid", "4"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for command in ("hall --grid 4", "farey-gaps --q 5", "farey-gaps --bogus",
+                    "bcz-orbit --a 1/4 --b 1 --steps 5 --exact"):
+        cli.main(command.split())
+    capsys.readouterr()
+    assert built == []
+    argparse.ArgumentParser(prog="probe")
+    assert built == ["probe"]
 
 
 # SHA-256 of the --format csv and --format json output of one small run of
@@ -404,6 +458,26 @@ def test_import_leaves_scipy_integrate_unloaded():
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "False", "False", "True"]
+
+
+def test_import_loads_hall_and_builds_no_parser():
+    """import gapkit.cli loads gapkit.hall (the benchmark's traced run reads
+    its import time) and constructs no ArgumentParser: the parser is built
+    by the first main call, not at import."""
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import argparse, sys\n"
+         "built = []\n"
+         "init = argparse.ArgumentParser.__init__\n"
+         "def counting(self, *args, **kwargs):\n"
+         "    built.append(1)\n"
+         "    init(self, *args, **kwargs)\n"
+         "argparse.ArgumentParser.__init__ = counting\n"
+         "import gapkit.cli\n"
+         "print('gapkit.hall' in sys.modules, len(built))"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "0"]
 
 
 # the exact Farey/BCZ route in one fresh process: each line is read after one

@@ -23,7 +23,8 @@ def test_startup_probe_quick_mode():
 
 
 def test_layers_probe_quick_mode():
-    # one exact and one float golden L at R = 3 per side, about 1 s in all
+    # one exact and one float golden L at R = 3 and one timed cli.main call
+    # of each command per side, about 1 s in all
     res = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "--quick"],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -36,3 +37,10 @@ def test_layers_probe_quick_mode():
         assert golden["exact_states"] == golden["float_states"] == 300
         assert golden["certified_waves"] == 5 and golden["uncertified_waves"] == 0
         assert golden["exact_ms"]["median"] > 0 and golden["exact_float_ratio"] > 0
+    commands = report["layers"]["cli"]
+    assert sorted(commands) == ["hall --grid 8", "lattice-gaps --count 10000"]
+    for command, rows in zip(sorted(commands), (8, 10000)):
+        for side in ("change", "parent"):
+            calls = commands[command][side]
+            assert calls["rows"] == rows
+            assert calls["call_us"]["median"] > 0 and calls["us_per_row"] > 0

@@ -1,17 +1,23 @@
 """Time gapkit layer by layer, per unit of work, this checkout against another.
 
-One layer so far, the surface: the exact development of the golden L
+Two layers so far.  The surface: the exact development of the golden L
 (``_waves.Waves(golden_l(), R).run()``) and the float one of the same L
 with float sides, at R = 3, 3.75, 4.5 and 10.  Per radius and side it
 reports the time of each development, its states (the sizes of its waves
 added up), the microseconds per state, the connections, how many waves of
 the exact development were certified (their predicates formed in floats)
-and how many were not, and the exact/float ratio.
+and how many were not, and the exact/float ratio.  The cli: in-process
+``cli.main`` calls of ``hall --grid 8``, whose time is the fixed cost of a
+call, and of ``lattice-gaps --count 10000``, whose time per output row is
+the cost of the rows.  Per command and side it reports the time of a call
+and the microseconds per row.
 
 Every sample is one new ``python3`` process that runs this file with
 ``--child`` on a side's ``src/``: it develops each radius once to count
 the work, then times ``CALLS`` developments of each kind and reports the
-best.  Each side is sampled ``REPEATS`` times; the two sides alternate
+best; it makes one untimed ``cli.main`` call of each command (imports and
+any set-up the process keeps) and then times ``CALLS`` calls of each.  Each
+side is sampled ``REPEATS`` times; the two sides alternate
 within each repeat, the side that goes first swapping from one repeat to
 the next, as in ``tools/startup.py``.
 
@@ -19,16 +25,18 @@ the next, as in ``tools/startup.py``.
     python3 tools/layers.py --quick
 
 Without ``--parent`` this checkout runs on both sides.  ``--quick``
-develops R = 3 once per side.  It prints one JSON object whose ``layers``
-block holds per radius and side the median and quartiles (inclusive method)
-over the samples of each time, and the median of the per-sample
-exact/float ratios.  A checkout whose exact waves know no certification
+develops R = 3 and times each command once per side.  It prints one JSON
+object whose ``layers`` block holds per radius or command and side the
+median and quartiles (inclusive method) over the samples of each time, and
+the median of the per-sample exact/float ratios.  A checkout whose exact waves know no certification
 reports its wave counts as null.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -41,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RADII = (3.0, 3.75, 4.5, 10.0)
 REPEATS, CALLS = 9, 5
+COMMANDS = ("hall --grid 8", "lattice-gaps --count 10000")
 
 
 def child_env(checkout: Path) -> dict:
@@ -79,16 +88,38 @@ def develop(make, radius: float, calls: int) -> dict:
             "uncertified_waves": None if cert is None else len(certified) - cert}
 
 
+def invoke(command: str, calls: int) -> dict:
+    """The output rows of an untimed ``cli.main`` call of command and the
+    best time of ``calls`` more calls, stdout captured in memory."""
+    from gapkit import cli
+
+    def once() -> tuple[float, str]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            t0 = time.perf_counter()
+            code = cli.main(command.split())
+            elapsed = time.perf_counter() - t0
+        if code != 0:
+            raise SystemExit(f"gapkit {command} exited {code}")
+        return elapsed, out.getvalue()
+
+    text = once()[1]
+    rows = sum(1 for ln in text.splitlines() if ln and not ln.startswith("#")) - 1
+    return {"s": min(once()[0] for _ in range(calls)), "rows": rows}
+
+
 def child(radii: list[float], calls: int) -> dict:
-    """Per radius, the exact and the float golden L developed (run in a
-    side's interpreter)."""
+    """Per radius, the exact and the float golden L developed, and per
+    command its cli.main calls (run in a side's interpreter)."""
     from gapkit import surface
     from gapkit.core import PHI
 
     side = float(PHI)
-    return {repr(r): {"exact": develop(surface.golden_l, r, calls),
-                      "float": develop(lambda: surface.l_shape(side, side), r, calls)}
-            for r in radii}
+    return {"surface": {repr(r): {"exact": develop(surface.golden_l, r, calls),
+                                  "float": develop(lambda: surface.l_shape(side, side),
+                                                   r, calls)}
+                        for r in radii},
+            "cli": {command: invoke(command, calls) for command in COMMANDS}}
 
 
 def sample(checkout: Path, radii: list[float], calls: int) -> dict:
@@ -107,6 +138,15 @@ def quartiles(values: list[float], scale: float, digits: int) -> dict:
         q1 = q3 = values[0]
     return {"median": round(statistics.median(values) * scale, digits),
             "q1": round(q1 * scale, digits), "q3": round(q3 * scale, digits)}
+
+
+def cli_summary(runs: list[dict]) -> dict:
+    """One side's calls of one command over its samples: the time of a call
+    in microseconds, and per output row."""
+    times = [run["s"] for run in runs]
+    rows = runs[0]["rows"]
+    return {"call_us": quartiles(times, 1e6, 1), "rows": rows,
+            "us_per_row": round(statistics.median(times) * 1e6 / rows, 4)}
 
 
 def summary(runs: list[dict]) -> dict:
@@ -133,9 +173,14 @@ def measure(sides: dict, radii: list[float], repeats: int, calls: int) -> dict:
     for r in range(repeats):
         for side in (order if r % 2 == 0 else order[::-1]):
             samples[side].append(sample(sides[side], radii, calls))
-    return {f"golden-L R={radius!r}": {side: summary([s[repr(radius)] for s in runs])
-                                      for side, runs in samples.items()}
-            for radius in radii}
+    surface = {f"golden-L R={radius!r}": {side: summary([s["surface"][repr(radius)]
+                                                         for s in runs])
+                                         for side, runs in samples.items()}
+               for radius in radii}
+    cli = {command: {side: cli_summary([s["cli"][command] for s in runs])
+                     for side, runs in samples.items()}
+           for command in COMMANDS}
+    return {"surface": surface, "cli": cli}
 
 
 def main(argv=None) -> int:
@@ -143,7 +188,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, default=ROOT,
                         help="the other checkout (default: this one)")
     parser.add_argument("--quick", action="store_true",
-                        help="develop R = 3 once per side")
+                        help="develop R = 3 and time each command once per side")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -155,14 +200,14 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "gapkit").is_dir():
             parser.error(f"{checkout} has no src/gapkit")
     try:
-        surface = measure(sides, radii, repeats, calls)
+        layers = measure(sides, radii, repeats, calls)
     except RuntimeError as exc:
         print(f"layers: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({
         "python": platform.python_version(), "repeats": repeats, "calls": calls,
         "checkouts": {side: str(path) for side, path in sides.items()},
-        "layers": {"surface": surface},
+        "layers": layers,
     }, indent=1))
     return 0
 
