@@ -17,9 +17,9 @@ Every sample is one new ``python3`` process that runs this file with
 the work, then times ``CALLS`` developments of each kind and reports the
 best; it makes one untimed ``cli.main`` call of each command (imports and
 any set-up the process keeps) and then times ``CALLS`` calls of each.  Each
-side is sampled ``REPEATS`` times; the two sides alternate
-within each repeat, the side that goes first swapping from one repeat to
-the next, as in ``tools/startup.py``.
+side is sampled ``REPEATS`` times; the two sides alternate within each
+repeat, the side that goes first swapping from one repeat to the next, as
+in ``tools/startup.py``.
 
     python3 tools/layers.py [--parent PATH]
     python3 tools/layers.py --quick
@@ -28,8 +28,8 @@ Without ``--parent`` this checkout runs on both sides.  ``--quick``
 develops R = 3 and times each command once per side.  It prints one JSON
 object whose ``layers`` block holds per radius or command and side the
 median and quartiles (inclusive method) over the samples of each time, and
-the median of the per-sample exact/float ratios.  A checkout whose exact waves know no certification
-reports its wave counts as null.
+the median of the per-sample exact/float ratios.  A checkout whose exact
+waves know no certification reports its wave counts as null.
 """
 
 from __future__ import annotations
