@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Mat2, Region, Vec2, _check_positive, diag_flow, is_exact, rotation
+from .core import Mat2, Vec2, _check_positive, diag_flow, is_exact, rotation
 from .lattice import coefficient_scan
-from .pointcloud import GapSequence, PointSystem
+from .pointcloud import GapSequence
 from .stats import EmpiricalDist, circular_gaps, rng
 
 __all__ = [
@@ -33,7 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class AffineLattice(PointSystem):
+class AffineLattice:
     """basis . Z^2 + shift, with the shift reduced into the fundamental cell.
 
     All points belong to the set (no primitivity filtering); the origin is
@@ -69,13 +69,6 @@ class AffineLattice(PointSystem):
         rsq = x * x + y * y
         keep = (rsq <= radius * radius) & (rsq > ORIGIN_TOL ** 2)
         return np.column_stack([x[keep], y[keep]])
-
-    def enumerate_points(self, region: Region) -> list[Vec2]:
-        radius = region.bounding_radius()
-        if radius is None:
-            raise ValueError(f"region {region!r} is unbounded")
-        pts = self.ball_points(radius)
-        return [Vec2(x, y) for x, y in pts if region.contains(Vec2(x, y))]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import VerticalVectorError
 
 __all__ = [
-    "GoldenNum", "PHI", "Vec2", "Mat2", "Region", "VerticalStrip", "Ball",
+    "GoldenNum", "PHI", "Vec2", "Mat2", "VerticalStrip", "Ball",
     "shear", "diag_flow", "rotation", "slope", "is_exact", "zphi_sign",
     "zphi_float", "zphi_float_error", "common_denominator",
 ]
@@ -372,27 +372,14 @@ def slope(v: Vec2):
 # plane regions
 # ---------------------------------------------------------------------------
 
-class Region:
-    """A plane region with a total membership predicate.
-
-    Boundaries are closed throughout; boundary sets have measure zero, so
-    the statistics downstream cannot see the convention.
-    """
-
-    def contains(self, v: Vec2) -> bool:
-        raise NotImplementedError
-
-    def bounding_radius(self):
-        """Radius of a centered ball containing the region, or None if unbounded."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class VerticalStrip(Region):
+class VerticalStrip:
     """Strip 0 < x <= eta, 0 <= y <= height (height defaults to unbounded).
 
     The slope pipelines only ever enumerate the strip jointly with a height
     cap, which is why the cap lives here rather than in a separate region.
+    Point systems decide membership (PointSystem.exact_rows, .float_columns);
+    boundary sets have measure zero, so statistics cannot see the open edge.
     """
 
     eta: float
@@ -403,18 +390,9 @@ class VerticalStrip(Region):
         if not self.height >= 0:
             raise ValueError("strip height must be nonnegative")
 
-    def contains(self, v: Vec2) -> bool:
-        x, y = float(v.x), float(v.y)
-        return 0 < x <= float(self.eta) and 0 <= y <= float(self.height)
-
-    def bounding_radius(self):
-        if math.isinf(self.height):
-            return None
-        return math.hypot(float(self.eta), float(self.height))
-
 
 @dataclass(frozen=True)
-class Ball(Region):
+class Ball:
     """Closed centered ball of the given radius."""
 
     radius: float
@@ -424,7 +402,3 @@ class Ball(Region):
 
     def contains(self, v: Vec2) -> bool:
         return float(v.norm_sq()) <= float(self.radius) ** 2
-
-    def bounding_radius(self):
-        return float(self.radius)
-

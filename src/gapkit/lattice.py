@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import bcz
-from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive,
+from .core import (Ball, Mat2, Vec2, VerticalStrip, _check_positive,
                    common_denominator, is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
 from .pointcloud import (ExactRows, GapSequence, PointSystem, _axis_radius, _ragged,
@@ -255,15 +255,15 @@ class UnimodularLattice(PointSystem):
 
     # -- enumeration ------------------------------------------------------
 
-    def exact_rows(self, region: Region) -> Optional[ExactRows]:
-        """Exact bases: the primitive points in the region as int numerators
-        over the common denominator D of the basis entries.
+    def exact_rows(self, region: VerticalStrip | Ball) -> Optional[ExactRows]:
+        """Exact bases: the primitive points in a strip or a ball as int
+        numerators over the common denominator D of the basis entries.
 
         With the basis (A, B, C, D') over D, the point of coefficients
         (m, k) is (A m + B k, C m + D' k) / D.  Strip membership
         0 < X <= eta D, 0 <= Y <= H D and ball membership X^2 + Y^2 <= R^2 D^2
-        are decided in ints against the exact eta, H and R; other regions
-        test their ``contains`` on the built point.  None for float bases.
+        are decided in ints against the exact eta, H and R.  None for float
+        bases.
         """
         if not self.is_exact():
             return None
@@ -278,40 +278,34 @@ class UnimodularLattice(PointSystem):
         if isinstance(region, VerticalStrip):
             xmax, ymax = _floor_times(region.eta, d), _floor_times(region.height, d)
             keep = [0 < x <= xmax and 0 <= y <= ymax for x, y in zip(xs, ys)]
-        elif isinstance(region, Ball):
+        else:
             r = Fraction(region.radius)
             bound = (r.numerator * d) ** 2 // r.denominator ** 2
             keep = [x * x + y * y <= bound for x, y in zip(xs, ys)]
-        else:
-            keep = list(map(region.contains, rows.points()))
         return replace(rows, xs=list(compress(xs, keep)), ys=list(compress(ys, keep)))
 
-    def enumerate_points(self, region: Region) -> list[Vec2]:
-        """Primitive points in the region.
+    def enumerate_points(self, ball: Ball) -> list[Vec2]:
+        """Primitive points in the ball, for the definition of horizontal
+        shortness (pointcloud.is_horizontally_short).
 
-        Exact bases decide strip and ball membership on int numerators
-        (see exact_rows) and build exact vectors only for the points found;
-        float bases decide strip membership on arrays (see float_columns).
+        Exact bases decide membership on int numerators (see exact_rows)
+        and build exact vectors only for the points found; float bases test
+        Ball.contains on each scanned point.
         """
-        rows = self.exact_rows(region)
+        rows = self.exact_rows(ball)
         if rows is not None:
             return rows.points()
-        if isinstance(region, VerticalStrip):
-            x, y = self.float_columns(region)
-            return list(map(Vec2, x.tolist(), y.tolist()))
-        _, _, x, y = _primitive_scan(self.basis, region)
-        return list(filter(region.contains, map(Vec2, x.tolist(), y.tolist())))
+        _, _, x, y = _primitive_scan(self.basis, ball)
+        return list(filter(ball.contains, map(Vec2, x.tolist(), y.tolist())))
 
-    def float_columns(self, region: Region):
-        """Float bases in a VerticalStrip: the primitive points as float
-        arrays (x, y) straight from the scan, kept by 0 < x <= eta and
-        0 <= y <= height in numpy (against the largest floats <= eta and
-        height, so an exact eta is compared exactly).  None otherwise."""
-        if self.is_exact() or not isinstance(region, VerticalStrip):
-            return None
-        _, _, x, y = _primitive_scan(self.basis, region)
-        keep = (x > 0) & (x <= _float_floor(region.eta)) \
-            & (y >= 0) & (y <= _float_floor(region.height))
+    def float_columns(self, strip: VerticalStrip):
+        """The primitive points in the strip as float arrays (x, y) straight
+        from the scan, kept by 0 < x <= eta and 0 <= y <= height in numpy
+        (against the largest floats <= eta and height, so an exact eta is
+        compared exactly); the strip loop reads them for float bases."""
+        _, _, x, y = _primitive_scan(self.basis, strip)
+        keep = (x > 0) & (x <= _float_floor(strip.eta)) \
+            & (y >= 0) & (y <= _float_floor(strip.height))
         return x[keep], y[keep]
 
     def axis_hits(self, slopes, eta, tols) -> list[bool]:
@@ -353,18 +347,16 @@ class UnimodularLattice(PointSystem):
         return hits
 
 
-def _primitive_scan(basis: Mat2, region: Region):
-    """coefficient_scan of a basis over the region's box, non-primitive
-    points dropped: coefficients (m, k) and float coordinates (x, y) of the
-    points near the box; the float scan only steers."""
+def _primitive_scan(basis: Mat2, region: VerticalStrip | Ball):
+    """coefficient_scan of a basis over the box of a strip or a ball,
+    non-primitive points dropped: coefficients (m, k) and float coordinates
+    (x, y) of the points near the box; the float scan only steers."""
     if isinstance(region, VerticalStrip):
         if math.isinf(region.height):
             raise ValueError("cannot enumerate an unbounded strip; cap the height")
         box = (0, region.eta, 0, region.height)
     else:
-        radius = region.bounding_radius()
-        if radius is None:
-            raise ValueError(f"region {region!r} is unbounded")
+        radius = float(region.radius)
         box = (-radius, radius, -radius, radius)
     # float prescreen margin: well clear of double rounding, far below
     # any gap the exact test would have to arbitrate

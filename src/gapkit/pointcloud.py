@@ -1,7 +1,13 @@
-"""Abstract point systems and the slope/return-time machinery built on them.
+"""Point systems and the slope/return-time machinery built on them.
 
-A PointSystem assigns a discrete planar set to a state, equivariantly under
-linear maps: the points of the transformed system are the transformed points.
+A PointSystem is a state x with a discrete planar set attached, read
+through its hooks: a vertical strip's points as int rows (exact_rows) or
+float arrays (float_columns), a ball's points (enumerate_points, the
+definition's enumeration), the transformed system g.x (act) and the axis
+test of hitting_times (axis_hits).  Unimodular lattices are the systems;
+surfaces reach the same statistics through their saddle connections
+(surface.sc_slope_gaps).
+
 All slope statistics flow through two facts about the vertical shear
 (x, y) -> (x, y - s x):
 
@@ -43,8 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Ball, Mat2, Region, Vec2, VerticalStrip, _check_positive, _zphi_coeffs,
-                   is_exact, shear, slope, zphi_float, zphi_float_error, zphi_sign)
+from .core import (Ball, Mat2, Vec2, VerticalStrip, _check_positive, _zphi_coeffs,
+                   is_exact, shear, zphi_float, zphi_float_error, zphi_sign)
 from .errors import ExhaustionError
 
 __all__ = [
@@ -63,16 +69,17 @@ DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
 class PointSystem:
     """State x with a discrete set of nonzero planar points attached.
 
-    Implementations must enumerate deterministically for a fixed state and
-    region, and must satisfy equivariance: enumerating g.x over g.K returns
-    exactly g applied to the enumeration of x over K.  Each implementation
-    holds its search to its module's budget constant
-    (lattice.DEFAULT_CELL_BUDGET, surface.DEFAULT_STATE_BUDGET), read at
-    call time, and raises ResourceLimitError beyond it.
+    A system gives a strip's points through exact_rows or, where that gives
+    None, float_columns; a ball's points through enumerate_points (the
+    definition of horizontal shortness); g.x through act; and the axis
+    test through axis_hits.  Searches are deterministic and held to
+    lattice.DEFAULT_CELL_BUDGET, read at call time, beyond which they raise
+    ResourceLimitError.
     """
 
-    def enumerate_points(self, region: Region) -> list[Vec2]:
-        """All points of the set inside a bounded region (order unspecified)."""
+    def enumerate_points(self, ball: Ball) -> list[Vec2]:
+        """All points of the set inside a closed centered ball (order
+        unspecified)."""
         raise NotImplementedError
 
     def axis_hits(self, slopes, eta, tols) -> list[bool]:
@@ -82,15 +89,17 @@ class PointSystem:
         return [is_horizontally_short(self.act(shear(s)), eta, tol)
                 for s, tol in zip(slopes, tols)]
 
-    def exact_rows(self, region: Region) -> Optional["ExactRows"]:
-        """The points in the region as int numerators, when the system has
-        an exact int form for that region; None otherwise."""
+    def exact_rows(self, strip: VerticalStrip) -> Optional["ExactRows"]:
+        """The points in the strip as int numerators, when the system has
+        an exact int form; None otherwise."""
         return None
 
-    def float_columns(self, region: Region) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The points in the region as float arrays (x, y), when the system
-        is float and holds them as columns; None otherwise."""
-        return None
+    def float_columns(self, strip: VerticalStrip) -> tuple[np.ndarray, np.ndarray]:
+        """The points in the strip as float arrays (x, y), for a system
+        whose exact_rows gives None."""
+        raise NotImplementedError(
+            f"{type(self).__name__} gives its strip points through neither "
+            "exact_rows nor float_columns")
 
     def act(self, g: Mat2) -> "PointSystem":
         """The system attached to the transformed state g.x."""
@@ -257,8 +266,7 @@ def _strip_rows(system: PointSystem, eta, n: int):
 
     Returns (rows, exact): the first n rows in slope order, as (x, y) int
     rows of the ExactRows ``exact``, else as an (n, 3) float array of rows
-    (slope, x, y) for a system with float_columns, else as (slope, point)
-    pairs.
+    (slope, x, y) from float_columns.
     """
     _check_positive(eta, "eta")
     height = float(eta) * max(4.0, 4.0 * n)
@@ -268,11 +276,8 @@ def _strip_rows(system: PointSystem, eta, n: int):
         exact = system.exact_rows(strip)
         if exact is not None:
             rows = _slope_order(exact, cut)
-        elif (cols := system.float_columns(strip)) is not None:
-            rows = _column_order(*cols, cut)
         else:
-            pairs = ((slope(v), v) for v in system.enumerate_points(strip))
-            rows = _collapse([r for r in pairs if float(r[0]) <= cut])
+            rows = _column_order(*system.float_columns(strip), cut)
         if len(rows) >= n:
             return rows[:n], exact
         if height >= DEFAULT_HEIGHT_BUDGET:
@@ -285,9 +290,7 @@ def _strip_rows(system: PointSystem, eta, n: int):
 def _slopes(rows, exact: Optional[ExactRows]) -> tuple:
     if exact is not None:
         return tuple(Fraction(y, x) for x, y in rows)
-    if isinstance(rows, np.ndarray):
-        return tuple(rows[:, 0].tolist())
-    return tuple(s for s, _ in rows)
+    return tuple(rows[:, 0].tolist())
 
 
 def strip_points(system: PointSystem, eta, n: int) -> list:
@@ -302,9 +305,7 @@ def strip_points(system: PointSystem, eta, n: int) -> list:
     rows, exact = _strip_rows(system, eta, n)
     if exact is not None:
         return [(Fraction(y, x), exact.point(x, y)) for x, y in rows]
-    if isinstance(rows, np.ndarray):
-        return [(s, Vec2(x, y)) for s, x, y in rows.tolist()]
-    return rows
+    return [(s, Vec2(x, y)) for s, x, y in rows.tolist()]
 
 
 def slopes_in_strip(system: PointSystem, eta, n: int) -> SlopeSequence:

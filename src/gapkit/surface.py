@@ -33,9 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (PHI, GoldenNum, Mat2, Region, Vec2, _check_positive, _zphi_coeffs,
-                   is_exact, slope)
-from .pointcloud import GapSequence, PointSystem, _collapse, _exact_signs
+from .core import PHI, GoldenNum, Mat2, Vec2, _check_positive, _zphi_coeffs, is_exact, slope
+from .pointcloud import GapSequence, _collapse, _exact_signs
 from .stats import EmpiricalDist, circular_gaps
 
 __all__ = [
@@ -86,9 +85,9 @@ def _angle(x: float, y: float) -> float:
     return math.atan2(y, x) % (2 * math.pi)
 
 
-class TranslationSurface(PointSystem):
-    """Polygon with translation gluings; the attached point set is the set of
-    saddle-connection holonomies."""
+class TranslationSurface:
+    """Polygon with translation gluings; its saddle-connection holonomies
+    come from saddle_connections."""
 
     def __init__(self, vertices, pairings):
         self.vertices = tuple(Vec2(v[0], v[1]) if not isinstance(v, Vec2) else v
@@ -142,25 +141,6 @@ class TranslationSurface(PointSystem):
         (convert with to_float() first to use a float map)."""
         moved = [g @ v for v in self.vertices]
         return TranslationSurface(moved, self.pairings)
-
-    # -- point-system surface ------------------------------------------------
-
-    def enumerate_points(self, region: Region) -> list[Vec2]:
-        radius = region.bounding_radius()
-        if radius is None:
-            raise ValueError(f"region {region!r} is unbounded")
-        conns = saddle_connections(self, radius)
-        seen = set()
-        out = []
-        for c in conns:
-            key = (c.holonomy.x, c.holonomy.y) if self._exact else \
-                (round(float(c.holonomy.x), 9), round(float(c.holonomy.y), 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            if region.contains(c.holonomy):
-                out.append(c.holonomy)
-        return out
 
 
 def l_shape(alpha, beta) -> TranslationSurface:

@@ -2,7 +2,6 @@
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from hypothesis import settings
 
 import gapkit
 from gapkit import affine, lattice, surface
-from gapkit.core import Mat2, Region, Vec2
+from gapkit.core import Mat2, Vec2
 
 # tests that run "python -m gapkit.cli" in a subprocess get the gapkit these
 # tests import: pyproject's pytest pythonpath reaches only this process
@@ -21,23 +20,6 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # shared by the property-test files; no deadline, because on a loaded machine
 # one slow example would otherwise fail a correct test
 settings.register_profile("gapkit", max_examples=25, deadline=None)
-
-
-@dataclass(frozen=True)
-class MappedRegion(Region):
-    """The image g . base of a region under an invertible linear map, for
-    the equivariance tests: g.S enumerated in g.region is g applied to S
-    enumerated in region."""
-
-    g: Mat2
-    base: Region
-
-    def contains(self, v: Vec2) -> bool:
-        return self.base.contains(self.g.inverse() @ v)
-
-    def bounding_radius(self):
-        r = self.base.bounding_radius()
-        return None if r is None else r * self.g.frobenius()  # bounds |g|
 
 
 def farey_fractions(q: int) -> list[Fraction]:

@@ -7,9 +7,7 @@ from gapkit import stats
 from gapkit.affine import (AffineLattice, _half_width, _sorted_angles, _window_counts,
                            angle_gap_distribution, empirical_p,
                            renormalized_triangle_count, sqrt_mod1_gaps)
-from gapkit.core import Ball, Mat2, Vec2, rotation
-
-from conftest import MappedRegion
+from gapkit.core import Mat2, Vec2, rotation
 
 
 def unit_affine(x, y):
@@ -68,13 +66,20 @@ class TestPointsInBall:
         assert len(pts) == 8 and np.all(np.hypot(pts[:, 0], pts[:, 1]) > 1e-9)
 
     def test_equivariance_of_enumeration(self, generic_affine):
-        g = rotation(0.7)
-        region = Ball(3.0)
-        direct = {(round(float(v.x), 8), round(float(v.y), 8))
-                  for v in generic_affine.act(g).enumerate_points(MappedRegion(g, region))}
-        pushed = {(round(float((g @ v).x), 8), round(float((g @ v).y), 8))
-                  for v in generic_affine.enumerate_points(region)}
-        assert direct == pushed
+        # a rotation keeps the ball: the ball points of the rotated lattice
+        # are the rotated ball points, up to those within 1e-9 of the
+        # circle, which the two sides round differently
+        theta, radius = 0.7, 3.0
+        g = rotation(theta)
+
+        def clear(pts):
+            rsq = np.sum(pts ** 2, axis=1)
+            kept = pts[np.abs(rsq - radius ** 2) > 1e-9]
+            return set(map(tuple, np.round(kept, 8).tolist()))
+
+        rotated = generic_affine.ball_points(radius) @ np.array([[g.a, g.b], [g.c, g.d]]).T
+        assert clear(generic_affine.act(g).ball_points(radius)) == clear(rotated)
+        assert len(clear(rotated)) > 20
 
 
 class TestWedges:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from gapkit.core import (Ball, GoldenNum, Mat2, PHI, Vec2, VerticalStrip,
                          diag_flow, is_exact, rotation, shear, slope)
 from gapkit.errors import VerticalVectorError
+from gapkit.lattice import ZSQUARED
 
 
 def mat_close(m1, m2, tol=1e-12):
@@ -176,18 +177,21 @@ class TestGoldenNum:
 
 class TestRegions:
     def test_strip_membership(self):
-        strip = VerticalStrip(2.0)
-        assert strip.contains(Vec2(2.0, 5.0))       # closed right edge
-        assert strip.contains(Vec2(1.0, 0.0))       # closed bottom
-        assert not strip.contains(Vec2(0.0, 1.0))   # open left edge
-        assert not strip.contains(Vec2(1.0, -0.1))
+        # the point systems decide membership: on Z^2 the closed right edge
+        # x = 2 and bottom y = 0 are in, the open left edge x = 0 is out
+        rows = ZSQUARED.exact_rows(VerticalStrip(2, 5))
+        want = {(x, y) for x in (1, 2) for y in range(6) if math.gcd(x, y) == 1}
+        assert set(zip(rows.xs, rows.ys)) == want
+        x, y = ZSQUARED.to_float().float_columns(VerticalStrip(2.0, 5.0))
+        assert set(zip(x.tolist(), y.tolist())) == want
 
     def test_strip_bounded_variant(self):
-        strip = VerticalStrip(1.0, height=3.0)
-        assert strip.contains(Vec2(0.5, 3.0))
-        assert not strip.contains(Vec2(0.5, 3.1))
-        assert strip.bounding_radius() == pytest.approx(math.hypot(1, 3))
-        assert VerticalStrip(1.0).bounding_radius() is None
+        # the top edge y = height is closed, in ints and in floats
+        want = [(1, 0), (1, 1), (1, 2), (1, 3)]
+        rows = ZSQUARED.exact_rows(VerticalStrip(1, 3))
+        assert sorted(zip(rows.xs, rows.ys)) == want
+        x, y = ZSQUARED.to_float().float_columns(VerticalStrip(1.0, 3.0))
+        assert sorted(zip(x.tolist(), y.tolist())) == want
 
     def test_ball(self):
         ball = Ball(2.0)
@@ -208,7 +212,7 @@ class TestRegions:
             Ball(value)
 
     def test_strip_height_may_be_infinite(self):
-        assert VerticalStrip(1.0, math.inf).bounding_radius() is None
+        assert VerticalStrip(1.0).height == VerticalStrip(1.0, math.inf).height == math.inf
 
 
 class TestMat2:

@@ -82,7 +82,8 @@ def test_ball_matches_brute_force(lat, radius):
        st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=8),
        st.fractions(min_value=0, max_value=4, max_denominator=8))
 def test_strip_matches_brute_force(lat, eta, height):
-    got = {(v.x, v.y) for v in lat.enumerate_points(VerticalStrip(eta, height))}
+    rows = lat.exact_rows(VerticalStrip(eta, height))
+    got = {(v.x, v.y) for v in map(rows.point, rows.xs, rows.ys)}
     want = brute_force(lat, lambda v: 0 < v.x <= eta and 0 <= v.y <= height,
                        (0, eta, 0, height))
     assert got == want
@@ -469,6 +470,6 @@ def test_collapse_of_float_slopes_matches_the_loop(slopes):
 @SETTINGS
 @given(st.integers(0, 10 ** 6), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1.0, 40.0))
 def test_collapse_of_float_lattice_strips_matches_the_loop(seed, eta, height):
-    lat = seeded_lattice(seed).to_float()
-    rows = [(slope(v), v) for v in lat.enumerate_points(VerticalStrip(eta, height))]
+    x, y = seeded_lattice(seed).to_float().float_columns(VerticalStrip(eta, height))
+    rows = [(slope(v), v) for v in map(Vec2, x.tolist(), y.tolist())]
     assert pointcloud._collapse(rows) == float_collapse_loop(rows)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from gapkit import lattice, pointcloud
-from gapkit.core import Ball, Mat2, diag_flow, rotation, shear
+from gapkit.core import Ball, Mat2, VerticalStrip, diag_flow, rotation, shear
 from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import UnimodularLattice, ZSQUARED
 from gapkit.pointcloud import (PointSystem, SlopeSequence, gaps, hitting_times,
                                is_horizontally_short, slopes_in_strip)
-
-from conftest import MappedRegion
+from gapkit.surface import saddle_connections, sc_slope_gaps
 
 
 QUARTER_TURN = Mat2(0, -1, 1, 0)
@@ -67,9 +66,22 @@ class TestSlopesInStrip:
         assert all(type(s) is Fraction for s in partial)
 
     def test_unbounded_strip_enumeration_rejected(self):
-        from gapkit.core import VerticalStrip
-        with pytest.raises(ValueError):
-            ZSQUARED.enumerate_points(VerticalStrip(1.0))
+        with pytest.raises(ValueError, match="unbounded strip"):
+            ZSQUARED.exact_rows(VerticalStrip(1))
+        with pytest.raises(ValueError, match="unbounded strip"):
+            ZSQUARED.to_float().float_columns(VerticalStrip(1.0))
+
+    def test_a_system_without_strip_hooks_is_named(self):
+        # neither exact_rows nor float_columns: the strip loop names both
+        # instead of unpacking None
+        class BallOnly(PointSystem):
+            def enumerate_points(self, ball):
+                return ZSQUARED.enumerate_points(ball)
+
+        with pytest.raises(NotImplementedError,
+                           match="BallOnly gives its strip points through neither "
+                                 "exact_rows nor float_columns"):
+            slopes_in_strip(BallOnly(), 1, 5)
 
     def test_sequence_validates_monotone(self):
         with pytest.raises(ValueError):
@@ -88,9 +100,10 @@ class TestGaps:
         assert list(gaps(seq).gaps) == expected
 
     def test_golden_surface_gaps_positive(self, golden_surface):
-        seq = slopes_in_strip(golden_surface, 1, 4)
-        for g in gaps(seq).gaps:
-            assert g.sign() > 0 if hasattr(g, "sign") else g > 0
+        seq = sc_slope_gaps(golden_surface, 3.0).gaps
+        assert len(seq) >= 3
+        for g in seq:
+            assert g > 0
 
     def test_needs_two_slopes(self):
         with pytest.raises(ValueError):
@@ -238,8 +251,11 @@ class PerSystem(PointSystem):
     def __init__(self, lat):
         self.lat = lat
 
-    def enumerate_points(self, region):
-        return self.lat.enumerate_points(region)
+    def enumerate_points(self, ball):
+        return self.lat.enumerate_points(ball)
+
+    def float_columns(self, strip):
+        return self.lat.float_columns(strip)
 
     def act(self, g):
         return PerSystem(self.lat.act(g))
@@ -248,26 +264,24 @@ class PerSystem(PointSystem):
 class TestEquivariance:
     @pytest.mark.parametrize("region", [Ball(3.0), Ball(1.4)])
     def test_lattice_systems(self, region, seeded_lattices):
+        # g.x in Ball(r) is g applied to x in Ball(r |g^-1|_F), which holds
+        # every preimage; points within 1e-9 of the circle are left out,
+        # since the two sides round them differently
         gen = np.random.default_rng(21)
         systems = [ZSQUARED.to_float()] + [l.to_float() for l in seeded_lattices[:3]]
+        rsq = region.radius ** 2 * (1 - 1e-9)
+
+        def inside(points):
+            return {(round(float(v.x), 8), round(float(v.y), 8))
+                    for v in points if float(v.norm_sq()) <= rsq}
+
         for sysm in systems:
             for _ in range(25):
                 g = random_group_element(gen)
-                mapped_region = MappedRegion(g, region)
-                direct = {(round(float(v.x), 8), round(float(v.y), 8))
-                          for v in sysm.act(g).enumerate_points(mapped_region)}
-                pushed = {(round(float((g @ v).x), 8), round(float((g @ v).y), 8))
-                          for v in sysm.enumerate_points(region)}
+                wide = Ball(region.radius * g.inverse().frobenius() + 0.5)
+                direct = inside(sysm.act(g).enumerate_points(region))
+                pushed = inside(g @ v for v in sysm.enumerate_points(wide))
                 assert direct == pushed
-
-    def test_surface_system(self, golden_surface):
-        g = shear(Fraction(1, 2))  # exact parameter keeps the surface exact
-        region = Ball(2.0)
-        direct = {(round(float(v.x), 8), round(float(v.y), 8))
-                  for v in golden_surface.act(g).enumerate_points(MappedRegion(g, region))}
-        pushed = {(round(float((g @ v).x), 8), round(float((g @ v).y), 8))
-                  for v in golden_surface.enumerate_points(region)}
-        assert direct == pushed
 
 
 class TestCentralSymmetry:
@@ -278,7 +292,7 @@ class TestCentralSymmetry:
         assert pts == {(-x, -y) for x, y in pts}
 
     def test_surface_holonomies(self, golden_surface):
-        pts = {(v.x, v.y) for v in golden_surface.enumerate_points(Ball(3.0))}
+        pts = {(c.holonomy.x, c.holonomy.y) for c in saddle_connections(golden_surface, 3.0)}
         assert pts == {(-x, -y) for x, y in pts}
 
 

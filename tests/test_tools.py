@@ -23,8 +23,9 @@ def test_startup_probe_quick_mode():
 
 
 def test_layers_probe_quick_mode():
-    # one exact and one float golden L at R = 3 and one timed cli.main call
-    # of each command per side, about 1 s in all
+    # one exact and one float golden L at R = 3, one timed cli.main call
+    # of each command and one timed exact and float strip of 501 slopes
+    # per side, about 1 s in all
     res = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "--quick"],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -44,3 +45,10 @@ def test_layers_probe_quick_mode():
             calls = commands[command][side]
             assert calls["rows"] == rows
             assert calls["call_us"]["median"] > 0 and calls["us_per_row"] > 0
+    strips = report["layers"]["strip"]
+    assert sorted(strips) == ["seeded(3) exact n=501", "seeded(3) float n=501"]
+    for layer in strips.values():
+        for side in ("change", "parent"):
+            work = layer[side]
+            assert work["slopes"] == 501 and work["scans"] >= 1 and work["cells"] > 501
+            assert work["ms"]["median"] > 0 and work["us_per_slope"] > work["us_per_cell"] > 0

@@ -1,6 +1,6 @@
 """Time gapkit layer by layer, per unit of work, this checkout against another.
 
-Two layers so far.  The surface: the exact development of the golden L
+Three layers so far.  The surface: the exact development of the golden L
 (``_waves.Waves(golden_l(), R).run()``) and the float one of the same L
 with float sides, at R = 3, 3.75, 4.5 and 10.  Per radius and side it
 reports the time of each development, its states (the sizes of its waves
@@ -10,13 +10,18 @@ and how many were not, and the exact/float ratio.  The cli: in-process
 ``cli.main`` calls of ``hall --grid 8``, whose time is the fixed cost of a
 call, and of ``lattice-gaps --count 10000``, whose time per output row is
 the cost of the rows.  Per command and side it reports the time of a call
-and the microseconds per row.
+and the microseconds per row.  The strip: ``pointcloud.slopes_in_strip``
+of width 1 on the exact ``seeded_lattice(3)`` and on its float twin, at
+n = 501 and 10,001.  Per lattice, n and side it reports the time of a call,
+the coefficient scans it made and their cells (``lattice._ragged`` spied),
+and the microseconds per slope and per cell.
 
 Every sample is one new ``python3`` process that runs this file with
 ``--child`` on a side's ``src/``: it develops each radius once to count
 the work, then times ``CALLS`` developments of each kind and reports the
 best; it makes one untimed ``cli.main`` call of each command (imports and
-any set-up the process keeps) and then times ``CALLS`` calls of each.  Each
+any set-up the process keeps) and then times ``CALLS`` calls of each; it
+counts the strip work on one spied call and times ``CALLS`` more.  Each
 side is sampled ``REPEATS`` times; the two sides alternate within each
 repeat, the side that goes first swapping from one repeat to the next, as
 in ``tools/startup.py``.
@@ -25,8 +30,9 @@ in ``tools/startup.py``.
     python3 tools/layers.py --quick
 
 Without ``--parent`` this checkout runs on both sides.  ``--quick``
-develops R = 3 and times each command once per side.  It prints one JSON
-object whose ``layers`` block holds per radius or command and side the
+develops R = 3, times each command once per side and takes the strips at
+n = 501 only.  It prints one JSON
+object whose ``layers`` block holds per radius, command or strip and side the
 median and quartiles (inclusive method) over the samples of each time, and
 the median of the per-sample exact/float ratios.  A checkout whose exact
 waves know no certification reports its wave counts as null.
@@ -50,6 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 RADII = (3.0, 3.75, 4.5, 10.0)
 REPEATS, CALLS = 9, 5
 COMMANDS = ("hall --grid 8", "lattice-gaps --count 10000")
+STRIP_COUNTS = (501, 10001)
 
 
 def child_env(checkout: Path) -> dict:
@@ -108,22 +115,52 @@ def invoke(command: str, calls: int) -> dict:
     return {"s": min(once()[0] for _ in range(calls)), "rows": rows}
 
 
-def child(radii: list[float], calls: int) -> dict:
-    """Per radius, the exact and the float golden L developed, and per
-    command its cli.main calls (run in a side's interpreter)."""
-    from gapkit import surface
+def strip(lat, n: int, calls: int) -> dict:
+    """The coefficient scans and cells of one slopes_in_strip(lat, 1, n),
+    counted on a spied call, and the best time of ``calls`` unspied calls."""
+    from gapkit import lattice, pointcloud
+
+    cells, ragged = [], lattice._ragged
+
+    def spy(starts, lens, total):
+        cells.append(total)
+        return ragged(starts, lens, total)
+
+    lattice._ragged = spy  # one call per single-basis scan, total = its cells
+    try:
+        slopes = len(pointcloud.slopes_in_strip(lat, 1, n))
+    finally:
+        lattice._ragged = ragged
+    best = float("inf")
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        pointcloud.slopes_in_strip(lat, 1, n)
+        best = min(best, time.perf_counter() - t0)
+    return {"s": best, "slopes": slopes, "scans": len(cells), "cells": sum(cells)}
+
+
+def child(radii: list[float], counts: list[int], calls: int) -> dict:
+    """Per radius, the exact and the float golden L developed, per command
+    its cli.main calls, and per count the exact and the float strip (run in
+    a side's interpreter)."""
+    from gapkit import lattice, surface
     from gapkit.core import PHI
 
     side = float(PHI)
+    exact = lattice.seeded_lattice(3)
     return {"surface": {repr(r): {"exact": develop(surface.golden_l, r, calls),
                                   "float": develop(lambda: surface.l_shape(side, side),
                                                    r, calls)}
                         for r in radii},
-            "cli": {command: invoke(command, calls) for command in COMMANDS}}
+            "cli": {command: invoke(command, calls) for command in COMMANDS},
+            "strip": {str(n): {"exact": strip(exact, n, calls),
+                               "float": strip(exact.to_float(), n, calls)}
+                      for n in counts}}
 
 
-def sample(checkout: Path, radii: list[float], calls: int) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--child", json.dumps([radii, calls])],
+def sample(checkout: Path, radii: list[float], counts: list[int], calls: int) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child",
+                           json.dumps([radii, counts, calls])],
                           env=child_env(checkout), cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"layers child in {checkout} exited {proc.returncode}: "
@@ -149,6 +186,18 @@ def cli_summary(runs: list[dict]) -> dict:
             "us_per_row": round(statistics.median(times) * 1e6 / rows, 4)}
 
 
+def strip_summary(runs: list[dict]) -> dict:
+    """One side's strips of one lattice and count over its samples: the
+    time of a call in ms, the work counted once, and the microseconds per
+    slope and per scanned cell."""
+    times, first = [run["s"] for run in runs], runs[0]
+    median_us = statistics.median(times) * 1e6
+    return {"ms": quartiles(times, 1e3, 3), "slopes": first["slopes"],
+            "scans": first["scans"], "cells": first["cells"],
+            "us_per_slope": round(median_us / first["slopes"], 4),
+            "us_per_cell": round(median_us / first["cells"], 5)}
+
+
 def summary(runs: list[dict]) -> dict:
     """One side at one radius over its samples: times in ms, work counted
     once (it is the same in every sample)."""
@@ -167,12 +216,13 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def measure(sides: dict, radii: list[float], repeats: int, calls: int) -> dict:
+def measure(sides: dict, radii: list[float], counts: list[int], repeats: int,
+            calls: int) -> dict:
     samples = {side: [] for side in sides}
     order = list(sides)
     for r in range(repeats):
         for side in (order if r % 2 == 0 else order[::-1]):
-            samples[side].append(sample(sides[side], radii, calls))
+            samples[side].append(sample(sides[side], radii, counts, calls))
     surface = {f"golden-L R={radius!r}": {side: summary([s["surface"][repr(radius)]
                                                          for s in runs])
                                          for side, runs in samples.items()}
@@ -180,7 +230,11 @@ def measure(sides: dict, radii: list[float], repeats: int, calls: int) -> dict:
     cli = {command: {side: cli_summary([s["cli"][command] for s in runs])
                      for side, runs in samples.items()}
            for command in COMMANDS}
-    return {"surface": surface, "cli": cli}
+    strips = {f"seeded(3) {kind} n={n}": {side: strip_summary([s["strip"][str(n)][kind]
+                                                              for s in runs])
+                                          for side, runs in samples.items()}
+              for n in counts for kind in ("exact", "float")}
+    return {"surface": surface, "cli": cli, "strip": strips}
 
 
 def main(argv=None) -> int:
@@ -188,19 +242,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, default=ROOT,
                         help="the other checkout (default: this one)")
     parser.add_argument("--quick", action="store_true",
-                        help="develop R = 3 and time each command once per side")
+                        help="develop R = 3, time each command once per side and "
+                             "take the strips at n = 501 only")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(child(*json.loads(args.child))))
         return 0
-    radii, repeats, calls = ([3.0], 1, 1) if args.quick else (list(RADII), REPEATS, CALLS)
+    radii, counts, repeats, calls = ([3.0], STRIP_COUNTS[:1], 1, 1) if args.quick \
+        else (list(RADII), list(STRIP_COUNTS), REPEATS, CALLS)
     sides = {"change": ROOT, "parent": args.parent.resolve()}
     for checkout in sides.values():
         if not (checkout / "src" / "gapkit").is_dir():
             parser.error(f"{checkout} has no src/gapkit")
     try:
-        layers = measure(sides, radii, repeats, calls)
+        layers = measure(sides, radii, counts, repeats, calls)
     except RuntimeError as exc:
         print(f"layers: {exc}", file=sys.stderr)
         return 1
