@@ -3,9 +3,9 @@
 Subpackages by topic:
 
 * :mod:`gapkit.core` -- exact scalars (rationals and Q(sqrt 5)), 2x2 matrices,
-  the shear / diagonal / rotation subgroups, and plane regions;
-* :mod:`gapkit.pointcloud` -- the abstract point-system contract with the
-  slope / return-time machinery;
+  the shear / diagonal / rotation subgroups, the strip and the ball;
+* :mod:`gapkit.pointcloud` -- the point-system contract that lattices meet,
+  with the slope / return-time machinery;
 * :mod:`gapkit.farey` -- streamed Farey fractions, their count, and exact
   normalized gap sets;
 * :mod:`gapkit.bcz` -- the horocycle transversal, its return map and roof;
