@@ -4,8 +4,8 @@ Subpackages by topic:
 
 * :mod:`gapkit.core` -- exact scalars (rationals and Q(sqrt 5)), 2x2 matrices,
   the shear / diagonal / rotation subgroups, the strip and the ball;
-* :mod:`gapkit.pointcloud` -- the point-system contract that lattices meet,
-  with the slope / return-time machinery;
+* :mod:`gapkit.pointcloud` -- the slope / return-time machinery, read
+  through the methods of a unimodular lattice;
 * :mod:`gapkit.farey` -- streamed Farey fractions, their count, and exact
   normalized gap sets;
 * :mod:`gapkit.bcz` -- the horocycle transversal, its return map and roof;

@@ -284,7 +284,7 @@ def _zphi_value(a, b, d):
 # (a, b, c, d) is ((a + b phi)/D, (c + d phi)/D).
 
 def _zin_ball(p, rsq_num, rsq_den):
-    """|p|^2 <= R^2 exactly, for R^2 D^2 = rsq_num / rsq_den."""
+    """|p|^2 <= R^2 exactly (R^2 D^2 = rsq_num / rsq_den): emit's exact fallback."""
     a, b, c, d = p
     # |p|^2 D^2 = (a^2 + b^2 + c^2 + d^2) + (2ab + b^2 + 2cd + d^2) phi
     return zphi_sign(rsq_den * (a * a + b * b + c * c + d * d) - rsq_num,
@@ -293,17 +293,6 @@ def _zin_ball(p, rsq_num, rsq_den):
 
 def _zholonomy(p, d):
     return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
-
-
-def _zkeys(p, d):
-    """float(length_sq) and the angle of ``_zholonomy(p, d)``, bit for bit:
-    the float of a rational or GoldenNum value is that of the correctly
-    rounded int quotients of its coefficients, as a/d is."""
-    a, b, c, e = p
-    dd = d * d
-    return (zphi_float((a * a + b * b + c * c + e * e) / dd,
-                       (2 * a * b + b * b + 2 * c * e + e * e) / dd),
-            _angle(zphi_float(a / d, b / d), zphi_float(c / d, e / d)))
 
 
 class _ExactOps:
@@ -484,19 +473,20 @@ class _ExactOps:
 
     def keys(self, x, y):
         """The sort keys float(length_sq) and angle of the holonomies (x, y),
-        those of ``_zkeys``.  On int64 with D below 2^26 they are formed in
-        arrays: the coefficients lie below S < 2^(53/4), so the sums of their
-        squares are exact in int64, and these sums, the coefficients and D^2
-        convert to floats exactly, which makes each quotient the correctly
-        rounded one of ``_zkeys``."""
-        if x.a.dtype != object and self.d < 2 ** 26:
-            a, b, c, e = x.a, x.b, y.a, y.b
-            dd = float(self.d * self.d)
-            lsq = zphi_float((a * a + b * b + c * c + e * e) / dd,
-                             (2 * a * b + b * b + 2 * c * e + e * e) / dd)
-            return lsq, list(map(_angle, self.floats(x).tolist(), self.floats(y).tolist()))
-        keys = [_zkeys(p, self.d) for p in zip(*(v.tolist() for v in (x.a, x.b, y.a, y.b)))]
-        return [k[0] for k in keys], [k[1] for k in keys]
+        bit for bit the floats of their exact values, which are those of the
+        correctly rounded int quotients of the coefficients.  On int64 with
+        D below 2^26 the coefficients lie below S < 2^(53/4), so the sums of
+        their squares are exact in int64, and they, the coefficients and D^2
+        convert to floats exactly; object columns, and int64 ones with a
+        larger D, divide as Python ints, whose int / int is correctly rounded."""
+        if self.d >= 2 ** 26:
+            x, y = x.astype(object), y.astype(object)
+        a, b, c, e = x.a, x.b, y.a, y.b
+        dd = self.d * self.d
+        lsq = zphi_float((a * a + b * b + c * c + e * e) / dd,
+                         (2 * a * b + b * b + 2 * c * e + e * e) / dd)
+        return np.asarray(lsq, float), list(map(_angle, self.floats(x).tolist(),
+                                                self.floats(y).tolist()))
 
 
 class _Wave(NamedTuple):

@@ -22,7 +22,7 @@ __all__ = [
 
 
 def _as_coeff(x):
-    """Normalize a rational coefficient: Fractions with unit denominator -> int."""
+    """GoldenNum()'s coefficient check: Fractions with unit denominator -> int."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
@@ -86,7 +86,9 @@ class GoldenNum:
 
     Coefficients are integers whenever possible (divisions promote them to
     Fraction).  All arithmetic and comparisons are exact; float(x) is the only
-    lossy operation.
+    lossy operation.  The kernels build values with _raw; the checked
+    constructor, immutability, truth, abs, >= and repr serve PHI, tests and
+    callers, so the type stays whole where no pipeline calls a method.
     """
 
     __slots__ = ("a", "b")
@@ -153,14 +155,15 @@ class GoldenNum:
     __rmul__ = __mul__
 
     def conjugate(self):
-        """Galois conjugate: phi -> 1 - phi = -1/phi."""
+        """Galois conjugate: phi -> 1 - phi = -1/phi, for __truediv__."""
         return GoldenNum._raw(self.a + self.b, -self.b)
 
     def norm(self):
-        """Field norm x * conj(x) = a^2 + a b - b^2, a rational."""
+        """Field norm x * conj(x) = a^2 + a b - b^2, a rational, for __truediv__."""
         return self.a * self.a + self.a * self.b - self.b * self.b
 
     def __truediv__(self, other):
+        """core.slope's y / x for holonomies with Fraction coefficients."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -171,6 +174,7 @@ class GoldenNum:
         return GoldenNum(Fraction(num.a, 1) / n, Fraction(num.b, 1) / n)
 
     def __rtruediv__(self, other):
+        """core.slope's y / x for an int or Fraction y over a GoldenNum x."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -278,6 +282,7 @@ class Vec2:
         return self.x * self.x + self.y * self.y
 
     def to_float(self) -> "Vec2":
+        """The float vector; tests build float twins of exact surfaces with it."""
         return Vec2(float(self.x), float(self.y))
 
     def __iter__(self):
@@ -378,7 +383,7 @@ class VerticalStrip:
 
     The slope pipelines only ever enumerate the strip jointly with a height
     cap, which is why the cap lives here rather than in a separate region.
-    Point systems decide membership (PointSystem.exact_rows, .float_columns);
+    Lattices decide membership (UnimodularLattice.exact_rows, .float_columns);
     boundary sets have measure zero, so statistics cannot see the open edge.
     """
 
@@ -398,7 +403,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        """Checks the radius of every ball, as VerticalStrip checks eta."""
         _check_positive(self.radius, "radius")
 
     def contains(self, v: Vec2) -> bool:
+        """The float ball test of the definition of horizontal shortness."""
         return float(v.norm_sq()) <= float(self.radius) ** 2

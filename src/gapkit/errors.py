@@ -4,6 +4,11 @@
 class GapkitError(Exception):
     """Base class for all package-specific errors."""
 
+    def __init__(self, message, partial=None):
+        """``partial``: what a search found before it stopped, else None."""
+        super().__init__(message)
+        self.partial = partial
+
 
 class VerticalVectorError(GapkitError):
     """A slope was requested for a vector with zero horizontal component."""
@@ -16,17 +21,9 @@ class ExhaustionError(GapkitError):
     can distinguish "nothing there" from "did not look far enough".
     """
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class ResourceLimitError(GapkitError):
     """A computation would exceed its configured memory or state budget."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class ExceptionalLatticeError(GapkitError):

@@ -64,7 +64,8 @@ def _area_below(t):
 
 
 def region_area(a: float, b: float) -> float:
-    """Area of { (u,v) in Omega : 1/b < u v < 1/a }, 0 <= a < b <= inf."""
+    """Area of { (u,v) in Omega : 1/b < u v < 1/a }, 0 <= a < b <= inf; the
+    closed form the tests check against quadrature beyond criterion 3c."""
     if not (0 <= a < b):
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
     return float(_area_below(b) - _area_below(a))

@@ -1,5 +1,5 @@
-"""Unimodular lattices as point systems: enumeration, transversal coordinates,
-and the two slope-gap pipelines (direct enumeration and return-map fast path).
+"""Unimodular lattices: enumeration, transversal coordinates, and the two
+slope-gap pipelines (direct enumeration and return-map fast path).
 
 One kernel, coefficient_scan, enumerates this module's lattices and the
 affine lattices: it scans integer coefficients of a Lagrange-reduced basis in
@@ -21,9 +21,9 @@ pointcloud.hitting_times's candidates with one such stack
 (UnimodularLattice.axis_hits): the sheared bases (a, b, c - s a, d - s b),
 held to the determinant test in one pass, with no lattice built per slope,
 scanned in a thin box around the axis and their columns tested in numpy;
-the base class's enumeration of each sheared lattice's ball stays the
-definition.  Float strips come out of the scan as x, y arrays
-(UnimodularLattice.float_columns), with no Vec2 per point.
+pointcloud.axis_hits_by_definition, which enumerates each sheared
+lattice's ball, stays the definition.  Float strips come out of the scan
+as x, y arrays (UnimodularLattice.float_columns), with no Vec2 per point.
 
 Lattices built from exact rational entries stay exact through everything:
 enumeration, slopes, transversal coordinates, and return-map orbits.  That
@@ -45,8 +45,8 @@ from . import bcz
 from .core import (Ball, Mat2, Vec2, VerticalStrip, _check_positive,
                    common_denominator, is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
-from .pointcloud import (ExactRows, GapSequence, PointSystem, _axis_radius, _ragged,
-                         strip_points)
+from .pointcloud import (ExactRows, GapSequence, _axis_radius, _ragged,
+                         axis_hits_by_definition, strip_points)
 from .stats import rng
 
 __all__ = [
@@ -222,7 +222,7 @@ def coefficient_scan(basis, xlo, xhi, ylo, yhi, shift=None, margin: float = 0.0)
 
 
 @dataclass(frozen=True)
-class UnimodularLattice(PointSystem):
+class UnimodularLattice:
     """Covolume-1 lattice given by a basis matrix (columns are generators).
 
     Primitive vectors only: the attached point set is { M (m, k) : gcd(m, k) = 1 }.
@@ -290,7 +290,7 @@ class UnimodularLattice(PointSystem):
 
         Exact bases decide membership on int numerators (see exact_rows)
         and build exact vectors only for the points found; float bases test
-        Ball.contains on each scanned point.
+        Ball.contains on each scanned point.  perfbench's tracer wraps it.
         """
         rows = self.exact_rows(ball)
         if rows is not None:
@@ -309,19 +309,18 @@ class UnimodularLattice(PointSystem):
         return x[keep], y[keep]
 
     def axis_hits(self, slopes, eta, tols) -> list[bool]:
-        """PointSystem.axis_hits; a float lattice stacks the bases of
-        shear(s) @ basis as one float (n, 4) array of rows
-        (a, b, c - s a, d - s b), every row held to __post_init__'s
+        """pointcloud.axis_hits_by_definition for exact bases; a float lattice
+        stacks the bases of shear(s) @ basis as one float (n, 4) array of
+        rows (a, b, c - s a, d - s b), every row held to __post_init__'s
         determinant test at once (|det - 1| <= DET_TOL max(1, |row|^2),
         else ValueError).  Chunks of about AXIS_CHUNK_CELLS cells each take
         one stacked scan of the box |x| <= r, |y| <= max(tols), r the radius
         is_horizontally_short searches, and its columns take the
         definition's tests (primitive, Ball.contains, _on_axis with each
         row's tol).  A point's floats do not depend on the box, so the
-        answers are those of the ball scan.  An exact lattice takes the
-        definition."""
+        answers are those of the ball scan."""
         if self.is_exact():
-            return super().axis_hits(slopes, eta, tols)
+            return axis_hits_by_definition(self, slopes, eta, tols)
         radius = _axis_radius(eta)
         a, b, c, d = map(float, self.basis.entries())
         s = np.asarray(slopes, dtype=float)

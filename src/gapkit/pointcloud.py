@@ -1,31 +1,31 @@
-"""Point systems and the slope/return-time machinery built on them.
+"""The slope/return-time machinery of unimodular lattices.
 
-A PointSystem is a state x with a discrete planar set attached, read
-through its hooks: a vertical strip's points as int rows (exact_rows) or
-float arrays (float_columns), a ball's points (enumerate_points, the
-definition's enumeration), the transformed system g.x (act) and the axis
-test of hitting_times (axis_hits).  Unimodular lattices are the systems;
-surfaces reach the same statistics through their saddle connections
-(surface.sc_slope_gaps).
+A lattice (lattice.UnimodularLattice) is a state x with its primitive
+vectors attached.  The strip loop reads a strip's points through its
+exact_rows (int rows, exact bases) or float_columns (float arrays, float
+bases), the definition of horizontal shortness a ball's points through
+enumerate_points and the sheared state g.x through act, hitting_times its
+verdicts through axis_hits.  Surfaces reach the same statistics through
+their saddle connections (surface.sc_slope_gaps).
 
 All slope statistics flow through two facts about the vertical shear
 (x, y) -> (x, y - s x):
 
   * it subtracts s from every slope, so slope gaps are shear-invariant;
-  * a system has a slope s vector in the width-eta strip exactly when the
-    sheared system has a horizontal vector of length at most eta,
+  * a lattice has a slope s vector in the width-eta strip exactly when the
+    sheared lattice has a horizontal vector of length at most eta,
 
 so the sorted strip slopes coincide with the times at which the shear flow
 hits the "horizontally short" transversal.  slopes_in_strip and
 hitting_times compute the two sides of that equality through different code
 paths, and their agreement is the load-bearing invariant of this module.
-hitting_times verifies its candidates through one hook,
-PointSystem.axis_hits(slopes, eta, tols): is shear(s).x eta-horizontally
-short, for each candidate s?  The base class answers by the definition,
-is_horizontally_short of each act(shear(s)); a float lattice answers from
-one stacked scan of its sheared bases (lattice.UnimodularLattice).
+hitting_times verifies its candidates through the lattice's
+axis_hits(slopes, eta, tols): is shear(s).x eta-horizontally short, for
+each candidate s?  The definition, axis_hits_by_definition, answers by
+is_horizontally_short of each act(shear(s)); an exact lattice takes it, a
+float lattice answers from one stacked scan of its sheared bases.
 
-Exact systems may hand the strip loop their points as ExactRows: int
+Exact lattices hand the strip loop their points as ExactRows: int
 numerator pairs (X, Y) over one common denominator, membership already
 decided in ints; Fraction slopes and points are built only for the rows
 returned.  Float lattices hand it float arrays (x, y) (float_columns),
@@ -45,74 +45,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter, truediv
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import (Ball, Mat2, Vec2, VerticalStrip, _check_positive, _zphi_coeffs,
+from .core import (Ball, Vec2, VerticalStrip, _check_positive, _zphi_coeffs,
                    is_exact, shear, zphi_float, zphi_float_error, zphi_sign)
 from .errors import ExhaustionError
 
+if TYPE_CHECKING:  # lattice imports this module
+    from .lattice import UnimodularLattice
+
 __all__ = [
-    "PointSystem", "ExactRows", "SlopeSequence", "GapSequence", "strip_points",
+    "ExactRows", "SlopeSequence", "GapSequence", "strip_points",
     "slopes_in_strip", "gaps",
-    "is_horizontally_short", "hitting_times",
+    "is_horizontally_short", "axis_hits_by_definition", "hitting_times",
 ]
 
-# |y| below this counts as horizontal for float systems (exact systems use 0)
+# |y| below this counts as horizontal for float lattices (exact lattices use 0)
 AXIS_TOL = 1e-9
 
 # strip heights grow geometrically up to this height before giving up
 DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
 
 
-class PointSystem:
-    """State x with a discrete set of nonzero planar points attached.
-
-    A system gives a strip's points through exact_rows or, where that gives
-    None, float_columns; a ball's points through enumerate_points (the
-    definition of horizontal shortness); g.x through act; and the axis
-    test through axis_hits.  Searches are deterministic and held to
-    lattice.DEFAULT_CELL_BUDGET, read at call time, beyond which they raise
-    ResourceLimitError.
-    """
-
-    def enumerate_points(self, ball: Ball) -> list[Vec2]:
-        """All points of the set inside a closed centered ball (order
-        unspecified)."""
-        raise NotImplementedError
-
-    def axis_hits(self, slopes, eta, tols) -> list[bool]:
-        """For each time s of ``slopes``: is the sheared system shear(s).x
-        eta-horizontally short, with ``tols[t]`` the float zero test of
-        time t?  This is the definition; a class may answer all at once."""
-        return [is_horizontally_short(self.act(shear(s)), eta, tol)
-                for s, tol in zip(slopes, tols)]
-
-    def exact_rows(self, strip: VerticalStrip) -> Optional["ExactRows"]:
-        """The points in the strip as int numerators, when the system has
-        an exact int form; None otherwise."""
-        return None
-
-    def float_columns(self, strip: VerticalStrip) -> tuple[np.ndarray, np.ndarray]:
-        """The points in the strip as float arrays (x, y), for a system
-        whose exact_rows gives None."""
-        raise NotImplementedError(
-            f"{type(self).__name__} gives its strip points through neither "
-            "exact_rows nor float_columns")
-
-    def act(self, g: Mat2) -> "PointSystem":
-        """The system attached to the transformed state g.x."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class ExactRows:
-    """Points (X/d, Y/d) of an exact system, as int numerator lists xs, ys.
+    """Points (X/d, Y/d) of an exact lattice, as int numerator lists xs, ys.
 
-    ``int_x`` (``int_y``) says that the system's own x (y) coordinates are
+    ``int_x`` (``int_y``) says that the lattice's own x (y) coordinates are
     ints rather than Fractions, so ``point`` returns the same scalar types
-    as the system's exact arithmetic would.
+    as the lattice's exact arithmetic would.
     """
 
     xs: list
@@ -127,6 +90,7 @@ class ExactRows:
                     y // d if self.int_y else Fraction(y, d))
 
     def points(self) -> list[Vec2]:
+        """The Vec2 points, for enumerate_points of an exact basis."""
         return list(map(self.point, self.xs, self.ys))
 
 
@@ -143,6 +107,7 @@ class SlopeSequence:
                 raise ValueError("slopes must be strictly increasing")
 
     def __len__(self):
+        """The slope count; perfbench's tracer counts slopes_in_strip's work by it."""
         return len(self.slopes)
 
     def floats(self) -> np.ndarray:
@@ -261,23 +226,23 @@ def _column_order(x: np.ndarray, y: np.ndarray, cut: float) -> np.ndarray:
     return rows[_float_order(rows[:, 0])]
 
 
-def _strip_rows(system: PointSystem, eta, n: int):
+def _strip_rows(lat: UnimodularLattice, eta, n: int):
     """The growing-height strip loop behind strip_points.
 
     Returns (rows, exact): the first n rows in slope order, as (x, y) int
-    rows of the ExactRows ``exact``, else as an (n, 3) float array of rows
-    (slope, x, y) from float_columns.
+    rows of the ExactRows ``exact`` from lat.exact_rows, else as an (n, 3)
+    float array of rows (slope, x, y) from lat.float_columns.
     """
     _check_positive(eta, "eta")
     height = float(eta) * max(4.0, 4.0 * n)
     while True:
         cut = height / float(eta)
         strip = VerticalStrip(eta, height)
-        exact = system.exact_rows(strip)
+        exact = lat.exact_rows(strip)
         if exact is not None:
             rows = _slope_order(exact, cut)
         else:
-            rows = _column_order(*system.float_columns(strip), cut)
+            rows = _column_order(*lat.float_columns(strip), cut)
         if len(rows) >= n:
             return rows[:n], exact
         if height >= DEFAULT_HEIGHT_BUDGET:
@@ -293,7 +258,7 @@ def _slopes(rows, exact: Optional[ExactRows]) -> tuple:
     return tuple(rows[:, 0].tolist())
 
 
-def strip_points(system: PointSystem, eta, n: int) -> list:
+def strip_points(lat: UnimodularLattice, eta, n: int) -> list:
     """The n strip points of smallest nonnegative slope, as sorted (slope, point)
     pairs with ties collapsed.
 
@@ -302,20 +267,20 @@ def strip_points(system: PointSystem, eta, n: int) -> list:
     until it reaches DEFAULT_HEIGHT_BUDGET (read at each call); running out
     raises ExhaustionError carrying the partial SlopeSequence.
     """
-    rows, exact = _strip_rows(system, eta, n)
+    rows, exact = _strip_rows(lat, eta, n)
     if exact is not None:
         return [(Fraction(y, x), exact.point(x, y)) for x, y in rows]
     return [(s, Vec2(x, y)) for s, x, y in rows.tolist()]
 
 
-def slopes_in_strip(system: PointSystem, eta, n: int) -> SlopeSequence:
+def slopes_in_strip(lat: UnimodularLattice, eta, n: int) -> SlopeSequence:
     """The n smallest nonnegative slopes of strip vectors, sorted, ties collapsed
     (see strip_points)."""
-    return SlopeSequence(eta, _slopes(*_strip_rows(system, eta, n)))
+    return SlopeSequence(eta, _slopes(*_strip_rows(lat, eta, n)))
 
 
 def gaps(seq: SlopeSequence) -> GapSequence:
-    """Consecutive slope differences; needs at least two slopes."""
+    """Consecutive slope differences (``lattice-gaps --oracle``); needs two slopes."""
     if len(seq) < 2:
         raise ValueError("need at least two slopes to form gaps")
     return GapSequence(tuple(t - s for s, t in zip(seq.slopes, seq.slopes[1:])))
@@ -329,33 +294,42 @@ def _axis_radius(eta) -> float:
 
 
 def _on_axis(v: Vec2, tol: float, radius: float) -> bool:
+    """The definition's test of one point: horizontal, nonzero, within radius."""
     flat = v.y == 0 if is_exact(v.y) else abs(float(v.y)) <= tol
     return flat and v.x != 0 and abs(float(v.x)) <= radius
 
 
-def is_horizontally_short(system: PointSystem, eta, tol: float = AXIS_TOL) -> bool:
-    """True when the set holds a horizontal vector of length at most eta.
+def is_horizontally_short(lat: UnimodularLattice, eta, tol: float = AXIS_TOL) -> bool:
+    """The definition: does the lattice hold a horizontal vector of length <= eta?
 
     ``tol`` is the float zero-test for the transverse coordinate; callers
-    that sheared the system by s should scale it by |s|, which is how much
-    the shear amplifies coordinate rounding.  Exact systems ignore it.
+    that sheared the lattice by s should scale it by |s|, which is how much
+    the shear amplifies coordinate rounding.  Exact lattices ignore it.
     """
     radius = _axis_radius(eta)
-    return any(_on_axis(v, tol, radius) for v in system.enumerate_points(Ball(radius)))
+    return any(_on_axis(v, tol, radius) for v in lat.enumerate_points(Ball(radius)))
 
 
-def hitting_times(system: PointSystem, eta, n: int) -> list:
+def axis_hits_by_definition(lat: UnimodularLattice, slopes, eta, tols) -> list[bool]:
+    """For each time s of ``slopes``: is shear(s).x eta-horizontally short,
+    with ``tols[t]`` the float zero test of time t?  The definition, one
+    sheared lattice per time: exact lattices answer by it, and it is the
+    oracle of the float stack (UnimodularLattice.axis_hits)."""
+    return [is_horizontally_short(lat.act(shear(s)), eta, tol)
+            for s, tol in zip(slopes, tols)]
+
+
+def hitting_times(lat: UnimodularLattice, eta, n: int) -> list:
     """Times s >= 0 at which the sheared state shear(s).x is eta-horizontally short.
 
     Candidates come from the strip slopes; each one is then verified through
-    the independent route, system.axis_hits: shear the system and test
+    the independent route, lat.axis_hits: shear the lattice and test
     shortness with the tolerance AXIS_TOL max(1, |s|).  Candidates failing
     verification are dropped, so any disagreement with slopes_in_strip is
-    observable.  The result is the candidates s for which
-    is_horizontally_short(system.act(shear(s)), eta, AXIS_TOL max(1, |s|))
-    holds; a float lattice answers from its own basis, sheared as one
-    float stack, so the check stays independent of the strip points.
+    observable.  The result is the candidates that axis_hits_by_definition
+    keeps; a float lattice answers from its own basis, sheared as one float
+    stack, so the check stays independent of the strip points.
     """
-    slopes = slopes_in_strip(system, eta, n).slopes
+    slopes = slopes_in_strip(lat, eta, n).slopes
     tols = AXIS_TOL * np.maximum(1.0, np.abs(np.asarray(slopes, dtype=float)))
-    return list(compress(slopes, system.axis_hits(slopes, eta, tols)))
+    return list(compress(slopes, lat.axis_hits(slopes, eta, tols)))

@@ -133,12 +133,13 @@ class TranslationSurface:
         return self._exact
 
     def to_float(self) -> "TranslationSurface":
+        """The float twin; tests compare the exact and float developments."""
         return TranslationSurface([v.to_float() for v in self.vertices],
                                   self.pairings)
 
     def act(self, g: Mat2) -> "TranslationSurface":
-        """Transform by a linear map; exact surfaces need exact map entries
-        (convert with to_float() first to use a float map)."""
+        """Transform by a linear map, as tests build surfaces; exact surfaces
+        need exact map entries (convert with to_float() for a float map)."""
         moved = [g @ v for v in self.vertices]
         return TranslationSurface(moved, self.pairings)
 

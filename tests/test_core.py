@@ -177,7 +177,7 @@ class TestGoldenNum:
 
 class TestRegions:
     def test_strip_membership(self):
-        # the point systems decide membership: on Z^2 the closed right edge
+        # the lattices decide membership: on Z^2 the closed right edge
         # x = 2 and bottom y = 0 are in, the open left edge x = 0 is out
         rows = ZSQUARED.exact_rows(VerticalStrip(2, 5))
         want = {(x, y) for x in (1, 2) for y in range(6) if math.gcd(x, y) == 1}

@@ -25,7 +25,7 @@ from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, rotation, sh
 from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
                             slope_gaps_fast)
-from gapkit.pointcloud import (ExactRows, PointSystem, gaps, hitting_times,
+from gapkit.pointcloud import (ExactRows, axis_hits_by_definition, gaps, hitting_times,
                                is_horizontally_short, slopes_in_strip, strip_points)
 
 SETTINGS = settings.get_profile("gapkit")
@@ -164,8 +164,9 @@ def test_exact_ball_horizontally_short_matches_fraction_test(lat, eta):
     assert is_horizontally_short(lat, eta) == short
 
 
-class RowsSystem(PointSystem):
-    """A finite exact point set given as int rows over a denominator."""
+class RowsSystem:
+    """A finite exact point set given as int rows over a denominator, read
+    by the strip loop through exact_rows alone."""
 
     def __init__(self, rows, d):
         self.rows, self.d = rows, d
@@ -328,9 +329,9 @@ def axis_stacks(draw):
 @given(axis_stacks())
 def test_axis_hits_match_the_definition(stack):
     # the float lattice answers from one stacked thin scan of its sheared
-    # bases; the base class enumerates the ball of each sheared lattice
+    # bases; the definition enumerates the ball of each sheared lattice
     lat, eta, slopes, tols = stack
-    assert lat.axis_hits(slopes, eta, tols) == PointSystem.axis_hits(lat, slopes, eta, tols)
+    assert lat.axis_hits(slopes, eta, tols) == axis_hits_by_definition(lat, slopes, eta, tols)
 
 
 @st.composite

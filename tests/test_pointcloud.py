@@ -9,7 +9,7 @@ from gapkit import lattice, pointcloud
 from gapkit.core import Ball, Mat2, VerticalStrip, diag_flow, rotation, shear
 from gapkit.errors import ExceptionalLatticeError
 from gapkit.lattice import UnimodularLattice, ZSQUARED
-from gapkit.pointcloud import (PointSystem, SlopeSequence, gaps, hitting_times,
+from gapkit.pointcloud import (SlopeSequence, axis_hits_by_definition, gaps, hitting_times,
                                is_horizontally_short, slopes_in_strip)
 from gapkit.surface import saddle_connections, sc_slope_gaps
 
@@ -70,18 +70,6 @@ class TestSlopesInStrip:
             ZSQUARED.exact_rows(VerticalStrip(1))
         with pytest.raises(ValueError, match="unbounded strip"):
             ZSQUARED.to_float().float_columns(VerticalStrip(1.0))
-
-    def test_a_system_without_strip_hooks_is_named(self):
-        # neither exact_rows nor float_columns: the strip loop names both
-        # instead of unpacking None
-        class BallOnly(PointSystem):
-            def enumerate_points(self, ball):
-                return ZSQUARED.enumerate_points(ball)
-
-        with pytest.raises(NotImplementedError,
-                           match="BallOnly gives its strip points through neither "
-                                 "exact_rows nor float_columns"):
-            slopes_in_strip(BallOnly(), 1, 5)
 
     def test_sequence_validates_monotone(self):
         with pytest.raises(ValueError):
@@ -210,9 +198,7 @@ class TestHittingTimes:
         flat = seeded_lattices[4].to_float()
         slopes = slopes_in_strip(flat, 1, 30).slopes
         bad = slopes[17]
-        system = PerturbedLattice(flat.basis, bad=bad)
-        if route == "per-system":
-            system = PerSystem(system)
+        system = (PerturbedLattice if route == "stacked" else PerSystem)(flat.basis, bad=bad)
         scans = []
 
         def spy(basis, *args, **kwargs):
@@ -245,20 +231,12 @@ class PerturbedLattice(UnimodularLattice):
         return super().axis_hits([s + 1e-3 if s == self.bad else s for s in slopes], eta, tols)
 
 
-class PerSystem(PointSystem):
-    """A lattice behind the default, per-system axis_hits."""
+class PerSystem(PerturbedLattice):
+    """A PerturbedLattice answering axis_hits by the definition, one
+    sheared lattice per candidate."""
 
-    def __init__(self, lat):
-        self.lat = lat
-
-    def enumerate_points(self, ball):
-        return self.lat.enumerate_points(ball)
-
-    def float_columns(self, strip):
-        return self.lat.float_columns(strip)
-
-    def act(self, g):
-        return PerSystem(self.lat.act(g))
+    def axis_hits(self, slopes, eta, tols):
+        return axis_hits_by_definition(self, slopes, eta, tols)
 
 
 class TestEquivariance:

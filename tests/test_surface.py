@@ -419,7 +419,10 @@ class TestCertifiedWaves:
     (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 6.0),  # D = 3
     (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0),  # D = 132
     (lambda: l_shape(10 ** 100, 2), 5.0),  # Python ints
-], ids=["golden", "golden-shear-diag", "l(13/12,14/11)", "l(10^100,2)"])
+    # D = 3^17 on int64: D^2 > 2^53 is no exact float, so the quotients take Python ints
+    (lambda: l_shape(2, 3).act(Mat2(Fraction(1, 3 ** 17), 0, 0, Fraction(1, 3 ** 17))),
+     5.0 / 3 ** 17),
+], ids=["golden", "golden-shear-diag", "l(13/12,14/11)", "l(10^100,2)", "l(2,3)/3^17"])
 def test_sort_keys_are_the_floats_of_the_holonomies(make, radius):
     # the keys that order the connections, formed in arrays on int64 waves
     waves = _waves.Waves(make(), radius)

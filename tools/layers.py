@@ -44,7 +44,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import platform
 import statistics
 import subprocess
@@ -52,19 +51,13 @@ import sys
 import time
 from pathlib import Path
 
+from startup import child_env, side_order  # tools/ is sys.path[0] when run as a script
+
 ROOT = Path(__file__).resolve().parents[1]
 RADII = (3.0, 3.75, 4.5, 10.0)
 REPEATS, CALLS = 9, 5
 COMMANDS = ("hall --grid 8", "lattice-gaps --count 10000")
 STRIP_COUNTS = (501, 10001)
-
-
-def child_env(checkout: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(checkout / "src")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return env
 
 
 def develop(make, radius: float, calls: int) -> dict:
@@ -219,9 +212,8 @@ def summary(runs: list[dict]) -> dict:
 def measure(sides: dict, radii: list[float], counts: list[int], repeats: int,
             calls: int) -> dict:
     samples = {side: [] for side in sides}
-    order = list(sides)
     for r in range(repeats):
-        for side in (order if r % 2 == 0 else order[::-1]):
+        for side in side_order(sides, r):
             samples[side].append(sample(sides[side], radii, counts, calls))
     surface = {f"golden-L R={radius!r}": {side: summary([s["surface"][repr(radius)]
                                                          for s in runs])

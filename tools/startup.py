@@ -65,6 +65,13 @@ def run_once(argv: list[str], checkout: Path) -> float:
     return elapsed
 
 
+def side_order(sides: dict, r: int) -> list:
+    """The sides in the order repeat r runs them: the side that goes first
+    swaps from one repeat to the next."""
+    order = list(sides)
+    return order if r % 2 == 0 else order[::-1]
+
+
 def summary(samples: list[float]) -> dict:
     if len(samples) > 1:
         q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
@@ -81,10 +88,9 @@ def measure(jobs: dict, sides: dict, repeats: int) -> dict:
     for argv in jobs.values():
         for checkout in sides.values():
             run_once(argv, checkout)  # discarded
-    order = list(sides)
     for r in range(repeats):
         for label, argv in jobs.items():
-            for side in (order if r % 2 == 0 else order[::-1]):
+            for side in side_order(sides, r):
                 samples[label][side].append(run_once(argv, sides[side]))
     return {label: {side: summary(s) for side, s in by_side.items()}
             for label, by_side in samples.items()}
