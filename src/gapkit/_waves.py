@@ -142,16 +142,19 @@ class _Z:
         return _Z(self.a.astype(dtype, copy=False), self.b.astype(dtype, copy=False))
 
 
-def _bounds(*columns: _Z) -> tuple[float, float]:
-    """Upper bounds for max |x| and max |x'| over the elements of the 1-D
-    columns, x' the conjugate a + b (1 - phi); the margin covers float
-    rounding."""
+def _bounds(*groups: tuple[_Z, ...]) -> list[tuple[float, float]]:
+    """Per group of 1-D columns, upper bounds for max |x| and max |x'| over
+    its elements, x' the conjugate a + b (1 - phi); the margin covers float
+    rounding.  Every group holds an element: the columns of all groups are
+    converted to floats together and the maxima taken segment by segment."""
+    columns = [z for group in groups for z in group]
     a = np.concatenate([z.a for z in columns]).astype(float)
     b = np.concatenate([z.b for z in columns]).astype(float)
-    if not len(a):
-        return 0.0, 0.0
-    return (np.abs(zphi_float(a, b)).max() * (1.0 + 1e-9) + 1.0,
-            np.abs(a + b * (1.0 - _PHI)).max() * (1.0 + 1e-9) + 1.0)
+    sizes = [sum(len(z.a) for z in group) for group in groups]
+    starts = np.cumsum([0, *sizes[:-1]])
+    x = np.maximum.reduceat(np.abs(zphi_float(a, b)), starts) * (1.0 + 1e-9) + 1.0
+    xc = np.maximum.reduceat(np.abs(a + b * (1.0 - _PHI)), starts) * (1.0 + 1e-9) + 1.0
+    return list(zip(x.tolist(), xc.tolist()))
 
 
 def _values(x: float, y: float) -> float:
@@ -317,7 +320,8 @@ class _ExactOps:
         a, b, c, d = (np.array(flat[k::4], object) for k in range(4))
         self.rational = not (b.any() or d.any())
         self.bx, self.by = _Z(a, b), _Z(c, d)
-        self.base = (*_bounds(self.bx), *_bounds(self.by))  # X, X', Y, Y'
+        (bx, bxc), (by, byc) = _bounds((self.bx,), (self.by,))
+        self.base = bx, bxc, by, byc  # X, X', Y, Y'
         # the first wave multiplies edge vectors of the base, turned by
         # quarter turns, so either axis may hold either kind of coordinate
         edge, edge_c = 2 * max(self.base[0::2]), 2 * max(self.base[1::2])
@@ -397,12 +401,14 @@ class _ExactOps:
         """The wave on the arithmetic that ``_route`` picks from the bounds
         of its x- and y-coordinates; placed vertices are base + translation."""
         entry = wave.entry[:4] if wave.entry else ()
-        x, xc = _bounds(wave.lx, wave.rx, *entry[0::2])
-        y, yc = _bounds(wave.ly, wave.ry, *entry[1::2])
-        (tx, txc), (ty, tyc) = _bounds(wave.tx), _bounds(wave.ty)
+        (x, xc), (y, yc), (tx, txc), (ty, tyc) = _bounds(
+            (wave.lx, wave.rx, *entry[0::2]), (wave.ly, wave.ry, *entry[1::2]),
+            (wave.tx,), (wave.ty,))
         bx, bxc, by, byc = self.base
         dtype = self._use(max(x, bx + tx), max(xc, bxc + txc),
                           max(y, by + ty), max(yc, byc + tyc))
+        if wave.tx.a.dtype == dtype:  # every column of a wave has one dtype
+            return wave
         entry = wave.entry and (*(z.astype(dtype) for z in entry), wave.entry[4])
         return wave._replace(**{f: getattr(wave, f).astype(dtype)
                                 for f in ("tx", "ty", "lx", "ly", "rx", "ry")},

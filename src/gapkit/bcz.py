@@ -23,9 +23,12 @@ detection compares int pairs.  Float orbits, and roof_sequence, run it in
 one float loop that clamps drift past the domain boundary, checks
 x[i] + x[i+1] > eta - FLOAT_STEP_TOL and compares within FLOAT_STEP_TOL;
 their roofs come out as one float64 array.  Exact roofs become Fractions
-once at the end, and the validated TransversalPoints of either kind are
-built only when ``BczOrbit.points`` is first read.  bcz_step and roof stay
-the single-step map and the independent oracle of both loops.
+once at the end, one per distinct product A B, shared by every step with
+that product (``core.shared_fractions``): on a Farey orbit the denominators
+read the same backwards, so each roof recurs.  The validated
+TransversalPoints of either kind are built only when ``BczOrbit.points``
+is first read.  bcz_step and roof stay the single-step map and the
+independent oracle of both loops.
 
 The float functions (the float walk behind orbit and roof_sequence, and
 sample_invariant_measure) are the only ones that load numpy, inside their
@@ -39,9 +42,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Optional
 
-from .core import _check_positive, common_denominator, is_exact
+from .core import _check_positive, common_denominator, is_exact, shared_fractions
 from .errors import ResourceLimitError
 
 if TYPE_CHECKING:  # numpy is imported by the float functions themselves
@@ -171,8 +175,8 @@ def _exact_orbit(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
             period = i + 1
             break
         xs.append(y)
-    dd = d * d
-    returns = tuple(Fraction(dd, xs[i] * xs[i + 1]) for i in range(period or n))
+    k = period or n
+    returns = tuple(shared_fractions(d * d, map(mul, xs[:k], xs[1:k + 1])))
     return BczOrbit(returns, period, xs, d, p.eta)
 
 

@@ -44,7 +44,9 @@ _BLOCK_ROWS = 4096  # CSV rows joined into one string per write
 def _cells(column):
     """The text cells of one column: a numpy array prints repr of each value,
     a range str of each index, and any other sequence p/q for a Fraction and
-    str for the rest (int, GoldenNum, Python float).  An array is recognised
+    str for the rest (int, GoldenNum, Python float); gapkit builds no Fraction
+    subclass, so an exact type test, cheaper than isinstance through Fraction's
+    ABCMeta, finds every Fraction.  An array is recognised
     through the numpy already in sys.modules: none can exist before numpy is
     loaded, so a command that never loads it never imports it here."""
     np = sys.modules.get("numpy")
@@ -52,7 +54,7 @@ def _cells(column):
         return map(repr, column.tolist())
     if isinstance(column, range):
         return map(str, column)
-    return (f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)
+    return (f"{v.numerator}/{v.denominator}" if type(v) is Fraction else str(v)
             for v in column)
 
 
@@ -225,7 +227,11 @@ def _cmd_baseline_poisson(args):
 
 
 def _read_column(path: str):
-    """Last column of a gapkit CSV (or a JSON rows payload), as a float array."""
+    """Last column of a gapkit CSV (or a JSON rows payload), as a float array.
+
+    Decimal cells are converted all at once; a column with a p/q cell or a
+    non-finite value goes cell by cell through ``_scalar_to_float``, whose
+    errors name the cell."""
     import numpy as np
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -239,7 +245,13 @@ def _read_column(path: str):
     else:
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         cells = [ln.split(",")[-1] for ln in lines[1:]]
-    return np.array([_scalar_to_float(cell, "cell") for cell in cells])
+    try:
+        column = np.array(list(map(float, cells)))
+    except ValueError:  # a p/q cell, or text that is no number
+        column = None
+    if column is None or not np.isfinite(column).all():
+        return np.array([_scalar_to_float(cell, "cell") for cell in cells])
+    return column
 
 
 def _scalar_to_float(text: str, name: str) -> float:

@@ -17,7 +17,7 @@ from .errors import VerticalVectorError
 __all__ = [
     "GoldenNum", "PHI", "Vec2", "Mat2", "VerticalStrip", "Ball",
     "shear", "diag_flow", "rotation", "slope", "is_exact", "zphi_sign",
-    "zphi_float", "zphi_float_error", "common_denominator",
+    "zphi_float", "zphi_float_error", "common_denominator", "shared_fractions",
 ]
 
 
@@ -79,6 +79,18 @@ def common_denominator(values) -> tuple[list[int], int]:
     fracs = [Fraction(v) for v in values]
     d = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (d // f.denominator) for f in fracs], d
+
+
+def shared_fractions(num: int, dens) -> list[Fraction]:
+    """[Fraction(num, m) for m in dens], one object per distinct int m.
+
+    Fractions are immutable, so equal values may share one object; exact
+    roofs and Farey gaps repeat their denominators, and building each
+    distinct value once skips the repeats' gcds.
+    """
+    dens = list(dens)
+    made = {m: Fraction(num, m) for m in set(dens)}
+    return list(map(made.__getitem__, dens))
 
 
 class GoldenNum:

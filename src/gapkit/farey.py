@@ -6,14 +6,19 @@ fractions p0/q0 < p1/q1 of level Q, the next one is
     p2 = k*p1 - p0,  q2 = k*q1 - q0,  k = (Q + q0) // q1,
 
 which needs only the previous pair, so levels of quadratic size stream in
-constant memory.
+constant memory.  The sequence is symmetric under x -> 1 - x, so its
+denominators, and the gaps N(q)/(q_i q_{i+1}), read the same backwards:
+farey_gaps builds one Fraction per distinct product q_i q_{i+1} and shares
+it among the equal gaps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
+from .core import shared_fractions
 from .errors import ResourceLimitError
 
 __all__ = ["farey_pairs", "farey_size", "farey_gaps"]
@@ -47,7 +52,8 @@ def farey_size(q: int) -> int:
 
 
 def farey_gaps(q: int) -> list[Fraction]:
-    """The N(q) normalized gaps N(q) * (g_{i+1} - g_i) = N(q)/(q_i q_{i+1}), exact.
+    """The N(q) normalized gaps N(q) * (g_{i+1} - g_i) = N(q)/(q_i q_{i+1}), exact,
+    equal gaps one shared Fraction.
 
     A level of more than DEFAULT_TERM_BUDGET terms (read at each call)
     raises ResourceLimitError before any gap is built."""
@@ -55,10 +61,5 @@ def farey_gaps(q: int) -> list[Fraction]:
     if n + 1 > DEFAULT_TERM_BUDGET:
         raise ResourceLimitError(
             f"Farey level {q} exceeds the {DEFAULT_TERM_BUDGET}-term budget")
-    gaps = []
-    prev_den = None
-    for _, den in farey_pairs(q):
-        if prev_den is not None:
-            gaps.append(Fraction(n, prev_den * den))
-        prev_den = den
-    return gaps
+    dens = [den for _, den in farey_pairs(q)]
+    return shared_fractions(n, map(mul, dens, dens[1:]))

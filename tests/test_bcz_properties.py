@@ -1,6 +1,8 @@
 """Property tests: the int-numerator exact orbit and the float loop against
-repeated bcz_step, and the Farey orbits against the Farey sequence."""
+repeated bcz_step, the Farey orbits against the Farey sequence, and the
+sharing of equal exact roofs and Farey gaps."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -106,3 +108,44 @@ def test_farey_orbit_period_and_roofs(q):
     dens = [d for _, d in farey.farey_pairs(q)]
     assert list(orb.returns) == [Fraction(q * q, d0 * d1)
                                  for d0, d1 in zip(dens, dens[1:])]
+
+
+def assert_shared(values):
+    """Every value a Fraction in lowest terms, equal values one object;
+    returns how many values repeat an earlier one."""
+    first = {}
+    for v in values:
+        assert type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1
+        assert first.setdefault(v, v) is v
+    return len(values) - len(first)
+
+
+def check_shared_roofs(p, n, detect_period):
+    orb = bcz.orbit(p, n, detect_period=detect_period)
+    assert [bcz.roof(point) for point in orb.points[:len(orb.returns)]] == \
+        list(orb.returns)
+    return assert_shared(orb.returns)
+
+
+@SETTINGS
+@given(st.integers(2, 200))
+def test_farey_orbit_roofs_are_shared(q):
+    # the level-q denominators read the same backwards, so every roof of
+    # the period recurs and each distinct one is a single object
+    size = farey.farey_size(q)
+    repeats = check_shared_roofs(bcz.farey_orbit_start(q), size + 1, True)
+    assert repeats >= size // 2
+
+
+@SETTINGS
+@given(exact_domain_points(), st.integers(0, 300), st.booleans())
+def test_exact_roofs_are_shared(p, n, detect_period):
+    check_shared_roofs(p, n, detect_period)
+
+
+@SETTINGS
+@given(st.integers(1, 300))
+def test_farey_gaps_share_equal_values(q):
+    gaps = farey.farey_gaps(q)
+    assert gaps == gaps[::-1]
+    assert assert_shared(gaps) >= len(gaps) // 2

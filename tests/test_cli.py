@@ -141,7 +141,19 @@ class TestCompare:
             assert cli.main(["compare", "--left", "gaps." + fmt, "--cdf", "poisson"]) == 0
             _, rows = data_rows(capsys.readouterr().out)
             distances.append(rows[0][0])
-        assert distances[0] == distances[1]
+        # the csv with every other gap written as the p/q of its float: the
+        # column then goes cell by cell, and reads the same floats
+        lines = Path("gaps.csv").read_text().splitlines(keepends=True)
+        first = sum(ln.startswith("#") for ln in lines) + 1  # past the header row
+        for i in range(first, len(lines), 2):
+            *cells, gap = lines[i].rstrip("\n").split(",")
+            q = Fraction(float(gap))
+            lines[i] = ",".join([*cells, f"{q.numerator}/{q.denominator}"]) + "\n"
+        Path("mixed.csv").write_text("".join(lines))
+        assert cli.main(["compare", "--left", "mixed.csv", "--cdf", "poisson"]) == 0
+        _, rows = data_rows(capsys.readouterr().out)
+        distances.append(rows[0][0])
+        assert distances[0] == distances[1] == distances[2]
         assert 0.0 < float(distances[0]) < 1.0
 
     @pytest.mark.parametrize("name, content, shown", [

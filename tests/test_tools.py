@@ -24,8 +24,9 @@ def test_startup_probe_quick_mode():
 
 def test_layers_probe_quick_mode():
     # one exact and one float golden L at R = 3, one timed cli.main call
-    # of each command and one timed exact and float strip of 501 slopes
-    # per side, about 1 s in all
+    # of each command, one timed exact and float strip of 501 slopes and
+    # one timed Farey orbit at Q = 60 and 1,000 float roofs per side,
+    # about 1 s in all
     res = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "--quick"],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -52,3 +53,10 @@ def test_layers_probe_quick_mode():
             work = layer[side]
             assert work["slopes"] == 501 and work["scans"] >= 1 and work["cells"] > 501
             assert work["ms"]["median"] > 0 and work["us_per_slope"] > work["us_per_cell"] > 0
+    orbits = report["layers"]["bcz"]
+    assert sorted(orbits) == ["farey Q=60", "roof_sequence n=1000"]
+    for side in ("change", "parent"):
+        farey, floats = orbits["farey Q=60"][side], orbits["roof_sequence n=1000"][side]
+        assert (farey["steps"], farey["distinct_roofs"]) == (1102, 513)
+        assert (floats["steps"], floats["distinct_roofs"]) == (1000, None)
+        assert farey["us_per_step"] > 0 and floats["us_per_step"] > 0

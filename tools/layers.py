@@ -1,6 +1,6 @@
 """Time gapkit layer by layer, per unit of work, this checkout against another.
 
-Three layers so far.  The surface: the exact development of the golden L
+Four layers so far.  The surface: the exact development of the golden L
 (``_waves.Waves(golden_l(), R).run()``) and the float one of the same L
 with float sides, at R = 3, 3.75, 4.5 and 10.  Per radius and side it
 reports the time of each development, its states (the sizes of its waves
@@ -14,14 +14,20 @@ and the microseconds per row.  The strip: ``pointcloud.slopes_in_strip``
 of width 1 on the exact ``seeded_lattice(3)`` and on its float twin, at
 n = 501 and 10,001.  Per lattice, n and side it reports the time of a call,
 the coefficient scans it made and their cells (``lattice._ragged`` spied),
-and the microseconds per slope and per cell.
+and the microseconds per slope and per cell.  The bcz: the exact Farey orbit
+``bcz.orbit(farey_orbit_start(Q), N(Q) + 1, detect_period=True)`` at
+Q = 60, 110 and 158, and the float ``bcz.roof_sequence`` of 10,000 steps
+from (sqrt 2 - 1, 3/4).  Per orbit and side it reports the time of a call,
+the steps, the distinct roofs among them (exact orbits) and the
+microseconds per step.
 
 Every sample is one new ``python3`` process that runs this file with
 ``--child`` on a side's ``src/``: it develops each radius once to count
 the work, then times ``CALLS`` developments of each kind and reports the
 best; it makes one untimed ``cli.main`` call of each command (imports and
 any set-up the process keeps) and then times ``CALLS`` calls of each; it
-counts the strip work on one spied call and times ``CALLS`` more.  Each
+counts the strip work on one spied call and times ``CALLS`` more; it walks
+each orbit once to count its steps and roofs and times ``CALLS`` more.  Each
 side is sampled ``REPEATS`` times; the two sides alternate within each
 repeat, the side that goes first swapping from one repeat to the next, as
 in ``tools/startup.py``.
@@ -30,9 +36,10 @@ in ``tools/startup.py``.
     python3 tools/layers.py --quick
 
 Without ``--parent`` this checkout runs on both sides.  ``--quick``
-develops R = 3, times each command once per side and takes the strips at
-n = 501 only.  It prints one JSON
-object whose ``layers`` block holds per radius, command or strip and side the
+develops R = 3, times each command once per side, takes the strips at
+n = 501 only and the orbits at Q = 60 and 1,000 float steps.  It prints one
+JSON object whose ``layers`` block holds per radius, command, strip or orbit
+and side the
 median and quartiles (inclusive method) over the samples of each time, and
 the median of the per-sample exact/float ratios.  A checkout whose exact
 waves know no certification reports its wave counts as null.
@@ -58,6 +65,7 @@ RADII = (3.0, 3.75, 4.5, 10.0)
 REPEATS, CALLS = 9, 5
 COMMANDS = ("hall --grid 8", "lattice-gaps --count 10000")
 STRIP_COUNTS = (501, 10001)
+FAREY_LEVELS, FLOAT_STEPS = (60, 110, 158), 10_000
 
 
 def develop(make, radius: float, calls: int) -> dict:
@@ -132,15 +140,37 @@ def strip(lat, n: int, calls: int) -> dict:
     return {"s": best, "slopes": slopes, "scans": len(cells), "cells": sum(cells)}
 
 
-def child(radii: list[float], counts: list[int], calls: int) -> dict:
+def walk(run, calls: int) -> dict:
+    """The steps and distinct exact roofs of one orbit ``run()``, and the
+    best time of ``calls`` more runs."""
+    roofs = run()
+    best = float("inf")
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    distinct = len(set(roofs)) if isinstance(roofs, tuple) else None  # exact roofs
+    return {"s": best, "steps": len(roofs), "distinct_roofs": distinct}
+
+
+def child(radii: list[float], counts: list[int], levels: list[int], steps: int,
+          calls: int) -> dict:
     """Per radius, the exact and the float golden L developed, per command
-    its cli.main calls, and per count the exact and the float strip (run in
-    a side's interpreter)."""
-    from gapkit import lattice, surface
+    its cli.main calls, per count the exact and the float strip, and per
+    level the exact Farey orbit and the float roofs (run in a side's
+    interpreter)."""
+    from gapkit import bcz, farey, lattice, surface
     from gapkit.core import PHI
 
     side = float(PHI)
     exact = lattice.seeded_lattice(3)
+    orbits = {}
+    for q in levels:  # each walk runs before the next level rebinds start and n
+        start, n = bcz.farey_orbit_start(q), farey.farey_size(q) + 1
+        orbits[f"farey Q={q}"] = walk(
+            lambda: bcz.orbit(start, n, detect_period=True).returns, calls)
+    start = bcz.TransversalPoint(2 ** 0.5 - 1, 0.75, 1.0)
+    orbits[f"roof_sequence n={steps}"] = walk(lambda: bcz.roof_sequence(start, steps), calls)
     return {"surface": {repr(r): {"exact": develop(surface.golden_l, r, calls),
                                   "float": develop(lambda: surface.l_shape(side, side),
                                                    r, calls)}
@@ -148,12 +178,12 @@ def child(radii: list[float], counts: list[int], calls: int) -> dict:
             "cli": {command: invoke(command, calls) for command in COMMANDS},
             "strip": {str(n): {"exact": strip(exact, n, calls),
                                "float": strip(exact.to_float(), n, calls)}
-                      for n in counts}}
+                      for n in counts},
+            "bcz": orbits}
 
 
-def sample(checkout: Path, radii: list[float], counts: list[int], calls: int) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--child",
-                           json.dumps([radii, counts, calls])],
+def sample(checkout: Path, args: list) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child", json.dumps(args)],
                           env=child_env(checkout), cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"layers child in {checkout} exited {proc.returncode}: "
@@ -191,6 +221,16 @@ def strip_summary(runs: list[dict]) -> dict:
             "us_per_cell": round(median_us / first["cells"], 5)}
 
 
+def bcz_summary(runs: list[dict]) -> dict:
+    """One side's walks of one orbit over its samples: the time of a call in
+    ms, the steps and distinct roofs counted once, and the microseconds per
+    step."""
+    times, first = [run["s"] for run in runs], runs[0]
+    return {"ms": quartiles(times, 1e3, 3), "steps": first["steps"],
+            "distinct_roofs": first["distinct_roofs"],
+            "us_per_step": round(statistics.median(times) * 1e6 / first["steps"], 4)}
+
+
 def summary(runs: list[dict]) -> dict:
     """One side at one radius over its samples: times in ms, work counted
     once (it is the same in every sample)."""
@@ -209,12 +249,12 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def measure(sides: dict, radii: list[float], counts: list[int], repeats: int,
-            calls: int) -> dict:
+def measure(sides: dict, radii: list[float], counts: list[int], levels: list[int],
+            steps: int, repeats: int, calls: int) -> dict:
     samples = {side: [] for side in sides}
     for r in range(repeats):
         for side in side_order(sides, r):
-            samples[side].append(sample(sides[side], radii, counts, calls))
+            samples[side].append(sample(sides[side], [radii, counts, levels, steps, calls]))
     surface = {f"golden-L R={radius!r}": {side: summary([s["surface"][repr(radius)]
                                                          for s in runs])
                                          for side, runs in samples.items()}
@@ -226,7 +266,10 @@ def measure(sides: dict, radii: list[float], counts: list[int], repeats: int,
                                                               for s in runs])
                                           for side, runs in samples.items()}
               for n in counts for kind in ("exact", "float")}
-    return {"surface": surface, "cli": cli, "strip": strips}
+    orbits = {name: {side: bcz_summary([s["bcz"][name] for s in runs])
+                     for side, runs in samples.items()}
+              for name in samples["change"][0]["bcz"]}
+    return {"surface": surface, "cli": cli, "strip": strips, "bcz": orbits}
 
 
 def main(argv=None) -> int:
@@ -234,21 +277,23 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, default=ROOT,
                         help="the other checkout (default: this one)")
     parser.add_argument("--quick", action="store_true",
-                        help="develop R = 3, time each command once per side and "
-                             "take the strips at n = 501 only")
+                        help="develop R = 3, time each command once per side, "
+                             "take the strips at n = 501 only and the orbits at "
+                             "Q = 60 and 1,000 float steps")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(child(*json.loads(args.child))))
         return 0
-    radii, counts, repeats, calls = ([3.0], STRIP_COUNTS[:1], 1, 1) if args.quick \
-        else (list(RADII), list(STRIP_COUNTS), REPEATS, CALLS)
+    radii, counts, levels, steps, repeats, calls = \
+        ([3.0], STRIP_COUNTS[:1], FAREY_LEVELS[:1], 1000, 1, 1) if args.quick \
+        else (list(RADII), list(STRIP_COUNTS), list(FAREY_LEVELS), FLOAT_STEPS, REPEATS, CALLS)
     sides = {"change": ROOT, "parent": args.parent.resolve()}
     for checkout in sides.values():
         if not (checkout / "src" / "gapkit").is_dir():
             parser.error(f"{checkout} has no src/gapkit")
     try:
-        layers = measure(sides, radii, counts, repeats, calls)
+        layers = measure(sides, radii, counts, levels, steps, repeats, calls)
     except RuntimeError as exc:
         print(f"layers: {exc}", file=sys.stderr)
         return 1
