@@ -27,21 +27,17 @@ could overflow int64 (every coefficient a step forms is below 2^9 S^4, S
 the largest bound), on int64 otherwise.  Every signed value is a product
 of two cross products, |x| <= 48 (XY)^2, or smaller, or a dot product,
 |x| <= 2 (X^2 + Y^2); so |x| <= V = 48 (XY)^2 + 2 (X^2 + Y^2), and
-|x'| <= V' likewise.  ``_ExactOps.sign`` takes the sign of the float
-``core.zphi_float`` of a + b phi.  It is proven exact on a rational
-surface (b = 0), and on int64 when V + V' < 2^53 and (V + V') V' <
-2^51 sqrt 5: a and b are then exact floats, rounding phi and b*phi errs by
-under 2.0001 * 2^-53 |b| phi with |b| <= (V + V')/sqrt 5, and for b != 0
-the norm x x' = a^2 + ab - b^2 is a nonzero integer, so |x| >= 1/V'
-exceeds that error.  Without the proof each element is checked, a filter
-in the manner of Shewchuk (1997): one with b != 0 and a float within
-``core.zphi_float_error`` of zero, or not a number, is signed by the
-scalar ``core.zphi_sign`` on Python ints, as is every element of an object
-array past the floats.
+|x'| <= V' likewise.  A sign takes one of two rules.  A certified wave
+(below) forms its predicates in floats and reads them by the band 2E.  Any
+other wave forms them from the Z[phi] pairs and signs each element by the
+filter ``pointcloud._zphi_signs``, in the manner of Shewchuk (1997): the
+sign of the float ``core.zphi_float`` of a + b phi where it lies beyond
+``core.zphi_float_error``, else the scalar ``core.zphi_sign`` on the
+coefficients, as for every element of an object array past the floats.
 
-Certified waves.  A proven int64 wave is certified when its bounds show
-that every signed value formed in floats from its coordinates has the
-exact sign (``_certify``); its predicates then multiply no Z[phi] pair.
+Certified waves.  An int64 wave is certified when its bounds show that
+every signed value formed in floats from its coordinates has the exact
+sign (``_certify``); its predicates then multiply no Z[phi] pair.
 With e = 2^-53, a coordinate u = a + b phi becomes the float
 fl(a + fl(b fl(phi))) (``_ExactOps.pred``), which lies within 4e m of u,
 m = |a| + |b| phi: a and b are exact floats (S < 2^(53/4) puts them below
@@ -101,7 +97,7 @@ from . import surface
 from .core import (_PHI, GoldenNum, Vec2, _zphi_coeffs, common_denominator, zphi_float,
                    zphi_float_error, zphi_sign)
 from .errors import ResourceLimitError
-from .pointcloud import _ragged
+from .pointcloud import _ragged, _zphi_signs
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _angle, _ball_rsq
 
 
@@ -163,13 +159,10 @@ def _values(x: float, y: float) -> float:
     return 48 * (x * y) ** 2 + 2 * (x * x + y * y)
 
 
-def _route(x: float, xc: float, y: float, yc: float, rational: bool) -> tuple[type, bool]:
+def _route(x: float, xc: float, y: float, yc: float) -> type:
     """The int dtype of a wave with |x| <= x, |x'| <= xc, |y| <= y and |y'| <= yc
-    on its coordinates, and whether these bounds prove its float signs."""
-    if max(x, xc, y, yc) >= 2.0 ** (53 / 4):  # 2^9 S^4 >= 2^62
-        return object, rational
-    v, vc = _values(x, y), _values(xc, yc)
-    return np.int64, rational or v + vc < 2.0 ** 53 and (v + vc) * vc < 2.0 ** 51 * math.sqrt(5.0)
+    on its coordinates: Python ints (object) once a product could overflow."""
+    return object if max(x, xc, y, yc) >= 2.0 ** (53 / 4) else np.int64  # 2^9 S^4 >= 2^62
 
 
 def _certify(x: float, xc: float, y: float, yc: float, rational: bool) -> Optional[float]:
@@ -181,14 +174,6 @@ def _certify(x: float, xc: float, y: float, yc: float, rational: bool) -> Option
     k = 0.0 if rational else 1.5  # |a| + |b| phi <= |u| + k |u'|
     err = 2.0 ** -48 * _values(x + k * xc, y + k * yc)
     return err if 3 * err * (1.0 if rational else _values(xc, yc)) < 1 else None
-
-
-def _checked(s, x, doubt):
-    """The signs s of x with the elements under the mask ``doubt`` signed
-    again by the scalar ``zphi_sign`` on Python ints."""
-    for i in np.flatnonzero(doubt).tolist():
-        s.flat[i] = zphi_sign(int(x.a.flat[i]), int(x.b.flat[i]))
-    return s
 
 
 def _ordered_exits(ops, num, den, sden, hit):
@@ -335,13 +320,11 @@ class _ExactOps:
 
     def _use(self, *bounds: float) -> type:
         """Put the base on the int dtype that ``_route`` picks from a wave's
-        bounds (x, x', y, y'), take its sign proof, and certify the wave
-        (``err`` its E, else None) when the proof holds on int64; returns
-        the dtype."""
-        dtype, self.proven = _route(*bounds, self.rational)
+        bounds (x, x', y, y') and certify the wave (``err`` its E, else
+        None); returns the dtype."""
+        dtype = _route(*bounds)
         self.bx, self.by = self.bx.astype(dtype), self.by.astype(dtype)
-        self.err = _certify(*bounds, self.rational) if dtype is np.int64 and self.proven \
-            else None
+        self.err = _certify(*bounds, self.rational)
         return dtype
 
     def pred(self, x):
@@ -351,26 +334,8 @@ class _ExactOps:
 
     def sign(self, x):
         """The sign of each element of x as int8: on a certified wave's floats
-        the band 2E, on Z[phi] pairs the float sign, checked element by
-        element unless the wave's bound proves it (module docstring)."""
-        if type(x) is not _Z:
-            return _sign(x, 2 * self.err)
-        if x.a.dtype != object:
-            return self._signs(x, x.a, x.b)
-        try:
-            a, b = x.a.astype(float), x.b.astype(float)
-        except OverflowError:  # past the floats: every element exactly
-            return _checked(np.zeros(x.a.shape, np.int8), x, np.ones(x.a.shape, bool))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are checked
-            return self._signs(x, a, b)
-
-    def _signs(self, x, a, b):
-        """``sign`` from the floats (or int64 arrays) a, b of x's coefficients."""
-        f = zphi_float(a, b)
-        s = np.sign(f).astype(np.int8)
-        if self.proven:
-            return s
-        return _checked(s, x, (x.b != 0) & ~(np.abs(f) > zphi_float_error(a, b)))
+        the band 2E, on Z[phi] pairs the filter ``pointcloud._zphi_signs``."""
+        return _sign(x, 2 * self.err) if type(x) is not _Z else _zphi_signs(x.a, x.b)
 
     def pos(self, x):
         return x > 2 * self.err if type(x) is not _Z else self.sign(x) > 0

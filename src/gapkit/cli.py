@@ -158,7 +158,7 @@ def _cmd_lattice_gaps(args):
     if args.oracle:
         from .pointcloud import gaps as gaps_of, slopes_in_strip
         seq = slopes_in_strip(lat.to_float(), args.eta, args.count + 1)
-        values = gaps_of(seq).floats()
+        values = gaps_of(seq).floats() if args.count else ()  # no gaps, as the fast route
     else:
         values = lattice.slope_gaps_fast(lat, args.eta, args.count).gaps
     return ({"eta": args.eta, "count": args.count, "oracle": args.oracle,

@@ -69,6 +69,11 @@ def zphi_float_error(a, b):
     return 2.0 ** -50 * (abs(a) + abs(b) * _PHI) + 2.0 ** -1060
 
 
+def _quotient(p, n):
+    """p/n (int or Fraction) as a GoldenNum coefficient: an int when n divides p."""
+    return p // n if p % n == 0 else Fraction(p, n)
+
+
 def common_denominator(values) -> tuple[list[int], int]:
     """Exact rationals as int numerators over their least common denominator.
 
@@ -96,11 +101,13 @@ def shared_fractions(num: int, dens) -> list[Fraction]:
 class GoldenNum:
     """Exact element a + b*phi of Q(sqrt 5), phi = (1 + sqrt 5)/2, phi^2 = phi + 1.
 
-    Coefficients are integers whenever possible (divisions promote them to
-    Fraction).  All arithmetic and comparisons are exact; float(x) is the only
-    lossy operation.  The kernels build values with _raw; the checked
-    constructor, immutability, truth, abs, >= and repr serve PHI, tests and
-    callers, so the type stays whole where no pipeline calls a method.
+    Coefficients are ints whenever possible: the constructor and every
+    result of +, -, * and / turn a Fraction of denominator 1 into an int, so
+    equal values print and repr alike.  All arithmetic and comparisons are
+    exact; float(x) is the only lossy operation.  The kernels build values
+    with _raw; the checked constructor, immutability, truth, abs, >= and
+    repr serve PHI, tests and callers, so the type stays whole where no
+    pipeline calls a method.
     """
 
     __slots__ = ("a", "b")
@@ -121,6 +128,16 @@ class GoldenNum:
         object.__setattr__(self, "b", b)
         return self
 
+    @classmethod
+    def _normal(cls, a, b):
+        """_raw of a ring operation's int or Fraction coefficients, those of
+        denominator 1 made ints."""
+        if type(a) is not int and a.denominator == 1:
+            a = a.numerator
+        if type(b) is not int and b.denominator == 1:
+            b = b.numerator
+        return cls._raw(a, b)
+
     # -- ring structure -------------------------------------------------
 
     def _coerce(self, other):
@@ -137,7 +154,7 @@ class GoldenNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNum._raw(self.a + o.a, self.b + o.b)
+        return GoldenNum._normal(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -145,13 +162,13 @@ class GoldenNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNum._raw(self.a - o.a, self.b - o.b)
+        return GoldenNum._normal(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNum._raw(o.a - self.a, o.b - self.b)
+        return GoldenNum._normal(o.a - self.a, o.b - self.b)
 
     def __neg__(self):
         return GoldenNum._raw(-self.a, -self.b)
@@ -161,29 +178,22 @@ class GoldenNum:
         if o is None:
             return NotImplemented
         # (a1 + b1 phi)(a2 + b2 phi), phi^2 = phi + 1
-        return GoldenNum._raw(self.a * o.a + self.b * o.b,
-                              self.a * o.b + self.b * o.a + self.b * o.b)
+        return GoldenNum._normal(self.a * o.a + self.b * o.b,
+                                 self.a * o.b + self.b * o.a + self.b * o.b)
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        """Galois conjugate: phi -> 1 - phi = -1/phi, for __truediv__."""
-        return GoldenNum._raw(self.a + self.b, -self.b)
-
-    def norm(self):
-        """Field norm x * conj(x) = a^2 + a b - b^2, a rational, for __truediv__."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
     def __truediv__(self, other):
-        """core.slope's y / x for holonomies with Fraction coefficients."""
+        """core.slope's y / x: for x = a + b phi, y x'/N(x) with x' = (a + b)
+        - b phi its conjugate and N(x) = x x' = a^2 + ab - b^2 its norm."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = o.norm()
+        a, b, c, d = o.a, o.b, self.a, self.b
+        n = a * a + a * b - b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        num = self * o.conjugate()
-        return GoldenNum(Fraction(num.a, 1) / n, Fraction(num.b, 1) / n)
+        return GoldenNum._raw(_quotient(c * (a + b) - d * b, n), _quotient(d * a - c * b, n))
 
     def __rtruediv__(self, other):
         """core.slope's y / x for an int or Fraction y over a GoldenNum x."""

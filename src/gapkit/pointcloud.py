@@ -178,32 +178,45 @@ def _collapse_exact(rows: list) -> list:
     have equal coefficients, hence equal floats.  Slopes beyond the float
     range have nan floats and make one run, sorted exactly.
     """
-    _, fa, fb = _zphi_floats(s for s, _ in rows)
+    fa, fb = _zphi_floats(*_zphi_columns(s for s, _ in rows))
     f, err = zphi_float(fa, fb), zphi_float_error(fa, fb)
     return [rows[i] for i in _float_first(f, err, lambda i: rows[i][0])]
 
 
-def _zphi_floats(values):
-    """The coefficient pairs (a, b) of scalars a + b phi (GoldenNum, or any
-    other scalar with b = 0) and their floats as two arrays, every float nan
-    when one coefficient lies past the float range."""
-    parts = list(map(_zphi_coeffs, values))
+def _zphi_columns(values) -> np.ndarray:
+    """The coefficients a, b of scalars a + b phi (GoldenNum, or any other
+    scalar with b = 0) as the two rows of one object array."""
+    return np.array(list(map(_zphi_coeffs, values)), object).reshape(-1, 2).T
+
+
+def _zphi_floats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floats of coefficient arrays a, b, every float nan when one
+    coefficient lies past the float range."""
     try:
-        fa, fb = np.array(parts, dtype=float).reshape(-1, 2).T
+        return a.astype(float), b.astype(float)
     except OverflowError:
-        fa = fb = np.full(len(parts), np.nan)
-    return parts, fa, fb
+        return np.full(a.shape, np.nan), np.full(b.shape, np.nan)
 
 
-def _exact_signs(values) -> np.ndarray:
-    """The exact signs of scalars (GoldenNum, int, Fraction or float): the
-    float sign where ``core.zphi_float_error`` proves it, ``zphi_sign`` on
-    the coefficients elsewhere."""
-    parts, fa, fb = _zphi_floats(values)
-    f = zphi_float(fa, fb)
-    s = np.sign(f)
-    for i in np.flatnonzero(~(np.abs(f) > zphi_float_error(fa, fb))).tolist():  # and nan
-        s[i] = zphi_sign(*parts[i])
+def _zphi_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact signs of a + b phi as int8, elementwise over coefficient
+    arrays of one shape (int64, or objects: int, Fraction or float).
+
+    The one sign filter of Q(sqrt 5), in the manner of Shewchuk (1997): the
+    sign of the float ``core.zphi_float`` where it lies beyond
+    ``core.zphi_float_error``, ``core.zphi_sign`` of the coefficients
+    elsewhere, past the floats included; an exact zero (a = b = 0) has the
+    float 0 and keeps it.  A rational a with b = 0 is re-signed like any
+    other, as a Fraction may round to 0.0.
+    """
+    fa, fb = _zphi_floats(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are re-signed
+        f = zphi_float(fa, fb)
+        doubt = np.flatnonzero(~(np.abs(f) > zphi_float_error(fa, fb)))
+    s = (f > 0).astype(np.int8) - (f < 0)
+    da, db = a.flat[doubt], b.flat[doubt]
+    redo = (da != 0) | (db != 0)
+    s.flat[doubt[redo]] = list(map(zphi_sign, da[redo].tolist(), db[redo].tolist()))
     return s
 
 

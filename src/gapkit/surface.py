@@ -16,15 +16,18 @@ every state of a wave held in numpy arrays, on one of two arithmetics:
 
 * exact surfaces (int, Fraction and GoldenNum coordinates, all in
   Q(sqrt 5)): exact decisions on the Z[phi] int format that
-  ``gapkit._waves`` describes, taken in floats wherever a written error
-  bound proves the float answer exact and in ints elsewhere, with
-  GoldenNum, Fraction and int values built only for the emitted holonomies;
+  ``gapkit._waves`` describes, taken in floats on the waves that a written
+  error bound certifies and by the one sign filter of Q(sqrt 5),
+  ``pointcloud._zphi_signs``, on the others, with GoldenNum, Fraction and
+  int values built only for the emitted holonomies;
 * float surfaces: a 1e-9 zero tolerance, with the usual caveat that
   near-degenerate configurations may misclassify a boundary.
 
 Either way the waves find the connections (holonomies, paths and discovery
 order) of a state-by-state search, and a state budget overrun ends the
-partial result at a wave boundary.
+partial result at a wave boundary.  ``sc_slope_gaps`` keeps the
+first-quadrant holonomies by that sign filter and takes their slopes by
+``core.slope``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PHI, GoldenNum, Mat2, Vec2, _check_positive, _zphi_coeffs, is_exact, slope
-from .pointcloud import GapSequence, _collapse, _exact_signs
+from .core import PHI, Mat2, Vec2, _check_positive, is_exact, slope
+from .pointcloud import GapSequence, _collapse, _zphi_columns, _zphi_signs
 from .stats import EmpiricalDist, circular_gaps
 
 __all__ = [
@@ -212,30 +215,13 @@ def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:
     every gap is strictly positive.
     """
     hols = [c.holonomy for c in saddle_connections(surface, radius)]
-    sx, sy = _exact_signs([v.x for v in hols] + [v.y for v in hols]).reshape(2, -1)
+    coords = _zphi_columns([v.x for v in hols] + [v.y for v in hols])
+    sx, sy = _zphi_signs(*coords).reshape(2, -1)
     kept = ((sx > 0) & (sy >= 0)).nonzero()[0].tolist()
-    rows = _collapse([(_slope(hols[i]), hols[i]) for i in kept])
+    rows = _collapse([(slope(hols[i]), hols[i]) for i in kept])
     if len(rows) < 2:
         raise ValueError("need at least two slopes to form gaps")
     return GapSequence(tuple(b - a for (a, _), (b, _) in zip(rows, rows[1:])))
-
-
-def _slope(v: Vec2):
-    """``core.slope(v)``, equal in value and type: for a GoldenNum coordinate
-    and int coefficients x = a + b phi, y = c + d phi, the slope y x'/N(x)
-    with one Fraction per coefficient, N(x) = a^2 + ab - b^2 = x x'."""
-    x, y = v
-    if type(x) is GoldenNum or type(y) is GoldenNum:
-        (a, b), (c, d) = _zphi_coeffs(x), _zphi_coeffs(y)
-        n = a * a + a * b - b * b
-        if type(a) is type(b) is type(c) is type(d) is int and n:
-            return GoldenNum._raw(_quotient(c * (a + b) - d * b, n), _quotient(d * a - c * b, n))
-    return slope(v)
-
-
-def _quotient(p: int, n: int):
-    """p/n as a GoldenNum coefficient: an int when n divides p."""
-    return p // n if p % n == 0 else Fraction(p, n)
 
 
 def sc_angle_gaps(surface: TranslationSurface, radius) -> EmpiricalDist:

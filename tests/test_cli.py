@@ -80,14 +80,18 @@ class TestHall:
 
 class TestLatticeGaps:
     def test_fast_and_oracle_agree(self):
-        fast = run_cli(["lattice-gaps", "--seed", "5", "--count", "100"])
-        oracle = run_cli(["lattice-gaps", "--seed", "5", "--count", "100",
-                          "--oracle"])
-        assert fast.returncode == oracle.returncode == 0
-        _, frows = data_rows(fast.stdout)
-        _, orows = data_rows(oracle.stdout)
-        for (_, a), (_, b) in zip(frows, orows):
-            assert abs(float(a) - float(b)) <= 1e-9
+        # counts 0 and 1 too: no gaps (the header alone) and a single gap
+        for count in ("0", "1", "100"):
+            fast = run_cli(["lattice-gaps", "--seed", "5", "--count", count])
+            oracle = run_cli(["lattice-gaps", "--seed", "5", "--count", count,
+                              "--oracle"])
+            assert fast.returncode == oracle.returncode == 0, oracle.stderr
+            fcols, frows = data_rows(fast.stdout)
+            ocols, orows = data_rows(oracle.stdout)
+            assert fcols == ocols == ["index", "gap"]
+            assert len(frows) == len(orows) == int(count)
+            for (_, a), (_, b) in zip(frows, orows):
+                assert abs(float(a) - float(b)) <= 1e-9
 
 
 class TestSurfaceSc:

@@ -207,8 +207,9 @@ class TestPinnedGoldenOutput:
     def test_slope_gaps_digest(self):
         gaps = sc_slope_gaps(golden_l(), 6.0).gaps
         assert len(gaps) == 39
+        # the reprs of the gaps: every integral coefficient an int
         assert hashlib.sha256(str(gaps).encode()).hexdigest() == \
-            "e2e8d62fd09868f921489dd24840084e43a692ffdc60e758dc68ca60e97181e5"
+            "32d71e1460197d058ea5be03cff70684ba30f12e4076999dfa584bd84eceec8f"
 
 
 def sheared_golden():
@@ -272,64 +273,70 @@ class TestPinnedDevelopments:
             _waves.Waves(make(), radius).run()
 
 
-def spy_routes(monkeypatch, force=None):
-    """Record the (dtype, proven) that ``_waves._route`` picks for each wave
-    (and the first), or make every wave take ``force(dtype, proven)``."""
-    routes, pick = [], _waves._route
+def spy_routes(monkeypatch, dtype=None, certify=True):
+    """Record per wave (and the first) the int dtype that ``_waves._route``
+    picks and whether ``_waves._certify`` certifies the wave, or make every
+    wave take ``dtype`` and, unless ``certify``, no certificate."""
+    routes, use = [], _waves._ExactOps._use
+    if dtype is not None:
+        monkeypatch.setattr(_waves, "_route", lambda *bounds: dtype)
+    if not certify:
+        monkeypatch.setattr(_waves, "_certify", lambda *bounds: None)
 
-    def route(*bounds):
-        picked = pick(*bounds)
-        routes.append(force(*picked) if force else picked)
-        return routes[-1]
+    def spy(ops, *bounds):
+        picked = use(ops, *bounds)
+        routes.append((picked, ops.err is not None))
+        return picked
 
-    monkeypatch.setattr(_waves, "_route", route)
+    monkeypatch.setattr(_waves._ExactOps, "_use", spy)
     return routes
 
 
-PROVEN, CHECKED = (np.int64, True), (np.int64, False)
+CERTIFIED, UNCERTIFIED, PYTHON_INTS = (np.int64, True), (np.int64, False), (object, False)
 
 
 class TestIntegerRoutes:
-    """The exact waves run on int64 while no product can overflow it, take
-    the float signs that a bound proves exact and check the others element
-    by element, and give the same connections with the check on every wave
-    and on Python ints."""
+    """The exact waves run on int64 while no product can overflow it, read
+    the float signs of the waves that a bound certifies and filter the
+    others element by element, and give the same connections with no
+    certificate on any wave and on Python ints."""
 
     @staticmethod
     def assert_forced_runs_match(monkeypatch, make, radius, routes):
         picked = spy_routes(monkeypatch)
         default = _waves.Waves(make(), radius).run()
         assert set(picked) == routes
-        for force in (lambda dtype, proven: (dtype, False),  # the check everywhere
-                      lambda dtype, proven: (object, proven)):
-            spy_routes(monkeypatch, force)
+        for dtype in (np.int64, object):  # no certificate anywhere, then Python ints too
+            forced = spy_routes(monkeypatch, dtype, certify=False)
             run = _waves.Waves(make(), radius).run()
+            assert set(forced) == {(dtype, False)}
             assert run == default
             assert [(str(c.holonomy), c.path) for c in run] == \
                 [(str(c.holonomy), c.path) for c in default]
 
     @pytest.mark.parametrize("make, radius, routes", [
-        (golden_l, 10.0, {PROVEN}),
-        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0, {PROVEN}),  # D = 132
+        (golden_l, 10.0, {CERTIFIED, UNCERTIFIED}),
+        (lambda: l_shape(Fraction(13, 12), Fraction(14, 11)), 4.0, {CERTIFIED}),  # D = 132
         # D = 3, and |x| and |x'| far apart on each axis
-        (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 10.0, {PROVEN, CHECKED}),
+        (lambda: sheared_golden().act(Mat2(PHI, 0, 0, PHI - 1)), 10.0,
+         {CERTIFIED, UNCERTIFIED}),
     ], ids=["golden", "l(13/12,14/11)", "golden-shear-diag"])
     def test_python_ints_match_int64(self, monkeypatch, make, radius, routes):
         self.assert_forced_runs_match(monkeypatch, make, radius, routes)
 
-    @pytest.mark.parametrize("radius, routes", [(3.0, {PROVEN}), (4.5, {PROVEN}),
-                                                (40.0, {PROVEN, CHECKED})])
+    @pytest.mark.parametrize("radius, routes", [(3.0, {CERTIFIED}), (4.5, {CERTIFIED}),
+                                                (40.0, {CERTIFIED, UNCERTIFIED})])
     def test_float_signs_match_zphi_signs(self, monkeypatch, radius, routes):
-        # golden-exact's radii take proven float signs on every wave; R = 40
-        # outgrows the proof on its widest waves, which check each sign
+        # golden-exact's radii certify every wave; R = 40 outgrows the
+        # certificate on 36 of its 45 waves, which filter each sign
         self.assert_forced_runs_match(monkeypatch, golden_l, radius, routes)
 
     def test_side_past_int64_runs_on_python_ints(self, monkeypatch):
-        # products of the 10^100 side would overflow int64; b = 0 proves
-        # the float signs of this rational surface
+        # products of the 10^100 side would overflow int64, and past int64
+        # no wave is certified
         picked = spy_routes(monkeypatch)
         assert len(_waves.Waves(l_shape(10 ** 100, 2), 5.0).run()) == 58
-        assert set(picked) == {(object, True)}
+        assert set(picked) == {PYTHON_INTS}
 
     def test_radius_past_floats_is_decided_exactly(self, monkeypatch):
         # R^2 overflows a float, so every ball test goes to _zin_ball; the

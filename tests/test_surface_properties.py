@@ -54,15 +54,9 @@ def test_zphi_sign_near_zero_fibonacci_pairs(n, da, db, negate):
     assert zphi_sign(a, b) == reference_sign(a, b)
 
 
-# (|x| + |x'|) |x'| below this proves the float sign of x in the waves
-FLOAT_SIGN_BOUND = 2 ** 51 * mpmath.sqrt(5)
-
-
-def wave_sign(z, proven):
-    """The sign rule of an exact wave with or without the proof, on z."""
-    ops = _waves._ExactOps(golden_l(), 1.0)
-    ops.proven = proven
-    return ops.sign(z).tolist()
+def wave_sign(z):
+    """The sign rule of an exact wave on the Z[phi] pairs z."""
+    return _waves._ExactOps(golden_l(), 1.0).sign(z).tolist()
 
 
 def magnitudes(a, b):
@@ -74,16 +68,11 @@ def magnitudes(a, b):
 
 def wave_signs(a, b):
     """The wave signs of x = a + b phi and -x, as one (1, 2) array on int64
-    and on Python ints, are the exact signs: checked element by element,
-    and taken as floats where the bound of the ``_waves`` docstring proves
-    them.  Returns whether it does."""
-    x, xc = magnitudes(a, b)
-    proven = x + xc < 2 ** 53 and (x + xc) * xc < FLOAT_SIGN_BOUND
+    and on Python ints, are the exact signs."""
     expected = [[reference_sign(a, b), -reference_sign(a, b)]]
     for dtype in (np.int64, object):
         z = _waves._Z(np.array([[a, -a]], dtype), np.array([[b, -b]], dtype))
-        assert wave_sign(z, False) == wave_sign(z, proven) == expected
-    return proven
+        assert wave_sign(z) == expected
 
 
 @SETTINGS
@@ -102,16 +91,16 @@ def test_float_sign_route_random_pairs(a, b, shift, k, near_zero):
 
 @SETTINGS
 @given(st.integers(1, 86), st.integers(-1, 1), st.integers(-1, 1), st.booleans())
-@example(37, 0, 0, False)  # the last one inside the bound
-@example(38, 0, 0, True)  # the first one past it
+@example(35, 0, 0, False)  # the last float beyond its error
+@example(36, 0, 0, True)  # the first the filter signs exactly
+@example(37, 0, 0, False)
+@example(38, 0, 0, True)
 @example(78, 0, 0, False)  # positive, with the float -2.0
 def test_float_sign_route_near_zero_fibonacci_pairs(n, da, db, negate):
     a, b = fibonacci(n + 1) + da, -fibonacci(n) + db
     if negate:
         a, b = -a, -b
-    proven = wave_signs(a, b)
-    if (da, db) == (0, 0):
-        assert proven == (n <= 37)
+    wave_signs(a, b)
 
 
 @SETTINGS
@@ -122,7 +111,7 @@ def test_float_sign_route_near_zero_fibonacci_pairs(n, da, db, negate):
 def test_wave_sign_near_and_past_the_float_range(a, b):
     # object arrays go to the scalar zphi_sign wherever floats cannot decide
     z = _waves._Z(np.array([[a, -a]], object), np.array([[b, -b]], object))
-    assert wave_sign(z, False) == [[zphi_sign(a, b), -zphi_sign(a, b)]]
+    assert wave_sign(z) == [[zphi_sign(a, b), -zphi_sign(a, b)]]
 
 
 def test_float_sign_is_wrong_just_past_its_bound():
@@ -130,8 +119,8 @@ def test_float_sign_is_wrong_just_past_its_bound():
     a, b = fibonacci(41), -fibonacci(40)
     z = _waves._Z(np.array([a], np.int64), np.array([b], np.int64))
     assert zphi_float(float(a), float(b)) == 0.0
-    assert wave_sign(z, False) == [reference_sign(a, b)] == [1]
-    assert not wave_signs(a, b)  # past the bound that proves float signs
+    assert wave_sign(z) == [reference_sign(a, b)] == [1]
+    wave_signs(a, b)
 
 
 @SETTINGS
@@ -242,14 +231,16 @@ def test_slope_gaps_match_the_first_quadrant_comprehension(alpha, beta, kind):
 @given(st.integers(1, 90), st.integers(-1, 1), st.booleans(),
        st.sampled_from([1, Fraction(1, 3), 2 ** 1100]))
 def test_holonomy_signs_are_exact(n, da, negate, scale):
-    # F(n+1) - F(n) phi = (1 - phi)^n lies within its float error from about
-    # n = 38; scaled past the floats, every sign is taken exactly
+    # F(n+1) - F(n) phi = (1 - phi)^n lies within its float error from
+    # n = 36; scaled past the floats, every sign is taken exactly, as are
+    # coefficients below the float range, b = 0 or not
     a, b = (fibonacci(n + 1) + da) * scale, -fibonacci(n) * scale
     if negate:
         a, b = -a, -b
-    values = [GoldenNum(a, b), a, b, -float(n), 0.0, 5e-324]
-    assert pointcloud._exact_signs(values).tolist() == \
-        [GoldenNum(a, b).sign(), zphi_sign(a, 0), zphi_sign(b, 0), -1, 0, 1]
+    tiny = Fraction(1, 10 ** 400)
+    values = [GoldenNum(a, b), a, b, -float(n), 0.0, 5e-324, tiny, GoldenNum(tiny, -tiny)]
+    assert pointcloud._zphi_signs(*pointcloud._zphi_columns(values)).tolist() == \
+        [GoldenNum(a, b).sign(), zphi_sign(a, 0), zphi_sign(b, 0), -1, 0, 1, 1, -1]
 
 
 GOLDEN = golden_l()
@@ -300,10 +291,10 @@ def exact_exits(num, den, hit):
 
 
 def exit_columns(num, den, hit, dtype):
-    """An exact wave's arithmetic with every sign checked, and its columns
-    (num, den, sign of den, hit) for rows of Z[phi] pairs (a, b)."""
+    """An exact wave's arithmetic, which signs Z[phi] pairs by the filter,
+    and its columns (num, den, sign of den, hit) for rows of Z[phi] pairs
+    (a, b)."""
     ops = _waves._ExactOps(golden_l(), 1.0)
-    ops.proven = False
     num, den_z = (_waves._Z(*(np.array([[p[i] for p in row] for row in col], dtype)
                               for i in (0, 1))) for col in (num, den))
     sden = np.array([[zphi_sign(*d) for d in row] for row in den], np.int8)
@@ -581,10 +572,14 @@ golden_coordinates = st.one_of(
 @example(1, PHI)
 @example(PHI, PHI + 1)
 def test_golden_slope_is_the_core_slope(x, y):
+    # the one quotient of Q(sqrt 5) against multiplication: slope(v) x = y
+    # exactly, and a GoldenNum slope in the normal form of its constructor
     v = Vec2(x, y)
     if x == 0:
         with pytest.raises(VerticalVectorError):
-            surface._slope(v)
+            slope(v)
         return
-    assert surface._slope(v) == slope(v)
-    assert repr(surface._slope(v)) == repr(slope(v))  # the same types, coefficients too
+    s = slope(v)
+    assert s * x == y
+    if isinstance(s, GoldenNum):
+        assert repr(s) == repr(GoldenNum(s.a, s.b))

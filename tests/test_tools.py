@@ -1,10 +1,16 @@
 """The measurement tools under tools/ still run: each in its quick mode, in
 a subprocess, as a user would start it."""
 
+import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
+
+from gapkit import _waves, core, pointcloud
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -38,6 +44,7 @@ def test_layers_probe_quick_mode():
         assert golden["connections"] == 72
         assert golden["exact_states"] == golden["float_states"] == 300
         assert golden["certified_waves"] == 5 and golden["uncertified_waves"] == 0
+        assert golden["exact_fallbacks"] == 0  # every wave certified, no point on the sphere
         assert golden["exact_ms"]["median"] > 0 and golden["exact_float_ratio"] > 0
     commands = report["layers"]["cli"]
     assert sorted(commands) == ["hall --grid 8", "lattice-gaps --count 10000"]
@@ -60,3 +67,16 @@ def test_layers_probe_quick_mode():
         assert (farey["steps"], farey["distinct_roofs"]) == (1102, 513)
         assert (floats["steps"], floats["distinct_roofs"]) == (1000, None)
         assert farey["us_per_step"] > 0 and floats["us_per_step"] > 0
+
+
+def test_layers_counts_exact_fallbacks(monkeypatch):
+    # the surface layer's count: every call of zphi_sign through the gapkit
+    # modules that import it, the filter's re-signs and the exact ball tests
+    monkeypatch.syspath_prepend(str(TOOLS))
+    layers = importlib.import_module("layers")
+    a = np.array([Fraction(1, 10 ** 400), 3, 0], object)  # a float 0.0, a float, a zero
+    with layers.exact_fallbacks() as calls:
+        assert pointcloud._zphi_signs(a, np.zeros(3, object)).tolist() == [1, 1, 0]
+        assert _waves._zin_ball((3, 0, 4, 0), 25, 1)  # on the sphere R = 5
+    assert calls == [2]
+    assert pointcloud.zphi_sign is _waves.zphi_sign is core.zphi_sign

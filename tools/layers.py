@@ -6,10 +6,12 @@ with float sides, at R = 3, 3.75, 4.5 and 10.  Per radius and side it
 reports the time of each development, its states (the sizes of its waves
 added up), the microseconds per state, the connections, how many waves of
 the exact development were certified (their predicates formed in floats)
-and how many were not, and the exact/float ratio.  The cli: in-process
-``cli.main`` calls of ``hall --grid 8``, whose time is the fixed cost of a
-call, and of ``lattice-gaps --count 10000``, whose time per output row is
-the cost of the rows.  Per command and side it reports the time of a call
+and how many were not, its exact fallbacks (the calls of the scalar
+``core.zphi_sign``, wrapped in every gapkit module that imports it: the
+re-signs of the sign filter and the exact ball tests) and the exact/float
+ratio.  The cli: in-process ``cli.main`` calls of ``hall --grid 8``, whose
+time is the fixed cost of a call, and of ``lattice-gaps --count 10000``,
+whose time per output row is the cost of the rows.  Per command and side it reports the time of a call
 and the microseconds per row.  The strip: ``pointcloud.slopes_in_strip``
 of width 1 on the exact ``seeded_lattice(3)`` and on its float twin, at
 n = 501 and 10,001.  Per lattice, n and side it reports the time of a call,
@@ -68,6 +70,30 @@ STRIP_COUNTS = (501, 10001)
 FAREY_LEVELS, FLOAT_STEPS = (60, 110, 158), 10_000
 
 
+@contextlib.contextmanager
+def exact_fallbacks():
+    """Count the calls of ``core.zphi_sign`` made through every loaded gapkit
+    module that imports it, into the one-item list yielded."""
+    from gapkit import core
+
+    sign, calls = core.zphi_sign, [0]
+
+    def spy(a, b):
+        calls[0] += 1
+        return sign(a, b)
+
+    users = [m for name, m in sys.modules.items()
+             if name.startswith("gapkit.") and m is not core
+             and getattr(m, "zphi_sign", None) is sign]
+    for module in users:
+        module.zphi_sign = spy
+    try:
+        yield calls
+    finally:
+        for module in users:
+            module.zphi_sign = sign
+
+
 def develop(make, radius: float, calls: int) -> dict:
     """The work of one development of make() at radius, counted on a
     spied run, and the best time of ``calls`` unspied runs."""
@@ -83,7 +109,8 @@ def develop(make, radius: float, calls: int) -> dict:
         return routed
 
     ops.route = spy
-    connections = len(waves.run())
+    with exact_fallbacks() as fallbacks:
+        connections = len(waves.run())
     best = float("inf")
     for _ in range(calls):
         waves = _waves.Waves(make(), radius)
@@ -92,7 +119,7 @@ def develop(make, radius: float, calls: int) -> dict:
         best = min(best, time.perf_counter() - t0)
     cert = sum(certified) if hasattr(ops, "err") else None
     return {"s": best, "states": sum(sizes), "connections": connections,
-            "certified_waves": cert,
+            "exact_fallbacks": fallbacks[0], "certified_waves": cert,
             "uncertified_waves": None if cert is None else len(certified) - cert}
 
 
@@ -242,6 +269,7 @@ def summary(runs: list[dict]) -> dict:
         out[f"{kind}_us_per_state"] = round(statistics.median(times) * 1e6 / first["states"], 3)
         out[f"{kind}_states"] = first["states"]
     out["connections"] = runs[0]["exact"]["connections"]
+    out["exact_fallbacks"] = runs[0]["exact"]["exact_fallbacks"]
     out["certified_waves"] = runs[0]["exact"]["certified_waves"]
     out["uncertified_waves"] = runs[0]["exact"]["uncertified_waves"]
     out["exact_float_ratio"] = round(statistics.median(
