@@ -1,12 +1,14 @@
 """Development of translation surfaces, one breadth-first frontier wave at a
-time on numpy arrays.
+time on numpy arrays, and the Z[phi] coefficient arrays of Q(sqrt 5).
 
 ``surface.saddle_connections`` imports this module when it first develops
 a surface, so ``import gapkit.surface`` (and the CLI) never pays for
-loading it.  ``Waves`` holds every state of a wave in arrays and runs each
-step of the search on all of them at once.  The steps are written once, for
-two arithmetics that differ only in the array type, the sign rule, the ball
-test and how holonomies are built:
+loading it; ``surface.sc_slope_gaps`` reads its sign filter and slope
+order (``_collapse``) after that development.  ``Waves`` holds every
+state of a wave in arrays and runs each step of the search on all of them
+at once.  The steps are written once, for two arithmetics that differ only
+in the array type, the band of their float signs, the ball test and how
+holonomies are built; both read predicates by one rule (``_Ops``):
 
 * ``_FloatOps``: float64 arrays, signs within FLOAT_EPS of zero are zero,
   the ball |x|^2 <= R^2 + FLOAT_EPS, holonomies ``Vec2`` of floats;
@@ -27,13 +29,15 @@ could overflow int64 (every coefficient a step forms is below 2^9 S^4, S
 the largest bound), on int64 otherwise.  Every signed value is a product
 of two cross products, |x| <= 48 (XY)^2, or smaller, or a dot product,
 |x| <= 2 (X^2 + Y^2); so |x| <= V = 48 (XY)^2 + 2 (X^2 + Y^2), and
-|x'| <= V' likewise.  A sign takes one of two rules.  A certified wave
-(below) forms its predicates in floats and reads them by the band 2E.  Any
+|x'| <= V' likewise.  A sign takes one of two rules, those of ``_Ops``.  A
+certified wave (below) forms its predicates in floats and reads them by
+the band 2E, as a float surface reads its own by the band FLOAT_EPS.  Any
 other wave forms them from the Z[phi] pairs and signs each element by the
-filter ``pointcloud._zphi_signs``, in the manner of Shewchuk (1997): the
-sign of the float ``core.zphi_float`` of a + b phi where it lies beyond
-``core.zphi_float_error``, else the scalar ``core.zphi_sign`` on the
-coefficients, as for every element of an object array past the floats.
+one sign filter of Q(sqrt 5), ``_zphi_signs``, in the manner of Shewchuk
+(1997): the sign of the float ``core.zphi_float`` of a + b phi where it
+lies beyond ``core.zphi_float_error``, else the scalar ``core.zphi_sign``
+on the coefficients, as for every element of an object array past the
+floats (``_zphi_floats`` makes all its floats nan).
 
 Certified waves.  An int64 wave is certified when its bounds show that
 every signed value formed in floats from its coordinates has the exact
@@ -70,19 +74,20 @@ exact test ``_zin_ball``, which takes R^2 D^2 as an int fraction and runs
 on Python ints.
 
 The exit of a sub-cone's middle ray is the first hit edge of least num/den:
-its one hit edge when it has one, else picked in floats (``_ExactOps.exits``).
-With fn, fd the ``core.zphi_float`` of num and den and en, ed their
-``core.zphi_float_error`` (on a certified wave its floats of num and den,
-and E), |fd| > ed gives den the sign of fd and
-|num/den - fn/fd| <= (en + |fn/fd| ed)/(|fd| - ed).  So q = fl(fn/fd) lies
-within w = (1 + 2^-48)(en + |q| ed)/(|fd| - ed) + 2^-48 |q| + 2^-1000 of
-num/den, formed in floats (w is infinite where |fd| <= ed), with room for
-the roundings of q, w and q +- w and for underflow.  A row whose least q has
-q + w below q - w of every other hit edge exits by that edge.  The other
-rows, those with exact or near ties among them, and every row of an object
-wave past the floats go to the ordered scan ``_ordered_exits``, which
-compares the quotients exactly; so do all rows of a float surface, whose
-FLOAT_EPS "nearer" rule is not an order to sort by.
+its one hit edge when it has one, else the arithmetic's ``_nearest``
+(``_Ops.exits``).  An exact wave's picks in floats: with fn, fd the
+``core.zphi_float`` of num and den and en, ed their ``core.zphi_float_error``
+(on a certified wave its floats of num and den, and E), |fd| > ed gives den
+the sign of fd and |num/den - fn/fd| <= (en + |fn/fd| ed)/(|fd| - ed).  So
+q = fl(fn/fd) lies within w = (1 + 2^-48)(en + |q| ed)/(|fd| - ed) +
+2^-48 |q| + 2^-1000 of num/den, formed in floats (w is infinite where
+|fd| <= ed), with room for the roundings of q, w and q +- w and for
+underflow.  A row whose least q has q + w below q - w of every other hit
+edge exits by that edge.  The other rows, those with exact or near ties
+among them, and the rows with nan floats (an object wave past the floats)
+go to the ordered scan ``_ordered_exits``, which compares the quotients
+exactly.  A float surface's ``_nearest`` is that scan, as its FLOAT_EPS
+"nearer" rule is not an order to sort by.
 """
 
 from __future__ import annotations
@@ -94,16 +99,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import surface
-from .core import (_PHI, GoldenNum, Vec2, _zphi_coeffs, common_denominator, zphi_float,
-                   zphi_float_error, zphi_sign)
+from .core import (_PHI, GoldenNum, Vec2, _zphi_coeffs, common_denominator, is_exact,
+                   zphi_float, zphi_float_error, zphi_sign)
 from .errors import ResourceLimitError
-from .pointcloud import _ragged, _zphi_signs
+from .pointcloud import _float_first, _float_order, _ragged
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _angle, _ball_rsq
-
-
-def _sign(x, band=FLOAT_EPS):
-    """The float sign rule on an array, as int8: 0 within ``band`` of zero."""
-    return (x > band).astype(np.int8) - (x < -band)
 
 
 class _Z:
@@ -136,6 +136,55 @@ class _Z:
 
     def astype(self, dtype):
         return _Z(self.a.astype(dtype, copy=False), self.b.astype(dtype, copy=False))
+
+
+def _zphi_columns(values) -> np.ndarray:
+    """The coefficients a, b of scalars a + b phi (GoldenNum, or any other
+    scalar with b = 0) as the two rows of one object array."""
+    return np.array(list(map(_zphi_coeffs, values)), object).reshape(-1, 2).T
+
+
+def _zphi_floats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floats of coefficient arrays a, b, every float nan when one
+    coefficient lies past the float range."""
+    try:
+        return a.astype(float), b.astype(float)
+    except OverflowError:
+        return np.full(a.shape, np.nan), np.full(b.shape, np.nan)
+
+
+def _zphi_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact signs of a + b phi as int8, elementwise over coefficient
+    arrays of one shape (int64, or objects: int, Fraction or float).
+
+    The one sign filter of Q(sqrt 5), in the manner of Shewchuk (1997): the
+    sign of the float ``core.zphi_float`` where it lies beyond
+    ``core.zphi_float_error``, ``core.zphi_sign`` of the coefficients
+    elsewhere, past the floats included; an exact zero (a = b = 0) has the
+    float 0 and keeps it.  A rational a with b = 0 is re-signed like any
+    other, as a Fraction may round to 0.0.
+    """
+    fa, fb = _zphi_floats(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are re-signed
+        f = zphi_float(fa, fb)
+        doubt = np.flatnonzero(~(np.abs(f) > zphi_float_error(fa, fb)))
+    s = (f > 0).astype(np.int8) - (f < 0)
+    da, db = a.flat[doubt], b.flat[doubt]
+    redo = (da != 0) | (db != 0)
+    s.flat[doubt[redo]] = list(map(zphi_sign, da[redo].tolist(), db[redo].tolist()))
+    return s
+
+
+def _collapse(slopes: list) -> list[int]:
+    """The indices of ``slopes`` (all floats, or all exact) in slope order,
+    the first of each value kept: floats by ``_float_order``, an exact
+    a + b phi by ``_float_first`` on the ``core.zphi_float`` of its
+    coefficient floats, within ``core.zphi_float_error``; slopes past the
+    float range have nan floats and make one run, sorted exactly."""
+    if not slopes or not is_exact(slopes[0]):
+        return _float_order(np.array(slopes, dtype=float))
+    fa, fb = _zphi_floats(*_zphi_columns(slopes))
+    return _float_first(zphi_float(fa, fb), zphi_float_error(fa, fb), slopes.__getitem__)
 
 
 def _bounds(*groups: tuple[_Z, ...]) -> list[tuple[float, float]]:
@@ -192,8 +241,45 @@ def _ordered_exits(ops, num, den, sden, hit):
     return best
 
 
-class _FloatOps:
-    """Float arithmetic: float64 arrays and the FLOAT_EPS sign rule.
+class _Ops:
+    """The reading rule of both arithmetics: a float predicate is read by
+    the band 2 ``err`` (+1 above it, -1 below its negative, 0 in between),
+    a Z[phi] pair by the filter ``_zphi_signs``.  A float surface's err is
+    FLOAT_EPS / 2, a certified exact wave's its E (module docstring)."""
+
+    err: Optional[float]
+
+    def sign(self, x):
+        """The sign of each element of x, as int8."""
+        if type(x) is _Z:
+            return _zphi_signs(x.a, x.b)
+        band = 2 * self.err
+        return (x > band).astype(np.int8) - (x < -band)
+
+    def pos(self, x):
+        return x > 2 * self.err if type(x) is not _Z else self.sign(x) > 0
+
+    def zero(self, x):
+        return np.abs(x) <= 2 * self.err if type(x) is not _Z else (x.a == 0) & (x.b == 0)
+
+    @staticmethod
+    def where(mask, x, y):
+        if type(x) is not _Z:
+            return np.where(mask, x, y)
+        return _Z(np.where(mask, x.a, y.a), np.where(mask, x.b, y.b))
+
+    def exits(self, num, den, sden, hit):
+        """The exit edge of each row, the first hit edge of least num/den:
+        the one hit edge of a row that has one, ``_nearest`` of the others."""
+        best = hit.argmax(1)
+        rows = np.flatnonzero(np.count_nonzero(hit, 1) != 1)
+        if len(rows):
+            best[rows] = self._nearest(num[rows], den[rows], sden[rows], hit[rows])
+        return best
+
+
+class _FloatOps(_Ops):
+    """Float arithmetic: float64 arrays read by the band FLOAT_EPS.
 
     Copies whose window meets the ball have vertices with |x| <= X = R +
     2 max |x_v|, |y| <= Y = R + 2 max |y_v|; rays (such vertices or
@@ -201,11 +287,12 @@ class _FloatOps:
     cross products takes one ray at most, so the exact waves' 48 (XY)^2
     widens to 48 XY M^2, and every signed value is below V = 48 XY M^2 +
     6 M^2.  A surface with V past the floats raises ValueError: its
-    products could overflow to inf and nan, which decide no sign.
+    products could overflow to inf and nan, which decide no sign.  Its
+    ``_nearest`` is the ordered scan (module docstring).
     """
 
-    sign = staticmethod(_sign)
-    where = staticmethod(np.where)
+    err = FLOAT_EPS / 2  # the band 2 err is FLOAT_EPS, exactly
+    _nearest = _ordered_exits
 
     def __init__(self, surf: TranslationSurface, radius: float):
         self.bx = np.array([float(v.x) for v in surf.vertices])
@@ -216,14 +303,6 @@ class _FloatOps:
         if not math.isfinite(48 * x * y * m * m + 6 * m * m):
             raise ValueError(f"surface too large to develop in floats at radius {radius}")
         self.rsq = _ball_rsq(radius)
-
-    @staticmethod
-    def pos(x):
-        return x > FLOAT_EPS
-
-    @staticmethod
-    def zero(x):
-        return np.abs(x) <= FLOAT_EPS
 
     @staticmethod
     def stack(columns):
@@ -242,11 +321,6 @@ class _FloatOps:
     @staticmethod
     def route(wave):
         return wave
-
-    def exits(self, num, den, sden, hit):
-        """The exit edge of each row: the ordered scan, whose FLOAT_EPS
-        "nearer" rule is not an order that floats could sort by."""
-        return _ordered_exits(self, num, den, sden, hit)
 
     def emit(self, x, y):
         """The ball mask of the points (x, y) and the holonomies inside."""
@@ -283,7 +357,7 @@ def _zholonomy(p, d):
     return Vec2(_zphi_value(p[0], p[1], d), _zphi_value(p[2], p[3], d))
 
 
-class _ExactOps:
+class _ExactOps(_Ops):
     """Exact arithmetic: Z[phi] int pairs over the common denominator D.
 
     A vertex coordinate v with no float, or with fl(v)^2 past the float range
@@ -332,23 +406,6 @@ class _ExactOps:
         on a certified wave, its Z[phi] pairs on any other."""
         return x if self.err is None else zphi_float(x.a, x.b)
 
-    def sign(self, x):
-        """The sign of each element of x as int8: on a certified wave's floats
-        the band 2E, on Z[phi] pairs the filter ``pointcloud._zphi_signs``."""
-        return _sign(x, 2 * self.err) if type(x) is not _Z else _zphi_signs(x.a, x.b)
-
-    def pos(self, x):
-        return x > 2 * self.err if type(x) is not _Z else self.sign(x) > 0
-
-    def zero(self, x):
-        return np.abs(x) <= 2 * self.err if type(x) is not _Z else (x.a == 0) & (x.b == 0)
-
-    @staticmethod
-    def where(mask, x, y):
-        if type(x) is not _Z:
-            return np.where(mask, x, y)
-        return _Z(np.where(mask, x.a, y.a), np.where(mask, x.b, y.b))
-
     @staticmethod
     def stack(columns):
         return _Z(np.stack([z.a for z in columns], 1), np.stack([z.b for z in columns], 1))
@@ -379,44 +436,33 @@ class _ExactOps:
                                 for f in ("tx", "ty", "lx", "ly", "rx", "ry")},
                              entry=entry)
 
-    def exits(self, num, den, sden, hit):
-        """The exit edge of each row, the first hit edge of least num/den:
-        the one hit edge of a row that has one, ``_nearest`` of the others."""
-        best = hit.argmax(1)
-        rows = np.flatnonzero(np.count_nonzero(hit, 1) != 1)
-        if len(rows):
-            best[rows] = self._nearest(num[rows], den[rows], sden[rows], hit[rows])
-        return best
-
     def _floats(self, x):
         """The floats of x and a bound on their error: a certified wave's
         floats and its E, or ``core.zphi_float`` and ``zphi_float_error`` of
         the coefficient floats of Z[phi] pairs."""
         if type(x) is not _Z:
             return x, self.err
-        a, b = x.a.astype(float), x.b.astype(float)
+        a, b = _zphi_floats(x.a, x.b)
         return zphi_float(a, b), zphi_float_error(a, b)
 
     def _nearest(self, num, den, sden, hit):
         """``exits`` decided in floats where the bound of the module docstring
         separates the least quotient from the others, by the ordered scan
         elsewhere."""
-        try:  # the bound covers underflow; inf and nan decide nothing
-            with np.errstate(all="ignore"):
-                (fn, en), (fd, ed) = self._floats(num), self._floats(den)
-                q = np.where(hit, fn / fd, np.inf)
-                r = np.abs(q)
-                # half-widths: infinite where den's float lies within its error of 0
-                w = (en + r * ed) / np.maximum(np.abs(fd) - ed, 0.0) \
-                    * (1.0 + 2.0 ** -48) + 2.0 ** -48 * r + 2.0 ** -1000
-                pick = q.argmin(1)
-                at = (np.arange(len(q)), pick)
-                hi = q[at] + w[at]
-                # decided: every other edge's lower bound lies above the pick's upper one
-                above = np.where(hit, q - w, np.inf) > hi[:, None]
-                sure = np.count_nonzero(above, 1) == hit.shape[1] - 1
-        except OverflowError:  # past the floats: every row is scanned
-            return _ordered_exits(self, num, den, sden, hit)
+        # the bound covers underflow; inf and nan (past the floats) decide nothing
+        with np.errstate(all="ignore"):
+            (fn, en), (fd, ed) = self._floats(num), self._floats(den)
+            q = np.where(hit, fn / fd, np.inf)
+            r = np.abs(q)
+            # half-widths: infinite where den's float lies within its error of 0
+            w = (en + r * ed) / np.maximum(np.abs(fd) - ed, 0.0) \
+                * (1.0 + 2.0 ** -48) + 2.0 ** -48 * r + 2.0 ** -1000
+            pick = q.argmin(1)
+            at = (np.arange(len(q)), pick)
+            hi = q[at] + w[at]
+            # decided: every other edge's lower bound lies above the pick's upper one
+            above = np.where(hit, q - w, np.inf) > hi[:, None]
+            sure = np.count_nonzero(above, 1) == hit.shape[1] - 1
         best = np.full(len(hit), -1)
         best[sure] = pick[sure]
         rest = np.flatnonzero(~sure)
@@ -497,15 +543,15 @@ class Waves:
     interior emitted vertices, prunes sub-cones whose window lies beyond the
     radius, and continues each through the edge its middle ray exits by:
     per-state vertex work as (states, n) arrays, the ragged splits and
-    sub-cones laid end to end with ``_ragged``.  On an exact surface a
-    sub-cone exits by its one hit edge, or by the nearest one that a float
-    pass over the quotients of all its edges proves; the Python loop over
-    the n polygon edges, the ordered nearest-exit scan, runs only for the
-    rows that pass leaves undecided, and for every row of a float surface.
-    The waves hold
-    the states in the queue order of a state-by-state search, so the
-    connections come out in its discovery order (states in BFS order, the
-    vertices of each state in index order).
+    sub-cones laid end to end with ``_ragged``.  A sub-cone exits by its one
+    hit edge, or on an exact surface by the nearest one that a float pass
+    over the quotients of all its edges proves; the Python loop over the n
+    polygon edges, the ordered nearest-exit scan, runs only for the rows
+    that pass leaves undecided, and for every row of a float surface with
+    other than one hit edge.  The waves hold the states in the queue order
+    of a state-by-state search, so the connections come out in its
+    discovery order (states in BFS order, the vertices of each state in
+    index order).
     """
 
     def __init__(self, surf: TranslationSurface, radius: float):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Mat2, Vec2, _check_positive, diag_flow, is_exact, rotation
-from .lattice import coefficient_scan
+from .lattice import _det_tol, coefficient_scan
 from .pointcloud import GapSequence
 from .stats import EmpiricalDist, circular_gaps, rng
 
@@ -44,9 +44,9 @@ class AffineLattice:
     shift: Vec2 = field(default=Vec2(0.0, 0.0))
 
     def __post_init__(self):
-        det = float(self.basis.det())
-        if abs(det - 1.0) > 1e-12:
-            raise ValueError(f"basis determinant {det} is not 1")
+        det, tol = float(self.basis.det()), _det_tol(self.basis.frobenius() ** 2)
+        if abs(det - 1.0) > tol:
+            raise ValueError(f"basis determinant {det} is not 1 within {tol}")
         if not all(is_exact(c) or math.isfinite(c) for c in self.shift):
             raise ValueError(f"shift {self.shift} is not finite")
         inv = self.basis.inverse()

@@ -153,6 +153,8 @@ def _cmd_hall(args):
 
 
 def _cmd_lattice_gaps(args):
+    if args.count < 0:  # one message for both routes, before either scans
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     from . import lattice
     lat = lattice.seeded_lattice(args.seed)
     if args.oracle:

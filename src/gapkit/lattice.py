@@ -66,6 +66,13 @@ DEFAULT_CELL_BUDGET = 20_000_000
 AXIS_CHUNK_CELLS = 2 ** 18
 
 
+def _det_tol(sumsq):
+    """The bound on |det - 1| of every float basis whose squared entries sum
+    to ``sumsq`` (float or array): a d - b c rounds in proportion to them,
+    so DET_TOL grows for conditioned bases."""
+    return DET_TOL * np.maximum(1.0, sumsq)
+
+
 def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
     """Gauss/Lagrange reduction of a rank-2 float basis.
 
@@ -237,10 +244,7 @@ class UnimodularLattice:
             if det != 1:
                 raise ValueError(f"exact basis must have determinant 1, got {det}")
         else:
-            # a d - b c rounds in proportion to the entry magnitudes, so the
-            # unit-scale tolerance 1e-12 is scaled up for conditioned bases
-            # (e.g. strongly sheared ones)
-            tol = DET_TOL * max(1.0, self.basis.frobenius() ** 2)
+            tol = _det_tol(self.basis.frobenius() ** 2)
             if abs(float(det) - 1.0) > tol:
                 raise ValueError(f"basis determinant {det} is not 1 within {tol}")
 
@@ -312,8 +316,8 @@ class UnimodularLattice:
         """pointcloud.axis_hits_by_definition for exact bases; a float lattice
         stacks the bases of shear(s) @ basis as one float (n, 4) array of
         rows (a, b, c - s a, d - s b), every row held to __post_init__'s
-        determinant test at once (|det - 1| <= DET_TOL max(1, |row|^2),
-        else ValueError).  Chunks of about AXIS_CHUNK_CELLS cells each take
+        determinant test at once (|det - 1| <= _det_tol(|row|^2), else
+        ValueError).  Chunks of about AXIS_CHUNK_CELLS cells each take
         one stacked scan of the box |x| <= r, |y| <= max(tols), r the radius
         is_horizontally_short searches, and its columns take the
         definition's tests (primitive, Ball.contains, _on_axis with each
@@ -327,7 +331,7 @@ class UnimodularLattice:
         stack = np.empty((len(s), 4))
         stack[:, 0], stack[:, 1], stack[:, 2], stack[:, 3] = a, b, c - s * a, d - s * b
         det = a * stack[:, 3] - b * stack[:, 2]
-        tol = DET_TOL * np.maximum(1.0, (stack * stack).sum(axis=1))
+        tol = _det_tol((stack * stack).sum(axis=1))
         bad = np.flatnonzero(np.abs(det - 1.0) > tol)
         if bad.size:
             t = bad[0]

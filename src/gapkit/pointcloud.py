@@ -34,9 +34,8 @@ strip_points returns.  Every slope order, float too, is one float-first sort
 (_float_first): a stable sort by a float f with an error bound err, and
 keys compared only inside runs of overlapping intervals [f - err, f + err].
 Int rows pass the correctly rounded Y / X with err = 0 (rounding is
-monotone), exact scalar slopes (those of exact surfaces) the float of
-a + b phi with the bound written in core (_collapse_exact), float slopes
-themselves with err = 5e-13 max(1, |f|) and one key, so a run is one slope.
+monotone), float slopes themselves with err = 5e-13 max(1, |f|) and one
+key, so a run is one slope (_float_order).
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import (Ball, Vec2, VerticalStrip, _check_positive, _zphi_coeffs,
-                   is_exact, shear, zphi_float, zphi_float_error, zphi_sign)
+from .core import Ball, Vec2, VerticalStrip, _check_positive, is_exact, shear
 from .errors import ExhaustionError
 
 if TYPE_CHECKING:  # lattice imports this module
@@ -133,17 +131,6 @@ def _ragged(starts, lens, total: int):
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
 
 
-def _collapse(rows: list) -> list:
-    """Sort (slope, point) pairs by slope, keeping the first pair of each slope
-    value (exact equality, or for floats each run of slopes within about
-    1e-12 relative).  The rows share one kind of slope: exact ones go to
-    _collapse_exact."""
-    if rows and is_exact(rows[0][0]):
-        return _collapse_exact(rows)
-    f = np.fromiter(map(itemgetter(0), rows), dtype=float, count=len(rows))
-    return [rows[i] for i in _float_order(f)]
-
-
 def _float_order(f: np.ndarray) -> list[int]:
     """_float_first of float slopes with err = 5e-13 max(1, |f|) and one
     key: each run of overlapping intervals keeps its first index."""
@@ -170,56 +157,6 @@ def _float_first(f: np.ndarray, err, key) -> list[int]:
     return order
 
 
-def _collapse_exact(rows: list) -> list:
-    """_collapse of exact slopes (int, Fraction or GoldenNum), float first.
-
-    A slope a + b phi becomes the float ``core.zphi_float`` of the floats of
-    its coefficients, within ``core.zphi_float_error`` of it.  Equal slopes
-    have equal coefficients, hence equal floats.  Slopes beyond the float
-    range have nan floats and make one run, sorted exactly.
-    """
-    fa, fb = _zphi_floats(*_zphi_columns(s for s, _ in rows))
-    f, err = zphi_float(fa, fb), zphi_float_error(fa, fb)
-    return [rows[i] for i in _float_first(f, err, lambda i: rows[i][0])]
-
-
-def _zphi_columns(values) -> np.ndarray:
-    """The coefficients a, b of scalars a + b phi (GoldenNum, or any other
-    scalar with b = 0) as the two rows of one object array."""
-    return np.array(list(map(_zphi_coeffs, values)), object).reshape(-1, 2).T
-
-
-def _zphi_floats(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The floats of coefficient arrays a, b, every float nan when one
-    coefficient lies past the float range."""
-    try:
-        return a.astype(float), b.astype(float)
-    except OverflowError:
-        return np.full(a.shape, np.nan), np.full(b.shape, np.nan)
-
-
-def _zphi_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact signs of a + b phi as int8, elementwise over coefficient
-    arrays of one shape (int64, or objects: int, Fraction or float).
-
-    The one sign filter of Q(sqrt 5), in the manner of Shewchuk (1997): the
-    sign of the float ``core.zphi_float`` where it lies beyond
-    ``core.zphi_float_error``, ``core.zphi_sign`` of the coefficients
-    elsewhere, past the floats included; an exact zero (a = b = 0) has the
-    float 0 and keeps it.  A rational a with b = 0 is re-signed like any
-    other, as a Fraction may round to 0.0.
-    """
-    fa, fb = _zphi_floats(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are re-signed
-        f = zphi_float(fa, fb)
-        doubt = np.flatnonzero(~(np.abs(f) > zphi_float_error(fa, fb)))
-    s = (f > 0).astype(np.int8) - (f < 0)
-    da, db = a.flat[doubt], b.flat[doubt]
-    redo = (da != 0) | (db != 0)
-    s.flat[doubt[redo]] = list(map(zphi_sign, da[redo].tolist(), db[redo].tolist()))
-    return s
-
-
 def _slope_order(rows: ExactRows, cut: float) -> list:
     """The (x, y) rows with float slope <= cut, in exact slope order with
     equal slopes collapsed to their first row."""
@@ -232,7 +169,7 @@ def _slope_order(rows: ExactRows, cut: float) -> list:
 
 def _column_order(x: np.ndarray, y: np.ndarray, cut: float) -> np.ndarray:
     """Float strip columns with slope y / x <= cut in slope order, ties
-    collapsed as _collapse does, as an (m, 3) array of rows (slope, x, y)."""
+    collapsed by _float_order, as an (m, 3) array of rows (slope, x, y)."""
     f = y / x
     at = f <= cut
     rows = np.stack((f[at], x[at], y[at]), axis=1)

@@ -18,7 +18,7 @@ every state of a wave held in numpy arrays, on one of two arithmetics:
   Q(sqrt 5)): exact decisions on the Z[phi] int format that
   ``gapkit._waves`` describes, taken in floats on the waves that a written
   error bound certifies and by the one sign filter of Q(sqrt 5),
-  ``pointcloud._zphi_signs``, on the others, with GoldenNum, Fraction and
+  ``_waves._zphi_signs``, on the others, with GoldenNum, Fraction and
   int values built only for the emitted holonomies;
 * float surfaces: a 1e-9 zero tolerance, with the usual caveat that
   near-degenerate configurations may misclassify a boundary.
@@ -26,8 +26,9 @@ every state of a wave held in numpy arrays, on one of two arithmetics:
 Either way the waves find the connections (holonomies, paths and discovery
 order) of a state-by-state search, and a state budget overrun ends the
 partial result at a wave boundary.  ``sc_slope_gaps`` keeps the
-first-quadrant holonomies by that sign filter and takes their slopes by
-``core.slope``.
+first-quadrant holonomies by that sign filter, takes their slopes by
+``core.slope`` and orders them by ``_waves._collapse``, all read from
+``gapkit._waves`` once its development has loaded it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PHI, Mat2, Vec2, _check_positive, is_exact, slope
-from .pointcloud import GapSequence, _collapse, _zphi_columns, _zphi_signs
+from .pointcloud import GapSequence
 from .stats import EmpiricalDist, circular_gaps
 
 __all__ = [
@@ -215,13 +216,14 @@ def sc_slope_gaps(surface: TranslationSurface, radius) -> GapSequence:
     every gap is strictly positive.
     """
     hols = [c.holonomy for c in saddle_connections(surface, radius)]
+    from ._waves import _collapse, _zphi_columns, _zphi_signs  # loaded by the development
     coords = _zphi_columns([v.x for v in hols] + [v.y for v in hols])
     sx, sy = _zphi_signs(*coords).reshape(2, -1)
-    kept = ((sx > 0) & (sy >= 0)).nonzero()[0].tolist()
-    rows = _collapse([(slope(hols[i]), hols[i]) for i in kept])
-    if len(rows) < 2:
+    slopes = [slope(hols[i]) for i in ((sx > 0) & (sy >= 0)).nonzero()[0].tolist()]
+    kept = [slopes[i] for i in _collapse(slopes)]
+    if len(kept) < 2:
         raise ValueError("need at least two slopes to form gaps")
-    return GapSequence(tuple(b - a for (a, _), (b, _) in zip(rows, rows[1:])))
+    return GapSequence(tuple(b - a for a, b in zip(kept, kept[1:])))
 
 
 def sc_angle_gaps(surface: TranslationSurface, radius) -> EmpiricalDist:

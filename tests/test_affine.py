@@ -7,7 +7,8 @@ from gapkit import stats
 from gapkit.affine import (AffineLattice, _half_width, _sorted_angles, _window_counts,
                            angle_gap_distribution, empirical_p,
                            renormalized_triangle_count, sqrt_mod1_gaps)
-from gapkit.core import Mat2, Vec2, rotation
+from gapkit.core import Mat2, Vec2, diag_flow, rotation, shear
+from gapkit.lattice import UnimodularLattice
 
 
 def unit_affine(x, y):
@@ -41,6 +42,15 @@ class TestConstruction:
     def test_determinant_checked(self):
         with pytest.raises(ValueError):
             AffineLattice(Mat2(1.0, 0.0, 0.0, 1.1), Vec2(0.0, 0.0))
+
+    def test_conditioned_basis_accepted_as_by_the_unimodular_lattice(self):
+        # its float determinant is 1.0000000004656613: within the tolerance
+        # scaled by the squared entries, which both lattices read
+        b = shear(3.7) @ diag_flow(14.0) @ rotation(0.3)
+        assert abs(float(b.det()) - 1.0) > 1e-12
+        UnimodularLattice(b)
+        lat = AffineLattice(b, Vec2(0.3, 0.1))
+        assert lat.basis == b
 
     def test_non_finite_shift_rejected(self):
         # an infinite shift used to reduce to nan and fail only on enumeration

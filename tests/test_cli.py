@@ -258,12 +258,16 @@ class TestContract:
         ["wedge-p", "--shift", "0.5", "--sigma", "1", "--radius", "5", "--samples", "10"],
         ["wedge-p", "--shift", "0.5,0.5,0.5", "--sigma", "1", "--radius", "5",
          "--samples", "10"],
+        # a negative count: the two routes failed with two different messages
+        ["lattice-gaps", "--seed", "5", "--count", "-1"],
+        ["lattice-gaps", "--seed", "5", "--count", "-1", "--oracle"],
     ], ids=["zero-denominator", "unknown-shape", "missing-input", "unwritable-output",
             "affine-shift-1e400", "wedge-shift-1e400", "surface-l-1e154", "surface-l-1e200",
             "bcz-float-a-plus-b-eta", "bcz-float-decimal-a-plus-b-eta", "bcz-float-a-past-eta",
             "bcz-float-start-1e400", "surface-radius-square-overflows",
             "bcz-float-start-underflows", "affine-shift-one-part", "affine-shift-three-parts",
-            "wedge-shift-one-part", "wedge-shift-three-parts"])
+            "wedge-shift-one-part", "wedge-shift-three-parts", "lattice-count-negative",
+            "lattice-oracle-count-negative"])
     def test_bad_input_exits_2_without_traceback(self, args, tmp_path):
         res = run_cli([arg.format(tmp=tmp_path) for arg in args])
         assert res.returncode == 2
@@ -275,6 +279,8 @@ class TestContract:
                 assert "x,y" in res.stderr
         if "1e-400" in args:
             assert res.stderr == "gapkit: transversal coordinates underflow to 0.0 in floats\n"
+        if "-1" in args:  # the same line from both routes
+            assert res.stderr == "gapkit: --count must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize("args", [
         ["surface-sc", "--shape", "golden", "--radius", "inf"],
@@ -462,17 +468,18 @@ def test_pinned_output_bytes(command, fmt, capsys, tmp_path, monkeypatch):
 
 def test_import_leaves_scipy_integrate_unloaded():
     """The CLI import loads neither lazily imported module (scipy.integrate,
-    the wave development); the first surface development loads the waves
-    only."""
+    the wave development), nor does the surface import; the first surface
+    development loads the waves only."""
     res = subprocess.run(
         [sys.executable, "-c",
          "import gapkit.cli, sys; "
          "print('scipy.integrate' in sys.modules, 'gapkit._waves' in sys.modules); "
-         "from gapkit import surface; surface.saddle_connections(surface.golden_l(), 3.0); "
+         "from gapkit import surface; print('gapkit._waves' in sys.modules); "
+         "surface.saddle_connections(surface.golden_l(), 3.0); "
          "print('scipy.integrate' in sys.modules, 'gapkit._waves' in sys.modules)"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False", "False", "True"]
+    assert res.stdout.split() == ["False", "False", "False", "False", "True"]
 
 
 def test_import_loads_hall_and_builds_no_parser():

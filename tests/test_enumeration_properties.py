@@ -7,9 +7,10 @@ lattice's sheared bases against enumerating each sheared lattice, and
 hitting times from the candidate stack against one sheared lattice per
 candidate; strip slopes under an SL(2, Z) change of basis; the return
 times of the transversal orbit against the strip slope gaps; the float
-first order of exact scalar slopes against an exact sort; and the float
-slope collapse against a reference sort-and-compare loop, on random lists
-and float lattice strips."""
+first order of exact scalar slopes (``_waves._collapse``) against an exact
+sort; and the float slope collapse against a reference sort-and-compare
+loop, on random lists and (``pointcloud._column_order``) float lattice
+strips."""
 
 import math
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gapkit import lattice, pointcloud
+from gapkit import _waves, lattice, pointcloud
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, rotation, shear, slope
 from gapkit.errors import ExceptionalLatticeError
@@ -410,7 +411,7 @@ def exact_collapse(rows):
 @example([Fraction(10 ** 400), 1, Fraction(10 ** 400), -Fraction(10 ** 400)])  # past floats
 def test_collapse_of_exact_slopes_matches_an_exact_sort(slopes):
     rows = [(s, i) for i, s in enumerate(slopes)]
-    assert pointcloud._collapse(rows) == exact_collapse(rows)
+    assert _waves._collapse(slopes) == [i for _, i in exact_collapse(rows)]
 
 
 @SETTINGS
@@ -426,7 +427,7 @@ def test_collapse_orders_golden_slopes_that_floats_misorder(b, k, above):
                  10 ** 30)
     assert (y > x) == above
     rows = [(x, 0), (y, 1), (Fraction(k), 2), (x, 3), (y, 4)]
-    assert pointcloud._collapse(rows) == exact_collapse(rows)
+    assert _waves._collapse([s for s, _ in rows]) == [i for _, i in exact_collapse(rows)]
 
 
 def float_collapse_loop(rows):
@@ -465,12 +466,16 @@ def float_slopes(draw):
 @example([0.0, 1e-13, 0.0, -1e-13])
 def test_collapse_of_float_slopes_matches_the_loop(slopes):
     rows = [(s, i) for i, s in enumerate(slopes)]
-    assert pointcloud._collapse(rows) == float_collapse_loop(rows)
+    assert _waves._collapse(slopes) == [i for _, i in float_collapse_loop(rows)]
 
 
 @SETTINGS
 @given(st.integers(0, 10 ** 6), st.sampled_from([0.5, 1.0, 2.0]), st.floats(1.0, 40.0))
 def test_collapse_of_float_lattice_strips_matches_the_loop(seed, eta, height):
+    # the order the float strip loop takes, at the slope cut it passes
     x, y = seeded_lattice(seed).to_float().float_columns(VerticalStrip(eta, height))
-    rows = [(slope(v), v) for v in map(Vec2, x.tolist(), y.tolist())]
-    assert pointcloud._collapse(rows) == float_collapse_loop(rows)
+    cut = height / eta
+    rows = [(s, v) for s, v in ((slope(v), v) for v in map(Vec2, x.tolist(), y.tolist()))
+            if s <= cut]
+    assert pointcloud._column_order(x, y, cut).tolist() == \
+        [[s, v.x, v.y] for s, v in float_collapse_loop(rows)]

@@ -156,3 +156,10 @@ def test_unread_public_check_sees_a_leftover():
                        "def g():\n    return h()\n\n\ndef h():\n    return 1\n\n\nk = 2\n"}
     pipeline = "import a\n\nTRACED = ('a.k',)\nprint(a.g())\n"
     assert unread_public_names(sources, [pipeline]) == ["a.py: f"]
+
+
+def test_pointcloud_binds_no_zphi_name():
+    # the Z[phi] coefficient arrays live in gapkit._waves alone; pointcloud
+    # is the lattice slope machinery
+    from gapkit import pointcloud
+    assert [name for name in vars(pointcloud) if "zphi" in name] == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapkit import _waves, pointcloud, surface
+from gapkit import _waves, surface
 from gapkit.core import PHI, GoldenNum, Mat2, Vec2, shear, slope, zphi_float, zphi_sign
 from gapkit.errors import ResourceLimitError, VerticalVectorError
 from gapkit.surface import golden_l, l_shape, saddle_connections, sc_slope_gaps
@@ -223,8 +223,9 @@ def test_slope_gaps_match_the_first_quadrant_comprehension(alpha, beta, kind):
             "exact": lambda: l_shape(alpha, beta),
             "golden": lambda: l_shape(alpha + PHI, beta)}[kind]()
     hols = [c.holonomy for c in saddle_connections(surf, 4.0)]
-    rows = pointcloud._collapse([(slope(v), v) for v in hols if v.x > 0 and v.y >= 0])
-    assert list(sc_slope_gaps(surf, 4.0).gaps) == [b - a for (a, _), (b, _) in zip(rows, rows[1:])]
+    slopes = [slope(v) for v in hols if v.x > 0 and v.y >= 0]
+    kept = [slopes[i] for i in _waves._collapse(slopes)]
+    assert list(sc_slope_gaps(surf, 4.0).gaps) == [b - a for a, b in zip(kept, kept[1:])]
 
 
 @SETTINGS
@@ -239,7 +240,7 @@ def test_holonomy_signs_are_exact(n, da, negate, scale):
         a, b = -a, -b
     tiny = Fraction(1, 10 ** 400)
     values = [GoldenNum(a, b), a, b, -float(n), 0.0, 5e-324, tiny, GoldenNum(tiny, -tiny)]
-    assert pointcloud._zphi_signs(*pointcloud._zphi_columns(values)).tolist() == \
+    assert _waves._zphi_signs(*_waves._zphi_columns(values)).tolist() == \
         [GoldenNum(a, b).sign(), zphi_sign(a, 0), zphi_sign(b, 0), -1, 0, 1, 1, -1]
 
 
@@ -404,6 +405,36 @@ def test_golden_development_never_scans(monkeypatch):
     monkeypatch.setattr(_waves, "_ordered_exits",
                         mock.Mock(side_effect=AssertionError("an exit went to the scan")))
     assert len(_waves.Waves(golden_l(), 10.0).run()) == 768
+
+
+@st.composite
+def float_exit_rows(draw):
+    """(num, den, hit): float rows over n edges whose quotients num/den come
+    from a few values, each copied or moved by at most FLOAT_EPS, in rows
+    with no hit, with one hit and with random hits."""
+    n, pool = draw(st.integers(2, 8)), draw(st.lists(st.floats(-4, 4), min_size=1, max_size=3))
+    num, den, hit = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        d = [draw(st.sampled_from([1, -1])) * draw(st.floats(0.1, 10)) for _ in range(n)]
+        q = [draw(st.sampled_from(pool)) + draw(st.sampled_from([0, 1, -1]))
+             * draw(st.floats(0, surface.FLOAT_EPS)) for _ in range(n)]
+        kind, one = draw(st.sampled_from(["none", "one", "any"])), draw(st.integers(0, n - 1))
+        hit.append([draw(st.booleans()) if kind == "any" else kind == "one" and k == one
+                    for k in range(n)])
+        num.append([a * b for a, b in zip(q, d)])
+        den.append(d)
+    return np.array(num), np.array(den), np.array(hit, bool)
+
+
+@SETTINGS
+@given(float_exit_rows())
+@example((np.array([[1.0, 1.0 + 5e-10]]), np.ones((1, 2)), np.array([[True, True]])))
+def test_float_exits_are_the_ordered_scan(rows):
+    # a float surface's rows with one hit edge skip the scan, and exit alike
+    num, den, hit = rows
+    ops = _waves._FloatOps(l_shape(1.5, 1.5), 1.0)
+    columns = (num, den, ops.sign(den), hit)
+    assert ops.exits(*columns).tolist() == _waves._ordered_exits(ops, *columns).tolist()
 
 
 # -- certified waves: every predicate formed in floats -----------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gapkit import _waves, core, pointcloud
+from gapkit import _waves, core
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -76,7 +76,7 @@ def test_layers_counts_exact_fallbacks(monkeypatch):
     layers = importlib.import_module("layers")
     a = np.array([Fraction(1, 10 ** 400), 3, 0], object)  # a float 0.0, a float, a zero
     with layers.exact_fallbacks() as calls:
-        assert pointcloud._zphi_signs(a, np.zeros(3, object)).tolist() == [1, 1, 0]
+        assert _waves._zphi_signs(a, np.zeros(3, object)).tolist() == [1, 1, 0]
         assert _waves._zin_ball((3, 0, 4, 0), 25, 1)  # on the sphere R = 5
     assert calls == [2]
-    assert pointcloud.zphi_sign is _waves.zphi_sign is core.zphi_sign
+    assert _waves.zphi_sign is core.zphi_sign
