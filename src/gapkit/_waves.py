@@ -99,8 +99,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import surface
-from .core import (_PHI, GoldenNum, Vec2, _zphi_coeffs, common_denominator, is_exact,
-                   zphi_float, zphi_float_error, zphi_sign)
+from .core import (_PHI, GoldenNum, Vec2, _quotient, _zphi_coeffs, common_denominator,
+                   is_exact, zphi_float, zphi_float_error, zphi_sign)
 from .errors import ResourceLimitError
 from .pointcloud import _float_first, _float_order, _ragged
 from .surface import FLOAT_EPS, SaddleConnection, TranslationSurface, _angle, _ball_rsq
@@ -336,10 +336,8 @@ class _FloatOps(_Ops):
 def _zphi_value(a, b, d):
     """The scalar (a + b*phi)/d as an int, a Fraction or a GoldenNum."""
     if b == 0:
-        return a // d if a % d == 0 else Fraction(a, d)
-    if d == 1:
-        return GoldenNum._raw(a, b)  # int coefficients need no normalizing
-    return GoldenNum(Fraction(a, d), Fraction(b, d))
+        return _quotient(a, d)
+    return GoldenNum._raw(_quotient(a, d), _quotient(b, d))
 
 
 # Z[phi] int primitives for one point (see the module docstring): a point
@@ -775,9 +773,9 @@ def _key_order(conns, lsq, angle) -> list[int]:
 
 
 def _connections(links, found) -> list[SaddleConnection]:
-    """The connections of the completed waves in discovery order.  A path is
-    its state's chain of crossings, built wave by wave only for the states
-    that lead to an emitted vertex."""
+    """The connections of the completed waves in discovery order, each with
+    its angle sort key.  A path is its state's chain of crossings, built wave
+    by wave only for the states that lead to an emitted vertex."""
     links = [(parent.tolist(), edge.tolist()) for parent, edge in links[1:]]
     need = [set(states) for states, *_ in found]
     for w in range(len(found) - 1, 0, -1):
@@ -785,9 +783,9 @@ def _connections(links, found) -> list[SaddleConnection]:
         need[w - 1].update(parent[s] for s in need[w])
     paths = dict.fromkeys(need[0], ())
     out = []
-    for w, (states, hols, _) in enumerate(found):
+    for w, (states, hols, (_, angles)) in enumerate(found):
         if w:
             parent, edge = links[w - 1]
             paths = {s: paths[parent[s]] + (edge[s],) for s in need[w]}
-        out.extend(SaddleConnection(h, paths[s]) for s, h in zip(states, hols))
+        out.extend(SaddleConnection(h, paths[s], a) for s, h, a in zip(states, hols, angles))
     return out

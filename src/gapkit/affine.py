@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Mat2, Vec2, _check_positive, diag_flow, is_exact, rotation
-from .lattice import _det_tol, coefficient_scan
+from .lattice import _check_float_det, coefficient_scan
 from .pointcloud import GapSequence
 from .stats import EmpiricalDist, circular_gaps, rng
 
@@ -44,9 +44,7 @@ class AffineLattice:
     shift: Vec2 = field(default=Vec2(0.0, 0.0))
 
     def __post_init__(self):
-        det, tol = float(self.basis.det()), _det_tol(self.basis.frobenius() ** 2)
-        if abs(det - 1.0) > tol:
-            raise ValueError(f"basis determinant {det} is not 1 within {tol}")
+        _check_float_det(self.basis)
         if not all(is_exact(c) or math.isfinite(c) for c in self.shift):
             raise ValueError(f"shift {self.shift} is not finite")
         inv = self.basis.inverse()
@@ -107,10 +105,12 @@ def _window_counts(angles: np.ndarray, thetas: np.ndarray, half_width: float) ->
 
 
 def _half_width(sigma: float, radius: float) -> float:
-    """The wedge half-width sigma/R^2, inf where R^2 underflows to 0."""
+    """The wedge half-width sigma/R^2: inf where R^2 underflows to 0, 0 where
+    it overflows."""
     _check_positive(sigma, "sigma")
     _check_positive(radius, "radius")
-    return sigma / radius ** 2 if radius ** 2 else math.inf
+    rsq = radius * radius
+    return sigma / rsq if rsq else math.inf
 
 
 def renormalized_triangle_count(lattice: AffineLattice, theta: float,

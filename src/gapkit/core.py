@@ -347,9 +347,6 @@ class Mat2:
     def to_float(self) -> "Mat2":
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
 
-    def frobenius(self) -> float:
-        return math.sqrt(sum(float(e) ** 2 for e in (self.a, self.b, self.c, self.d)))
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

@@ -73,6 +73,18 @@ def _det_tol(sumsq):
     return DET_TOL * np.maximum(1.0, sumsq)
 
 
+def _check_float_det(basis: Mat2) -> None:
+    """ValueError unless |det - 1| of the basis, in floats, is within
+    _det_tol of its squared entries; a basis whose squares overflow has no
+    such bound."""
+    sumsq = sum(float(e) * float(e) for e in basis.entries())
+    if not math.isfinite(sumsq):
+        raise ValueError(f"basis {basis} has entries whose squares overflow floats")
+    det, tol = float(basis.det()), _det_tol(sumsq)
+    if abs(det - 1.0) > tol:
+        raise ValueError(f"basis determinant {det} is not 1 within {tol}")
+
+
 def lagrange_reduce(basis: Mat2) -> tuple[Mat2, tuple[int, int, int, int]]:
     """Gauss/Lagrange reduction of a rank-2 float basis.
 
@@ -239,14 +251,10 @@ class UnimodularLattice:
     tag: str = field(default="", compare=False)
 
     def __post_init__(self):
-        det = self.basis.det()
-        if self.is_exact():
-            if det != 1:
-                raise ValueError(f"exact basis must have determinant 1, got {det}")
-        else:
-            tol = _det_tol(self.basis.frobenius() ** 2)
-            if abs(float(det) - 1.0) > tol:
-                raise ValueError(f"basis determinant {det} is not 1 within {tol}")
+        if not self.is_exact():
+            _check_float_det(self.basis)
+        elif (det := self.basis.det()) != 1:
+            raise ValueError(f"exact basis must have determinant 1, got {det}")
 
     def is_exact(self) -> bool:
         return all(is_exact(e) for e in self.basis.entries())

@@ -34,7 +34,7 @@ first-quadrant holonomies by that sign filter, takes their slopes by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import PHI, Mat2, Vec2, _check_positive, is_exact, slope
@@ -70,18 +70,17 @@ class SaddleConnection:
     ``holonomy`` is the planar displacement (exact scalars on exact
     surfaces); ``path`` lists the polygon edges the development crossed, so
     parallel connections of equal holonomy remain distinguishable.
+    ``angle`` is the direction of the holonomy's floats (see _angle), kept
+    from the development's sort key and left out of comparisons.
     """
 
     holonomy: Vec2
     path: tuple
+    angle: float = field(compare=False, repr=False)
 
     @property
     def length_sq(self):
         return self.holonomy.norm_sq()
-
-    @property
-    def angle(self) -> float:
-        return _angle(float(self.holonomy.x), float(self.holonomy.y))
 
 
 def _angle(x: float, y: float) -> float:

@@ -52,6 +52,12 @@ class TestConstruction:
         lat = AffineLattice(b, Vec2(0.3, 0.1))
         assert lat.basis == b
 
+    @pytest.mark.parametrize("make", [UnimodularLattice, AffineLattice])
+    def test_basis_whose_squares_overflow_named_by_both_lattices(self, make):
+        # determinant 1, but 1e200 ** 2 raised a bare OverflowError
+        with pytest.raises(ValueError, match=r"basis Mat2\(a=1e\+200, .*overflow"):
+            make(Mat2(1e200, 0.0, 0.0, 1e-200))
+
     def test_non_finite_shift_rejected(self):
         # an infinite shift used to reduce to nan and fail only on enumeration
         with pytest.raises(ValueError, match="shift .* is not finite"):

@@ -69,6 +69,19 @@ class TestBczOrbit:
         assert res.returncode == 3
 
 
+class TestWedge:
+    @pytest.mark.parametrize("args", [
+        ["wedge-p", "--sigma", "1", "--radius", "1e160", "--samples", "5"],
+        ["affine-angles", "--shift", "0.377,0.613", "--radius", "1e200"],
+    ], ids=["wedge-radius-square-overflows", "affine-radius-1e200"])
+    def test_huge_radius_exits_3_without_traceback(self, args):
+        # wedge-p squared the radius as radius ** 2, an OverflowError with exit 1
+        res = run_cli(args)
+        assert res.returncode == 3
+        assert "exceeds the enumeration budget" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestHall:
     def test_grid_rows(self):
         res = run_cli(["hall", "--scaling", "unnormalized", "--grid", "64"])

@@ -1,5 +1,5 @@
 """Package hygiene: every exported name resolves, every name perfbench wraps
-resolves, no module or test file imports a name it never uses, no private
+resolves, no module, test or tool file imports a name it never uses, no private
 module-level name of the package goes unread, and every exported name is
 read by a pipeline."""
 
@@ -19,6 +19,7 @@ TESTS = sorted(p for p in Path(__file__).parent.glob("*.py")
                if p.name != "test_acceptance.py")
 MODULES = ["gapkit"] + [f"gapkit.{m.name}" for m in pkgutil.iter_modules(gapkit.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 # the pipelines: the acceptance suite and the benchmark
 PIPELINES = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
 # exported names that no pipeline reads, each kept for its reason
@@ -71,8 +72,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES + TESTS,
-                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
+@pytest.mark.parametrize("path", SOURCES + TESTS + TOOLS,
+                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS]
+                         + [f"tools/{p.name}" for p in TOOLS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -256,7 +256,7 @@ class TestEquivariance:
         for sysm in systems:
             for _ in range(25):
                 g = random_group_element(gen)
-                wide = Ball(region.radius * g.inverse().frobenius() + 0.5)
+                wide = Ball(region.radius * math.hypot(*g.inverse().entries()) + 0.5)
                 direct = inside(sysm.act(g).enumerate_points(region))
                 pushed = inside(g @ v for v in sysm.enumerate_points(wide))
                 assert direct == pushed

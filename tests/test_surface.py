@@ -436,7 +436,9 @@ def test_sort_keys_are_the_floats_of_the_holonomies(make, radius):
     conns = waves.run()
     lsq, angle = waves.keys
     assert lsq.tolist() == [float(c.length_sq) for c in conns]
-    assert angle.tolist() == [c.angle for c in conns]
+    assert angle.tolist() == [surface._angle(float(c.holonomy.x), float(c.holonomy.y))
+                              for c in conns]
+    assert [c.angle for c in conns] == angle.tolist()  # each connection keeps its key
 
 
 def golden_orbit_holonomies(radius):
@@ -475,7 +477,7 @@ def test_golden_development_matches_its_veech_group_orbits(radius, connections):
 class TestEquivariance:
     def test_float_shear(self, generic_lshape):
         g = shear(1.0)
-        ginv_norm = g.inverse().frobenius()
+        ginv_norm = math.hypot(*g.inverse().entries())
         r = 3.0
         src = saddle_connections(generic_lshape, r * ginv_norm + 0.5)
         pushed = set()

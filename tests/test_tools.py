@@ -1,6 +1,8 @@
-"""The measurement tools under tools/ still run: each in its quick mode, in
-a subprocess, as a user would start it."""
+"""The measurement tools under tools/ still run: layers.py in its quick
+mode, in a subprocess, as a user would start it; pipeline_calls.py's copy of
+criterion 10's commands is still the acceptance suite's."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -15,24 +17,11 @@ from gapkit import _waves, core
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def test_startup_probe_quick_mode():
-    res = subprocess.run([sys.executable, str(TOOLS / "startup.py"), "--quick"],
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    report = json.loads(res.stdout)
-    assert report["checkouts"]["change"] == report["checkouts"]["parent"]
-    [timed] = report["commands"].values()
-    for side in ("change", "parent"):
-        [sample] = timed[side]["samples_s"]
-        assert sample > 0
-        assert timed[side]["median_s"] == timed[side]["q1_s"] == timed[side]["q3_s"] == sample
-
-
 def test_layers_probe_quick_mode():
     # one exact and one float golden L at R = 3, one timed cli.main call
     # of each command, one timed exact and float strip of 501 slopes and
-    # one timed Farey orbit at Q = 60 and 1,000 float roofs per side,
-    # about 1 s in all
+    # one timed Farey orbit at Q = 60 and 1,000 float roofs, and one fresh
+    # gapkit farey-gaps --q 5, per side, about 1 s in all
     res = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "--quick"],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -67,6 +56,24 @@ def test_layers_probe_quick_mode():
         assert (farey["steps"], farey["distinct_roofs"]) == (1102, 513)
         assert (floats["steps"], floats["distinct_roofs"]) == (1000, None)
         assert farey["us_per_step"] > 0 and floats["us_per_step"] > 0
+    [timed] = report["layers"]["startup"].values()
+    for side in ("change", "parent"):
+        [sample] = timed[side]["samples_s"]
+        assert sample > 0
+        assert timed[side]["s"]["median"] == timed[side]["s"]["q1"] == timed[side]["s"]["q3"] \
+            == sample
+
+
+def test_pipeline_calls_keeps_criterion_10s_commands(monkeypatch):
+    # the tool runs criterion 10's commands in-process from its own copy
+    monkeypatch.syspath_prepend(str(TOOLS))
+    pipeline_calls = importlib.import_module("pipeline_calls")
+    tree = ast.parse(pipeline_calls.ACCEPTANCE.read_text())
+    [test] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "test_criterion_10_cli_determinism"]
+    [commands] = [ast.literal_eval(node.value) for node in test.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "commands"]
+    assert commands == pipeline_calls.CRITERION_10
 
 
 def test_layers_counts_exact_fallbacks(monkeypatch):

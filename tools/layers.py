@@ -1,6 +1,6 @@
 """Time gapkit layer by layer, per unit of work, this checkout against another.
 
-Four layers so far.  The surface: the exact development of the golden L
+Five layers so far.  The surface: the exact development of the golden L
 (``_waves.Waves(golden_l(), R).run()``) and the float one of the same L
 with float sides, at R = 3, 3.75, 4.5 and 10.  Per radius and side it
 reports the time of each development, its states (the sizes of its waves
@@ -11,8 +11,8 @@ and how many were not, its exact fallbacks (the calls of the scalar
 re-signs of the sign filter and the exact ball tests) and the exact/float
 ratio.  The cli: in-process ``cli.main`` calls of ``hall --grid 8``, whose
 time is the fixed cost of a call, and of ``lattice-gaps --count 10000``,
-whose time per output row is the cost of the rows.  Per command and side it reports the time of a call
-and the microseconds per row.  The strip: ``pointcloud.slopes_in_strip``
+whose time per output row is the cost of the rows.  Per command and side
+it reports the time of a call and the microseconds per row.  The strip: ``pointcloud.slopes_in_strip``
 of width 1 on the exact ``seeded_lattice(3)`` and on its float twin, at
 n = 501 and 10,001.  Per lattice, n and side it reports the time of a call,
 the coefficient scans it made and their cells (``lattice._ragged`` spied),
@@ -21,30 +21,38 @@ and the microseconds per slope and per cell.  The bcz: the exact Farey orbit
 Q = 60, 110 and 158, and the float ``bcz.roof_sequence`` of 10,000 steps
 from (sqrt 2 - 1, 3/4).  Per orbit and side it reports the time of a call,
 the steps, the distinct roofs among them (exact orbits) and the
-microseconds per step.
+microseconds per step.  The startup: the whole wall time, from start to
+exit, of a fresh ``python3`` process given each of the ``STARTUP`` argument
+strings (gapkit commands through ``-m gapkit.cli`` and ``-c`` sources).
+Per job and side it reports the quartiles and the samples in seconds.
 
-Every sample is one new ``python3`` process that runs this file with
-``--child`` on a side's ``src/``: it develops each radius once to count
-the work, then times ``CALLS`` developments of each kind and reports the
-best; it makes one untimed ``cli.main`` call of each command (imports and
-any set-up the process keeps) and then times ``CALLS`` calls of each; it
-counts the strip work on one spied call and times ``CALLS`` more; it walks
-each orbit once to count its steps and roofs and times ``CALLS`` more.  Each
-side is sampled ``REPEATS`` times; the two sides alternate within each
-repeat, the side that goes first swapping from one repeat to the next, as
-in ``tools/startup.py``.
+A sample of the other layers is one new ``python3`` process that runs
+this file with ``--child`` on a side's ``src/``: it develops each radius
+once to count the work, then times ``CALLS`` developments of each kind and
+reports the best; it makes one untimed ``cli.main`` call of each command
+(imports and any set-up the process keeps) and then times ``CALLS`` calls
+of each; it counts the strip work on one spied call and times ``CALLS``
+more; it walks each orbit once to count its steps and roofs and times
+``CALLS`` more.  A startup sample is one new process running one job,
+after one discarded run per job and side (it fills the bytecode caches
+where writing them is allowed).  Each side is sampled ``REPEATS`` times; the two sides
+alternate within each repeat, the side that goes first swapping from one
+repeat to the next, so that a slow spell of the host falls on both.  A
+side is a checkout: its ``src/`` is the child's PYTHONPATH.
 
     python3 tools/layers.py [--parent PATH]
     python3 tools/layers.py --quick
 
-Without ``--parent`` this checkout runs on both sides.  ``--quick``
-develops R = 3, times each command once per side, takes the strips at
-n = 501 only and the orbits at Q = 60 and 1,000 float steps.  It prints one
-JSON object whose ``layers`` block holds per radius, command, strip or orbit
-and side the
-median and quartiles (inclusive method) over the samples of each time, and
-the median of the per-sample exact/float ratios.  A checkout whose exact
-waves know no certification reports its wave counts as null.
+Without ``--parent`` this checkout runs on both sides.  ``--quick`` takes
+one sample per side and times one call of each kind: it develops R = 3,
+takes the strips at n = 501 only, the orbits at Q = 60 and 1,000 float
+steps, and the startup of ``farey-gaps --q 5`` alone.  It prints one JSON
+object whose ``layers`` block holds per radius, command, strip, orbit or
+job and side the median and quartiles (inclusive method) over the samples
+of each time, and the median of the per-sample exact/float ratios.  A
+checkout whose exact waves know no certification reports its wave counts
+as null.  The harness imports only the standard library; gapkit and numpy
+load in the children.
 """
 
 from __future__ import annotations
@@ -53,21 +61,27 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from startup import child_env, side_order  # tools/ is sys.path[0] when run as a script
-
 ROOT = Path(__file__).resolve().parents[1]
 RADII = (3.0, 3.75, 4.5, 10.0)
-REPEATS, CALLS = 9, 5
+REPEATS, CALLS = 10, 5
 COMMANDS = ("hall --grid 8", "lattice-gaps --count 10000")
 STRIP_COUNTS = (501, 10001)
 FAREY_LEVELS, FLOAT_STEPS = (60, 110, 158), 10_000
+# python3 arguments of the startup jobs: the startup blocks of BENCH_26.json
+# (farey-gaps, bcz-orbit and the two sources) and BENCH_28.json (hall)
+STARTUP = ("-m gapkit.cli farey-gaps --q 60",
+           "-m gapkit.cli bcz-orbit --a 1/7 --b 1 --steps 30 --exact",
+           "-m gapkit.cli hall --grid 8", "-c 'import gapkit.cli'", "-c pass")
+QUICK_STARTUP = ("-m gapkit.cli farey-gaps --q 5",)
 
 
 @contextlib.contextmanager
@@ -209,13 +223,32 @@ def child(radii: list[float], counts: list[int], levels: list[int], steps: int,
             "bcz": orbits}
 
 
-def sample(checkout: Path, args: list) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--child", json.dumps(args)],
-                          env=child_env(checkout), cwd=checkout, capture_output=True, text=True)
+def child_env(checkout: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def run_once(argv: list[str], checkout: Path) -> tuple[float, str]:
+    """Seconds from start to exit of one fresh interpreter running argv on
+    the checkout, and its stdout; a failing child is an error."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], env=child_env(checkout), cwd=checkout,
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
-        raise RuntimeError(f"layers child in {checkout} exited {proc.returncode}: "
+        raise RuntimeError(f"{shlex.join(argv)} in {checkout} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
-    return json.loads(proc.stdout)
+    return elapsed, proc.stdout
+
+
+def side_order(sides: dict, r: int) -> list:
+    """The sides in the order repeat r runs them: the side that goes first
+    swaps from one repeat to the next."""
+    order = list(sides)
+    return order if r % 2 == 0 else order[::-1]
 
 
 def quartiles(values: list[float], scale: float, digits: int) -> dict:
@@ -248,6 +281,12 @@ def strip_summary(runs: list[dict]) -> dict:
             "us_per_cell": round(median_us / first["cells"], 5)}
 
 
+def startup_summary(times: list[float]) -> dict:
+    """One side's fresh runs of one job: the quartiles and the samples, in
+    seconds."""
+    return {"s": quartiles(times, 1, 6), "samples_s": [round(t, 6) for t in times]}
+
+
 def bcz_summary(runs: list[dict]) -> dict:
     """One side's walks of one orbit over its samples: the time of a call in
     ms, the steps and distinct roofs counted once, and the microseconds per
@@ -278,11 +317,19 @@ def summary(runs: list[dict]) -> dict:
 
 
 def measure(sides: dict, radii: list[float], counts: list[int], levels: list[int],
-            steps: int, repeats: int, calls: int) -> dict:
+            steps: int, jobs: tuple, repeats: int, calls: int) -> dict:
+    args = ["--child", json.dumps([radii, counts, levels, steps, calls])]
     samples = {side: [] for side in sides}
+    fresh = {job: {side: [] for side in sides} for job in jobs}
+    for job in jobs:
+        for checkout in sides.values():
+            run_once(shlex.split(job), checkout)  # discarded
     for r in range(repeats):
         for side in side_order(sides, r):
-            samples[side].append(sample(sides[side], [radii, counts, levels, steps, calls]))
+            samples[side].append(json.loads(run_once([__file__, *args], sides[side])[1]))
+        for job in jobs:
+            for side in side_order(sides, r):
+                fresh[job][side].append(run_once(shlex.split(job), sides[side])[0])
     surface = {f"golden-L R={radius!r}": {side: summary([s["surface"][repr(radius)]
                                                          for s in runs])
                                          for side, runs in samples.items()}
@@ -297,7 +344,10 @@ def measure(sides: dict, radii: list[float], counts: list[int], levels: list[int
     orbits = {name: {side: bcz_summary([s["bcz"][name] for s in runs])
                      for side, runs in samples.items()}
               for name in samples["change"][0]["bcz"]}
-    return {"surface": surface, "cli": cli, "strip": strips, "bcz": orbits}
+    startup = {job: {side: startup_summary(times) for side, times in by_side.items()}
+               for job, by_side in fresh.items()}
+    return {"surface": surface, "cli": cli, "strip": strips, "bcz": orbits,
+            "startup": startup}
 
 
 def main(argv=None) -> int:
@@ -305,29 +355,31 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, default=ROOT,
                         help="the other checkout (default: this one)")
     parser.add_argument("--quick", action="store_true",
-                        help="develop R = 3, time each command once per side, "
-                             "take the strips at n = 501 only and the orbits at "
-                             "Q = 60 and 1,000 float steps")
+                        help="develop R = 3, take the strips at n = 501 only, the "
+                             "orbits at Q = 60 and 1,000 float steps and the "
+                             "startup of farey-gaps --q 5, each once per side")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(child(*json.loads(args.child))))
         return 0
-    radii, counts, levels, steps, repeats, calls = \
-        ([3.0], STRIP_COUNTS[:1], FAREY_LEVELS[:1], 1000, 1, 1) if args.quick \
-        else (list(RADII), list(STRIP_COUNTS), list(FAREY_LEVELS), FLOAT_STEPS, REPEATS, CALLS)
+    radii, counts, levels, steps, jobs, repeats, calls = \
+        ([3.0], STRIP_COUNTS[:1], FAREY_LEVELS[:1], 1000, QUICK_STARTUP, 1, 1) if args.quick \
+        else (list(RADII), list(STRIP_COUNTS), list(FAREY_LEVELS), FLOAT_STEPS, STARTUP,
+              REPEATS, CALLS)
     sides = {"change": ROOT, "parent": args.parent.resolve()}
     for checkout in sides.values():
         if not (checkout / "src" / "gapkit").is_dir():
             parser.error(f"{checkout} has no src/gapkit")
     try:
-        layers = measure(sides, radii, counts, levels, steps, repeats, calls)
+        layers = measure(sides, radii, counts, levels, steps, jobs, repeats, calls)
     except RuntimeError as exc:
         print(f"layers: {exc}", file=sys.stderr)
         return 1
     print(json.dumps({
         "python": platform.python_version(), "repeats": repeats, "calls": calls,
         "checkouts": {side: str(path) for side, path in sides.items()},
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "layers": layers,
     }, indent=1))
     return 0
