@@ -404,6 +404,9 @@ class VerticalStrip:
     cap, which is why the cap lives here rather than in a separate region.
     Lattices decide membership (UnimodularLattice.exact_rows, .float_columns);
     boundary sets have measure zero, so statistics cannot see the open edge.
+    The strip loop reads the strip below its diagonal, a private subclass
+    (pointcloud._LowerStrip) with the same rectangle, whose diagonal only
+    steers the scan.
     """
 
     eta: float

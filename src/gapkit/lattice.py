@@ -9,6 +9,9 @@ bounding-box area.  Its float coordinates only steer: an exact basis is put
 over the common denominator D of its entries, every candidate within a
 float margin of the box becomes an int numerator pair (X, Y) over D, and
 strip and ball membership are decided in ints (UnimodularLattice.exact_rows).
+The strip loop's region (pointcloud._LowerStrip) also steers the scan off
+the points more than its margin above the strip's diagonal y = (H / eta) x,
+whose slopes the loop would drop; membership stays the rectangle's.
 Fraction slopes and exact points are built only for the rows a caller
 receives.  A point is primitive exactly when its coefficient pair is
 coprime, which is basis-independent.
@@ -45,7 +48,7 @@ from . import bcz
 from .core import (Ball, Mat2, Vec2, VerticalStrip, _check_positive,
                    common_denominator, is_exact, rotation, shear, diag_flow)
 from .errors import ExceptionalLatticeError, ResourceLimitError
-from .pointcloud import (ExactRows, GapSequence, _axis_radius, _ragged,
+from .pointcloud import (ExactRows, GapSequence, _axis_radius, _LowerStrip, _ragged,
                          axis_hits_by_definition, strip_points)
 from .stats import rng
 
@@ -75,11 +78,14 @@ def _det_tol(sumsq):
 
 def _check_float_det(basis: Mat2) -> None:
     """ValueError unless |det - 1| of the basis, in floats, is within
-    _det_tol of its squared entries; a basis whose squares overflow has no
-    such bound."""
-    sumsq = sum(float(e) * float(e) for e in basis.entries())
+    _det_tol of its squared entries; a basis whose entries or squares
+    overflow floats has no such bound."""
+    try:
+        sumsq = sum(float(e) * float(e) for e in basis.entries())
+    except OverflowError:  # an exact entry past the float range
+        sumsq = math.inf
     if not math.isfinite(sumsq):
-        raise ValueError(f"basis {basis} has entries whose squares overflow floats")
+        raise ValueError(f"basis {basis} has entries or squares that overflow floats")
     det, tol = float(basis.det()), _det_tol(sumsq)
     if abs(det - 1.0) > tol:
         raise ValueError(f"basis determinant {det} is not 1 within {tol}")
@@ -274,8 +280,10 @@ class UnimodularLattice:
         With the basis (A, B, C, D') over D, the point of coefficients
         (m, k) is (A m + B k, C m + D' k) / D.  Strip membership
         0 < X <= eta D, 0 <= Y <= H D and ball membership X^2 + Y^2 <= R^2 D^2
-        are decided in ints against the exact eta, H and R.  None for float
-        bases.
+        are decided in ints against the exact eta, H and R.  A strip read
+        below its diagonal (pointcloud._LowerStrip) hands over only the
+        strip points the scan kept near or below the diagonal: a superset of
+        those of float slope <= H / eta.  None for float bases.
         """
         if not self.is_exact():
             return None
@@ -314,7 +322,8 @@ class UnimodularLattice:
         """The primitive points in the strip as float arrays (x, y) straight
         from the scan, kept by 0 < x <= eta and 0 <= y <= height in numpy
         (against the largest floats <= eta and height, so an exact eta is
-        compared exactly); the strip loop reads them for float bases."""
+        compared exactly); the strip loop reads them for float bases, from
+        the scan of the strip below its diagonal (see exact_rows)."""
         _, _, x, y = _primitive_scan(self.basis, strip)
         keep = (x > 0) & (x <= _float_floor(strip.eta)) \
             & (y >= 0) & (y <= _float_floor(strip.height))
@@ -361,7 +370,9 @@ class UnimodularLattice:
 def _primitive_scan(basis: Mat2, region: VerticalStrip | Ball):
     """coefficient_scan of a basis over the box of a strip or a ball,
     non-primitive points dropped: coefficients (m, k) and float coordinates
-    (x, y) of the points near the box; the float scan only steers."""
+    (x, y) of the points near the box; the float scan only steers.  The
+    strip loop's region (pointcloud._LowerStrip) also drops the points more
+    than the margin above its diagonal y = cut x."""
     if isinstance(region, VerticalStrip):
         if math.isinf(region.height):
             raise ValueError("cannot enumerate an unbounded strip; cap the height")
@@ -373,8 +384,15 @@ def _primitive_scan(basis: Mat2, region: VerticalStrip | Ball):
     # any gap the exact test would have to arbitrate
     margin = 1e-6 * max(1.0, *(abs(float(t)) for t in box))
     scan = coefficient_scan(basis, *box, margin=margin)
-    primitive = np.gcd(scan[0], scan[1]) == 1
-    return tuple(col[primitive] for col in scan)
+    keep = np.gcd(scan[0], scan[1]) == 1
+    if isinstance(region, _LowerStrip):
+        # a point of float slope <= cut lies below y = cut x (1 + 2^-52), and
+        # its scanned x, y are each within the margin of its own, so it
+        # passes; the rounding here is of order 2^-52 height, far below
+        # margin (1 + cut), and a nan test keeps the point
+        cut = region.cut
+        keep &= ~(scan[3] - cut * scan[2] > margin * (1.0 + cut))
+    return tuple(col[keep] for col in scan)
 
 
 def _float_floor(value) -> float:

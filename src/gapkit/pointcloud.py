@@ -25,14 +25,19 @@ each candidate s?  The definition, axis_hits_by_definition, answers by
 is_horizontally_short of each act(shear(s)); an exact lattice takes it, a
 float lattice answers from one stacked scan of its sheared bases.
 
-Exact lattices hand the strip loop their points as ExactRows: int
-numerator pairs (X, Y) over one common denominator, membership already
-decided in ints; Fraction slopes and points are built only for the rows
-returned.  Float lattices hand it float arrays (x, y) (float_columns),
-whose slopes y / x are ordered as arrays; a Vec2 is built only for a point
-strip_points returns.  Every slope order, float too, is one float-first sort
-(_float_first): a stable sort by a float f with an error bound err, and
-keys compared only inside runs of overlapping intervals [f - err, f + err].
+At height H the strip loop keeps only slopes <= H / eta, so it reads only
+the strip below its diagonal y = (H / eta) x (_LowerStrip): the scan drops
+the points more than its margin above the diagonal before any row is
+built, about half the rectangle.  That prefilter only steers; the loop's
+own float slope test decides.  Exact lattices hand the strip loop their
+points as ExactRows: int numerator pairs (X, Y) over one common
+denominator, rectangle membership already decided in ints; Fraction slopes
+and points are built only for the rows returned.  Float lattices hand it
+float arrays (x, y) (float_columns), whose slopes y / x are ordered as
+arrays; a Vec2 is built only for a point strip_points returns.  Every slope
+order, float too, is one float-first sort (_float_first): a stable sort by
+a float f with an error bound err, and keys compared only inside runs of
+overlapping intervals [f - err, f + err].
 Int rows pass the correctly rounded Y / X with err = 0 (rounding is
 monotone), float slopes themselves with err = 5e-13 max(1, |f|) and one
 key, so a run is one slope (_float_order).
@@ -176,23 +181,37 @@ def _column_order(x: np.ndarray, y: np.ndarray, cut: float) -> np.ndarray:
     return rows[_float_order(rows[:, 0])]
 
 
+class _LowerStrip(VerticalStrip):
+    """The region of the strip loop: the strip 0 < x <= eta, 0 <= y <= height
+    read below its diagonal y = cut x, cut = height / eta, the largest slope
+    the loop keeps at that height.  Membership stays the rectangle's; the
+    scan (lattice._primitive_scan) only drops the points more than its
+    margin above the diagonal, which have float slopes above cut, so the
+    loop's own ``<= cut`` tests still decide every row."""
+
+    @property
+    def cut(self) -> float:
+        return float(self.height) / float(self.eta)
+
+
 def _strip_rows(lat: UnimodularLattice, eta, n: int):
     """The growing-height strip loop behind strip_points.
 
-    Returns (rows, exact): the first n rows in slope order, as (x, y) int
-    rows of the ExactRows ``exact`` from lat.exact_rows, else as an (n, 3)
-    float array of rows (slope, x, y) from lat.float_columns.
+    Each height reads the strip below its diagonal (_LowerStrip), the only
+    part whose slopes it can keep.  Returns (rows, exact): the first n rows
+    in slope order, as (x, y) int rows of the ExactRows ``exact`` from
+    lat.exact_rows, else as an (n, 3) float array of rows (slope, x, y)
+    from lat.float_columns.
     """
     _check_positive(eta, "eta")
     height = float(eta) * max(4.0, 4.0 * n)
     while True:
-        cut = height / float(eta)
-        strip = VerticalStrip(eta, height)
+        strip = _LowerStrip(eta, height)
         exact = lat.exact_rows(strip)
         if exact is not None:
-            rows = _slope_order(exact, cut)
+            rows = _slope_order(exact, strip.cut)
         else:
-            rows = _column_order(*lat.float_columns(strip), cut)
+            rows = _column_order(*lat.float_columns(strip), strip.cut)
         if len(rows) >= n:
             return rows[:n], exact
         if height >= DEFAULT_HEIGHT_BUDGET:

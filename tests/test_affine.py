@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestConstruction:
         # determinant 1, but 1e200 ** 2 raised a bare OverflowError
         with pytest.raises(ValueError, match=r"basis Mat2\(a=1e\+200, .*overflow"):
             make(Mat2(1e200, 0.0, 0.0, 1e-200))
+
+    def test_exact_basis_past_the_float_range_named(self):
+        # float(10**400) raised a bare OverflowError in the float check
+        with pytest.raises(ValueError, match=r"basis Mat2\(a=1000.*overflow"):
+            AffineLattice(Mat2(10 ** 400, 0, 0, Fraction(1, 10 ** 400)), Vec2(0, 0))
+        # an exact basis within the float range is accepted as before
+        assert AffineLattice(Mat2(10 ** 100, 0, 0, Fraction(1, 10 ** 100)),
+                             Vec2(0, 0)).basis.a == 10 ** 100
 
     def test_non_finite_shift_rejected(self):
         # an infinite shift used to reduce to nan and fail only on enumeration

@@ -1,16 +1,17 @@
 """Property tests: the coefficient-scan kernel against a brute-force scan of
 the whole integer coefficient box, on random exact rational lattices; the
-exact int-numerator strip order against a brute-force Fraction sort; a
-stacked scan of many float bases against one scan per basis, the stacked
-Lagrange reduction against lagrange_reduce, the axis test of a float
-lattice's sheared bases against enumerating each sheared lattice, and
-hitting times from the candidate stack against one sheared lattice per
-candidate; strip slopes under an SL(2, Z) change of basis; the return
-times of the transversal orbit against the strip slope gaps; the float
-first order of exact scalar slopes (``_waves._collapse``) against an exact
-sort; and the float slope collapse against a reference sort-and-compare
-loop, on random lists and (``pointcloud._column_order``) float lattice
-strips."""
+exact int-numerator strip order against a brute-force Fraction sort; the
+strip loop's region below its diagonal, its slopes and its partial results
+against a brute-force sort of the whole rectangle; a stacked scan of many
+float bases against one scan per basis, the stacked Lagrange reduction
+against lagrange_reduce, the axis test of a float lattice's sheared bases
+against enumerating each sheared lattice, and hitting times from the
+candidate stack against one sheared lattice per candidate; strip slopes
+under an SL(2, Z) change of basis; the return times of the transversal
+orbit against the strip slope gaps; the float first order of exact scalar
+slopes (``_waves._collapse``) against an exact sort; and the float slope
+collapse against a reference sort-and-compare loop, on random lists and
+(``pointcloud._column_order``) float lattice strips."""
 
 import math
 from fractions import Fraction
@@ -23,7 +24,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gapkit import _waves, lattice, pointcloud
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, rotation, shear, slope
-from gapkit.errors import ExceptionalLatticeError
+from gapkit.errors import ExceptionalLatticeError, ExhaustionError
 from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
                             slope_gaps_fast)
 from gapkit.pointcloud import (ExactRows, axis_hits_by_definition, gaps, hitting_times,
@@ -149,6 +150,119 @@ def test_exact_strip_slopes_match_fraction_sort(lat, eta, n):
     assert [(type(s), type(v.x), type(v.y)) for s, v in got] == \
         [(type(s), type(v.x), type(v.y)) for s, v in want]
     assert slopes_in_strip(lat, eta, n).slopes == tuple(s for s, _ in want)
+
+
+# the strip loop's widths: int, exact, float (both below 1, so counts of a
+# few slopes force height doublings) and a width holding two columns of Z^2
+STRIP_ETAS = [1, Fraction(3, 7), 0.37, 2.5]
+# x = m / 7, y = 7 k: at eta = 3/7 and H = 84 it holds 17 slopes up to the
+# cut 196, and (1/7, 28) lies on the diagonal y = 196 x
+SCALED = UnimodularLattice(Mat2(Fraction(1, 7), 0, 0, 7), tag="diag(1/7, 7) Z^2")
+
+
+def rectangle_order(lat, eta, height):
+    """The strip loop's rows at one height by brute force on the whole
+    rectangle VerticalStrip(eta, height), no diagonal: the (slope, point)
+    pairs of float slope <= height / eta, sorted, ties collapsed (exact
+    slopes by slope_sort, float ones by the reference float loop)."""
+    cut = height / float(eta)
+    rows = lat.exact_rows(VerticalStrip(eta, height))
+    if rows is not None:
+        pairs = slope_sort(map(rows.point, rows.xs, rows.ys))
+        return [(s, v) for s, v in pairs if float(s) <= cut]
+    x, y = lat.float_columns(VerticalStrip(eta, height))
+    pairs = [(slope(v), v) for v in map(Vec2, x.tolist(), y.tolist())]
+    return float_collapse_loop([(s, v) for s, v in pairs if s <= cut])
+
+
+def strip_by_rectangles(lat, eta, n):
+    """strip_points by rectangle_order under its documented height rule:
+    H = eta max(4, 4 n), doubled until n slopes are found.  Returns the
+    pairs and every height tried."""
+    height, heights = float(eta) * max(4.0, 4.0 * n), []
+    while True:
+        heights.append(height)
+        pairs = rectangle_order(lat, eta, height)
+        if len(pairs) >= n:
+            return pairs[:n], heights
+        height *= 2.0
+
+
+def region_rows(lat, region):
+    """The rows a lattice hands over for a region: int (X, Y) pairs of an
+    exact basis, float (x, y) pairs of a float one."""
+    rows = lat.exact_rows(region)
+    if rows is not None:
+        return set(zip(rows.xs, rows.ys))
+    return set(zip(*(col.tolist() for col in lat.float_columns(region))))
+
+
+@SETTINGS
+@given(rational_lattices(), st.sampled_from(STRIP_ETAS), st.floats(0.25, 40.0),
+       st.booleans())
+@example(lattice.ZSQUARED, 1, 20.0, True)  # integral cut: (1, 20) on the diagonal
+@example(lattice.ZSQUARED, 2.5, 10.0, False)  # (1, 4) on the diagonal y = 4 x
+@example(SCALED, Fraction(3, 7), 84.0, False)  # (1/7 in floats, 28): slope 196.0
+# the scan puts (0.4, 5.9) at x = 0.3999999999999999, above y = 14.75 x;
+# only the margin keeps it
+@example(UnimodularLattice(Mat2(Fraction(2, 5), 0, Fraction(-8, 5), Fraction(5, 2))),
+         1, 14.75, True)
+def test_strip_below_its_diagonal_keeps_every_row_up_to_the_cut(lat, eta, height, exact):
+    # the strip loop's region hands over rectangle rows only, and every one
+    # of float slope <= cut: at the height drawn, and at the height whose
+    # cut is the float slope of each of its rows, which then lies on the
+    # diagonal
+    lat = lat if exact else lat.to_float()
+    drawn = region_rows(lat, VerticalStrip(eta, height))
+    for h in {height, *(y / x * float(eta) for x, y in drawn)} - {0.0}:
+        below = pointcloud._LowerStrip(eta, h)
+        assert (below.eta, below.height, below.cut) == (eta, h, h / float(eta))
+        rect = region_rows(lat, VerticalStrip(eta, h))
+        want = {(x, y) for x, y in rect if y / x <= below.cut}
+        assert want <= region_rows(lat, below) <= rect
+
+
+@SETTINGS
+@given(rational_lattices(), st.sampled_from(STRIP_ETAS), st.integers(1, 12),
+       st.booleans())
+def test_strip_below_its_diagonal_drops_no_slope(lat, eta, n, exact):
+    assume(x_step(lat) <= eta)
+    lat = lat if exact else lat.to_float()
+    want, _ = strip_by_rectangles(lat, eta, n)
+    assert strip_points(lat, eta, n) == want
+    assert slopes_in_strip(lat, eta, n).slopes == tuple(s for s, _ in want)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("lat, eta, n", [
+    (lattice.ZSQUARED, 1, 5), (lattice.ZSQUARED, 2.5, 9), (SCALED, Fraction(3, 7), 49),
+    (seeded_lattice(3), 0.37, 40), (seeded_lattice(3), Fraction(3, 7), 60),
+], ids=["Z2-1", "Z2-2.5", "scaled-3/7", "seeded-0.37", "seeded-3/7"])
+def test_strip_below_its_diagonal_keeps_results_and_partials(lat, eta, n, exact):
+    lat = lat if exact else lat.to_float()
+    want, heights = strip_by_rectangles(lat, eta, n)
+    assert strip_points(lat, eta, n) == want
+    # a budget at each height that fell short: the partial is every slope
+    # up to that height's cut, as on the whole rectangle
+    for height in heights[:-1]:
+        partial = tuple(s for s, _ in rectangle_order(lat, eta, height))
+        with mock.patch.object(pointcloud, "DEFAULT_HEIGHT_BUDGET", height):
+            with pytest.raises(ExhaustionError) as err:
+                slopes_in_strip(lat, eta, n)
+        assert err.value.partial == pointcloud.SlopeSequence(eta, partial)
+    # Z^2 finds its slopes at the first height, the others double it
+    assert (len(heights) == 1) == (lat.tag == "Z^2")
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_partial_keeps_the_slope_on_the_diagonal(exact):
+    # at H = 84 SCALED holds 17 of the 49 slopes asked for, the last on the
+    # diagonal: slope 196 = cut, 196.0 in floats, whose x = 1/7 rounds down
+    lat = SCALED if exact else SCALED.to_float()
+    with mock.patch.object(pointcloud, "DEFAULT_HEIGHT_BUDGET", 84.0):
+        with pytest.raises(ExhaustionError) as err:
+            slopes_in_strip(lat, Fraction(3, 7), 49)
+    assert len(err.value.partial) == 17 and err.value.partial.slopes[-1] == 196
 
 
 @SETTINGS

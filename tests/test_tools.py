@@ -48,7 +48,13 @@ def test_layers_probe_quick_mode():
         for side in ("change", "parent"):
             work = layer[side]
             assert work["slopes"] == 501 and work["scans"] >= 1 and work["cells"] > 501
+            # the points handed to the strip loop: every slope kept, and no
+            # more than the cells scanned
+            assert work["cells"] >= work["rows"] >= 501
+            assert work["rows_per_slope"] == round(work["rows"] / 501, 4)
             assert work["ms"]["median"] > 0 and work["us_per_slope"] > work["us_per_cell"] > 0
+        # the strip below its diagonal: 634 rows, where the rectangle had 1,280
+        assert layer["change"]["rows"] == 634
     orbits = report["layers"]["bcz"]
     assert sorted(orbits) == ["farey Q=60", "roof_sequence n=1000"]
     for side in ("change", "parent"):

@@ -16,7 +16,9 @@ it reports the time of a call and the microseconds per row.  The strip: ``pointc
 of width 1 on the exact ``seeded_lattice(3)`` and on its float twin, at
 n = 501 and 10,001.  Per lattice, n and side it reports the time of a call,
 the coefficient scans it made and their cells (``lattice._ragged`` spied),
-and the microseconds per slope and per cell.  The bcz: the exact Farey orbit
+the rows, the points that ``exact_rows`` or ``float_columns`` handed to the
+strip loop (both spied), and the rows per slope, the microseconds per slope
+and per cell.  The bcz: the exact Farey orbit
 ``bcz.orbit(farey_orbit_start(Q), N(Q) + 1, detect_period=True)`` at
 Q = 60, 110 and 158, and the float ``bcz.roof_sequence`` of 10,000 steps
 from (sqrt 2 - 1, 3/4).  Per orbit and side it reports the time of a call,
@@ -158,27 +160,45 @@ def invoke(command: str, calls: int) -> dict:
 
 
 def strip(lat, n: int, calls: int) -> dict:
-    """The coefficient scans and cells of one slopes_in_strip(lat, 1, n),
-    counted on a spied call, and the best time of ``calls`` unspied calls."""
+    """The coefficient scans and cells of one slopes_in_strip(lat, 1, n) and
+    the rows its lattice handed to the strip loop (the points of every
+    exact_rows or float_columns call), counted on a spied call, and the
+    best time of ``calls`` unspied calls."""
     from gapkit import lattice, pointcloud
 
-    cells, ragged = [], lattice._ragged
+    cells, rows, ragged = [], [], lattice._ragged
+    cls = type(lat)
+    exact_rows, float_columns = cls.exact_rows, cls.float_columns
 
     def spy(starts, lens, total):
         cells.append(total)
         return ragged(starts, lens, total)
 
+    def spy_exact(self, region):
+        got = exact_rows(self, region)
+        if got is not None:
+            rows.append(len(got.xs))
+        return got
+
+    def spy_float(self, region):
+        got = float_columns(self, region)
+        rows.append(len(got[0]))
+        return got
+
     lattice._ragged = spy  # one call per single-basis scan, total = its cells
+    cls.exact_rows, cls.float_columns = spy_exact, spy_float
     try:
         slopes = len(pointcloud.slopes_in_strip(lat, 1, n))
     finally:
         lattice._ragged = ragged
+        cls.exact_rows, cls.float_columns = exact_rows, float_columns
     best = float("inf")
     for _ in range(calls):
         t0 = time.perf_counter()
         pointcloud.slopes_in_strip(lat, 1, n)
         best = min(best, time.perf_counter() - t0)
-    return {"s": best, "slopes": slopes, "scans": len(cells), "cells": sum(cells)}
+    return {"s": best, "slopes": slopes, "scans": len(cells), "cells": sum(cells),
+            "rows": sum(rows)}
 
 
 def walk(run, calls: int) -> dict:
@@ -271,12 +291,14 @@ def cli_summary(runs: list[dict]) -> dict:
 
 def strip_summary(runs: list[dict]) -> dict:
     """One side's strips of one lattice and count over its samples: the
-    time of a call in ms, the work counted once, and the microseconds per
-    slope and per scanned cell."""
+    time of a call in ms, the work counted once, the rows handed to the
+    strip loop per slope found, and the microseconds per slope and per
+    scanned cell."""
     times, first = [run["s"] for run in runs], runs[0]
     median_us = statistics.median(times) * 1e6
     return {"ms": quartiles(times, 1e3, 3), "slopes": first["slopes"],
-            "scans": first["scans"], "cells": first["cells"],
+            "scans": first["scans"], "cells": first["cells"], "rows": first["rows"],
+            "rows_per_slope": round(first["rows"] / first["slopes"], 4),
             "us_per_slope": round(median_us / first["slopes"], 4),
             "us_per_cell": round(median_us / first["cells"], 5)}
 
