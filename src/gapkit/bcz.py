@@ -152,13 +152,16 @@ def orbit(p: TransversalPoint, n: int, detect_period: bool = False) -> BczOrbit:
     numerators and compare exactly; any other point is walked as
     p.to_float() by the float loop and compares within FLOAT_STEP_TOL.
     """
+    _check_steps(n)
+    return (_exact_orbit if p.is_exact() else _float_walk)(p, n, detect_period)
+
+
+def _check_steps(n: int) -> None:
+    """The step checks of orbit and roof_sequence; ORBIT_STEP_BUDGET is read at each call."""
     if n < 0:
         raise ValueError("step count must be nonnegative")
     if n > ORBIT_STEP_BUDGET:
         raise ResourceLimitError(f"orbit of {n} steps exceeds the step budget")
-    if p.is_exact():
-        return _exact_orbit(p, n, detect_period)
-    return _float_walk(p, n, detect_period)
 
 
 def _exact_orbit(p: TransversalPoint, n: int, detect_period: bool) -> BczOrbit:
@@ -263,6 +266,5 @@ def roof_sequence(p: TransversalPoint, n: int) -> np.ndarray:
     its points); for exact agreement checks walk orbit() on an exact point
     instead.
     """
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
+    _check_steps(n)
     return _float_walk(p, n, False).returns

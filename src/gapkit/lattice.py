@@ -47,7 +47,7 @@ import numpy as np
 from . import bcz
 from .core import (Ball, Mat2, Vec2, VerticalStrip, _check_positive,
                    common_denominator, is_exact, rotation, shear, diag_flow)
-from .errors import ExceptionalLatticeError, ResourceLimitError
+from .errors import ResourceLimitError
 from .pointcloud import (ExactRows, GapSequence, _axis_radius, _LowerStrip, _ragged,
                          axis_hits_by_definition, strip_points)
 from .stats import rng
@@ -65,7 +65,9 @@ DEFAULT_CELL_BUDGET = 20_000_000
 # cells of one stacked scan in UnimodularLattice.axis_hits, at most about
 # 17 MB of scan temporaries: an eta-ball scan of a unit-scale lattice visits
 # about (2 eta + 5)^2 cells, more than a thin axis box, so one scan takes
-# 2**18 // that many sheared bases
+# 2**18 // that many sheared bases.  Chunks pay for speed, not the budget:
+# 10^5 candidates verify about 20 % faster chunked, and the strip scan before
+# them meets DEFAULT_CELL_BUDGET first (more cells per slope than per candidate)
 AXIS_CHUNK_CELLS = 2 ** 18
 
 
@@ -271,6 +273,17 @@ class UnimodularLattice:
     def act(self, g: Mat2) -> "UnimodularLattice":
         return UnimodularLattice(g @ self.basis, self.tag)
 
+    def empty_strip(self, eta) -> bool:
+        """Is the width-eta strip empty at every height?  An exact basis has
+        a primitive vertical vector (0, h), every x is a multiple of 1/h and
+        the line x = 1/h holds primitive points, so the strip is empty
+        exactly when h * eta < 1 (a float eta at its exact value).  False
+        for float bases, whose strip loop the cell budget bounds."""
+        if not self.is_exact():
+            return False
+        m, k = _vertical_coefficients(self)
+        return abs(self.basis.c * m + self.basis.d * k) * Fraction(eta) < 1
+
     # -- enumeration ------------------------------------------------------
 
     def exact_rows(self, region: VerticalStrip | Ball) -> Optional[ExactRows]:
@@ -417,50 +430,29 @@ def to_transversal(lat: UnimodularLattice, eta=1) -> tuple[bcz.TransversalPoint,
     of length a; completing it to a positively-oriented basis gives a column
     (b', 1/a), and b is the representative of b' modulo a inside (eta-a, eta].
     The basis must be exact (a float basis is a ValueError); the coordinates
-    are exact, and a float eta is promoted exactly.
-
-    A lattice whose strip is empty is rejected up front instead of doubling
-    the height up to the budget.  An exact basis always has a primitive
-    vertical vector (0, h); every x-coordinate is then a multiple of 1/h and
-    the line x = 1/h holds primitive points, so the strip is empty exactly
-    when h * eta < 1.
+    are exact, and a float eta is promoted exactly.  A lattice whose strip
+    is empty raises ExceptionalLatticeError from strip_points, before any
+    scan (UnimodularLattice.empty_strip).
     """
     if not lat.is_exact():
         raise ValueError("the transversal needs an exact lattice basis")
     _check_positive(eta, "eta")
     if isinstance(eta, float):
         eta = Fraction(eta)
-    m, k = _vertical_coefficients(lat)
-    if abs(lat.basis.c * m + lat.basis.d * k) * eta < 1:
-        raise ExceptionalLatticeError(
-            "lattice has a vertical vector and an empty strip; "
-            "the shear flow never reaches the transversal")
     [(s1, v1)] = strip_points(lat, eta, 1)
     a = v1.x
     coeff = lat.basis.inverse() @ v1  # integral
     m0, k0 = round(coeff.x), round(coeff.y)
     # companion coefficients with m0*k1 - m1*k0 = +1 (orientation matters:
-    # the companion's sheared height must be +1/a, not -1/a)
-    g, u_, v_ = _xgcd(m0, k0)
-    if g == -1:
-        u_, v_ = -u_, -v_
-    m1, k1 = -v_, u_
+    # the companion's sheared height must be +1/a, not -1/a); k0 = 0 has m0 = +-1
+    k1 = pow(m0, -1, abs(k0)) if k0 else m0
+    m1 = (m0 * k1 - 1) // k0 if k0 else 0
     mb = lat.basis
     wx = mb.a * m1 + mb.b * k1
     wy = (mb.c - s1 * mb.a) * m1 + (mb.d - s1 * mb.b) * k1
     assert wy * a == 1
     b = wx - math.ceil((wx - eta) / a) * a
     return bcz.TransversalPoint(a, b, eta), s1
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with a x + b y = g = gcd(a, b)."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def slope_gaps_fast(lat: UnimodularLattice, eta, n: int,

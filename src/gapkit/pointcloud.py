@@ -1,12 +1,12 @@
 """The slope/return-time machinery of unimodular lattices.
 
 A lattice (lattice.UnimodularLattice) is a state x with its primitive
-vectors attached.  The strip loop reads a strip's points through its
-exact_rows (int rows, exact bases) or float_columns (float arrays, float
-bases), the definition of horizontal shortness a ball's points through
-enumerate_points and the sheared state g.x through act, hitting_times its
-verdicts through axis_hits.  Surfaces reach the same statistics through
-their saddle connections (surface.sc_slope_gaps).
+vectors attached.  The strip loop asks it empty_strip, then reads a strip's
+points through exact_rows (exact bases) or float_columns (float bases), the
+definition of horizontal shortness a ball's points through enumerate_points
+and the sheared state g.x through act, hitting_times its verdicts through
+axis_hits.  Surfaces reach the same statistics through their saddle
+connections (surface.sc_slope_gaps).
 
 All slope statistics flow through two facts about the vertical shear
 (x, y) -> (x, y - s x):
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .core import Ball, Vec2, VerticalStrip, _check_positive, is_exact, shear
-from .errors import ExhaustionError
+from .errors import ExceptionalLatticeError, ExhaustionError, ResourceLimitError
 
 if TYPE_CHECKING:  # lattice imports this module
     from .lattice import UnimodularLattice
@@ -67,9 +67,6 @@ __all__ = [
 
 # |y| below this counts as horizontal for float lattices (exact lattices use 0)
 AXIS_TOL = 1e-9
-
-# strip heights grow geometrically up to this height before giving up
-DEFAULT_HEIGHT_BUDGET = 2.0 ** 26
 
 
 @dataclass(frozen=True)
@@ -200,25 +197,34 @@ def _strip_rows(lat: UnimodularLattice, eta, n: int):
     Each height reads the strip below its diagonal (_LowerStrip), the only
     part whose slopes it can keep.  Returns (rows, exact): the first n rows
     in slope order, as (x, y) int rows of the ExactRows ``exact`` from
-    lat.exact_rows, else as an (n, 3) float array of rows (slope, x, y)
-    from lat.float_columns.
+    lat.exact_rows, else as an (n, 3) float array of rows (slope, x, y) from
+    lat.float_columns.  An exact empty strip (lat.empty_strip) raises
+    ExceptionalLatticeError before any scan.  H doubles until a scan raises
+    ResourceLimitError (lattice.DEFAULT_CELL_BUDGET), raised again as
+    ExhaustionError with the slopes of the last completed height.  That ends
+    the loop: a scan visits at least |b| H / |det| rows, b != 0 the larger
+    |x| of the reduced basis, and b >~ 4e-155 as _check_float_det rejects
+    entries past about 1.34e154, so the budget fires before H overflows.
     """
     _check_positive(eta, "eta")
-    height = float(eta) * max(4.0, 4.0 * n)
+    if lat.empty_strip(eta):
+        raise ExceptionalLatticeError("lattice has a vertical vector and an empty strip")
+    height, done = float(eta) * max(4.0, 4.0 * n), 0.0
+    rows, exact = np.empty((0, 3)), None  # no height completed yet
     while True:
         strip = _LowerStrip(eta, height)
-        exact = lat.exact_rows(strip)
-        if exact is not None:
-            rows = _slope_order(exact, strip.cut)
-        else:
-            rows = _column_order(*lat.float_columns(strip), strip.cut)
+        try:
+            exact = lat.exact_rows(strip)
+            rows = _slope_order(exact, strip.cut) if exact is not None \
+                else _column_order(*lat.float_columns(strip), strip.cut)
+        except ResourceLimitError as err:
+            raise ExhaustionError(
+                f"found {len(rows)} of {n} slopes below height {done}; "
+                f"the cell budget stops height {height}: {err}",
+                partial=SlopeSequence(eta, _slopes(rows, exact))) from err
         if len(rows) >= n:
             return rows[:n], exact
-        if height >= DEFAULT_HEIGHT_BUDGET:
-            raise ExhaustionError(
-                f"found {len(rows)} of {n} slopes below height {height}",
-                partial=SlopeSequence(eta, _slopes(rows, exact)))
-        height *= 2.0
+        done, height = height, height * 2.0
 
 
 def _slopes(rows, exact: Optional[ExactRows]) -> tuple:
@@ -233,8 +239,8 @@ def strip_points(lat: UnimodularLattice, eta, n: int) -> list:
 
     Enumerates the strip under growing height caps H; every slope <= H/eta is
     then definitely present, so the first n of those are final.  H doubles
-    until it reaches DEFAULT_HEIGHT_BUDGET (read at each call); running out
-    raises ExhaustionError carrying the partial SlopeSequence.
+    until the cell budget stops a scan: ExhaustionError with the slopes of the
+    last completed height.  An exact empty strip raises ExceptionalLatticeError.
     """
     rows, exact = _strip_rows(lat, eta, n)
     if exact is not None:

@@ -93,6 +93,21 @@ class TestOrbit:
         with pytest.raises(ResourceLimitError):
             bcz.orbit(bcz.TransversalPoint(1, 1, 1), bcz.ORBIT_STEP_BUDGET + 1)
 
+    def test_roof_sequence_keeps_the_step_budget(self, monkeypatch, capsys):
+        # the float fast path takes the step checks of orbit; the fast route
+        # of lattice-gaps walks it, so the CLI exits 3
+        from gapkit import cli
+        monkeypatch.setattr(bcz, "ORBIT_STEP_BUDGET", 10)
+        p = bcz.TransversalPoint(0.37, 0.81)
+        assert len(bcz.roof_sequence(p, 10)) == len(bcz.orbit(p, 10).returns) == 10
+        for walk in (bcz.orbit, bcz.roof_sequence):
+            with pytest.raises(ResourceLimitError, match="exceeds the step budget"):
+                walk(p, 100)
+            with pytest.raises(ValueError, match="nonnegative"):
+                walk(p, -1)
+        assert cli.main(["lattice-gaps", "--seed", "5", "--count", "100"]) == 3
+        assert "exceeds the step budget" in capsys.readouterr().err
+
     def test_roof_sequence_matches_orbit(self):
         p = bcz.TransversalPoint(0.37, 0.81, 1.0)
         fast = bcz.roof_sequence(p, 200)

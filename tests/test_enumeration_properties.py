@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gapkit import _waves, lattice, pointcloud
 from gapkit.affine import AffineLattice
 from gapkit.core import Ball, GoldenNum, Mat2, Vec2, VerticalStrip, rotation, shear, slope
-from gapkit.errors import ExceptionalLatticeError, ExhaustionError
+from gapkit.errors import ExceptionalLatticeError, ExhaustionError, ResourceLimitError
 from gapkit.lattice import (UnimodularLattice, coefficient_scan, seeded_lattice,
                             slope_gaps_fast)
 from gapkit.pointcloud import (ExactRows, axis_hits_by_definition, gaps, hitting_times,
@@ -188,6 +188,26 @@ def strip_by_rectangles(lat, eta, n):
         height *= 2.0
 
 
+# the largest scan the budget tests run: about 70 MB of scan temporaries
+SCAN_CAP = 2 ** 20
+
+
+def scan_cost(lat, eta, height):
+    """The least DEFAULT_CELL_BUDGET under which the strip loop's scan at
+    one height completes, by bisection; at most SCAN_CAP."""
+    lo, hi = 0, SCAN_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        with mock.patch.object(lattice, "DEFAULT_CELL_BUDGET", mid):
+            try:
+                region_rows(lat, pointcloud._LowerStrip(eta, height))
+                hi = mid
+            except ResourceLimitError:
+                lo = mid + 1
+    assert lo < SCAN_CAP
+    return lo
+
+
 def region_rows(lat, region):
     """The rows a lattice hands over for a region: int (X, Y) pairs of an
     exact basis, float (x, y) pairs of a float one."""
@@ -242,11 +262,14 @@ def test_strip_below_its_diagonal_keeps_results_and_partials(lat, eta, n, exact)
     lat = lat if exact else lat.to_float()
     want, heights = strip_by_rectangles(lat, eta, n)
     assert strip_points(lat, eta, n) == want
-    # a budget at each height that fell short: the partial is every slope
-    # up to that height's cut, as on the whole rectangle
+    # a cell budget that lets each height that fell short complete and stops
+    # the next: the partial is every slope up to that height's cut, as on
+    # the whole rectangle
     for height in heights[:-1]:
         partial = tuple(s for s, _ in rectangle_order(lat, eta, height))
-        with mock.patch.object(pointcloud, "DEFAULT_HEIGHT_BUDGET", height):
+        budget = scan_cost(lat, eta, height)
+        assert budget < scan_cost(lat, eta, 2 * height)
+        with mock.patch.object(lattice, "DEFAULT_CELL_BUDGET", budget):
             with pytest.raises(ExhaustionError) as err:
                 slopes_in_strip(lat, eta, n)
         assert err.value.partial == pointcloud.SlopeSequence(eta, partial)
@@ -254,12 +277,47 @@ def test_strip_below_its_diagonal_keeps_results_and_partials(lat, eta, n, exact)
     assert (len(heights) == 1) == (lat.tag == "Z^2")
 
 
+@SETTINGS
+@given(rational_lattices(), st.integers(2, 4), st.sampled_from([Fraction(3, 2), 1.37]),
+       st.integers(1, 40), st.booleans(), st.data())
+def test_cell_budget_partial_is_the_last_completed_height(lat, s, width, n, exact, data):
+    # a cell budget that lets the scans of the first k heights complete:
+    # the strip loop gives its whole answer when those are all it needs,
+    # else every slope of the last height whose scan fits (none when k = 0),
+    # a prefix of the whole answer.  diag(1/s, s) thins the strip, so most
+    # searches double their height, and eta lies between two columns of
+    # the strip, so no float column sits on its edge
+    lat = lat.act(Mat2(Fraction(1, s), 0, 0, s))
+    eta = width * x_step(lat)
+    lat = lat if exact else lat.to_float()
+    with mock.patch.object(lattice, "DEFAULT_CELL_BUDGET", SCAN_CAP):
+        want, heights = strip_by_rectangles(lat, eta, n)
+    whole = tuple(s for s, _ in want)
+    costs = [scan_cost(lat, eta, h) for h in heights]
+    assert costs == sorted(costs)
+    k = data.draw(st.integers(0, len(heights)), label="heights completed")
+    budget = costs[k - 1] if k else costs[0] - 1
+    done = [h for h, cost in zip(heights, costs) if cost <= budget]
+    with mock.patch.object(lattice, "DEFAULT_CELL_BUDGET", budget):
+        if done == heights:
+            assert slopes_in_strip(lat, eta, n).slopes == whole
+            return
+        with pytest.raises(ExhaustionError) as err:
+            slopes_in_strip(lat, eta, n)
+    last = done[-1] if done else 0.0
+    partial = tuple(s for s, _ in rectangle_order(lat, eta, last)) if done else ()
+    assert err.value.partial == pointcloud.SlopeSequence(eta, partial)
+    assert partial == whole[:len(partial)] and len(partial) < n
+    assert str(err.value).startswith(f"found {len(partial)} of {n} slopes below height {last}; ")
+
+
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_partial_keeps_the_slope_on_the_diagonal(exact):
     # at H = 84 SCALED holds 17 of the 49 slopes asked for, the last on the
-    # diagonal: slope 196 = cut, 196.0 in floats, whose x = 1/7 rounds down
+    # diagonal: slope 196 = cut, 196.0 in floats, whose x = 1/7 rounds down;
+    # the scan at H = 84 takes 90 cells, at 168 162
     lat = SCALED if exact else SCALED.to_float()
-    with mock.patch.object(pointcloud, "DEFAULT_HEIGHT_BUDGET", 84.0):
+    with mock.patch.object(lattice, "DEFAULT_CELL_BUDGET", 120):
         with pytest.raises(ExhaustionError) as err:
             slopes_in_strip(lat, Fraction(3, 7), 49)
     assert len(err.value.partial) == 17 and err.value.partial.slopes[-1] == 196
@@ -281,10 +339,14 @@ def test_exact_ball_horizontally_short_matches_fraction_test(lat, eta):
 
 class RowsSystem:
     """A finite exact point set given as int rows over a denominator, read
-    by the strip loop through exact_rows alone."""
+    by the strip loop through exact_rows alone; no strip is decided empty
+    up front."""
 
     def __init__(self, rows, d):
         self.rows, self.d = rows, d
+
+    def empty_strip(self, eta):
+        return False
 
     def exact_rows(self, region):
         eta, height = Fraction(region.eta), Fraction(region.height)

@@ -209,11 +209,14 @@ class TestPinnedExactEnumeration:
 
     def test_exhaustion_partial(self, monkeypatch):
         # strip points (1/10, 5 + 10 k): 128 of them lie below the last height
+        # completed; its scan takes 1,078 cells, the next height's 2,146
         lat = UnimodularLattice(Mat2(Fraction(1, 10), 0, 5, 10))
-        monkeypatch.setattr(pointcloud, "DEFAULT_HEIGHT_BUDGET", 1024.0)
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 2000)
         with pytest.raises(ExhaustionError) as err:
             slopes_in_strip(lat, Fraction(1, 10), 200)
-        assert str(err.value) == "found 128 of 200 slopes below height 1280.0"
+        assert str(err.value) == (
+            "found 128 of 200 slopes below height 1280.0; the cell budget stops "
+            "height 2560.0: 2146 cells exceed the enumeration budget 2000")
         partial = err.value.partial
         assert partial.eta == Fraction(1, 10)
         assert partial.slopes == tuple(Fraction(50 + 100 * k) for k in range(128))

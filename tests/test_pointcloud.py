@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -7,10 +8,10 @@ import pytest
 
 from gapkit import lattice, pointcloud
 from gapkit.core import Ball, Mat2, VerticalStrip, diag_flow, rotation, shear
-from gapkit.errors import ExceptionalLatticeError
+from gapkit.errors import ExceptionalLatticeError, ResourceLimitError
 from gapkit.lattice import UnimodularLattice, ZSQUARED
 from gapkit.pointcloud import (SlopeSequence, axis_hits_by_definition, gaps, hitting_times,
-                               is_horizontally_short, slopes_in_strip)
+                               is_horizontally_short, slopes_in_strip, strip_points)
 from gapkit.surface import saddle_connections, sc_slope_gaps
 
 
@@ -43,27 +44,62 @@ class TestSlopesInStrip:
 
     def test_exhaustion_carries_partial(self, monkeypatch):
         # the x-projection of this vertical lattice is Z: nothing ever lands
-        # in a strip of width 1/2, so the height doubling runs out
+        # in a strip of width 1/2.  The exact basis is decided before any
+        # scan; the float one doubles its height until the cell budget stops
+        # it (the scan at 1280 takes about 5,100 cells, at 2560 10,246)
         from gapkit.errors import ExhaustionError
         lat = UnimodularLattice(Mat2(0, -1, 1, Fraction(1, 2)))
-        monkeypatch.setattr(pointcloud, "DEFAULT_HEIGHT_BUDGET", 1024.0)
-        with pytest.raises(ExhaustionError) as err:
+        with pytest.raises(ExceptionalLatticeError):
             slopes_in_strip(lat, Fraction(1, 2), 5)
-        assert str(err.value) == "found 0 of 5 slopes below height 1280.0"
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 8000)
+        with pytest.raises(ExhaustionError) as err:
+            slopes_in_strip(lat.to_float(), Fraction(1, 2), 5)
+        assert str(err.value).startswith("found 0 of 5 slopes below height 1280.0; ")
         assert err.value.partial == pointcloud.SlopeSequence(Fraction(1, 2), ())
 
     def test_exhaustion_partial_holds_the_exact_slopes_found(self, monkeypatch):
         # diag(1/3, 3) Z^2 meets the strip of width 1/3 only at x = 1/3, at
-        # slopes 9j: under the first cap, slope 36, that is 5 of the 9 asked
+        # slopes 9j: under the first cap, slope 36, that is 5 of the 9 asked;
+        # the first height's scan takes 28 cells, the second's 44
         from gapkit.errors import ExhaustionError
         lat = UnimodularLattice(Mat2(Fraction(1, 3), 0, 0, 3))
-        monkeypatch.setattr(pointcloud, "DEFAULT_HEIGHT_BUDGET", 1.0)
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 40)
         with pytest.raises(ExhaustionError) as err:
             slopes_in_strip(lat, Fraction(1, 3), 9)
-        assert str(err.value) == "found 5 of 9 slopes below height 12.0"
+        assert str(err.value).startswith("found 5 of 9 slopes below height 12.0; ")
         partial = err.value.partial.slopes
         assert partial == tuple(Fraction(9 * j) for j in range(5))
         assert all(type(s) is Fraction for s in partial)
+
+    def test_exact_empty_strip_is_decided_before_any_scan(self):
+        # Z^2 has the vertical vector (0, 1) and nothing in 0 < x <= 1/3; the
+        # height doubling ran to the cell budget, 7.6 s and 1.4 GB
+        for search in (strip_points, slopes_in_strip):
+            start = time.perf_counter()
+            with pytest.raises(ExceptionalLatticeError):
+                search(ZSQUARED, Fraction(1, 3), 200)
+            assert time.perf_counter() - start < 0.5
+
+    def test_sparse_strip_needs_no_height_budget(self):
+        # the strip holds only (0.001, 1000 m), slopes 1e6 m: 100,000 of them
+        # lie below height 1e8, past the 2^26 at which the search stopped
+        lat = UnimodularLattice(Mat2(0.0, -0.001, 1000.0, 0.0))
+        slopes = slopes_in_strip(lat, 0.0015, 100_000).slopes
+        assert slopes == tuple(1e6 * m for m in range(100_000))
+
+    @pytest.mark.parametrize("lat, eta", [
+        (ZSQUARED.to_float(), Fraction(1, 3)),
+        (UnimodularLattice(Mat2(0.0, -0.001, 1000.0, 0.0)), 0.0005),
+    ], ids=["Z2-1/3", "sparse-0.0005"])
+    def test_float_empty_strip_stops_at_the_cell_budget(self, lat, eta, monkeypatch):
+        # no float strip is decided empty up front: its heights double until
+        # a scan passes the cell budget, never to an unbounded height
+        from gapkit.errors import ExhaustionError
+        monkeypatch.setattr(lattice, "DEFAULT_CELL_BUDGET", 10_000)
+        with pytest.raises(ExhaustionError, match="^found 0 of 5 slopes below height") as err:
+            slopes_in_strip(lat, eta, 5)
+        assert err.value.partial == SlopeSequence(eta, ())
+        assert isinstance(err.value.__cause__, ResourceLimitError)
 
     def test_unbounded_strip_enumeration_rejected(self):
         with pytest.raises(ValueError, match="unbounded strip"):
